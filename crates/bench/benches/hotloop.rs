@@ -75,28 +75,6 @@ fn hotloop(c: &mut Criterion) {
             });
         }
     }
-    // Sim-plane counter overhead: the optimized stepper with telemetry
-    // counting disabled vs the shipped default (on). The pair tracks
-    // the same A/B as `BENCH_hotloop.json`'s `telemetry_overhead` rows;
-    // the two must stay within noise of each other.
-    for (load, light) in [("light", true), ("heavy", false)] {
-        let model = ModelKind::NoIntelligence;
-        group.bench_function(format!("telemetry-off/8x16/{load}"), |b| {
-            let mut p = platform(&model, GridDims::new(8, 16), light);
-            p.set_sim_telemetry(false);
-            b.iter(|| {
-                p.run_cycles(CHUNK);
-                black_box(p.now())
-            });
-        });
-        group.bench_function(format!("telemetry-on/8x16/{load}"), |b| {
-            let mut p = platform(&model, GridDims::new(8, 16), light);
-            b.iter(|| {
-                p.run_cycles(CHUNK);
-                black_box(p.now())
-            });
-        });
-    }
     // The adaptive hot path (no fast-forward jumps, but active-set
     // stepping and zero-allocation scans still apply).
     let ffw = ModelKind::ForagingForWork(FfwConfig::default());

@@ -9,7 +9,7 @@ use sirtm_centurion::{Platform, PlatformConfig};
 use sirtm_core::io::MockAimIo;
 use sirtm_core::models::{FfwConfig, ModelKind, NiConfig};
 use sirtm_noc::{
-    Coord, Mesh, NodeId, Packet, PacketId, PacketKind, Router, RouterConfig, RouterPlan,
+    Coord, Direction, Mesh, NodeId, Packet, PacketId, PacketKind, Router, RouterConfig, RouterPlan,
 };
 use sirtm_picoblaze::vm::{Picoblaze, SparseIo};
 use sirtm_picoblaze::{asm, Condition, Instruction};
@@ -71,8 +71,9 @@ fn drain_deliveries(mesh: &mut Mesh) {
 }
 
 /// Phase-1 planning cost of one router, isolated from the fabric: the
-/// idle case is what [`Router::has_work`] gating skips, the backlogged
-/// case is what a saturated tile pays every cycle.
+/// idle case is what the mesh worklist skips, the backlogged case is
+/// what a saturated tile pays every cycle, and the contended case is
+/// five heads arbitrating for one output.
 fn router_plan(c: &mut Criterion) {
     let mut group = c.benchmark_group("router_plan");
     let make_router = || {
@@ -105,6 +106,33 @@ fn router_plan(c: &mut Criterion) {
         let mut plan = RouterPlan::default();
         b.iter(|| {
             router.plan_into(0, &|_| true, &mut plan);
+            black_box(plan.move_count())
+        });
+    });
+    group.bench_function("contended", |b| {
+        // The planner's worst case: heads on all five inputs of the centre
+        // of a 3x3 mesh, every one bound for its internal port.
+        let mut mesh = Mesh::new(GridDims::new(3, 3), RouterConfig::default());
+        let centre = NodeId::new(4);
+        for src in [1, 3, 5, 7] {
+            mesh.inject(
+                NodeId::new(src),
+                centre,
+                TaskId::new(0),
+                PacketKind::Data,
+                4,
+            );
+        }
+        mesh.step();
+        mesh.inject(centre, centre, TaskId::new(0), PacketKind::Data, 4);
+        let router = mesh.router(centre).clone();
+        assert!(Direction::ALL
+            .iter()
+            .all(|&d| router.input_occupancy(d) == 1));
+        assert_eq!(router.inject_backlog(), 1);
+        let mut plan = RouterPlan::default();
+        b.iter(|| {
+            router.plan_into(1, &|_| true, &mut plan);
             black_box(plan.move_count())
         });
     });

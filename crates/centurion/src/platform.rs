@@ -95,9 +95,6 @@ pub struct Platform {
     /// Deterministic sim-plane telemetry (cycle/scan/gossip counters);
     /// NoC message counters are merged in from the mesh on snapshot.
     sim: SimCounters,
-    /// Runtime gate for the sim-plane increments, so benches can A/B
-    /// counter overhead in one binary. On by default.
-    sim_enabled: bool,
 
     // ---- activity-gating state (see DESIGN: "Performance architecture")
     /// Per-node `models[idx].is_passive()`, cached so the hot loop can
@@ -234,7 +231,6 @@ impl Platform {
             neighbours,
             cycle: 0,
             sim: SimCounters::default(),
-            sim_enabled: true,
             cfg,
             passive,
             pe_next: vec![0; n],
@@ -294,13 +290,6 @@ impl Platform {
             flit_hops: m.flit_hops,
             ..self.sim
         }
-    }
-
-    /// Enables or disables the sim-plane counter increments (on by
-    /// default). Counting never affects simulation decisions, so this
-    /// only exists to let the hotloop bench A/B the counter overhead.
-    pub fn set_sim_telemetry(&mut self, enabled: bool) {
-        self.sim_enabled = enabled;
     }
 
     /// Aggregate tier-execution census over every firmware-backed node
@@ -601,9 +590,7 @@ impl Platform {
                     }
                 }
                 self.mesh.skip_idle_cycles(dt);
-                if self.sim_enabled {
-                    self.sim.cycles_fast_forwarded += dt;
-                }
+                self.sim.cycles_fast_forwarded += dt;
                 self.cycle = next;
             }
         }
@@ -674,9 +661,7 @@ impl Platform {
         // via the precomputed residue buckets instead of 128 modulo
         // tests.
         let r = (now % self.cfg.aim_period as u64) as usize;
-        if self.sim_enabled {
-            self.sim.aim_scans += self.scan_buckets[r].len() as u64;
-        }
+        self.sim.aim_scans += self.scan_buckets[r].len() as u64;
         for k in 0..self.scan_buckets[r].len() {
             let idx = self.scan_buckets[r][k] as usize;
             self.scan_fast(idx, now);
@@ -685,9 +670,7 @@ impl Platform {
         // reproduces its input it is a fixpoint and is skipped until an
         // advertised task or directory changes.
         if now.is_multiple_of(self.cfg.gossip_period as u64) && !self.gossip_converged {
-            if self.sim_enabled {
-                self.sim.gossip_rounds += 1;
-            }
+            self.sim.gossip_rounds += 1;
             let mut next = std::mem::take(&mut self.dirs_next);
             gossip_round_into(
                 &self.dirs,
@@ -706,15 +689,14 @@ impl Platform {
         }
         // 5. Fabric cycle.
         self.mesh.step();
-        if self.sim_enabled {
-            self.sim.cycles_stepped += 1;
-        }
+        self.sim.cycles_stepped += 1;
         self.cycle += 1;
     }
 
     /// Advances the platform by one cycle with the original exhaustive
-    /// loop: every router drained, every PE stepped, every scan condition
-    /// tested, every gossip round recomputed from scratch. Retained as
+    /// loop: every router drained and stepped ([`Mesh::step_naive`]),
+    /// every PE stepped, every scan condition tested, every gossip round
+    /// recomputed from scratch. Retained as
     /// the differential oracle for [`Platform::step`] (and as the bench
     /// baseline); it makes no use of the activity-gating state.
     pub fn step_naive(&mut self) {
@@ -748,17 +730,13 @@ impl Platform {
         let period = self.cfg.aim_period as u64;
         for idx in 0..self.pes.len() {
             if (now + idx as u64 * 7).is_multiple_of(period) {
-                if self.sim_enabled {
-                    self.sim.aim_scans += 1;
-                }
+                self.sim.aim_scans += 1;
                 self.scan(idx, now);
             }
         }
         // 4. Gossip directory round.
         if now.is_multiple_of(self.cfg.gossip_period as u64) {
-            if self.sim_enabled {
-                self.sim.gossip_rounds += 1;
-            }
+            self.sim.gossip_rounds += 1;
             let locals: Vec<Option<TaskId>> = self
                 .pes
                 .iter()
@@ -772,11 +750,9 @@ impl Platform {
                 self.cfg.dir_dist_max,
             );
         }
-        // 5. Fabric cycle.
-        self.mesh.step();
-        if self.sim_enabled {
-            self.sim.cycles_stepped += 1;
-        }
+        // 5. Fabric cycle, every router stepped.
+        self.mesh.step_naive();
+        self.sim.cycles_stepped += 1;
         self.cycle += 1;
     }
 

@@ -113,43 +113,6 @@ fn measure(model: &ModelKind, name: &'static str, dims: GridDims, budget_ms: u64
         .collect()
 }
 
-/// One telemetry A/B row: the optimized stepper with the sim-plane
-/// counters disabled vs enabled (the shipped default). The counters are
-/// a handful of saturating integer adds per event, so the overhead gate
-/// is "within noise" — CI asserts nothing here, the row exists so a
-/// regression is visible in the artefact's trajectory.
-struct TelemetryRow {
-    grid: &'static str,
-    load: &'static str,
-    off_cps: f64,
-    on_cps: f64,
-}
-
-fn measure_telemetry(dims: GridDims, budget_ms: u64) -> Vec<TelemetryRow> {
-    let model = ModelKind::NoIntelligence;
-    let grid = grid_name(dims);
-    [("light", true), ("heavy", false)]
-        .into_iter()
-        .map(|(load, light)| {
-            let mut off = platform(&model, dims, light);
-            off.set_sim_telemetry(false);
-            let mut on = platform(&model, dims, light);
-            let off_cps = cycles_per_sec(&mut off, false, budget_ms);
-            let on_cps = cycles_per_sec(&mut on, false, budget_ms);
-            eprintln!(
-                "  {grid:>5} {load:<5} telemetry  off {off_cps:>12.0} c/s   on {on_cps:>12.0} c/s   ({:+.2}% overhead)",
-                (off_cps / on_cps - 1.0) * 100.0
-            );
-            TelemetryRow {
-                grid,
-                load,
-                off_cps,
-                on_cps,
-            }
-        })
-        .collect()
-}
-
 fn main() {
     let mut out = String::from("BENCH_hotloop.json");
     let mut budget_ms = 400u64;
@@ -196,8 +159,6 @@ fn main() {
         rows.extend(measure(&ffw_fw, name, GridDims::new(8, 16), budget_ms));
     }
     set_default_engine_kind(EngineKind::default());
-    eprintln!("hotloop: sim-plane counter overhead (optimized stepper, telemetry off vs on)");
-    let telemetry_rows = measure_telemetry(GridDims::new(8, 16), budget_ms);
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -218,25 +179,6 @@ fn main() {
             r.naive_cps,
             r.optimized_cps,
             r.optimized_cps / r.naive_cps,
-            sep
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"telemetry_overhead\": [\n");
-    for (i, r) in telemetry_rows.iter().enumerate() {
-        let sep = if i + 1 == telemetry_rows.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            json,
-            "    {{\"grid\": \"{}\", \"load\": \"{}\", \"telemetry_off_cps\": {:.0}, \"telemetry_on_cps\": {:.0}, \"overhead_pct\": {:.2}}}{}",
-            r.grid,
-            r.load,
-            r.off_cps,
-            r.on_cps,
-            (r.off_cps / r.on_cps - 1.0) * 100.0,
             sep
         );
     }

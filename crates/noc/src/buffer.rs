@@ -8,7 +8,7 @@ use crate::packet::Flit;
 ///
 /// The Centurion router uses wormhole switching specifically to keep these
 /// buffers small; the default depth is 4 flits.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlitBuffer {
     queue: VecDeque<Flit>,
     capacity: usize,

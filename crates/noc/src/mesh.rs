@@ -7,6 +7,12 @@
 //! single upstream writer and each output port moves at most one flit per
 //! cycle, so the phases cannot conflict and the result is independent of
 //! router iteration order — a requirement for reproducibility.
+//!
+//! Only routers on the *worklist* are stepped: a router joins it when a
+//! packet is injected there, when it is mutably borrowed, or when a flit
+//! arrives over a link, and leaves it once it holds no work.
+//! [`Mesh::step_naive`] keeps the exhaustive all-router loop as the
+//! oracle the worklist is tested against.
 
 use sirtm_taskgraph::{GridDims, TaskId};
 
@@ -73,12 +79,23 @@ pub struct Mesh {
     plans: Vec<RouterPlan>,
     /// Reusable link-transfer staging buffer.
     transfers: Vec<(usize, Direction, Flit)>,
+    /// Neighbour node index of each router in N, E, S, W order (`None`
+    /// at the grid edge), so link credit and transfers skip coordinate
+    /// arithmetic.
+    neighbours: Vec<[Option<u16>; 4]>,
+    /// Routers that may hold work: every router with buffered flits or
+    /// queued injections is on it, and [`Mesh::step`] steps only these.
+    /// Membership is deduplicated by `on_worklist`, so it never outgrows
+    /// the grid.
+    worklist: Vec<u16>,
+    /// Membership bitmap of `worklist`, indexed by node.
+    on_worklist: Vec<bool>,
     /// Nodes that completed a packet delivery during the most recent
     /// [`Mesh::step`], ascending and deduplicated — the platform's
     /// activity-gated delivery pass iterates exactly this set instead of
     /// scanning every router.
     fresh_delivered: Vec<u16>,
-    /// `true` once a step's work scan found every router quiescent and no
+    /// `true` once a step found every router quiescent and no
     /// packet has been injected (and no router mutably borrowed) since.
     /// While set, [`Mesh::step`] is O(1) and the fabric is provably
     /// inert, which is what licenses the platform's fast-forward jumps.
@@ -101,9 +118,22 @@ impl Mesh {
                 r
             })
             .collect();
+        let neighbours = (0..dims.len())
+            .map(|i| {
+                let (x, y) = dims.xy(i);
+                Direction::ALL.map(|d| {
+                    Coord::new(x, y)
+                        .neighbour(d, dims)
+                        .map(|c| c.node(dims).raw())
+                })
+            })
+            .collect();
         Self {
             plans: vec![RouterPlan::default(); dims.len()],
             transfers: Vec::new(),
+            neighbours,
+            worklist: Vec::with_capacity(dims.len()),
+            on_worklist: vec![false; dims.len()],
             fresh_delivered: Vec::with_capacity(dims.len()),
             settled: false,
             aim_writes_enqueued: 0,
@@ -141,15 +171,16 @@ impl Mesh {
 
     /// Mutable access to a router (AIM / debug interface path).
     ///
-    /// Conservatively clears the settled flag: arbitrary router mutation
-    /// (e.g. a direct `enqueue_inject`) may create work, so the next
-    /// [`Mesh::step`] re-runs the full quiescence scan.
+    /// Conservatively clears the settled flag and puts the router on the
+    /// worklist: arbitrary router mutation (e.g. a direct
+    /// `enqueue_inject`) may create work.
     ///
     /// # Panics
     ///
     /// Panics if `node` is off-grid.
     pub fn router_mut(&mut self, node: NodeId) -> &mut Router {
         self.settled = false;
+        self.enlist(node.index());
         &mut self.routers[node.index()]
     }
 
@@ -202,6 +233,7 @@ impl Mesh {
         self.routers[src.index()].enqueue_inject(pkt);
         self.stats.injected += 1;
         self.settled = false;
+        self.enlist(src.index());
         id
     }
 
@@ -229,6 +261,7 @@ impl Mesh {
         self.routers[src.index()].enqueue_inject(bounced);
         self.stats.injected += 1;
         self.settled = false;
+        self.enlist(src.index());
         id
     }
 
@@ -279,8 +312,8 @@ impl Mesh {
         self.aim_writes_enqueued
     }
 
-    /// `true` when the fabric is provably inert: the last step's work scan
-    /// found every router quiescent (no buffered flit, no queued
+    /// `true` when the fabric is provably inert: the last step found
+    /// every router quiescent (no buffered flit, no queued
     /// injection, not even deadlock-recovery drainage in progress) and
     /// nothing has been injected or mutably touched since. Deliberately
     /// *not* derived from [`MeshStats::in_flight`]: a killed tile
@@ -319,6 +352,14 @@ impl Mesh {
         self.is_idle()
     }
 
+    /// Puts router `idx` on the worklist (no-op if already there).
+    fn enlist(&mut self, idx: usize) {
+        if !self.on_worklist[idx] {
+            self.on_worklist[idx] = true;
+            self.worklist.push(idx as u16);
+        }
+    }
+
     /// Whether the link output of `router` in direction `dir` can accept a
     /// flit this cycle (neighbour exists, both ports enabled, neighbour
     /// alive, downstream buffer has a free slot).
@@ -327,117 +368,168 @@ impl Mesh {
         if !from.settings().port_enabled[OutPort::Link(dir).port().index()] {
             return false;
         }
-        let Some(n_coord) = from.coord().neighbour(dir, self.dims) else {
+        let Some(n) = self.neighbours[router][dir.index()] else {
             return false;
         };
-        let to = &self.routers[n_coord.node(self.dims).index()];
+        let to = &self.routers[n as usize];
         let in_port = crate::types::Port::from(dir.opposite());
         to.settings().alive
             && to.settings().port_enabled[in_port.index()]
             && to.input_free(dir.opposite()) > 0
     }
 
-    /// Advances the fabric by one cycle.
+    /// Advances the fabric by one cycle, stepping only the worklist.
+    ///
+    /// Decision-for-decision identical to [`Mesh::step_naive`]. Routers
+    /// off the worklist are dead or hold no flits, and a router's blocked
+    /// counters are non-zero only on inputs holding a head, so planning,
+    /// applying or ageing them would change nothing. A router that
+    /// receives a flit joins the worklist before the blocked pass, which
+    /// ages the new head in its arrival cycle exactly as the exhaustive
+    /// loop does.
     pub fn step(&mut self) {
         let now = self.cycle;
         self.fresh_delivered.clear();
-        // O(1) fast path: the previous step's scan proved every router
-        // quiescent and nothing has been injected since, so this cycle is
-        // a pure clock tick.
+        // O(1) fast path: the previous step found every router quiescent
+        // and nothing has been injected since, so this cycle is a pure
+        // clock tick.
         if self.settled {
             self.cycle += 1;
             return;
         }
-        // Phase 1: plan all moves against start-of-cycle state. Quiescent
-        // routers (no buffered flits, nothing to inject) are skipped —
-        // the common case on a lightly loaded grid.
-        let mut any_work = false;
-        for idx in 0..self.routers.len() {
-            if !self.routers[idx].has_work() {
-                self.plans[idx].clear();
-                continue;
-            }
-            any_work = true;
-            let mut plan = std::mem::take(&mut self.plans[idx]);
-            let credit = |d: Direction| self.link_credit(idx, d);
-            self.routers[idx].plan_into(now, &credit, &mut plan);
-            self.plans[idx] = plan;
-        }
-        if !any_work {
+        let routers = &self.routers;
+        let on_worklist = &mut self.on_worklist;
+        self.worklist.retain(|&i| {
+            let keep = routers[i as usize].has_work();
+            on_worklist[i as usize] = keep;
+            keep
+        });
+        if self.worklist.is_empty() {
             self.settled = true;
             self.cycle += 1;
             return;
+        }
+        // Ascending order keeps `fresh_delivered` sorted.
+        self.worklist.sort_unstable();
+        // Phase 1: plan against start-of-cycle state.
+        for k in 0..self.worklist.len() {
+            self.plan(self.worklist[k] as usize, now);
         }
         // Phase 2: apply. Pops happen immediately; pushes to neighbour
         // buffers are batched (single writer per buffer, capacity already
         // checked against the snapshot).
         self.transfers.clear();
+        for k in 0..self.worklist.len() {
+            self.apply(self.worklist[k] as usize, now);
+        }
+        for k in 0..self.transfers.len() {
+            let (to, dir_in, flit) = self.transfers[k];
+            self.routers[to].accept_link_flit(dir_in, flit);
+            self.enlist(to);
+        }
+        // Phase 3: head-of-line blocking accounting and deadlock recovery,
+        // over the planned routers and every router that just received a
+        // flit.
+        for k in 0..self.worklist.len() {
+            let idx = self.worklist[k] as usize;
+            self.stats.dropped += self.routers[idx].update_blocked_and_recover_marked();
+        }
+        self.cycle += 1;
+    }
+
+    /// Advances the fabric by one cycle with the exhaustive loop: every
+    /// router planned, applied and aged, with no settled shortcut. The
+    /// differential oracle for [`Mesh::step`]; it keeps `settled`,
+    /// `fresh_delivered` and the worklist up to date, so the two steppers
+    /// can be mixed on one mesh.
+    pub fn step_naive(&mut self) {
+        let now = self.cycle;
+        self.fresh_delivered.clear();
+        let mut any_work = false;
         for idx in 0..self.routers.len() {
-            if self.plans[idx].is_empty() {
-                continue;
-            }
-            let dims = self.dims;
-            for input in self.plans[idx].consumes() {
-                let router = &mut self.routers[idx];
-                let flit = router.pop_input(input);
-                if flit.is_tail() {
-                    router.clear_dropping(input);
-                }
-                router.mark_moved(input);
-            }
-            for m in self.plans[idx].moves() {
-                let router = &mut self.routers[idx];
-                let flit = router.pop_input(m.input);
-                router.commit_move(m, &flit, now);
-                router.mark_moved(m.input);
-                self.stats.flit_hops += 1;
-                match m.output {
-                    OutPort::Link(d) => {
-                        let n_coord = router
-                            .coord()
-                            .neighbour(d, dims)
-                            .expect("planned link move must have a neighbour");
-                        self.transfers
-                            .push((n_coord.node(dims).index(), d.opposite(), flit));
-                    }
-                    OutPort::Internal => {
-                        if let Some(pkt) = router.receive_internal(flit, now) {
-                            let latency = now.saturating_sub(pkt.created_cycle) + 1;
-                            self.stats.delivered += 1;
-                            self.stats.latency_sum += latency;
-                            self.stats.latency_max = self.stats.latency_max.max(latency);
-                            // Phase 2 walks routers in ascending order, so
-                            // the fresh-delivery list stays sorted.
-                            if self.fresh_delivered.last() != Some(&(idx as u16)) {
-                                self.fresh_delivered.push(idx as u16);
-                            }
-                        }
-                    }
-                    OutPort::Rcap => {
-                        if let Flit::Head { pkt, .. } = flit {
-                            if let PacketKind::Config(cmd) = pkt.kind {
-                                if matches!(cmd, RcapCommand::AimWrite { .. }) {
-                                    self.aim_writes_enqueued += 1;
-                                }
-                                router.apply_config(cmd);
-                            }
-                            self.stats.config_consumed += 1;
-                        }
-                    }
-                }
-            }
+            any_work |= self.routers[idx].has_work();
+            self.plan(idx, now);
+        }
+        self.settled = !any_work;
+        self.transfers.clear();
+        for idx in 0..self.routers.len() {
+            self.apply(idx, now);
         }
         for &(to, dir_in, flit) in &self.transfers {
             self.routers[to].accept_link_flit(dir_in, flit);
         }
-        // Phase 3: head-of-line blocking accounting and deadlock recovery.
         for router in &mut self.routers {
-            if router.has_work() || router.needs_blocked_update() {
-                let dropped = router.update_blocked_and_recover_marked();
-                self.stats.dropped += dropped;
+            self.stats.dropped += router.update_blocked_and_recover_marked();
+        }
+        self.worklist.clear();
+        for (idx, router) in self.routers.iter().enumerate() {
+            self.on_worklist[idx] = router.has_work();
+            if self.on_worklist[idx] {
+                self.worklist.push(idx as u16);
             }
         }
         self.cycle += 1;
+    }
+
+    /// Plans router `idx`'s crossbar traversals for this cycle.
+    fn plan(&mut self, idx: usize, now: Cycle) {
+        let mut plan = std::mem::take(&mut self.plans[idx]);
+        let credit = |d: Direction| self.link_credit(idx, d);
+        self.routers[idx].plan_into(now, &credit, &mut plan);
+        self.plans[idx] = plan;
+    }
+
+    /// Applies router `idx`'s plan: pops its inputs, delivers or consumes
+    /// locally and stages link transfers. Callers go in ascending router
+    /// order, which keeps `fresh_delivered` sorted.
+    fn apply(&mut self, idx: usize, now: Cycle) {
+        let plan = &self.plans[idx];
+        if plan.is_empty() {
+            return;
+        }
+        let router = &mut self.routers[idx];
+        for input in plan.consumes() {
+            let flit = router.pop_input(input);
+            if flit.is_tail() {
+                router.clear_dropping(input);
+            }
+            router.mark_moved(input);
+        }
+        for m in plan.moves() {
+            let flit = router.pop_input(m.input);
+            router.commit_move(m, &flit, now);
+            router.mark_moved(m.input);
+            self.stats.flit_hops += 1;
+            match m.output {
+                OutPort::Link(d) => {
+                    let to = self.neighbours[idx][d.index()]
+                        .expect("planned link move must have a neighbour");
+                    self.transfers.push((to as usize, d.opposite(), flit));
+                }
+                OutPort::Internal => {
+                    if let Some(pkt) = router.receive_internal(flit, now) {
+                        let latency = now.saturating_sub(pkt.created_cycle) + 1;
+                        self.stats.delivered += 1;
+                        self.stats.latency_sum += latency;
+                        self.stats.latency_max = self.stats.latency_max.max(latency);
+                        if self.fresh_delivered.last() != Some(&(idx as u16)) {
+                            self.fresh_delivered.push(idx as u16);
+                        }
+                    }
+                }
+                OutPort::Rcap => {
+                    if let Flit::Head { pkt, .. } = flit {
+                        if let PacketKind::Config(cmd) = pkt.kind {
+                            if matches!(cmd, RcapCommand::AimWrite { .. }) {
+                                self.aim_writes_enqueued += 1;
+                            }
+                            router.apply_config(cmd);
+                        }
+                        self.stats.config_consumed += 1;
+                    }
+                }
+            }
+        }
     }
 }
 

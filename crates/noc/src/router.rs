@@ -60,6 +60,17 @@ pub enum OutPort {
 }
 
 impl OutPort {
+    /// All six outputs in N, E, S, W, Internal, RCAP order — the order
+    /// the planner grants them in.
+    pub const ALL: [OutPort; 6] = [
+        OutPort::Link(Direction::North),
+        OutPort::Link(Direction::East),
+        OutPort::Link(Direction::South),
+        OutPort::Link(Direction::West),
+        OutPort::Internal,
+        OutPort::Rcap,
+    ];
+
     /// Dense index in `0..6`.
     pub fn index(self) -> usize {
         match self {
@@ -299,7 +310,7 @@ impl RouterPlan {
 }
 
 /// The wormhole router tile.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Router {
     node: NodeId,
     coord: Coord,
@@ -483,7 +494,7 @@ impl Router {
     }
 
     /// Kills the tile: marks it dead, disables all ports and discards all
-    /// buffered traffic (router-dead fault model).
+    /// buffered traffic and blocked counts (router-dead fault model).
     pub fn kill(&mut self) {
         self.settings.alive = false;
         self.settings.port_enabled = [false; 6];
@@ -495,6 +506,7 @@ impl Router {
         self.inject_sent = 0;
         self.circuits = [None; 5];
         self.out_alloc = [None; 6];
+        self.blocked = [0; 5];
         self.dropping = [None; 5];
         self.rx = None;
     }
@@ -607,8 +619,8 @@ impl Router {
     }
 
     /// Whether any flit or queued packet could possibly move this cycle —
-    /// the idle fast path skips planning entirely for quiescent routers
-    /// (the common case on a lightly loaded grid).
+    /// the mesh drops routers without work from its worklist (the common
+    /// case on a lightly loaded grid).
     pub fn has_work(&self) -> bool {
         self.settings.alive
             && (!self.inject_queue.is_empty() || self.inputs.iter().any(|b| !b.is_empty()))
@@ -619,38 +631,49 @@ impl Router {
     /// plan in phase 2. Public so the bench harness can time the planning
     /// phase in isolation; `credit` answers whether a link output can
     /// accept a flit.
+    ///
+    /// One pass over the inputs finds each free head's request: the first
+    /// of its route preferences whose output is available. Availability
+    /// reads only start-of-cycle state, so the request is the same for
+    /// every output. A second pass walks the outputs in N, E, S, W,
+    /// Internal, RCAP order: an allocated output advances its circuit, a
+    /// free one grants the first requesting input from its round-robin
+    /// pointer.
     pub fn plan_into(&self, now: Cycle, credit: &dyn Fn(Direction) -> bool, plan: &mut RouterPlan) {
         plan.clear();
         if !self.settings.alive {
             return;
         }
         let mut granted = [false; 5];
-        // Inputs discarding a recovered packet consume unconditionally.
+        let mut has_head = [false; 5];
+        let mut request: [Option<OutPort>; 5] = [None; 5];
         for i in InPort::ALL {
-            if let Some(id) = self.dropping[i.index()] {
-                if let Some(f) = self.head_flit(i) {
-                    if f.packet_id() == id {
-                        plan.push_consume(i);
-                        granted[i.index()] = true;
-                    }
+            let idx = i.index();
+            let Some(flit) = self.head_flit(i) else {
+                continue;
+            };
+            has_head[idx] = true;
+            if let Some(id) = self.dropping[idx] {
+                // Inputs discarding a recovered packet consume
+                // unconditionally and request nothing.
+                if flit.packet_id() == id {
+                    plan.push_consume(i);
+                    granted[idx] = true;
                 }
+                continue;
+            }
+            if let (None, Flit::Head { pkt, .. }) = (self.circuits[idx], flit) {
+                request[idx] = self
+                    .preferences(&pkt, now)
+                    .into_iter()
+                    .flatten()
+                    .find(|&p| self.output_available(p, credit));
             }
         }
-        const OUTPUTS: [OutPort; 6] = [
-            OutPort::Link(Direction::North),
-            OutPort::Link(Direction::East),
-            OutPort::Link(Direction::South),
-            OutPort::Link(Direction::West),
-            OutPort::Internal,
-            OutPort::Rcap,
-        ];
-        for o in OUTPUTS {
+        for o in OutPort::ALL {
             if let Some(i) = self.out_alloc[o.index()] {
                 // Active circuit: advance it if the downstream can accept.
-                if granted[i.index()] {
-                    continue;
-                }
-                if self.head_flit(i).is_some() && self.output_flowing(o, credit) {
+                if !granted[i.index()] && has_head[i.index()] && self.output_flowing(o, credit) {
                     plan.push_move(Move {
                         input: i,
                         output: o,
@@ -659,46 +682,17 @@ impl Router {
                 }
                 continue;
             }
-            if !self.output_available(o, credit) {
-                continue;
-            }
-            // New heads compete for this output.
-            let mut candidate = [false; 5];
-            let mut any = false;
-            for i in InPort::ALL {
-                if granted[i.index()]
-                    || self.circuits[i.index()].is_some()
-                    || self.dropping[i.index()].is_some()
-                {
-                    continue;
-                }
-                let Some(Flit::Head { pkt, .. }) = self.head_flit(i) else {
-                    continue;
-                };
-                let prefs = self.preferences(&pkt, now);
-                let first_available = prefs
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .find(|&p| self.output_available(p, credit));
-                if first_available == Some(o) {
-                    candidate[i.index()] = true;
-                    any = true;
-                }
-            }
-            if !any {
-                continue;
-            }
             let start = self.rr[o.index()] as usize;
             let pick = (0..5)
                 .map(|k| (start + k) % 5)
-                .find(|&idx| candidate[idx])
-                .expect("at least one candidate exists");
-            plan.push_move(Move {
-                input: InPort::ALL[pick],
-                output: o,
-            });
-            granted[pick] = true;
+                .find(|&idx| request[idx] == Some(o) && !granted[idx]);
+            if let Some(idx) = pick {
+                plan.push_move(Move {
+                    input: InPort::ALL[idx],
+                    output: o,
+                });
+                granted[idx] = true;
+            }
         }
     }
 
@@ -803,12 +797,6 @@ impl Router {
     /// Records that `input` moved a flit this cycle.
     pub(crate) fn mark_moved(&mut self, input: InPort) {
         self.moved[input.index()] = true;
-    }
-
-    /// Whether the blocked-counter pass still has state to age out even
-    /// though no flits are buffered (cheap check for the idle fast path).
-    pub(crate) fn needs_blocked_update(&self) -> bool {
-        self.blocked.iter().any(|&b| b > 0) || self.moved.iter().any(|&m| m)
     }
 
     /// Phase-3 bookkeeping: advances blocked counters for stalled heads
@@ -988,6 +976,230 @@ mod tests {
         assert_eq!(m.routed_per_task(), &[0, 5, 0]);
         assert_eq!(m.take_routed_per_task(), vec![0, 5, 0]);
         assert_eq!(m.routed_per_task(), &[0, 0, 0]);
+    }
+
+    /// The nested-loop planner the one-pass [`Router::plan_into`]
+    /// replaced: for every output it re-derives each input's request from
+    /// scratch. Kept as the reference the planner is checked against.
+    fn plan_reference(
+        r: &Router,
+        now: Cycle,
+        credit: &dyn Fn(Direction) -> bool,
+        plan: &mut RouterPlan,
+    ) {
+        plan.clear();
+        if !r.settings.alive {
+            return;
+        }
+        let mut granted = [false; 5];
+        for i in InPort::ALL {
+            if let Some(id) = r.dropping[i.index()] {
+                if let Some(f) = r.head_flit(i) {
+                    if f.packet_id() == id {
+                        plan.push_consume(i);
+                        granted[i.index()] = true;
+                    }
+                }
+            }
+        }
+        for o in OutPort::ALL {
+            if let Some(i) = r.out_alloc[o.index()] {
+                if granted[i.index()] {
+                    continue;
+                }
+                if r.head_flit(i).is_some() && r.output_flowing(o, credit) {
+                    plan.push_move(Move {
+                        input: i,
+                        output: o,
+                    });
+                    granted[i.index()] = true;
+                }
+                continue;
+            }
+            if !r.output_available(o, credit) {
+                continue;
+            }
+            let mut candidate = [false; 5];
+            let mut any = false;
+            for i in InPort::ALL {
+                if granted[i.index()]
+                    || r.circuits[i.index()].is_some()
+                    || r.dropping[i.index()].is_some()
+                {
+                    continue;
+                }
+                let Some(Flit::Head { pkt, .. }) = r.head_flit(i) else {
+                    continue;
+                };
+                let first_available = r
+                    .preferences(&pkt, now)
+                    .iter()
+                    .flatten()
+                    .copied()
+                    .find(|&p| r.output_available(p, credit));
+                if first_available == Some(o) {
+                    candidate[i.index()] = true;
+                    any = true;
+                }
+            }
+            if !any {
+                continue;
+            }
+            let start = r.rr[o.index()] as usize;
+            let pick = (0..5)
+                .map(|k| (start + k) % 5)
+                .find(|&idx| candidate[idx])
+                .expect("at least one candidate exists");
+            plan.push_move(Move {
+                input: InPort::ALL[pick],
+                output: o,
+            });
+            granted[pick] = true;
+        }
+    }
+
+    /// splitmix64: a dependency-free source of random router states.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// A random router state: heads (or body flits) on any of the five
+    /// inputs, circuits, dropping inputs, port enables, `rr` pointers,
+    /// every route mode and opportunistic delivery. Heads are biased
+    /// towards a few destinations so inputs often contend for an output.
+    fn random_router(rng: &mut Mix) -> Router {
+        let (w, h) = (2 + rng.below(6) as u16, 2 + rng.below(6) as u16);
+        let (x, y) = (rng.below(w as u64) as u16, rng.below(h as u64) as u16);
+        let node = y * w + x;
+        let mut r = Router::new(NodeId::new(node), Coord::new(x, y), &config());
+        r.set_grid_width(w);
+        let n = (w * h) as u64;
+        let hot = [rng.below(n) as u16, rng.below(n) as u16, node];
+        let mut next_id = 0u64;
+        let mut packet = |rng: &mut Mix| {
+            next_id += 1;
+            let dest = if rng.chance(70) {
+                hot[rng.below(3) as usize]
+            } else {
+                rng.below(n) as u16
+            };
+            let kind = if rng.chance(20) {
+                PacketKind::Config(RcapCommand::SetRedirectAge(1))
+            } else {
+                PacketKind::Data
+            };
+            Packet {
+                id: PacketId::new(next_id),
+                src: NodeId::new(rng.below(n) as u16),
+                dest: NodeId::new(dest),
+                task: TaskId::new(rng.below(3) as u8),
+                kind,
+                payload_flits: rng.below(4) as u8,
+                created_cycle: rng.below(200),
+                bounces: 0,
+            }
+        };
+        let s = &mut r.settings;
+        s.alive = rng.chance(95);
+        s.route_mode = [RouteMode::Xy, RouteMode::Yx, RouteMode::Adaptive][rng.below(3) as usize];
+        s.opportunistic_delivery = rng.chance(50);
+        s.redirect_age = rng.below(100);
+        s.local_task = rng.chance(70).then(|| TaskId::new(rng.below(3) as u8));
+        for e in &mut s.port_enabled {
+            *e = rng.chance(85);
+        }
+        for d in Direction::ALL {
+            for _ in 0..rng.below(4) {
+                let flit = if rng.chance(60) {
+                    Flit::Head {
+                        pkt: packet(rng),
+                        is_tail: rng.chance(30),
+                    }
+                } else {
+                    Flit::Body {
+                        id: PacketId::new(rng.below(4)),
+                        is_tail: rng.chance(30),
+                    }
+                };
+                r.inputs[d.index()].push(flit);
+            }
+        }
+        for _ in 0..rng.below(3) {
+            r.inject_queue.push_back(packet(rng));
+        }
+        if let Some(front) = r.inject_queue.front() {
+            if rng.chance(30) {
+                r.inject_sent = rng.below(front.wire_flits() as u64) as u32;
+            }
+        }
+        // Circuits pair inputs with distinct outputs, as commit_move does.
+        for i in InPort::ALL {
+            if rng.chance(25) {
+                let o = OutPort::ALL[rng.below(6) as usize];
+                if r.out_alloc[o.index()].is_none() {
+                    r.circuits[i.index()] = Some(o);
+                    r.out_alloc[o.index()] = Some(i);
+                }
+            }
+            if rng.chance(15) {
+                let id = match r.head_flit(i) {
+                    Some(f) if rng.chance(70) => f.packet_id(),
+                    _ => PacketId::new(rng.below(4)),
+                };
+                r.dropping[i.index()] = Some(id);
+            }
+        }
+        for p in &mut r.rr {
+            *p = rng.below(5) as u8;
+        }
+        r
+    }
+
+    #[test]
+    fn one_pass_planner_matches_the_nested_loop_reference() {
+        let mut rng = Mix(0x51A7_C0DE);
+        let (mut contended, mut moves) = (0, 0);
+        for case in 0..20_000 {
+            let r = random_router(&mut rng);
+            let credits: [bool; 4] = std::array::from_fn(|_| rng.chance(75));
+            let credit = |d: Direction| credits[d.index()];
+            let now = 100 + rng.below(200);
+            let (mut got, mut want) = (RouterPlan::default(), RouterPlan::default());
+            r.plan_into(now, &credit, &mut got);
+            plan_reference(&r, now, &credit, &mut want);
+            let view = |p: &RouterPlan| {
+                (
+                    p.consumes().collect::<Vec<_>>(),
+                    p.moves().collect::<Vec<_>>(),
+                )
+            };
+            assert_eq!(view(&got), view(&want), "case {case}: {r:?}");
+            moves += got.move_count();
+            let heads = InPort::ALL
+                .iter()
+                .filter(|&&i| matches!(r.head_flit(i), Some(Flit::Head { .. })))
+                .count();
+            contended += usize::from(heads >= 3);
+        }
+        // The generator must actually exercise arbitration.
+        assert!(contended > 2_000, "only {contended} contended states");
+        assert!(moves > 10_000, "only {moves} moves planned");
     }
 
     #[test]

@@ -32,9 +32,11 @@ pub struct SimCounters {
     pub messages_delivered: u64,
     /// Total flit-hops routed (distance-weighted traffic).
     pub flit_hops: u64,
-    /// Queen/gossip aggregation rounds executed.
+    /// Directory gossip rounds computed. Rounds the optimized stepper
+    /// skips at a proven fixpoint are not counted.
     pub gossip_rounds: u64,
-    /// AIM (artificial immune) dead-neighbour scans executed.
+    /// Staggered AIM (Artificial Intelligence Module) scans executed,
+    /// one per node whose scan falls due, passive models included.
     pub aim_scans: u64,
     /// Thermal victim-set resolutions requested by timeline compilation.
     pub thermal_solves: u64,
