@@ -2,10 +2,10 @@
 //! ([`Platform::run_cycles`]) against the retained naive reference
 //! ([`Platform::step_naive`]) across grid sizes and load levels.
 //!
-//! `BENCH_hotloop.json` (checked in at the repo root) is produced by the
-//! `hotloop` binary in `sirtm-experiments`, which wall-clocks the same
-//! configurations; this criterion target tracks the same matrix at bench
-//! granularity so regressions are attributable per configuration.
+//! This criterion target tracks the matrix at bench granularity so a
+//! regression is attributable per configuration. End-to-end throughput,
+//! with repeated interleaved trials and noise bands, is measured by the
+//! `perfbench` package (see `perfbench/README.md`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -292,20 +292,6 @@ impl Platform {
         }
     }
 
-    /// Aggregate tier-execution census over every firmware-backed node
-    /// model, or `None` when no node reports one (behavioural models,
-    /// or firmware on the reference backend). Pure observation: reading
-    /// it cannot affect the simulation.
-    pub fn firmware_tier_census(&self) -> Option<sirtm_core::TierCensus> {
-        let mut total: Option<sirtm_core::TierCensus> = None;
-        for model in &self.models {
-            if let Some(census) = model.tier_census() {
-                total.get_or_insert_with(Default::default).merge(&census);
-            }
-        }
-        total
-    }
-
     /// Immutable access to the fabric (for advanced inspection).
     pub fn mesh(&self) -> &Mesh {
         &self.mesh

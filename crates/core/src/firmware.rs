@@ -6,6 +6,14 @@
 //! the same: it owns a [`Picoblaze`] core running one of the bundled
 //! `.psm` programs and bridges its port space to the node's [`AimIo`].
 //!
+//! The core is the plain interpreter, one `match` per instruction. A
+//! tiered engine (pre-decoded micro-ops plus compiled basic blocks) was
+//! tried in its place and deleted because it did not pay: on the
+//! `firmware-8x16` perfbench workload, on a 2-core Intel Xeon VM, five
+//! interleaved pairs of runs gave a median of 1.66 runs per CPU-second
+//! for the tiered engine against 2.17 for the interpreter, which won
+//! every pair, and peak RSS fell from 6.3 to 5.8 MiB.
+//!
 //! # Port map
 //!
 //! | Port | Direction | Meaning |
@@ -25,10 +33,7 @@
 //! | `0x00` | out | switch the node to the written task id |
 //! | `0xFF` | out | end-of-scan sync |
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-use sirtm_picoblaze::block::{Engine, TierCensus};
-use sirtm_picoblaze::vm::{ExecuteCore, Picoblaze, PortIo, RunOutcome};
+use sirtm_picoblaze::vm::{Picoblaze, PortIo, RunOutcome};
 use sirtm_picoblaze::{asm, Instruction};
 use sirtm_taskgraph::TaskId;
 
@@ -155,114 +160,6 @@ impl PortIo for FirmwarePorts<'_> {
     }
 }
 
-/// Selects the execution backend behind a [`FirmwareModel`]'s
-/// [`ExecuteCore`] seam. All three are differentially tested to be
-/// decision-identical; they differ only in speed and introspection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The raw-word reference interpreter ([`Picoblaze`]): decodes every
-    /// 18-bit word on each step. Slowest, simplest, the semantic oracle.
-    Reference,
-    /// The pre-decoded dispatch tier ([`Engine`] with the block tier
-    /// off): instructions are lowered once to dense micro-ops.
-    Interpreter,
-    /// The full tiered engine: pre-decoded dispatch plus profile-guided
-    /// compiled basic blocks. The production default.
-    #[default]
-    Tiered,
-}
-
-impl EngineKind {
-    /// All engine kinds, for A/B sweeps.
-    pub const ALL: [EngineKind; 3] = [
-        EngineKind::Reference,
-        EngineKind::Interpreter,
-        EngineKind::Tiered,
-    ];
-
-    fn to_u8(self) -> u8 {
-        match self {
-            EngineKind::Reference => 0,
-            EngineKind::Interpreter => 1,
-            EngineKind::Tiered => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Self {
-        match v {
-            0 => EngineKind::Reference,
-            1 => EngineKind::Interpreter,
-            _ => EngineKind::Tiered,
-        }
-    }
-}
-
-/// Process-wide default backend for newly built firmware models (the
-/// A/B switch). Individual models can still override it via
-/// [`FirmwareModel::with_engine_kind`].
-static DEFAULT_ENGINE_KIND: AtomicU8 = AtomicU8::new(2);
-
-/// Sets the process-wide default [`EngineKind`] used by firmware model
-/// constructors. Existing models are unaffected.
-pub fn set_default_engine_kind(kind: EngineKind) {
-    DEFAULT_ENGINE_KIND.store(kind.to_u8(), Ordering::Relaxed);
-}
-
-/// The current process-wide default [`EngineKind`].
-pub fn default_engine_kind() -> EngineKind {
-    EngineKind::from_u8(DEFAULT_ENGINE_KIND.load(Ordering::Relaxed))
-}
-
-/// The execution core behind the seam: either the reference interpreter
-/// or the tiered engine (with the block tier on or off).
-#[derive(Debug)]
-enum Core {
-    Reference(Picoblaze),
-    Engine(Engine),
-}
-
-impl Core {
-    fn build(program: Vec<Instruction>, kind: EngineKind) -> Self {
-        match kind {
-            EngineKind::Reference => Core::Reference(Picoblaze::new(program)),
-            EngineKind::Interpreter => {
-                let mut engine = Engine::new(program);
-                engine.set_block_threshold(None);
-                Core::Engine(engine)
-            }
-            EngineKind::Tiered => Core::Engine(Engine::new(program)),
-        }
-    }
-
-    fn seam(&mut self) -> &mut dyn ExecuteCore {
-        match self {
-            Core::Reference(cpu) => cpu,
-            Core::Engine(engine) => engine,
-        }
-    }
-
-    fn program(&self) -> &[Instruction] {
-        match self {
-            Core::Reference(cpu) => cpu.program(),
-            Core::Engine(engine) => engine.program(),
-        }
-    }
-
-    fn instret(&self) -> u64 {
-        match self {
-            Core::Reference(cpu) => cpu.instret(),
-            Core::Engine(engine) => engine.instret(),
-        }
-    }
-
-    fn tier_census(&self) -> Option<TierCensus> {
-        match self {
-            Core::Reference(_) => None,
-            Core::Engine(engine) => Some(engine.tier_census()),
-        }
-    }
-}
-
 /// An [`RtmModel`] whose decisions are made by PicoBlaze firmware.
 ///
 /// Each [`RtmModel::scan`] snapshots the monitor banks, then runs the core
@@ -291,8 +188,7 @@ impl Core {
 /// ```
 #[derive(Debug)]
 pub struct FirmwareModel {
-    core: Core,
-    engine_kind: EngineKind,
+    core: Picoblaze,
     config: [u8; N_CONFIG_REGS],
     name: &'static str,
     budget: u64,
@@ -327,10 +223,8 @@ impl FirmwareModel {
             "the AIM port map supports at most {} tasks, got {n_tasks}",
             Self::MAX_TASKS
         );
-        let engine_kind = default_engine_kind();
         Self {
-            core: Core::build(program, engine_kind),
-            engine_kind,
+            core: Picoblaze::new(program),
             config: [0; N_CONFIG_REGS],
             name,
             budget: Self::DEFAULT_BUDGET,
@@ -346,29 +240,9 @@ impl FirmwareModel {
     /// Registers a scratchpad byte to be written now and after every
     /// reset (firmware state with a non-zero power-on value).
     pub fn preset_scratch(&mut self, addr: u8, value: u8) {
-        self.core.seam().set_scratch(addr, value);
+        self.core.set_scratch(addr, value);
         self.scratch_presets.retain(|&(a, _)| a != addr);
         self.scratch_presets.push((addr, value));
-    }
-
-    /// Rebuilds the model on a different execution backend. The program,
-    /// configuration and scratchpad presets carry over; dynamic core
-    /// state and fault/overrun counters restart from power-on (switch
-    /// engines before running, not mid-flight).
-    pub fn with_engine_kind(mut self, kind: EngineKind) -> Self {
-        self.core = Core::build(self.core.program().to_vec(), kind);
-        self.engine_kind = kind;
-        self.budget_overruns = 0;
-        self.faults = 0;
-        for &(addr, value) in &self.scratch_presets {
-            self.core.seam().set_scratch(addr, value);
-        }
-        self
-    }
-
-    /// The execution backend this model runs on.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine_kind
     }
 
     /// The bundled Network Interaction firmware.
@@ -424,12 +298,6 @@ impl FirmwareModel {
     pub fn instructions_retired(&self) -> u64 {
         self.core.instret()
     }
-
-    /// Tier execution census, when the backend is a tiered engine
-    /// (`None` on [`EngineKind::Reference`]).
-    pub fn tier_census(&self) -> Option<TierCensus> {
-        self.core.tier_census()
-    }
 }
 
 impl RtmModel for FirmwareModel {
@@ -450,7 +318,6 @@ impl RtmModel for FirmwareModel {
         };
         match self
             .core
-            .seam()
             .run_until_port_write(OUT_SYNC, self.budget, &mut ports)
         {
             Ok(RunOutcome::PortWritten(_)) => {}
@@ -466,16 +333,12 @@ impl RtmModel for FirmwareModel {
     }
 
     fn reset(&mut self) {
-        self.core.seam().reset();
+        self.core.reset();
         self.budget_overruns = 0;
         self.faults = 0;
         for &(addr, value) in &self.scratch_presets {
-            self.core.seam().set_scratch(addr, value);
+            self.core.set_scratch(addr, value);
         }
-    }
-
-    fn tier_census(&self) -> Option<TierCensus> {
-        FirmwareModel::tier_census(self)
     }
 }
 

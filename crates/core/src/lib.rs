@@ -47,11 +47,10 @@ pub mod models;
 pub mod pathway;
 pub mod stimulus;
 
-pub use firmware::{default_engine_kind, set_default_engine_kind, EngineKind, FirmwareModel};
+pub use firmware::FirmwareModel;
 pub use io::{AimIo, MockAimIo};
 pub use models::{
     FfwConfig, ForagingForWork, ModelKind, NetworkInteraction, NiConfig, NoIntelligence, RtmModel,
 };
 pub use pathway::{PathwayBuilder, PathwayModel};
-pub use sirtm_picoblaze::block::TierCensus;
 pub use stimulus::{ImpulseIntegrator, ThresholdUnit, TimeoutTimer, VectorComparator};

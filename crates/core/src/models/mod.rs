@@ -27,8 +27,6 @@ pub use no_intelligence::NoIntelligence;
 
 use std::fmt;
 
-use sirtm_picoblaze::block::TierCensus;
-
 use crate::io::AimIo;
 
 /// AIM configuration register numbers, shared between the behavioural
@@ -78,13 +76,6 @@ pub trait RtmModel: fmt::Debug {
 
     /// Returns internal state to power-on defaults.
     fn reset(&mut self) {}
-
-    /// Tier execution census, for models backed by the tiered PicoBlaze
-    /// engine. Behavioural models (and the reference-interpreter
-    /// backend) report `None`.
-    fn tier_census(&self) -> Option<TierCensus> {
-        None
-    }
 }
 
 /// Selects and builds a model; the platform stores one per node.

@@ -216,82 +216,6 @@ fn ffw_backends_agree_on_feed_then_starve() {
     assert_eq!(a, vec![(8, 2), (14, 2)]);
 }
 
-/// Serializes a decision trace to one canonical line per switch, so the
-/// engine differential below pins *byte* equality, not just `Vec` equality.
-fn decisions_to_string(decisions: &[(usize, u8)]) -> String {
-    let mut out = String::new();
-    for (scan, task) in decisions {
-        out.push_str(&format!("scan={scan} switch={task}\n"));
-    }
-    out
-}
-
-#[test]
-fn engine_backends_agree_on_fuzz_derived_seeds() {
-    // The same three committed fuzz-frontier evaluation seeds as
-    // `backends_agree_on_fuzz_derived_seeds`, replayed through every
-    // firmware *execution backend*: the raw-word reference interpreter,
-    // the pre-decoded dispatch tier, and the full tiered engine. The
-    // serialized stimulus-response traces must be byte-identical —
-    // engine choice may never touch a decision.
-    use proptest::test_runner::TestRng;
-    use sirtm_core::firmware::FirmwareModel;
-    use sirtm_core::EngineKind;
-    for seed in [
-        0xd9b7_34a8_b193_6bee_u64,
-        0x281d_cc93_20ef_e756,
-        0x4a53_411b_c7fa_8d16,
-    ] {
-        let mut rng = TestRng::new(seed);
-        let gen = stimulus(3);
-        let trace: Vec<Stimulus> = (0..160).map(|_| gen.pick(&mut rng)).collect();
-        let ni = NiConfig {
-            threshold: 1,
-            fixation_scans: 0,
-            ..NiConfig::default()
-        };
-        let ffw = FfwConfig {
-            timeout_scans: 1,
-            ..FfwConfig::default()
-        };
-        let run_ni = |kind: EngineKind| {
-            let mut fw = FirmwareModel::network_interaction(3, &ni).with_engine_kind(kind);
-            let bytes = decisions_to_string(&run_trace(&mut fw, &trace, 3));
-            (bytes, fw.tier_census())
-        };
-        let run_ffw = |kind: EngineKind| {
-            let mut fw = FirmwareModel::foraging_for_work(3, &ffw).with_engine_kind(kind);
-            let bytes = decisions_to_string(&run_trace_from(&mut fw, &trace, 3, Some(0)));
-            (bytes, fw.tier_census())
-        };
-        let (ni_ref, ni_ref_census) = run_ni(EngineKind::Reference);
-        let (ffw_ref, _) = run_ffw(EngineKind::Reference);
-        assert!(ni_ref_census.is_none(), "reference backend has no census");
-        for kind in [EngineKind::Interpreter, EngineKind::Tiered] {
-            let (ni_out, ni_census) = run_ni(kind);
-            assert_eq!(
-                ni_ref, ni_out,
-                "NI trace bytes diverged on {kind:?}, seed {seed:#x}"
-            );
-            let (ffw_out, ffw_census) = run_ffw(kind);
-            assert_eq!(
-                ffw_ref, ffw_out,
-                "FFW trace bytes diverged on {kind:?}, seed {seed:#x}"
-            );
-            let census = ni_census.expect("engine backends report a census");
-            assert!(census.retired() > 0);
-            if kind == EngineKind::Tiered {
-                assert!(
-                    census.block_retired > 0 && ffw_census.unwrap().block_retired > 0,
-                    "tiered backend must engage the block tier: {census:?}"
-                );
-            } else {
-                assert_eq!(census.block_retired, 0, "dispatch tier only: {census:?}");
-            }
-        }
-    }
-}
-
 #[test]
 fn firmware_counts_instructions() {
     use sirtm_core::firmware::FirmwareModel;

@@ -7,14 +7,8 @@
 //!
 //! * [`isa`] — the instruction set (a KCPSM6-flavoured subset),
 //! * [`encode`] — a stable 18-bit binary encoding,
-//! * [`vm`] — the reference interpreter ([`vm::Picoblaze`]) and the
-//!   execute seam ([`vm::ExecuteCore`]) every backend honours,
-//! * [`decode`] — the pre-decode pass lowering instructions into dense
-//!   micro-ops,
-//! * [`block`] — the tiered engine ([`block::Engine`]): pre-decoded
-//!   dispatch plus profile-guided compiled basic blocks,
-//! * [`lockstep`] — the differential rig proving backend equivalence
-//!   instruction by instruction,
+//! * [`vm`] — the interpreter ([`vm::Picoblaze`]), the one execution
+//!   core: one `match` over the instruction per step,
 //! * [`asm`] — a two-pass assembler for `.psm`-style sources,
 //! * [`disasm`] — a disassembler (via [`std::fmt::Display`] on
 //!   instructions).
@@ -44,15 +38,11 @@
 //! ```
 
 pub mod asm;
-pub mod block;
-pub mod decode;
 pub mod disasm;
 pub mod encode;
 pub mod isa;
-pub mod lockstep;
 pub mod vm;
 
 pub use asm::{assemble, AsmError};
-pub use block::{Engine, TierCensus};
 pub use isa::{Condition, Instruction, Register, ShiftOp};
-pub use vm::{CoreSnapshot, ExecuteCore, Picoblaze, PortIo, SparseIo, VmError};
+pub use vm::{Picoblaze, PortIo, SparseIo, VmError};

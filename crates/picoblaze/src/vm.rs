@@ -124,71 +124,6 @@ pub enum RunOutcome {
     BudgetExhausted,
 }
 
-/// A copy of the full architectural state of a core: everything the ISA
-/// makes observable. Two execution backends are equivalent exactly when
-/// their snapshots (and I/O traffic) agree at every instruction boundary
-/// — the contract the lockstep rig ([`crate::lockstep`]) enforces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoreSnapshot {
-    /// The sixteen registers `s0`–`sF`.
-    pub regs: [u8; 16],
-    /// Scratchpad RAM.
-    pub scratch: [u8; SCRATCHPAD_LEN],
-    /// Call stack, bottom first.
-    pub stack: Vec<u16>,
-    /// Program counter.
-    pub pc: u16,
-    /// Zero flag.
-    pub zero: bool,
-    /// Carry flag.
-    pub carry: bool,
-    /// Instructions retired.
-    pub instret: u64,
-}
-
-/// The execute seam: the contract every PicoBlaze execution backend
-/// honours. Both the reference interpreter ([`Picoblaze`]) and the
-/// tiered engine ([`crate::block::Engine`]) implement it; hosts and the
-/// differential test rig are written against this trait so backends can
-/// be swapped without touching callers.
-pub trait ExecuteCore {
-    /// The full architectural state.
-    fn snapshot(&self) -> CoreSnapshot;
-
-    /// Executes exactly one instruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`VmError`] on PC escape, stack overflow or underflow,
-    /// leaving the state as it was before the faulting instruction.
-    fn step(&mut self, io: &mut dyn PortIo) -> Result<(), VmError>;
-
-    /// Runs until the core writes output `port` or `budget` instructions
-    /// have retired.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`VmError`].
-    fn run_until_port_write(
-        &mut self,
-        port: u8,
-        budget: u64,
-        io: &mut dyn PortIo,
-    ) -> Result<RunOutcome, VmError>;
-
-    /// Instructions retired since construction/reset.
-    fn instret(&self) -> u64;
-
-    /// Resets to power-on state (program kept).
-    fn reset(&mut self);
-
-    /// Sets a register (harness preloading).
-    fn set_reg(&mut self, r: Register, value: u8);
-
-    /// Writes a scratchpad byte (harness preloading).
-    fn set_scratch(&mut self, addr: u8, value: u8);
-}
-
 /// The PicoBlaze-style core: 16 registers, 256-byte scratchpad, 2 flags,
 /// 30-deep call stack and a 12-bit program counter.
 ///
@@ -220,9 +155,8 @@ pub struct Picoblaze {
     carry: bool,
     instret: u64,
     /// Retired instructions per opcode family, indexed by
-    /// [`Instruction::opcode_index`]. The raw material for a future
-    /// trace-compiling backend: hot opcodes and loop bodies fall
-    /// straight out of this histogram.
+    /// [`Instruction::opcode_index`]: per-opcode observability of what
+    /// the firmware spends its instructions on.
     #[cfg(feature = "profile")]
     opcode_counts: [u64; Instruction::COUNT],
 }
@@ -317,19 +251,6 @@ impl Picoblaze {
     /// The loaded program.
     pub fn program(&self) -> &[Instruction] {
         &self.program
-    }
-
-    /// Copies out the full architectural state (see [`CoreSnapshot`]).
-    pub fn snapshot(&self) -> CoreSnapshot {
-        CoreSnapshot {
-            regs: self.regs,
-            scratch: self.scratch,
-            stack: self.stack.clone(),
-            pc: self.pc,
-            zero: self.zero,
-            carry: self.carry,
-            instret: self.instret,
-        }
     }
 
     fn operand_value(&self, op: Operand) -> u8 {
@@ -547,41 +468,6 @@ impl Picoblaze {
             }
         }
         Ok(RunOutcome::BudgetExhausted)
-    }
-}
-
-impl ExecuteCore for Picoblaze {
-    fn snapshot(&self) -> CoreSnapshot {
-        Picoblaze::snapshot(self)
-    }
-
-    fn step(&mut self, io: &mut dyn PortIo) -> Result<(), VmError> {
-        Picoblaze::step(self, io)
-    }
-
-    fn run_until_port_write(
-        &mut self,
-        port: u8,
-        budget: u64,
-        io: &mut dyn PortIo,
-    ) -> Result<RunOutcome, VmError> {
-        Picoblaze::run_until_port_write(self, port, budget, io)
-    }
-
-    fn instret(&self) -> u64 {
-        Picoblaze::instret(self)
-    }
-
-    fn reset(&mut self) {
-        Picoblaze::reset(self);
-    }
-
-    fn set_reg(&mut self, r: Register, value: u8) {
-        Picoblaze::set_reg(self, r, value);
-    }
-
-    fn set_scratch(&mut self, addr: u8, value: u8) {
-        Picoblaze::set_scratch(self, addr, value);
     }
 }
 

@@ -2,7 +2,7 @@
 //! executed on the interpreter — the kind of firmware the AIM hosts.
 
 use sirtm_picoblaze::asm::assemble;
-use sirtm_picoblaze::vm::{Picoblaze, RunOutcome, SparseIo};
+use sirtm_picoblaze::vm::{Picoblaze, PortIo, RunOutcome, SparseIo};
 
 fn run_to_sync(src: &str, io: &mut SparseIo, budget: u64) -> Picoblaze {
     let prog = assemble(src).expect("program assembles");
@@ -187,4 +187,55 @@ fn sixteen_bit_counter_with_carry_chain() {
     let lo = io.last_output(0x10).expect("lo") as u16;
     let hi = io.last_output(0x11).expect("hi") as u16;
     assert_eq!((hi << 8) | lo, 300);
+}
+
+/// Port I/O that answers every input with the next byte of a SplitMix64
+/// stream: the full hostile `0..=255` range on every port, whatever the
+/// port map says the value should mean, except the task count on port
+/// `0x00`. That one is a platform constant the firmware host bounds to
+/// 16 (the width of the per-task port banks), so it is drawn from
+/// `0..=16`. NI walks its per-task counters up to three times per scan,
+/// so a task count in the hundreds would exhaust the scan budget.
+struct HostileIo(u64);
+
+impl PortIo for HostileIo {
+    fn input(&mut self, port: u8) -> u8 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let byte = (z ^ (z >> 31)) as u8;
+        if port == 0x00 {
+            byte % 17
+        } else {
+            byte
+        }
+    }
+
+    fn output(&mut self, _port: u8, _value: u8) {}
+}
+
+/// Both shipped AIM firmwares reach the end-of-scan sync port within
+/// the platform's per-scan budget on every scan, without faulting, even
+/// when every monitor and configuration port reads garbage.
+#[test]
+fn shipped_firmware_always_reaches_sync_under_hostile_input() {
+    let firmwares = [
+        ("ni", include_str!("../../core/firmware/ni.psm")),
+        ("ffw", include_str!("../../core/firmware/ffw.psm")),
+    ];
+    for (name, source) in firmwares {
+        let program = assemble(source).expect("bundled firmware assembles");
+        for seed in [0, 1, 0xDEC0DE, 0xBEEF, u64::MAX] {
+            let mut cpu = Picoblaze::new(program.clone());
+            let mut io = HostileIo(seed);
+            for scan in 0..300 {
+                let outcome = cpu.run_until_port_write(0xFF, 4096, &mut io);
+                assert!(
+                    matches!(outcome, Ok(RunOutcome::PortWritten(_))),
+                    "{name} seed {seed:#x} scan {scan}: {outcome:?}"
+                );
+            }
+        }
+    }
 }

@@ -2,11 +2,8 @@
 
 use proptest::prelude::*;
 
-use sirtm_picoblaze::block::Engine;
-use sirtm_picoblaze::decode::{lower, predecode};
 use sirtm_picoblaze::encode::{decode, encode};
 use sirtm_picoblaze::isa::{Address, Condition, Instruction, Operand, Register, ShiftOp};
-use sirtm_picoblaze::lockstep::{lockstep_program, ScriptedIo};
 use sirtm_picoblaze::vm::{Picoblaze, SparseIo, VmError};
 use sirtm_picoblaze::{asm, disasm};
 
@@ -135,67 +132,5 @@ proptest! {
         let (z, c) = cpu.flags();
         prop_assert_eq!(z, a == b);
         prop_assert_eq!(c, a < b);
-    }
-
-    /// Pre-decoding is lossless on branch/family structure: lowering
-    /// preserves the branch classification and opcode-family index of
-    /// every instruction in the ISA.
-    #[test]
-    fn predecode_preserves_structure(prog in proptest::collection::vec(any_instruction(), 1..64)) {
-        let ops = predecode(&prog);
-        prop_assert_eq!(ops.len(), prog.len());
-        for (instr, op) in prog.iter().zip(ops.iter()) {
-            prop_assert_eq!(op.is_branch(), instr.is_branch());
-            prop_assert_eq!(op.family(), instr.opcode_index());
-            prop_assert_eq!(*op, lower(*instr));
-        }
-    }
-
-    /// Pre-decoded execution == raw-word execution on random instruction
-    /// streams (hostile operands, all flag states): the dispatch-tier
-    /// engine stays in per-instruction lockstep with the reference
-    /// interpreter — full state, I/O traffic and faults.
-    #[test]
-    fn predecoded_dispatch_matches_raw_execution(
-        prog in proptest::collection::vec(any_instruction(), 1..48),
-        seed in any::<u64>(),
-        steps in 1u64..1500,
-    ) {
-        let res = lockstep_program(&prog, None, seed, steps);
-        prop_assert!(res.is_ok(), "interpreter tier diverged: {:?}", res);
-    }
-
-    /// The block tier cannot perturb execution either: with every block
-    /// compiled on first touch, random programs still run in lockstep
-    /// with the reference (quanta are whole blocks).
-    #[test]
-    fn block_tier_matches_raw_execution(
-        prog in proptest::collection::vec(any_instruction(), 1..48),
-        seed in any::<u64>(),
-        quanta in 1u64..1000,
-    ) {
-        let res = lockstep_program(&prog, Some(1), seed, quanta);
-        prop_assert!(res.is_ok(), "block tier diverged: {:?}", res);
-    }
-
-    /// `run_until_port_write` is backend-invariant on random programs:
-    /// same outcome, same fault, same retire count, same port traffic.
-    #[test]
-    fn scan_outcome_is_backend_invariant(
-        prog in proptest::collection::vec(any_instruction(), 1..48),
-        seed in any::<u64>(),
-        port in any::<u8>(),
-        budget in 1u64..2000,
-    ) {
-        let mut reference = Picoblaze::new(prog.clone());
-        let mut engine = Engine::new(prog);
-        engine.set_block_threshold(Some(1));
-        let mut rio = ScriptedIo::new(seed);
-        let mut eio = ScriptedIo::new(seed);
-        let a = reference.run_until_port_write(port, budget, &mut rio);
-        let b = engine.run_until_port_write(port, budget, &mut eio);
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(reference.snapshot(), engine.snapshot());
-        prop_assert_eq!(rio.events, eio.events);
     }
 }

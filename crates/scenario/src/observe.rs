@@ -39,10 +39,6 @@ use crate::sweep::{RunPlan, SweepObserver};
 pub struct SweepTelemetry {
     sidecar: SidecarCollector,
     tracer: Option<Tracer>,
-    /// When set, per-run firmware tier censuses are tallied into the
-    /// sidecar census plane. Off by default so sidecars stay
-    /// byte-identical whether or not runs used the tiered engine.
-    fw_census: bool,
     /// Start instants of in-flight runs, keyed by flat run index.
     /// Wall-clock only — feeds span durations, nothing else.
     inflight: Mutex<Vec<(usize, Instant)>>,
@@ -56,7 +52,6 @@ impl SweepTelemetry {
         Self {
             sidecar: SidecarCollector::new(sweep),
             tracer: None,
-            fw_census: false,
             inflight: Mutex::new(Vec::new()),
         }
     }
@@ -66,18 +61,6 @@ impl SweepTelemetry {
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = Some(tracer);
-        self
-    }
-
-    /// Opts the sweep into firmware tier-census collection: each run's
-    /// aggregate [`sirtm_core::TierCensus`] (when present) is summed
-    /// into `fw:*` buckets of the sidecar census plane. The tallies are
-    /// a pure function of `(spec, seeds)` — the tier an instruction
-    /// retires on is deterministic — so they are sidecar-safe; the flag
-    /// exists only to keep census-free sidecars byte-stable.
-    #[must_use]
-    pub fn with_firmware_census(mut self) -> Self {
-        self.fw_census = true;
         self
     }
 
@@ -126,20 +109,6 @@ impl SweepObserver for SweepTelemetry {
     fn run_finished(&self, plan: &RunPlan, outcome: &RunOutcome) {
         self.sidecar
             .record(plan.index as u64, plan.seed, outcome.sim);
-        if self.fw_census {
-            if let Some(census) = outcome.fw_census {
-                self.sidecar
-                    .note_by("fw:dispatch_retired", census.dispatch_retired);
-                self.sidecar
-                    .note_by("fw:block_retired", census.block_retired);
-                self.sidecar
-                    .note_by("fw:block_entries", census.block_entries);
-                self.sidecar
-                    .note_by("fw:blocks_compiled", census.blocks_compiled);
-                self.sidecar.note_by("fw:guard_bails", census.guard_bails);
-                self.sidecar.note_by("fw:side_exits", census.side_exits);
-            }
-        }
         let Some(tracer) = &self.tracer else {
             return;
         };
@@ -320,29 +289,6 @@ mod tests {
         let totals = telemetry.totals();
         assert!(totals.cycles_stepped > 0);
         assert!(totals.messages_delivered > 0);
-    }
-
-    #[test]
-    fn firmware_census_is_opt_in() {
-        use sirtm_core::models::{FfwConfig, ModelKind};
-        let mut sweep = tiny_sweep("observe-fw-census");
-        sweep.base.model = ModelKind::ForagingForWorkFirmware(FfwConfig::default());
-        // Default: census plane stays empty even on the tiered engine,
-        // so sidecars are byte-stable across engine backends.
-        let silent = SweepTelemetry::new(&sweep.name);
-        run_sweep_observed(&sweep, SweepOptions::default(), &silent);
-        assert!(silent.sidecar().census().is_empty());
-        // Opted in: the tier census lands in `fw:*` buckets.
-        let counted = SweepTelemetry::new(&sweep.name).with_firmware_census();
-        run_sweep_observed(&sweep, SweepOptions::default(), &counted);
-        let census = counted.sidecar().census();
-        assert!(
-            census
-                .iter()
-                .any(|(k, v)| k == "fw:block_retired" && *v > 0),
-            "block tier must retire instructions: {census:?}"
-        );
-        assert!(census.iter().any(|(k, _)| k == "fw:blocks_compiled"));
     }
 
     #[test]

@@ -39,10 +39,6 @@ pub struct RunOutcome {
     /// deliberately absent from [`RunSummary`] so it can never reach a
     /// fingerprinted artefact).
     pub sim: SimCounters,
-    /// Aggregate firmware tier-execution census (sidecar material, like
-    /// [`RunOutcome::sim`]). `None` unless the run used firmware models
-    /// on a tiered engine backend.
-    pub fw_census: Option<sirtm_core::TierCensus>,
 }
 
 impl RunOutcome {
@@ -123,19 +119,12 @@ pub fn run_spec(spec: &ScenarioSpec, seed: u64) -> RunOutcome {
     });
     let mut sim = platform.sim_counters();
     sim.thermal_solves += thermal_solves;
-    let fw_census = platform.firmware_tier_census();
     let trace = recorder.into_trace();
-    measure(spec, seed, trace, sim, fw_census)
+    measure(spec, seed, trace, sim)
 }
 
 /// Extracts the paper's measures from a recorded trace.
-fn measure(
-    spec: &ScenarioSpec,
-    seed: u64,
-    trace: RunTrace,
-    sim: SimCounters,
-    fw_census: Option<sirtm_core::TierCensus>,
-) -> RunOutcome {
+fn measure(spec: &ScenarioSpec, seed: u64, trace: RunTrace, sim: SimCounters) -> RunOutcome {
     let cut = spec
         .settle_region_ms
         .map(|ms| (ms / spec.window_ms).round() as usize)
@@ -193,7 +182,6 @@ fn measure(
         recovery_ms,
         final_rate,
         sim,
-        fw_census,
     }
 }
 
