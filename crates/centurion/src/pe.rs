@@ -140,9 +140,13 @@ impl ProcessingElement {
         self.last_completion
     }
 
-    /// Cumulative cycles this PE spent executing work items — the exact
-    /// activity integral the thermal power model converts into dynamic
-    /// power (duty cycle = Δ`busy_cycles` / window).
+    /// Cumulative cycles this PE spent executing work items, as credited
+    /// so far. Inside a [`Platform`](crate::Platform) this excludes the
+    /// platform's pending credit: a mid-work PE the activity-gated
+    /// stepper skips is credited only when next stepped, killed, hung or
+    /// switched. Read [`Platform::busy_cycles`](crate::Platform::busy_cycles)
+    /// for the exact activity integral the thermal power model converts
+    /// into dynamic power (duty cycle = Δ`busy_cycles` / window).
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles
     }
@@ -200,9 +204,9 @@ impl ProcessingElement {
     }
 
     /// Credits `cycles` of busy time without stepping — the platform's
-    /// fast-forward applies the exact increments the per-cycle stepper
-    /// would have made for a PE that stays mid-work over a whole skipped
-    /// stretch.
+    /// lazy credit applies the exact increments the per-cycle stepper
+    /// would have made for a PE that stayed mid-work over cycles it was
+    /// not stepped.
     pub(crate) fn credit_busy(&mut self, cycles: u64) {
         debug_assert!(self.working && self.alive && self.clock_enabled);
         self.busy_cycles += cycles;

@@ -103,9 +103,13 @@ pub struct Platform {
     /// Next cycle at which stepping PE `idx` could change state
     /// ([`NEVER`] = quiescent until an external event re-arms it).
     pe_next: Vec<Cycle>,
-    /// PEs that are mid-work, alive and un-gated: cycles skipped by the
-    /// stepper are credited to their busy integral instead.
-    credit: Vec<bool>,
+    /// For a PE that is mid-work, alive and un-gated, the first cycle
+    /// whose busy time the stepper has not yet added to its integral.
+    /// The owed cycles are credited lazily, when the PE is next stepped,
+    /// killed, hung or switched ([`Platform::busy_cycles`] adds them on
+    /// read), so neither the per-cycle PE pass nor a fast-forward touches
+    /// PEs that are not due.
+    owed_since: Vec<Option<Cycle>>,
     /// Incrementally maintained copy of every node's advertised task —
     /// what the naive stepper recomputes per gossip round.
     locals: Vec<Option<TaskId>>,
@@ -234,7 +238,7 @@ impl Platform {
             cfg,
             passive,
             pe_next: vec![0; n],
-            credit: vec![false; n],
+            owed_since: vec![None; n],
             locals,
             gossip_converged: false,
             scan_buckets,
@@ -380,7 +384,30 @@ impl Platform {
             foreign_len: pe.foreign_len(),
             pe: pe.stats(),
             frequency_mhz: pe.frequency_mhz(),
-            busy_cycles: pe.busy_cycles(),
+            busy_cycles: self.busy_cycles(node),
+        }
+    }
+
+    /// Cumulative cycles `node`'s PE spent executing work — the activity
+    /// integral thermal models difference across windows. Unlike
+    /// [`ProcessingElement::busy_cycles`] this includes the busy time the
+    /// activity-gated stepper has not yet credited to a mid-work PE.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is off-grid.
+    pub fn busy_cycles(&self, node: NodeId) -> u64 {
+        let idx = node.index();
+        let owed = self.owed_since[idx].map_or(0, |since| self.cycle - since);
+        self.pes[idx].busy_cycles() + owed
+    }
+
+    /// Credits PE `idx` the busy time it owes for the cycles before
+    /// `upto`.
+    fn settle_busy(&mut self, idx: usize, upto: Cycle) {
+        if let Some(since) = self.owed_since[idx] {
+            self.pes[idx].credit_busy(upto - since);
+            self.owed_since[idx] = Some(upto);
         }
     }
 
@@ -394,6 +421,7 @@ impl Platform {
     pub fn kill_pe(&mut self, node: NodeId) {
         let idx = node.index();
         let was_alive = self.pes[idx].is_alive();
+        self.settle_busy(idx, self.cycle);
         self.pes[idx].kill();
         let router = self.mesh.router_mut(node);
         router.settings_mut().local_task = None;
@@ -402,7 +430,7 @@ impl Platform {
         // Event-table upkeep: a dead PE never has events, its scan can no
         // longer decide anything, and the directories must re-converge.
         self.pe_next[idx] = NEVER;
-        self.credit[idx] = false;
+        self.owed_since[idx] = None;
         self.locals[idx] = None;
         self.gossip_converged = false;
         if was_alive && !self.passive[idx] {
@@ -428,10 +456,11 @@ impl Platform {
     ///
     /// Panics if `node` is off-grid.
     pub fn hang_pe(&mut self, node: NodeId) {
+        self.settle_busy(node.index(), self.cycle);
         self.pes[node.index()].set_clock_enabled(false);
         // A gated PE's steps are no-ops (and it accrues no busy time).
         self.pe_next[node.index()] = NEVER;
-        self.credit[node.index()] = false;
+        self.owed_since[node.index()] = None;
     }
 
     /// Resumes a hung PE.
@@ -565,16 +594,10 @@ impl Platform {
                 next = next.min(next_multiple(self.cycle, self.cfg.gossip_period as u64));
             }
             if next > self.cycle {
+                // A PE that stays mid-work over the jump (its completion
+                // bounds it) owes the whole stretch as busy time, which
+                // its lazy credit already counts.
                 let dt = next - self.cycle;
-                for idx in 0..self.pes.len() {
-                    if self.credit[idx] {
-                        // Exactly the +1-per-cycle the naive stepper
-                        // would apply to a PE that stays mid-work (its
-                        // completion bounds the jump, so the whole
-                        // stretch is busy time).
-                        self.pes[idx].credit_busy(dt);
-                    }
-                }
                 self.mesh.skip_idle_cycles(dt);
                 self.sim.cycles_fast_forwarded += dt;
                 self.cycle = next;
@@ -627,20 +650,20 @@ impl Platform {
             self.delivery_scratch = list;
         }
         // 2. PE work; completions emit packets along the task graph. A PE
-        // whose next event lies ahead is either inert (skipped outright)
-        // or mid-work (credited the busy cycle its step would have
-        // recorded).
+        // whose next event lies ahead is either inert or mid-work, and is
+        // skipped outright: a mid-work PE's busy cycles accrue as lazy
+        // credit, settled here once it is due again.
         for idx in 0..self.pes.len() {
             if self.pe_next[idx] <= now {
+                self.settle_busy(idx, now);
                 if let Some(task) = self.pes[idx].step(now, &self.graph) {
                     self.stats.completions_per_task[task.index()] += 1;
                     self.emit_outputs(idx, task);
                 }
                 let pe = &self.pes[idx];
                 self.pe_next[idx] = pe.next_event().unwrap_or(NEVER);
-                self.credit[idx] = pe.is_busy() && pe.is_alive() && pe.clock_enabled();
-            } else if self.credit[idx] {
-                self.pes[idx].credit_busy(1);
+                self.owed_since[idx] =
+                    (pe.is_busy() && pe.is_alive() && pe.clock_enabled()).then_some(now + 1);
             }
         }
         // 3. Phase-staggered AIM scans (unsynchronised hardware AIMs),
@@ -686,6 +709,12 @@ impl Platform {
     /// the differential oracle for [`Platform::step`] (and as the bench
     /// baseline); it makes no use of the activity-gating state.
     pub fn step_naive(&mut self) {
+        // The naive PE pass credits busy time itself, every cycle: settle
+        // what the optimized stepper still owes and stop the lazy credit.
+        for idx in 0..self.pes.len() {
+            self.settle_busy(idx, self.cycle);
+            self.owed_since[idx] = None;
+        }
         self.events_stale = true;
         let now = self.cycle;
         // 1. Deliveries from the fabric into the PEs.
@@ -748,7 +777,8 @@ impl Platform {
     fn rebuild_event_state(&mut self) {
         for (idx, pe) in self.pes.iter().enumerate() {
             self.pe_next[idx] = self.cycle;
-            self.credit[idx] = pe.is_busy() && pe.is_alive() && pe.clock_enabled();
+            self.owed_since[idx] =
+                (pe.is_busy() && pe.is_alive() && pe.clock_enabled()).then_some(self.cycle);
         }
         self.gossip_converged = false;
         self.events_stale = false;
@@ -971,6 +1001,8 @@ impl Platform {
             return;
         }
         self.stats.task_switches += 1;
+        // Switching abandons a work item; the PE pass of `now` has run.
+        self.settle_busy(idx, now + 1);
         let mut evicted = std::mem::take(&mut self.evict_scratch);
         evicted.clear();
         self.pes[idx].switch_task_into(task, &self.graph, now, true, &mut evicted);
@@ -986,7 +1018,7 @@ impl Platform {
         self.locals[idx] = Some(task);
         self.gossip_converged = false;
         self.pe_next[idx] = now;
-        self.credit[idx] = false;
+        self.owed_since[idx] = None;
     }
 }
 

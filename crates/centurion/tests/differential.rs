@@ -332,3 +332,124 @@ fn interleaving_steppers_is_safe() {
         );
     }
 }
+
+/// Every node's busy integral, as the thermal models read it.
+fn busy(p: &Platform) -> Vec<u64> {
+    (0..p.config().dims.len())
+        .map(|i| p.busy_cycles(NodeId::new(i as u16)))
+        .collect()
+}
+
+/// Nodes whose PE owes lazily credited busy time on the optimized
+/// stepper: mid-work PEs the PE pass has been skipping.
+fn owing(p: &Platform) -> Vec<NodeId> {
+    (0..p.config().dims.len() as u16)
+        .map(NodeId::new)
+        .filter(|&n| p.busy_cycles(n) > p.pe(n).busy_cycles())
+        .collect()
+}
+
+#[test]
+fn busy_integrals_agree_mid_service_and_after_kill_hang_and_switch() {
+    // Per-cycle twins compared on every node's busy integral after every
+    // cycle, so mid-service PEs (credit still owed) are read through
+    // `Platform::busy_cycles`. A PE that owes credit is killed, another
+    // is hung and later resumed, each compared the instant after; AIM
+    // task switches of owing PEs are counted as they happen.
+    let model = ModelKind::NetworkInteraction(NiConfig::default());
+    let dims = GridDims::new(4, 4);
+    let mut naive = build(&model, 5, dims);
+    let mut fast = build(&model, 5, dims);
+    let (mut owed_reads, mut owing_switches) = (0usize, 0usize);
+    let (mut killed, mut hung, mut resumed) = (None, None, false);
+    for cycle in 0..30_000u64 {
+        let owing_before = owing(&fast);
+        let tasks_before: Vec<_> = owing_before.iter().map(|&n| fast.pe(n).task()).collect();
+        naive.step_naive();
+        fast.step();
+        assert_eq!(busy(&naive), busy(&fast), "cycle {cycle}");
+        for (&n, task) in owing_before.iter().zip(tasks_before) {
+            if fast.pe(n).is_alive() && fast.pe(n).task() != task {
+                owing_switches += 1;
+            }
+        }
+        let owing_now = owing(&fast);
+        owed_reads += owing_now.len();
+        if cycle >= 5_000 && killed.is_none() && !owing_now.is_empty() {
+            let victim = owing_now[0];
+            naive.kill_pe(victim);
+            fast.kill_pe(victim);
+            assert_eq!(busy(&naive), busy(&fast), "right after killing {victim:?}");
+            killed = Some(victim);
+        } else if cycle >= 9_000 && hung.is_none() && !owing_now.is_empty() {
+            let victim = owing_now[0];
+            naive.hang_pe(victim);
+            fast.hang_pe(victim);
+            assert_eq!(busy(&naive), busy(&fast), "right after hanging {victim:?}");
+            hung = Some(victim);
+        } else if cycle >= 15_000 && !resumed {
+            if let Some(victim) = hung {
+                naive.resume_pe(victim);
+                fast.resume_pe(victim);
+                assert_eq!(busy(&naive), busy(&fast), "right after resuming");
+                resumed = true;
+            }
+        }
+    }
+    assert!(killed.is_some() && hung.is_some() && resumed);
+    assert!(owed_reads > 1_000, "only {owed_reads} reads of owed credit");
+    assert!(
+        owing_switches > 0,
+        "no task switch of an owing PE was exercised"
+    );
+}
+
+#[test]
+fn busy_integrals_agree_across_fast_forward_and_stepper_interleaving() {
+    // One platform mixes `run_until` jumps of random length (the
+    // fast-forward path), single optimized steps and naive steps; a pure
+    // naive twin is compared after every chunk. The baseline model is
+    // where the optimized stepper jumps quiescent stretches.
+    for model in [
+        ModelKind::NoIntelligence,
+        ModelKind::ForagingForWork(FfwConfig::default()),
+    ] {
+        let dims = GridDims::new(4, 4);
+        let mut naive = build(&model, 9, dims);
+        let mut mixed = build(&model, 9, dims);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0xB05E);
+        let mut owed_after_jump = 0usize;
+        for chunk in 0..3_000usize {
+            let before = mixed.sim_counters().cycles_fast_forwarded;
+            let cycles = match rng.range_u32(0..4) {
+                0 => {
+                    mixed.step_naive();
+                    1
+                }
+                1 => {
+                    mixed.step();
+                    1
+                }
+                _ => {
+                    let cycles = 1 + rng.range_u32(0..120) as u64;
+                    mixed.run_until(mixed.now() + cycles);
+                    cycles
+                }
+            };
+            for _ in 0..cycles {
+                naive.step_naive();
+            }
+            assert_eq!(mixed.now(), naive.now());
+            assert_eq!(busy(&naive), busy(&mixed), "model {model:?}, chunk {chunk}");
+            if mixed.sim_counters().cycles_fast_forwarded > before {
+                owed_after_jump += owing(&mixed).len();
+            }
+        }
+        if matches!(model, ModelKind::NoIntelligence) {
+            // Adaptive scans pin the FFW twin to per-cycle stepping; the
+            // baseline must actually jump, with PEs mid-work across it.
+            assert!(mixed.sim_counters().cycles_fast_forwarded > 0);
+            assert!(owed_after_jump > 0, "no PE owed credit across a jump");
+        }
+    }
+}

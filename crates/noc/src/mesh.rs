@@ -10,14 +10,16 @@
 //!
 //! Only routers on the *worklist* are stepped: a router joins it when a
 //! packet is injected there, when it is mutably borrowed, or when a flit
-//! arrives over a link, and leaves it once it holds no work.
+//! arrives over a link, and leaves it once it holds no work. The worklist
+//! is a bitset over node indices, so it is visited in ascending node
+//! order without sorting.
 //! [`Mesh::step_naive`] keeps the exhaustive all-router loop as the
 //! oracle the worklist is tested against.
 
 use sirtm_taskgraph::{GridDims, TaskId};
 
 use crate::packet::{Flit, Packet, PacketId, PacketKind, RcapCommand};
-use crate::router::{OutPort, Router, RouterConfig, RouterPlan};
+use crate::router::{set_bits, OutPort, Router, RouterConfig, RouterPlan};
 use crate::types::{Coord, Cycle, Direction, NodeId};
 
 /// Aggregate fabric statistics.
@@ -77,19 +79,18 @@ pub struct Mesh {
     stats: MeshStats,
     /// Reusable per-router plan buffers (avoids per-cycle allocation).
     plans: Vec<RouterPlan>,
-    /// Reusable link-transfer staging buffer.
-    transfers: Vec<(usize, Direction, Flit)>,
     /// Neighbour node index of each router in N, E, S, W order (`None`
     /// at the grid edge), so link credit and transfers skip coordinate
     /// arithmetic.
     neighbours: Vec<[Option<u16>; 4]>,
-    /// Routers that may hold work: every router with buffered flits or
-    /// queued injections is on it, and [`Mesh::step`] steps only these.
-    /// Membership is deduplicated by `on_worklist`, so it never outgrows
-    /// the grid.
-    worklist: Vec<u16>,
-    /// Membership bitmap of `worklist`, indexed by node.
-    on_worklist: Vec<bool>,
+    /// Routers that may hold work, as a bitset over node indices (bit
+    /// `i % 64` of word `i / 64`): every router with buffered flits or
+    /// queued injections is in it, and [`Mesh::step`] steps only these.
+    worklist: Vec<u64>,
+    /// Routers that received a link flit during the current apply phase,
+    /// in the same layout; merged into `worklist` once every planned
+    /// router has applied, so no router applies a plan it did not make.
+    arrivals: Vec<u64>,
     /// Nodes that completed a packet delivery during the most recent
     /// [`Mesh::step`], ascending and deduplicated — the platform's
     /// activity-gated delivery pass iterates exactly this set instead of
@@ -130,10 +131,9 @@ impl Mesh {
             .collect();
         Self {
             plans: vec![RouterPlan::default(); dims.len()],
-            transfers: Vec::new(),
             neighbours,
-            worklist: Vec::with_capacity(dims.len()),
-            on_worklist: vec![false; dims.len()],
+            worklist: vec![0; dims.len().div_ceil(64)],
+            arrivals: vec![0; dims.len().div_ceil(64)],
             fresh_delivered: Vec::with_capacity(dims.len()),
             settled: false,
             aim_writes_enqueued: 0,
@@ -354,20 +354,14 @@ impl Mesh {
 
     /// Puts router `idx` on the worklist (no-op if already there).
     fn enlist(&mut self, idx: usize) {
-        if !self.on_worklist[idx] {
-            self.on_worklist[idx] = true;
-            self.worklist.push(idx as u16);
-        }
+        self.worklist[idx / 64] |= 1 << (idx % 64);
     }
 
     /// Whether the link output of `router` in direction `dir` can accept a
-    /// flit this cycle (neighbour exists, both ports enabled, neighbour
-    /// alive, downstream buffer has a free slot).
+    /// flit this cycle (neighbour exists, its input port enabled,
+    /// neighbour alive, downstream buffer has a free slot). The router's
+    /// own output enable is checked by its planner before asking.
     fn link_credit(&self, router: usize, dir: Direction) -> bool {
-        let from = &self.routers[router];
-        if !from.settings().port_enabled[OutPort::Link(dir).port().index()] {
-            return false;
-        }
         let Some(n) = self.neighbours[router][dir.index()] else {
             return false;
         };
@@ -397,42 +391,45 @@ impl Mesh {
             self.cycle += 1;
             return;
         }
-        let routers = &self.routers;
-        let on_worklist = &mut self.on_worklist;
-        self.worklist.retain(|&i| {
-            let keep = routers[i as usize].has_work();
-            on_worklist[i as usize] = keep;
-            keep
-        });
-        if self.worklist.is_empty() {
+        // Phase 1: drop routers without work, plan the rest against
+        // start-of-cycle state.
+        let mut any_work = false;
+        for w in 0..self.worklist.len() {
+            let mut word = self.worklist[w];
+            for bit in set_bits(word) {
+                let idx = w * 64 + bit;
+                if self.routers[idx].has_work() {
+                    self.plan(idx, now);
+                } else {
+                    word &= !(1 << bit);
+                }
+            }
+            self.worklist[w] = word;
+            any_work |= word != 0;
+        }
+        if !any_work {
             self.settled = true;
             self.cycle += 1;
             return;
         }
-        // Ascending order keeps `fresh_delivered` sorted.
-        self.worklist.sort_unstable();
-        // Phase 1: plan against start-of-cycle state.
-        for k in 0..self.worklist.len() {
-            self.plan(self.worklist[k] as usize, now);
+        // Phase 2: apply, in ascending order so `fresh_delivered` stays
+        // sorted.
+        for w in 0..self.worklist.len() {
+            for bit in set_bits(self.worklist[w]) {
+                self.apply(w * 64 + bit, now);
+            }
         }
-        // Phase 2: apply. Pops happen immediately; pushes to neighbour
-        // buffers are batched (single writer per buffer, capacity already
-        // checked against the snapshot).
-        self.transfers.clear();
-        for k in 0..self.worklist.len() {
-            self.apply(self.worklist[k] as usize, now);
-        }
-        for k in 0..self.transfers.len() {
-            let (to, dir_in, flit) = self.transfers[k];
-            self.routers[to].accept_link_flit(dir_in, flit);
-            self.enlist(to);
+        for (word, arrived) in self.worklist.iter_mut().zip(&mut self.arrivals) {
+            *word |= std::mem::take(arrived);
         }
         // Phase 3: head-of-line blocking accounting and deadlock recovery,
         // over the planned routers and every router that just received a
         // flit.
-        for k in 0..self.worklist.len() {
-            let idx = self.worklist[k] as usize;
-            self.stats.dropped += self.routers[idx].update_blocked_and_recover_marked();
+        for w in 0..self.worklist.len() {
+            for bit in set_bits(self.worklist[w]) {
+                let dropped = self.routers[w * 64 + bit].update_blocked_and_recover_marked();
+                self.stats.dropped += dropped;
+            }
         }
         self.cycle += 1;
     }
@@ -451,21 +448,17 @@ impl Mesh {
             self.plan(idx, now);
         }
         self.settled = !any_work;
-        self.transfers.clear();
         for idx in 0..self.routers.len() {
             self.apply(idx, now);
-        }
-        for &(to, dir_in, flit) in &self.transfers {
-            self.routers[to].accept_link_flit(dir_in, flit);
         }
         for router in &mut self.routers {
             self.stats.dropped += router.update_blocked_and_recover_marked();
         }
-        self.worklist.clear();
-        for (idx, router) in self.routers.iter().enumerate() {
-            self.on_worklist[idx] = router.has_work();
-            if self.on_worklist[idx] {
-                self.worklist.push(idx as u16);
+        self.arrivals.fill(0);
+        self.worklist.fill(0);
+        for idx in 0..self.routers.len() {
+            if self.routers[idx].has_work() {
+                self.enlist(idx);
             }
         }
         self.cycle += 1;
@@ -474,14 +467,17 @@ impl Mesh {
     /// Plans router `idx`'s crossbar traversals for this cycle.
     fn plan(&mut self, idx: usize, now: Cycle) {
         let mut plan = std::mem::take(&mut self.plans[idx]);
-        let credit = |d: Direction| self.link_credit(idx, d);
-        self.routers[idx].plan_into(now, &credit, &mut plan);
+        self.routers[idx].plan_into(now, |d| self.link_credit(idx, d), &mut plan);
         self.plans[idx] = plan;
     }
 
     /// Applies router `idx`'s plan: pops its inputs, delivers or consumes
-    /// locally and stages link transfers. Callers go in ascending router
-    /// order, which keeps `fresh_delivered` sorted.
+    /// locally and pushes link flits straight into the neighbours' input
+    /// buffers. That is safe mid-phase because every buffer has one
+    /// upstream writer whose credit was checked against start-of-cycle
+    /// occupancy, and a push lands behind the head the neighbour planned
+    /// to pop. Callers go in ascending router order, which keeps
+    /// `fresh_delivered` sorted.
     fn apply(&mut self, idx: usize, now: Cycle) {
         let plan = &self.plans[idx];
         if plan.is_empty() {
@@ -496,6 +492,7 @@ impl Mesh {
             router.mark_moved(input);
         }
         for m in plan.moves() {
+            let router = &mut self.routers[idx];
             let flit = router.pop_input(m.input);
             router.commit_move(m, &flit, now);
             router.mark_moved(m.input);
@@ -503,8 +500,10 @@ impl Mesh {
             match m.output {
                 OutPort::Link(d) => {
                     let to = self.neighbours[idx][d.index()]
-                        .expect("planned link move must have a neighbour");
-                    self.transfers.push((to as usize, d.opposite(), flit));
+                        .expect("planned link move must have a neighbour")
+                        as usize;
+                    self.routers[to].accept_link_flit(d.opposite(), flit);
+                    self.arrivals[to / 64] |= 1 << (to % 64);
                 }
                 OutPort::Internal => {
                     if let Some(pkt) = router.receive_internal(flit, now) {

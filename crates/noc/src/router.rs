@@ -225,8 +225,6 @@ impl RouterMonitors {
 pub struct RouterConfig {
     /// Number of application tasks (sizes the per-task monitor banks).
     pub n_tasks: usize,
-    /// Input buffer depth in flits.
-    pub buffer_depth: usize,
     /// Initial deadlock-recovery timeout.
     pub deadlock_timeout: Cycle,
     /// Initial opportunistic-delivery age threshold.
@@ -241,7 +239,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             n_tasks: 3,
-            buffer_depth: 4,
             deadlock_timeout: 200,
             redirect_age: 150,
             opportunistic_delivery: false,
@@ -327,8 +324,9 @@ pub struct Router {
     rr: [u8; 6],
     /// Head-of-line blocked cycle counts per input.
     blocked: [Cycle; 5],
-    /// Inputs that moved a flit this cycle (cleared by the blocked pass).
-    moved: [bool; 5],
+    /// Bitmask of inputs that moved a flit this cycle (cleared by the
+    /// blocked pass).
+    moved: u8,
     /// Packet currently being discarded per input (deadlock recovery).
     dropping: [Option<PacketId>; 5],
     /// Packet currently being received on the internal port.
@@ -348,14 +346,14 @@ impl Router {
             coord,
             settings: RouterSettings::new(config),
             monitors: RouterMonitors::new(config.n_tasks),
-            inputs: std::array::from_fn(|_| FlitBuffer::new(config.buffer_depth)),
+            inputs: std::array::from_fn(|_| FlitBuffer::new()),
             inject_queue: VecDeque::new(),
             inject_sent: 0,
             circuits: [None; 5],
             out_alloc: [None; 6],
             rr: [0; 6],
             blocked: [0; 5],
-            moved: [false; 5],
+            moved: 0,
             dropping: [None; 5],
             rx: None,
             delivered: VecDeque::new(),
@@ -511,6 +509,30 @@ impl Router {
         self.rx = None;
     }
 
+    /// Bitmask of inputs holding a head-of-line flit (bit `i` for
+    /// [`InPort::ALL`]`[i]`), read from buffer occupancy alone.
+    fn occupancy(&self) -> u8 {
+        let mut mask = u8::from(!self.inject_queue.is_empty()) << 4;
+        for (d, b) in self.inputs.iter().enumerate() {
+            mask |= u8::from(!b.is_empty()) << d;
+        }
+        mask
+    }
+
+    /// The packet id of input `idx`'s head-of-line flit, and its packet
+    /// when that flit is a head flit — what the planner needs, without
+    /// synthesising the inject queue's next flit.
+    fn head_view(&self, idx: usize) -> Option<(PacketId, Option<&Packet>)> {
+        if idx == 4 {
+            let pkt = self.inject_queue.front()?;
+            return Some((pkt.id, (self.inject_sent == 0).then_some(pkt)));
+        }
+        Some(match self.inputs[idx].head()? {
+            Flit::Head { pkt, .. } => (pkt.id, Some(pkt)),
+            Flit::Body { id, .. } => (*id, None),
+        })
+    }
+
     /// The head-of-line flit of an input, synthesising the inject queue's
     /// next flit on demand.
     fn head_flit(&self, input: InPort) -> Option<Flit> {
@@ -598,19 +620,12 @@ impl Router {
     }
 
     /// Whether `output` could be granted to a *new* head this cycle.
-    fn output_available(&self, output: OutPort, credit: &dyn Fn(Direction) -> bool) -> bool {
-        if self.out_alloc[output.index()].is_some() {
-            return false;
-        }
-        match output {
-            OutPort::Link(d) => self.settings.port_enabled[Port::from(d).index()] && credit(d),
-            OutPort::Internal => self.settings.port_enabled[Port::Internal.index()],
-            OutPort::Rcap => self.settings.port_enabled[Port::Rcap.index()],
-        }
+    fn output_available(&self, output: OutPort, credit: &impl Fn(Direction) -> bool) -> bool {
+        self.out_alloc[output.index()].is_none() && self.output_flowing(output, credit)
     }
 
     /// Whether an already-allocated circuit over `output` can advance.
-    fn output_flowing(&self, output: OutPort, credit: &dyn Fn(Direction) -> bool) -> bool {
+    fn output_flowing(&self, output: OutPort, credit: &impl Fn(Direction) -> bool) -> bool {
         match output {
             OutPort::Link(d) => self.settings.port_enabled[Port::from(d).index()] && credit(d),
             OutPort::Internal => self.settings.port_enabled[Port::Internal.index()],
@@ -622,8 +637,7 @@ impl Router {
     /// the mesh drops routers without work from its worklist (the common
     /// case on a lightly loaded grid).
     pub fn has_work(&self) -> bool {
-        self.settings.alive
-            && (!self.inject_queue.is_empty() || self.inputs.iter().any(|b| !b.is_empty()))
+        self.settings.alive && self.occupancy() != 0
     }
 
     /// Phase-1 planning: decides which flits traverse the crossbar this
@@ -632,66 +646,76 @@ impl Router {
     /// phase in isolation; `credit` answers whether a link output can
     /// accept a flit.
     ///
-    /// One pass over the inputs finds each free head's request: the first
-    /// of its route preferences whose output is available. Availability
-    /// reads only start-of-cycle state, so the request is the same for
-    /// every output. A second pass walks the outputs in N, E, S, W,
-    /// Internal, RCAP order: an allocated output advances its circuit, a
-    /// free one grants the first requesting input from its round-robin
+    /// One pass over the occupied inputs finds each free head's request:
+    /// the first of its route preferences whose output is available.
+    /// Availability reads only start-of-cycle state, so the request is
+    /// the same for every output, and requests are gathered into one
+    /// bitmask of inputs per output. A second pass visits the allocated
+    /// or requested outputs in N, E, S, W, Internal, RCAP order: an
+    /// allocated output advances its circuit, a free one grants the
+    /// lowest requesting input of its mask rotated by the round-robin
     /// pointer.
-    pub fn plan_into(&self, now: Cycle, credit: &dyn Fn(Direction) -> bool, plan: &mut RouterPlan) {
+    pub fn plan_into(&self, now: Cycle, credit: impl Fn(Direction) -> bool, plan: &mut RouterPlan) {
         plan.clear();
         if !self.settings.alive {
             return;
         }
-        let mut granted = [false; 5];
-        let mut has_head = [false; 5];
-        let mut request: [Option<OutPort>; 5] = [None; 5];
-        for i in InPort::ALL {
-            let idx = i.index();
-            let Some(flit) = self.head_flit(i) else {
+        let occupied = self.occupancy();
+        if occupied == 0 {
+            return;
+        }
+        let mut granted = 0u8;
+        let mut requests = [0u8; 6];
+        let mut outputs = 0u8;
+        for idx in set_bits(occupied.into()) {
+            let Some((id, head)) = self.head_view(idx) else {
                 continue;
             };
-            has_head[idx] = true;
-            if let Some(id) = self.dropping[idx] {
+            if let Some(dropping) = self.dropping[idx] {
                 // Inputs discarding a recovered packet consume
                 // unconditionally and request nothing.
-                if flit.packet_id() == id {
-                    plan.push_consume(i);
-                    granted[idx] = true;
+                if id == dropping {
+                    plan.push_consume(InPort::ALL[idx]);
+                    granted |= 1 << idx;
                 }
                 continue;
             }
-            if let (None, Flit::Head { pkt, .. }) = (self.circuits[idx], flit) {
-                request[idx] = self
-                    .preferences(&pkt, now)
-                    .into_iter()
-                    .flatten()
-                    .find(|&p| self.output_available(p, credit));
+            let (None, Some(pkt)) = (self.circuits[idx], head) else {
+                continue;
+            };
+            let request = self
+                .preferences(pkt, now)
+                .into_iter()
+                .flatten()
+                .find(|&p| self.output_available(p, &credit));
+            if let Some(o) = request {
+                requests[o.index()] |= 1 << idx;
+                outputs |= 1 << o.index();
             }
         }
-        for o in OutPort::ALL {
-            if let Some(i) = self.out_alloc[o.index()] {
+        for (o, alloc) in self.out_alloc.iter().enumerate() {
+            outputs |= u8::from(alloc.is_some()) << o;
+        }
+        for o in set_bits(outputs.into()) {
+            let output = OutPort::ALL[o];
+            if let Some(input) = self.out_alloc[o] {
                 // Active circuit: advance it if the downstream can accept.
-                if !granted[i.index()] && has_head[i.index()] && self.output_flowing(o, credit) {
-                    plan.push_move(Move {
-                        input: i,
-                        output: o,
-                    });
-                    granted[i.index()] = true;
+                let bit = 1 << input.index();
+                if granted & bit == 0 && occupied & bit != 0 && self.output_flowing(output, &credit)
+                {
+                    plan.push_move(Move { input, output });
+                    granted |= bit;
                 }
                 continue;
             }
-            let start = self.rr[o.index()] as usize;
-            let pick = (0..5)
-                .map(|k| (start + k) % 5)
-                .find(|&idx| request[idx] == Some(o) && !granted[idx]);
-            if let Some(idx) = pick {
+            let candidates = requests[o] & !granted;
+            if candidates != 0 {
+                let idx = round_robin_pick(candidates, self.rr[o]);
                 plan.push_move(Move {
                     input: InPort::ALL[idx],
-                    output: o,
+                    output,
                 });
-                granted[idx] = true;
+                granted |= 1 << idx;
             }
         }
     }
@@ -796,7 +820,7 @@ impl Router {
 
     /// Records that `input` moved a flit this cycle.
     pub(crate) fn mark_moved(&mut self, input: InPort) {
-        self.moved[input.index()] = true;
+        self.moved |= 1 << input.index();
     }
 
     /// Phase-3 bookkeeping: advances blocked counters for stalled heads
@@ -809,18 +833,15 @@ impl Router {
     /// never dropped here; it resolves only when its head finally drains
     /// downstream.
     pub(crate) fn update_blocked_and_recover_marked(&mut self) -> u64 {
+        let moved = std::mem::take(&mut self.moved);
         if !self.settings.alive {
-            self.moved = [false; 5];
             return 0;
         }
+        let occupied = self.occupancy();
         let mut dropped = 0u64;
         for i in InPort::ALL {
             let idx = i.index();
-            if std::mem::take(&mut self.moved[idx]) {
-                self.blocked[idx] = 0;
-                continue;
-            }
-            if self.head_flit(i).is_none() {
+            if (moved | !occupied) & (1 << idx) != 0 {
                 self.blocked[idx] = 0;
                 continue;
             }
@@ -850,6 +871,24 @@ impl Router {
         }
         dropped
     }
+}
+
+/// The set bits of `word`, lowest first.
+pub(crate) fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = word.trailing_zeros() as usize;
+        word &= word.wrapping_sub(1);
+        (bit < 64).then_some(bit)
+    })
+}
+
+/// The first input of the non-empty 5-input mask `candidates` at or
+/// cyclically after input `start` — round-robin arbitration as one
+/// rotate and one trailing-zero count.
+fn round_robin_pick(candidates: u8, start: u8) -> usize {
+    debug_assert!(candidates != 0 && candidates < 1 << 5 && start < 5);
+    let rotated = ((candidates >> start) | (candidates << (5 - start))) & 0x1f;
+    (start as usize + rotated.trailing_zeros() as usize) % 5
 }
 
 #[cfg(test)]
@@ -984,7 +1023,7 @@ mod tests {
     fn plan_reference(
         r: &Router,
         now: Cycle,
-        credit: &dyn Fn(Direction) -> bool,
+        credit: &impl Fn(Direction) -> bool,
         plan: &mut RouterPlan,
     ) {
         plan.clear();
@@ -1181,7 +1220,7 @@ mod tests {
             let credit = |d: Direction| credits[d.index()];
             let now = 100 + rng.below(200);
             let (mut got, mut want) = (RouterPlan::default(), RouterPlan::default());
-            r.plan_into(now, &credit, &mut got);
+            r.plan_into(now, credit, &mut got);
             plan_reference(&r, now, &credit, &mut want);
             let view = |p: &RouterPlan| {
                 (

@@ -1,10 +1,17 @@
 //! Property-based tests: flit conservation and determinism under random
-//! traffic, including random fault and configuration churn, and the
-//! worklist stepper against the exhaustive one.
+//! traffic, including random fault and configuration churn, the worklist
+//! stepper against the exhaustive one, and the inline flit ring against a
+//! `VecDeque` model.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use sirtm_noc::{Mesh, NodeId, PacketKind, Port, RcapCommand, RouteMode, RouterConfig};
+use sirtm_noc::buffer::DEPTH;
+use sirtm_noc::{
+    Flit, FlitBuffer, Mesh, NodeId, PacketId, PacketKind, Port, RcapCommand, RouteMode,
+    RouterConfig,
+};
 use sirtm_taskgraph::{GridDims, TaskId};
 
 #[derive(Debug, Clone)]
@@ -425,4 +432,64 @@ fn arrival_cycle_ages_a_flit_at_an_idle_router() {
     // Blocked for cycles 0, 1, 2 and 3; the count exceeds the timeout on
     // cycle 3 and recovery drops the packet.
     assert_eq!(dropped_at, Some(3));
+}
+
+#[derive(Debug, Clone, Copy)]
+enum BufferOp {
+    /// Push a body flit with this id (skipped when the buffer is full).
+    Push(u64),
+    Pop,
+    Clear,
+}
+
+fn buffer_op() -> impl Strategy<Value = BufferOp> {
+    prop_oneof![
+        6 => any::<u64>().prop_map(BufferOp::Push),
+        5 => Just(BufferOp::Pop),
+        1 => Just(BufferOp::Clear),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The inline ring behaves as a bounded FIFO: after every push, pop
+    /// and clear, including many trips around the ring, `len`, `free`,
+    /// `head` and `iter` agree with a `VecDeque` model, and the buffer
+    /// equals a fresh one holding the same flits (stale slots and ring
+    /// position are not observable).
+    #[test]
+    fn flit_ring_matches_a_vecdeque_model(
+        ops in proptest::collection::vec(buffer_op(), 1..200),
+    ) {
+        let mut ring = FlitBuffer::new();
+        let mut model: VecDeque<Flit> = VecDeque::new();
+        for op in ops {
+            match op {
+                BufferOp::Push(id) => {
+                    let flit = Flit::Body { id: PacketId::new(id), is_tail: id % 3 == 0 };
+                    if model.len() < DEPTH {
+                        ring.push(flit);
+                        model.push_back(flit);
+                    }
+                }
+                BufferOp::Pop => prop_assert_eq!(ring.pop(), model.pop_front()),
+                BufferOp::Clear => {
+                    ring.clear();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(ring.len(), model.len());
+            prop_assert_eq!(ring.free(), DEPTH - model.len());
+            prop_assert_eq!(ring.is_empty(), model.is_empty());
+            prop_assert_eq!(ring.is_full(), model.len() == DEPTH);
+            prop_assert_eq!(ring.head(), model.front());
+            prop_assert!(ring.iter().eq(model.iter()));
+            let mut fresh = FlitBuffer::new();
+            for &flit in &model {
+                fresh.push(flit);
+            }
+            prop_assert_eq!(&ring, &fresh);
+        }
+    }
 }

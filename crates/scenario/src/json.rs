@@ -175,7 +175,11 @@ fn write_str(out: &mut String, s: &str) {
 /// Returns a message with the byte offset of the first syntax error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        bytes,
+        pos: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -186,6 +190,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -295,12 +300,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar value.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash as one
+                    // slice. Both are ASCII, so the run ends on a char
+                    // boundary of the (already valid UTF-8) input.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |k| self.pos + k);
+                    s.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -395,6 +403,40 @@ mod tests {
             v.get("a\n\"b").unwrap().as_arr().unwrap()[2].as_str(),
             Some("A")
         );
+    }
+
+    #[test]
+    fn megabyte_multibyte_string_round_trips() {
+        // ~1 MB of mixed 1-, 2-, 3- and 4-byte scalars plus characters the
+        // renderer escapes; parsing must stay linear in the string length.
+        let unit = "plain ascii, é ß, 漢字, 🐜🐝, \"quoted\" \\ tab\t nl\n;";
+        let big: String = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(big.len() >= 1 << 20);
+        let doc = Json::obj(vec![
+            ("trace", Json::Str(big.clone())),
+            ("n", Json::Num(1.0)),
+        ]);
+        let back = parse(&doc.render()).expect("round-trips");
+        assert_eq!(back.get("trace").and_then(Json::as_str), Some(big.as_str()));
+        assert_eq!(back, doc);
+    }
+
+    #[test]
+    fn escapes_decode_between_plain_runs() {
+        let v = parse(r#"["ab\"c\\d\/e\u00e9f\u6f22g\n\t\r\b\fh", "\u0041", "", "é\"漢"]"#)
+            .expect("parses");
+        let items: Vec<&str> = v
+            .as_arr()
+            .expect("array")
+            .iter()
+            .map(|j| j.as_str().expect("string"))
+            .collect();
+        assert_eq!(
+            items,
+            ["ab\"c\\d/eéf漢g\n\t\r\u{8}\u{c}h", "A", "", "é\"漢"]
+        );
+        assert!(parse("\"abc\\").is_err(), "escape at end of input");
+        assert!(parse("\"abé").is_err(), "unterminated multi-byte run");
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl ThermalLoop {
             })
             .collect();
         let prev_busy = (0..n)
-            .map(|i| platform.pe(NodeId::new(i as u16)).busy_cycles())
+            .map(|i| platform.busy_cycles(NodeId::new(i as u16)))
             .collect();
         Self {
             prev_completions: platform.completions_total(),
@@ -255,13 +255,13 @@ impl ThermalLoop {
             let pe = self.platform.pe(node);
             let temp = self.grid.temp_c(node);
             let p = if pe.is_alive() {
-                let busy = pe.busy_cycles();
+                let busy = self.platform.busy_cycles(node);
                 let duty =
                     ((busy - self.prev_busy[i]) as f64 / window_cycles as f64).clamp(0.0, 1.0);
                 self.prev_busy[i] = busy;
                 self.power.power_w(pe.frequency_mhz(), duty, temp)
             } else {
-                self.prev_busy[i] = pe.busy_cycles();
+                self.prev_busy[i] = self.platform.busy_cycles(node);
                 self.power.dead_power_w(temp)
             };
             self.power_buf[i] = p;
