@@ -1,29 +1,43 @@
-//! Ablation benches for the design choices DESIGN.md §7 calls out. Each
-//! bench's *throughput anchor* (printed once per variant) is the
-//! scientifically interesting output; the timing shows the cost of each
-//! variant.
+//! Ablation benches for the platform's design choices: destination
+//! policy, opportunistic delivery, model thresholds, gossip radius,
+//! AIM backend and multicast. Each bench's *throughput anchor* (printed
+//! once per variant) is the scientifically interesting output; the
+//! timing shows the cost of each variant.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use sirtm_bench::{bench_config, sink_rate};
 use sirtm_centurion::config::SendPolicy;
 use sirtm_core::models::{FfwConfig, ModelKind, NiConfig};
 use sirtm_experiments::harness::{run_one, ExperimentConfig, RunSpec};
 
+/// A one-run configuration of `duration_ms`, faulting at `fault_at_ms`.
+fn config(duration_ms: f64, fault_at_ms: f64) -> ExperimentConfig {
+    ExperimentConfig {
+        duration_ms,
+        fault_at_ms,
+        window_ms: 5.0,
+        runs: 1,
+        ..ExperimentConfig::default()
+    }
+}
+
+/// The final sink throughput of one run.
 fn run_with(cfg: &ExperimentConfig, model: ModelKind, faults: usize, seed: u64) -> f64 {
-    sink_rate(&run_one(
+    run_one(
         &RunSpec {
             model,
             faults,
             seed,
         },
         cfg,
-    ))
+    )
+    .final_rate
 }
 
-/// Nearest vs round-robin destination resolution (DESIGN.md: the
-/// starvation signal FFW feeds on needs spatial work gradients).
+/// Nearest vs round-robin destination resolution: the starvation
+/// signal FFW feeds on needs spatial work gradients, which nearest
+/// resolution keeps and round-robin spreads out.
 fn ablation_send_policy(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_send_policy");
     group.sample_size(10);
@@ -31,7 +45,7 @@ fn ablation_send_policy(c: &mut Criterion) {
         ("nearest", SendPolicy::Nearest),
         ("round_robin", SendPolicy::RoundRobin),
     ] {
-        let mut cfg = bench_config(300.0, 300.0);
+        let mut cfg = config(300.0, 300.0);
         cfg.platform.send_policy = policy;
         let rate = run_with(&cfg, ModelKind::ForagingForWork(FfwConfig::default()), 0, 7);
         println!("[ablation] send_policy={name}: ffw steady {rate:.2} sinks/ms");
@@ -49,13 +63,13 @@ fn ablation_send_policy(c: &mut Criterion) {
     group.finish();
 }
 
-/// Task-affine opportunistic delivery on/off (DESIGN.md R3): without
-/// absorption, mis-delivered work is dropped instead of adopted.
+/// Task-affine opportunistic delivery on/off: without absorption,
+/// mis-delivered work is dropped instead of adopted.
 fn ablation_opportunistic(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_opportunistic_delivery");
     group.sample_size(10);
     for (name, on) in [("on", true), ("off", false)] {
-        let mut cfg = bench_config(300.0, 150.0);
+        let mut cfg = config(300.0, 150.0);
         cfg.platform.opportunistic_delivery = on;
         let rate = run_with(
             &cfg,
@@ -80,7 +94,7 @@ fn ablation_opportunistic(c: &mut Criterion) {
 
 /// FFW task-switch timeout sweep around the paper's 20 ms (200 scans).
 fn ablation_ffw_timeout(c: &mut Criterion) {
-    let cfg = bench_config(300.0, 300.0);
+    let cfg = config(300.0, 300.0);
     let mut group = c.benchmark_group("ablation_ffw_timeout");
     group.sample_size(10);
     for timeout in [50u8, 200, 250] {
@@ -102,7 +116,7 @@ fn ablation_ffw_timeout(c: &mut Criterion) {
 
 /// NI switch-threshold sweep.
 fn ablation_ni_threshold(c: &mut Criterion) {
-    let cfg = bench_config(300.0, 300.0);
+    let cfg = config(300.0, 300.0);
     let mut group = c.benchmark_group("ablation_ni_threshold");
     group.sample_size(10);
     for threshold in [8u8, 16, 48] {
@@ -126,7 +140,7 @@ fn ablation_ni_threshold(c: &mut Criterion) {
 /// The Fig-1 adaptive-threshold extensions (social inhibition for NI,
 /// self-reinforcement for FFW) on vs off.
 fn ablation_extensions(c: &mut Criterion) {
-    let cfg = bench_config(300.0, 300.0);
+    let cfg = config(300.0, 300.0);
     let mut group = c.benchmark_group("ablation_extensions");
     group.sample_size(10);
     let variants: Vec<(&str, ModelKind)> = vec![
@@ -170,7 +184,7 @@ fn ablation_gossip_radius(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_gossip_radius");
     group.sample_size(10);
     for dist_max in [8u8, 28, 64] {
-        let mut cfg = bench_config(300.0, 150.0);
+        let mut cfg = config(300.0, 150.0);
         cfg.platform.dir_dist_max = dist_max;
         let model = ModelKind::ForagingForWork(FfwConfig::default());
         let rate = run_with(&cfg, model.clone(), 16, 23);
@@ -184,7 +198,7 @@ fn ablation_gossip_radius(c: &mut Criterion) {
 
 /// Behavioural vs PicoBlaze-firmware AIM backends on the full platform.
 fn ablation_backend(c: &mut Criterion) {
-    let cfg = bench_config(100.0, 100.0);
+    let cfg = config(100.0, 100.0);
     let mut group = c.benchmark_group("ablation_backend");
     group.sample_size(10);
     for (name, model) in [

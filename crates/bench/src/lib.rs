@@ -1,52 +1,9 @@
-//! Shared helpers for the SIRTM benchmark harness.
+//! Criterion bench targets over the SIRTM stack.
 //!
-//! Each bench target corresponds to a paper artefact (see DESIGN.md §4):
-//! `table1`, `table2` and `fig4` time the workloads that regenerate the
-//! published tables/figure (scaled down for wall-clock sanity — the
-//! `repro` binary produces the full-size numbers), `micro` times the
-//! substrates, and `ablation` probes the design choices DESIGN.md §7
-//! calls out.
-
-use sirtm_core::models::ModelKind;
-use sirtm_experiments::harness::{run_one, ExperimentConfig, RunResult, RunSpec};
-
-/// A bench-sized experiment configuration: same dynamics, shorter horizon.
-pub fn bench_config(duration_ms: f64, fault_at_ms: f64) -> ExperimentConfig {
-    ExperimentConfig {
-        duration_ms,
-        fault_at_ms,
-        window_ms: 5.0,
-        runs: 1,
-        ..ExperimentConfig::default()
-    }
-}
-
-/// Runs one bench-sized experiment.
-pub fn bench_run(model: ModelKind, faults: usize, seed: u64, cfg: &ExperimentConfig) -> RunResult {
-    run_one(
-        &RunSpec {
-            model,
-            faults,
-            seed,
-        },
-        cfg,
-    )
-}
-
-/// The sink throughput of a result (black-box anchor for benches).
-pub fn sink_rate(result: &RunResult) -> f64 {
-    result.final_rate
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_config_is_runnable() {
-        let cfg = bench_config(50.0, 25.0);
-        let r = bench_run(ModelKind::NoIntelligence, 2, 1, &cfg);
-        assert_eq!(r.trace.samples.len(), 10);
-        assert!(sink_rate(&r) >= 0.0);
-    }
-}
+//! The library itself is empty; the targets live under `benches/`.
+//! `micro`, `hotloop`, `colony` and `thermal` give per-layer unit costs
+//! (a router plan, a platform cycle, an AIM scan, a PicoBlaze
+//! instruction, a colony settle, a thermal solve), and `ablation`
+//! probes the platform's design choices. End-to-end throughput, with
+//! interleaved repeats and pinned digests, is measured by the
+//! `perfbench` package (see `perfbench/README.md`).

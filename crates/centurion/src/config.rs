@@ -36,7 +36,8 @@ pub enum SendPolicy {
 pub struct PlatformConfig {
     /// Grid dimensions (8×16 = 128 nodes).
     pub dims: GridDims,
-    /// Simulated cycles per millisecond (time base, DESIGN.md R4).
+    /// Simulated cycles per millisecond: the time base that converts the
+    /// paper's millisecond parameters to cycles.
     pub cycles_per_ms: u32,
     /// Router configuration (task count is overridden from the graph).
     pub router: RouterConfig,
@@ -60,7 +61,8 @@ pub struct PlatformConfig {
     /// Maximum directory entry distance (staleness bound, in hops).
     pub dir_dist_max: u8,
     /// Enable task-affine opportunistic delivery for adaptive models
-    /// (DESIGN.md R3). Never applied to the No-Intelligence baseline.
+    /// (a packet may be absorbed by any node serving its task). Never
+    /// applied to the No-Intelligence baseline.
     pub opportunistic_delivery: bool,
     /// Destination resolution policy for task-addressed sends.
     pub send_policy: SendPolicy,

@@ -5,6 +5,7 @@
 //! repro table2 [--runs N]          Table II (recovery vs fault count)
 //! repro fig4   [--seed S] [--out DIR]  Fig. 4 time series (ASCII + CSV)
 //! repro graph                      Fig. 3 workload summary
+//! repro thermal [--seed S]         thermal extension (open/closed loop, thermal fault)
 //! repro all    [--runs N]          everything
 //! ```
 

@@ -24,9 +24,6 @@
 //! scenarios check PATH                        re-parse a sweep artefact
 //! scenarios status --checkpoint DIR           live per-shard/per-worker progress
 //! scenarios trace check PATH                  validate a trace file
-//! scenarios bench [--out PATH]                runs/sec at 1/4/8 threads
-//! scenarios bench-shard [--out PATH]          shard overhead vs unsharded
-//! scenarios bench-dispatch [--out PATH]       1 vs 2 local dispatch workers
 //! ```
 //!
 //! `run` executes `--runs` replicates of the scenario on `--threads`
@@ -94,11 +91,11 @@ use sirtm_scenario::json::{parse, Json};
 use sirtm_scenario::shard::{atomic_write, checkpoint_file, fingerprint};
 use sirtm_scenario::telemetry::Tracer;
 use sirtm_scenario::{
-    check_artifact, dispatch, journal_progress, merge_named_shards, merge_shards, parse_corpus,
-    parse_host_manifest, presets, replay_entry, run_campaign, run_shard, run_shard_observed,
-    run_sweep, run_sweep_observed, ChaosConfig, ChaosLedger, ChaosTransport, DispatchOptions,
-    FaultyFs, FuzzConfig, FuzzTelemetry, LocalProcess, OnlineStats, RetryPolicy, ScenarioSpec,
-    SeedScheme, ShardPlan, ShardResult, ShardTransport, Ssh, SweepOptions, SweepResult, SweepSpec,
+    check_artifact, dispatch, journal_progress, merge_named_shards, parse_corpus,
+    parse_host_manifest, presets, replay_entry, run_campaign, run_shard_observed, run_sweep,
+    run_sweep_observed, ChaosConfig, ChaosLedger, ChaosTransport, DispatchOptions, FaultyFs,
+    FuzzConfig, FuzzTelemetry, LocalProcess, OnlineStats, RetryPolicy, ScenarioSpec, SeedScheme,
+    ShardPlan, ShardResult, ShardTransport, Ssh, SweepOptions, SweepResult, SweepSpec,
     SweepTelemetry,
 };
 
@@ -106,8 +103,7 @@ fn die(msg: &str) -> ! {
     eprintln!("scenarios: {msg}");
     eprintln!(
         "usage: scenarios [list|show NAME|run NAME|shard-plan NAME|merge SHARD...|dispatch NAME|\
-         chaos-soak NAME|fuzz [NAME]|fuzz replay PATH|check PATH|status|trace check PATH|bench|\
-         bench-shard|bench-dispatch] \
+         chaos-soak NAME|fuzz [NAME]|fuzz replay PATH|check PATH|status|trace check PATH] \
          [--spec FILE] \
          [--sweep FILE] [--runs N] [--threads T] [--seed S] [--out PATH] [--csv PATH] \
          [--shards N] [--shard K/N] [--checkpoint DIR] [--limit M] [--local N] [--hosts FILE] \
@@ -961,192 +957,6 @@ fn chaos_soak(args: &Args) {
     finish_trace(args, tracer.as_ref());
 }
 
-fn bench_dispatch(args: &Args) {
-    // Dispatch scale-out: the same 64-run sweep once through the
-    // in-process orchestrator and then dispatched to 1 and 2 local
-    // subprocess workers (4 shards, single-threaded workers so the
-    // comparison is process-level, not thread-level). Artefacts are
-    // asserted byte-identical before any number is reported; the
-    // checked-in `BENCH_dispatch.json` records the result.
-    const RUNS: usize = 64;
-    const SHARDS: usize = 4;
-    let base = presets::preset("light-4x4").expect("known preset");
-    let sweep = SweepSpec {
-        name: "bench-dispatch".to_string(),
-        base,
-        axes: vec![],
-        replicates: RUNS,
-        seeds: SeedScheme::Derived { root: 1 },
-    };
-    let opts = SweepOptions { threads: 1 };
-
-    // Untimed warm-up: fault the binary in, settle the CPU governor.
-    let _ = run_sweep(&sweep, opts);
-
-    let started = Instant::now();
-    let whole = run_sweep(&sweep, opts);
-    let unsharded_s = started.elapsed().as_secs_f64();
-    let reference = whole.to_json().render_pretty();
-    eprintln!(
-        "  in-process: {RUNS} runs in {unsharded_s:.2}s ({:.1} runs/sec)",
-        RUNS as f64 / unsharded_s
-    );
-
-    let bin = std::env::current_exe()
-        .unwrap_or_else(|e| die(&format!("cannot locate the scenarios binary: {e}")));
-    let mut configs = vec![(
-        "in-process".to_string(),
-        0usize,
-        0usize,
-        RUNS as f64 / unsharded_s,
-    )];
-    for worker_count in [1usize, 2] {
-        let dir = std::env::temp_dir().join(format!(
-            "sirtm_bench_dispatch_{}_{worker_count}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut workers: Vec<Box<dyn ShardTransport>> = (0..worker_count)
-            .map(|i| {
-                Box::new(LocalProcess::new(&format!("local-{i}"), &bin, &dir, 1))
-                    as Box<dyn ShardTransport>
-            })
-            .collect();
-        let dopts = DispatchOptions {
-            poll_interval: Duration::from_millis(2),
-            ..DispatchOptions::default()
-        };
-        let started = Instant::now();
-        let outcome = dispatch(&sweep, SHARDS, &mut workers, &dopts)
-            .unwrap_or_else(|e| die(&format!("bench dispatch failed: {e}")));
-        let secs = started.elapsed().as_secs_f64();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(
-            outcome.result.to_json().render_pretty(),
-            reference,
-            "bench artefacts must stay byte-identical"
-        );
-        eprintln!(
-            "  dispatch --local {worker_count}: {RUNS} runs as {SHARDS} shards in {secs:.2}s \
-             ({:.1} runs/sec)",
-            RUNS as f64 / secs
-        );
-        configs.push((
-            format!("dispatch-local-{worker_count}"),
-            worker_count,
-            SHARDS,
-            RUNS as f64 / secs,
-        ));
-    }
-    // Chaos overhead: the same dispatch to 2 workers with the seeded
-    // fault storm on (the `chaos-soak` configuration), so the cost of
-    // riding out injected faults sits in the checked-in record next to
-    // the clean dispatch numbers.
-    const CHAOS_SEED: u64 = 0xC4A05;
-    const CHAOS_RATE: u64 = 20;
-    let chaos_faults = {
-        let dir =
-            std::env::temp_dir().join(format!("sirtm_bench_dispatch_chaos_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let ledger = ChaosLedger::new();
-        let cfg = ChaosConfig {
-            seed: CHAOS_SEED,
-            fault_pct: CHAOS_RATE,
-            handoff_pct: 50,
-            enable_freeze: true,
-        };
-        let mut workers: Vec<Box<dyn ShardTransport>> = (0..2)
-            .map(|i| {
-                Box::new(ChaosTransport::new(
-                    LocalProcess::new(&format!("local-{i}"), &bin, &dir, 1),
-                    cfg,
-                    ledger.clone(),
-                )) as Box<dyn ShardTransport>
-            })
-            .collect();
-        let dopts = DispatchOptions {
-            poll_interval: Duration::from_millis(1),
-            stall_polls: 200,
-            max_attempts: 25,
-            worker_strikes: 1000,
-            retry: RetryPolicy::persistent(CHAOS_SEED),
-            ..DispatchOptions::default()
-        };
-        let started = Instant::now();
-        let outcome = dispatch(&sweep, SHARDS, &mut workers, &dopts)
-            .unwrap_or_else(|e| die(&format!("bench chaos dispatch failed: {e}")));
-        let secs = started.elapsed().as_secs_f64();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(
-            outcome.result.to_json().render_pretty(),
-            reference,
-            "bench artefacts must stay byte-identical under chaos"
-        );
-        eprintln!(
-            "  dispatch --local 2 under chaos: {RUNS} runs as {SHARDS} shards in {secs:.2}s \
-             ({:.1} runs/sec, {} injected fault(s))",
-            RUNS as f64 / secs,
-            ledger.total(),
-        );
-        configs.push((
-            "dispatch-local-2-chaos".to_string(),
-            2,
-            SHARDS,
-            RUNS as f64 / secs,
-        ));
-        ledger.total()
-    };
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let doc = Json::obj(vec![
-        ("benchmark", Json::Str("dispatch".into())),
-        (
-            "description",
-            Json::Str(format!(
-                "Dispatcher scale-out: {RUNS} runs of the light-4x4 preset once through the \
-                 in-process orchestrator (1 thread) and then dispatched as {SHARDS} checkpointed \
-                 shards to 1 and 2 LocalProcess workers (1 thread each). Dispatch cost covers \
-                 subprocess spawns, per-run framed journal appends (seq + CRC + JSON row), polling and the final \
-                 merge; artefacts are asserted byte-identical to the in-process run before \
-                 reporting. The chaos row repeats the 2-worker dispatch under the seeded \
-                 fault storm ({CHAOS_RATE}% per-attempt fault rate, seed {CHAOS_SEED:#x}) — \
-                 its slowdown is the price of riding out injected faults. Worker scaling is \
-                 bounded by the recording machine's available parallelism."
-            )),
-        ),
-        ("unit", Json::Str("runs/sec".into())),
-        ("machine_cores", Json::Num(cores as f64)),
-        ("chaos_seed", Json::Num(CHAOS_SEED as f64)),
-        ("chaos_fault_pct", Json::Num(CHAOS_RATE as f64)),
-        ("chaos_faults_injected", Json::Num(chaos_faults as f64)),
-        (
-            "configs",
-            Json::Arr(
-                configs
-                    .iter()
-                    .map(|(mode, workers, shards, rps)| {
-                        Json::obj(vec![
-                            ("mode", Json::Str(mode.clone())),
-                            ("runs", Json::Num(RUNS as f64)),
-                            ("shards", Json::Num(*shards as f64)),
-                            ("workers", Json::Num(*workers as f64)),
-                            ("runs_per_sec", Json::Num(round1(*rps))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    let out = args
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_dispatch.json"));
-    std::fs::write(&out, doc.render_pretty())
-        .unwrap_or_else(|e| die(&format!("cannot write bench json: {e}")));
-    eprintln!("wrote {}", out.display());
-}
-
 fn show(args: &Args) {
     let spec = resolve_spec(args);
     print!("{}", spec.to_json_pretty());
@@ -1162,166 +972,6 @@ fn check(args: &Args) {
         Ok(runs) => println!("{path}: OK ({runs} runs)"),
         Err(e) => die(&format!("{path}: INVALID: {e}")),
     }
-}
-
-fn bench(args: &Args) {
-    // Runs/sec of the light 4x4 preset at 1, 4 and 8 workers — the
-    // checked-in `BENCH_sweep.json` datapoint.
-    const RUNS: usize = 64;
-    let base = presets::preset("light-4x4").expect("known preset");
-    let mut rows = Vec::new();
-    for threads in [1usize, 4, 8] {
-        let sweep = SweepSpec {
-            name: "bench".to_string(),
-            base: base.clone(),
-            axes: vec![],
-            replicates: RUNS,
-            seeds: SeedScheme::Derived { root: 1 },
-        };
-        let started = Instant::now();
-        let result = run_sweep(&sweep, SweepOptions { threads });
-        let secs = started.elapsed().as_secs_f64();
-        let rps = RUNS as f64 / secs;
-        eprintln!(
-            "  {threads} thread(s): {RUNS} runs in {secs:.2}s = {rps:.1} runs/sec \
-             ({} used)",
-            result.threads_used
-        );
-        rows.push((threads, rps));
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut json = String::from("{\n");
-    json.push_str("  \"benchmark\": \"sweep\",\n");
-    json.push_str(
-        "  \"description\": \"Scenario sweep throughput: 64 runs of the light-4x4 preset \
-         (120 ms, 4x4 grid, 3-fault event) through the deterministic orchestrator at \
-         1/4/8 worker threads. Thread scaling is bounded by the recording machine's \
-         available parallelism.\",\n",
-    );
-    json.push_str("  \"unit\": \"runs/sec\",\n");
-    json.push_str(&format!("  \"machine_cores\": {cores},\n"));
-    json.push_str("  \"configs\": [\n");
-    for (i, (threads, rps)) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"preset\": \"light-4x4\", \"runs\": {RUNS}, \"threads\": {threads}, \
-             \"runs_per_sec\": {rps:.1}}}{sep}\n"
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let out = args
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_sweep.json"));
-    std::fs::write(&out, &json).unwrap_or_else(|e| die(&format!("cannot write bench json: {e}")));
-    eprintln!("wrote {}", out.display());
-}
-
-fn bench_shard(args: &Args) {
-    // Shard overhead: the same 64-run sweep once through the in-process
-    // orchestrator and once as 2 checkpointed shards plus a merge, all
-    // single-threaded so the comparison is scheduling-free. The
-    // checked-in `BENCH_shard.json` datapoint records the overhead.
-    const RUNS: usize = 64;
-    let base = presets::preset("light-4x4").expect("known preset");
-    let sweep = SweepSpec {
-        name: "bench-shard".to_string(),
-        base,
-        axes: vec![],
-        replicates: RUNS,
-        seeds: SeedScheme::Derived { root: 1 },
-    };
-    let opts = SweepOptions { threads: 1 };
-
-    // Untimed warm-up: fault the binary in, settle the CPU governor.
-    let _ = run_sweep(&sweep, opts);
-
-    let started = Instant::now();
-    let whole = run_sweep(&sweep, opts);
-    let unsharded_s = started.elapsed().as_secs_f64();
-
-    let ckpt = std::env::temp_dir().join(format!("sirtm_bench_shard_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&ckpt);
-    let started = Instant::now();
-    let shards: Vec<ShardResult> = ShardPlan::all(2, sweep.run_count())
-        .into_iter()
-        .map(|plan| {
-            run_shard(&sweep, plan, Some(&ckpt), opts, None)
-                .expect("shard runs")
-                .result
-                .expect("completes")
-        })
-        .collect();
-    let sharded_s = started.elapsed().as_secs_f64();
-    let started = Instant::now();
-    let merged = merge_shards(&shards).expect("complete shard set");
-    let merge_s = started.elapsed().as_secs_f64();
-    let _ = std::fs::remove_dir_all(&ckpt);
-    assert_eq!(
-        merged.to_json().render_pretty(),
-        whole.to_json().render_pretty(),
-        "bench artefacts must stay byte-identical"
-    );
-
-    let total_sharded = sharded_s + merge_s;
-    let overhead_pct = (total_sharded / unsharded_s - 1.0) * 100.0;
-    eprintln!(
-        "  unsharded: {RUNS} runs in {unsharded_s:.2}s ({:.1} runs/sec)",
-        RUNS as f64 / unsharded_s
-    );
-    eprintln!(
-        "  2 shards + checkpoints: {sharded_s:.2}s, merge {:.1} ms, overhead {overhead_pct:+.1}%",
-        merge_s * 1e3
-    );
-    let doc = Json::obj(vec![
-        ("benchmark", Json::Str("shard".into())),
-        (
-            "description",
-            Json::Str(format!(
-                "Sharded sweep overhead: {RUNS} runs of the light-4x4 preset once through the \
-                 in-process orchestrator and once as 2 checkpointed shards plus a merge, both \
-                 single-threaded. Overhead covers sweep re-expansion per shard, the per-run \
-                 framed journal appends and the merge's re-aggregation; the artefacts are \
-                 asserted byte-identical before reporting."
-            )),
-        ),
-        ("unit", Json::Str("runs/sec".into())),
-        (
-            "configs",
-            Json::Arr(vec![
-                Json::obj(vec![
-                    ("mode", Json::Str("unsharded".into())),
-                    ("runs", Json::Num(RUNS as f64)),
-                    ("threads", Json::Num(1.0)),
-                    ("runs_per_sec", Json::Num(round1(RUNS as f64 / unsharded_s))),
-                ]),
-                Json::obj(vec![
-                    ("mode", Json::Str("2-shards+checkpoint+merge".into())),
-                    ("runs", Json::Num(RUNS as f64)),
-                    ("threads", Json::Num(1.0)),
-                    (
-                        "runs_per_sec",
-                        Json::Num(round1(RUNS as f64 / total_sharded)),
-                    ),
-                    ("merge_ms", Json::Num(round1(merge_s * 1e3))),
-                    ("overhead_pct", Json::Num(round1(overhead_pct))),
-                ]),
-            ]),
-        ),
-    ]);
-    let out = args
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_shard.json"));
-    std::fs::write(&out, doc.render_pretty())
-        .unwrap_or_else(|e| die(&format!("cannot write bench json: {e}")));
-    eprintln!("wrote {}", out.display());
-}
-
-fn round1(x: f64) -> f64 {
-    (x * 10.0).round() / 10.0
 }
 
 /// `status --checkpoint DIR [--trace-jsonl PATH]`: live progress of a
@@ -1685,9 +1335,6 @@ fn main() {
         "check" => check(&args),
         "status" => status_cmd(&args),
         "trace" => trace_cmd(&args),
-        "bench" => bench(&args),
-        "bench-shard" => bench_shard(&args),
-        "bench-dispatch" => bench_dispatch(&args),
         other => die(&format!("unknown command `{other}`")),
     }
 }

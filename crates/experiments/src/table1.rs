@@ -36,6 +36,8 @@ pub struct Table1 {
     pub rows: Vec<Table1Row>,
     /// The normalisation reference (baseline median rate, sinks/ms).
     pub reference_rate: f64,
+    /// Independent runs per model.
+    pub runs: usize,
 }
 
 /// The three models of the paper's evaluation, in table order.
@@ -95,6 +97,7 @@ pub fn run(cfg: &ExperimentConfig) -> Table1 {
     Table1 {
         rows,
         reference_rate,
+        runs: cfg.runs,
     }
 }
 
@@ -127,7 +130,7 @@ pub fn render(table: &Table1) -> String {
     format!(
         "Table I — settling time and relative performance, no faults \
          ({} runs, reference {:.2} sinks/ms)\n{}",
-        table.rows.first().map(|_| "").unwrap_or(""),
+        table.runs,
         table.reference_rate,
         crate::render::ascii_table(&headers, &rows)
     )
@@ -172,8 +175,8 @@ mod tests {
 
     #[test]
     fn small_table1_has_paper_shape() {
-        // A reduced-size smoke check of the full pipeline; EXPERIMENTS.md
-        // records the full 100-run numbers.
+        // A reduced-size smoke check of the full pipeline; `repro table1`
+        // produces the full 100-run numbers.
         let cfg = ExperimentConfig {
             runs: 3,
             duration_ms: 250.0,
@@ -187,7 +190,7 @@ mod tests {
         assert!((t.rows[0].relative_pct.q2 - 100.0).abs() < 1e-6);
         // The baseline pipeline-fills quickly; the full ordering of all
         // three medians is a statistical property checked at 100 runs
-        // (EXPERIMENTS.md), not in this 3-run smoke test.
+        // (`repro table1`), not in this 3-run smoke test.
         assert!(
             t.rows[0].settle_ms.q2 <= 100.0,
             "baseline settle {}ms",
@@ -201,5 +204,14 @@ mod tests {
         );
         let text = render(&t);
         assert!(text.contains("Foraging For Work"));
+        assert!(
+            text.starts_with(&format!(
+                "Table I — settling time and relative performance, no faults \
+                 (3 runs, reference {:.2} sinks/ms)\n",
+                t.reference_rate
+            )),
+            "header: {}",
+            text.lines().next().unwrap_or_default()
+        );
     }
 }

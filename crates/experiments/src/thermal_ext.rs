@@ -1,4 +1,4 @@
-//! The thermal extension experiment (EXPERIMENTS.md "Extensions"): the
+//! The thermal extension experiment (`repro thermal`): the
 //! temperature monitor → DVFS/shutdown knob loop the paper names but
 //! never evaluates, regenerated as three rows — open loop, closed loop,
 //! and the physics-generated "thermal issue" fault case recovered by
@@ -129,7 +129,7 @@ pub fn run(seed: u64) -> ThermalExtResult {
     }
 }
 
-/// Renders the result as the EXPERIMENTS.md extension rows.
+/// Renders the result as the extension's three table rows.
 pub fn render(r: &ThermalExtResult) -> String {
     let mut out = String::new();
     out.push_str(&format!(

@@ -97,7 +97,8 @@ pub struct RouterSettings {
     /// Task the local processing element currently performs. Used for
     /// task-affine opportunistic delivery and read by neighbouring AIMs.
     pub local_task: Option<TaskId>,
-    /// Enables task-affine opportunistic delivery (DESIGN.md R3).
+    /// Enables task-affine opportunistic delivery: a packet older than
+    /// `redirect_age` may be absorbed by any node whose task matches.
     pub opportunistic_delivery: bool,
     /// Minimum packet age before opportunistic absorption may happen.
     pub redirect_age: Cycle,

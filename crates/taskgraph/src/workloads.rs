@@ -9,7 +9,7 @@ use crate::task::TaskSpec;
 /// time base of 100 cycles per millisecond: task 1 produces one fork wave
 /// every 4 ms; each wave spawns `branches` task-2 packets whose results join
 /// at a task-3 node; every join emits one lightweight acknowledge packet
-/// back towards task 1 (the graph's "in-tree phase", see DESIGN.md §R2).
+/// back towards task 1 (the graph's "in-tree phase").
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ForkJoinParams {
     /// Fan-out of the fork (the paper's ratio 1:3:1 uses 3).

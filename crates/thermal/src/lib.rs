@@ -6,7 +6,7 @@
 //! motivates its 42-fault scenario as "a failure of a global clock
 //! buffer, other critical global circuitry, or a thermal issue". The
 //! original hardware gets all of this for free from physics; this crate
-//! is the simulated replacement (DESIGN.md substitution table):
+//! is the simulated replacement:
 //!
 //! * [`ThermalGrid`] — a lumped RC thermal network over the 8×16 die:
 //!   every tile has a heat capacity, conducts laterally to its four

@@ -1,6 +1,7 @@
 //! The documentation link checker: every relative markdown link in
 //! `README.md` and the `docs/` book must resolve to a file that
-//! exists. The docs index (`docs/README.md`) promises the book is
+//! exists, and so must every markdown file a Rust source comment
+//! cites. The docs index (`docs/README.md`) promises the book is
 //! cross-linked and current; this test — also run as a dedicated CI
 //! step — is what keeps that promise from rotting.
 
@@ -111,4 +112,81 @@ fn the_docs_book_is_complete_and_indexed() {
             "docs/{chapter} is missing its `Verified by` line"
         );
     }
+}
+
+/// The `*.md` file names cited in `text`: each `.md` that ends a word,
+/// with the path characters in front of it.
+fn md_citations(text: &str) -> Vec<&str> {
+    let is_path = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    let mut cited = Vec::new();
+    for (pos, _) in text.match_indices(".md") {
+        let end = pos + 3;
+        if text[end..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_') {
+            continue;
+        }
+        let start = text[..pos]
+            .rfind(|c: char| !is_path(c))
+            .map_or(0, |i| i + 1);
+        let name = &text[start..end];
+        if name != ".md" && !name.ends_with("/.md") {
+            cited.push(name);
+        }
+    }
+    cited
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries =
+        std::fs::read_dir(dir).unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()));
+    for entry in entries.filter_map(Result::ok) {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn markdown_files_cited_in_source_comments_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "examples", "src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    files.sort();
+    let homes = [
+        root.to_path_buf(),
+        root.join("docs"),
+        root.join("perfbench"),
+    ];
+    let mut dangling = Vec::new();
+    let mut checked = 0usize;
+    for file in &files {
+        let text = std::fs::read_to_string(file)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", file.display()));
+        for (n, line) in text.lines().enumerate() {
+            // Whole-line `//`, `///` and `//!` comments; trailing
+            // comments after code are not scanned.
+            let Some(comment) = line.trim_start().strip_prefix("//") else {
+                continue;
+            };
+            for name in md_citations(comment) {
+                checked += 1;
+                if !homes.iter().any(|home| home.join(name).is_file()) {
+                    dangling.push(format!("{}:{}: {name}", file.display(), n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        checked >= 10,
+        "the sources cite more docs than this; the extractor is broken ({checked} found)"
+    );
+    assert!(
+        dangling.is_empty(),
+        "source comments cite markdown files that do not exist:\n  {}",
+        dangling.join("\n  ")
+    );
 }

@@ -1,5 +1,5 @@
 //! Assertions of the paper's headline result *shapes* at reduced scale.
-//! The full-scale numbers live in EXPERIMENTS.md; these tests guard the
+//! The `repro` binary produces the full-scale numbers; these tests guard the
 //! qualitative claims against regressions.
 
 use sirtm::core::models::{FfwConfig, ModelKind, NiConfig};
