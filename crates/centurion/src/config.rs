@@ -3,29 +3,6 @@
 use sirtm_noc::{Cycle, RouterConfig};
 use sirtm_taskgraph::GridDims;
 
-/// How a sender resolves the destination instance of a task-addressed
-/// packet from its gossip directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SendPolicy {
-    /// Always the nearest known instance (the locality the paper's
-    /// Manhattan-minimising baseline embodies). Load spreads through
-    /// queue-overflow bouncing, producing the spatial work gradients the
-    /// foraging models feed on.
-    #[default]
-    Nearest,
-    /// Round-robin over the directory's candidate slots (dilutes load —
-    /// kept as an ablation; it weakens the starvation signal FFW needs).
-    RoundRobin,
-    /// Fork waves are distributed over a dimension-ordered multicast
-    /// tree to distinct instances (the paper's future-work "multi-cast
-    /// routing ... exploits the inherent parallelism of a task graph").
-    /// Single-packet edges and feedback acks fall back to round-robin
-    /// unicast. Incompatible with task-affine opportunistic delivery
-    /// (relay copies must surface at their addressed stop), which
-    /// [`PlatformConfig::validate`] enforces.
-    Multicast,
-}
-
 /// Configuration of a [`Platform`]. Defaults reproduce the paper's
 /// Centurion-V6: an 8×16 grid of 128 nodes, a 10 µs NoC cycle (100 cycles
 /// per millisecond), AIM scans every 10 cycles (0.1 ms) and node clocks
@@ -39,7 +16,10 @@ pub struct PlatformConfig {
     /// Simulated cycles per millisecond: the time base that converts the
     /// paper's millisecond parameters to cycles.
     pub cycles_per_ms: u32,
-    /// Router configuration (task count is overridden from the graph).
+    /// Router configuration. The platform overrides the task count from
+    /// the graph, and enables task-affine opportunistic delivery exactly
+    /// when the colony is adaptive (never for the No-Intelligence
+    /// baseline).
     pub router: RouterConfig,
     /// Cycles between AIM scans of one node. Scans are phase-staggered
     /// across nodes, as unsynchronised hardware AIMs would be.
@@ -60,12 +40,6 @@ pub struct PlatformConfig {
     pub max_bounces: u8,
     /// Maximum directory entry distance (staleness bound, in hops).
     pub dir_dist_max: u8,
-    /// Enable task-affine opportunistic delivery for adaptive models
-    /// (a packet may be absorbed by any node serving its task). Never
-    /// applied to the No-Intelligence baseline.
-    pub opportunistic_delivery: bool,
-    /// Destination resolution policy for task-addressed sends.
-    pub send_policy: SendPolicy,
     /// Freshness window (cycles) of the router's recent-routed demand
     /// latch as seen by the AIM; older demand evidence reads as absent.
     pub recent_demand_window: Cycle,
@@ -91,8 +65,6 @@ impl Default for PlatformConfig {
             foreign_cap: 16,
             max_bounces: 3,
             dir_dist_max: (dims.width() + dims.height() + 4).min(255) as u8,
-            opportunistic_delivery: true,
-            send_policy: SendPolicy::Nearest,
             recent_demand_window: 2000, // 20 ms at the default time base
             feed_gain_multiplier: 2,    // commitment while >~50% utilised
         }
@@ -136,10 +108,6 @@ impl PlatformConfig {
             "nominal frequency outside DVFS range"
         );
         assert!(self.queue_cap > 0, "queue_cap must be non-zero");
-        assert!(
-            !(self.send_policy == SendPolicy::Multicast && self.opportunistic_delivery),
-            "multicast send policy requires opportunistic delivery disabled"
-        );
     }
 }
 

@@ -9,9 +9,10 @@
 //! old; a staleness bound on distance flushes mirages (including
 //! count-to-infinity loops) after at most `dist_max` rounds.
 //!
-//! Senders resolve a destination instance by round-robining over the
-//! candidate slots, which spreads load across sibling instances in
-//! different directions.
+//! Senders address data to the nearest known instance
+//! ([`Directory::pick_nearest`]) and round-robin acks over the candidate
+//! slots ([`Directory::pick`]), which spreads the success signal across
+//! sibling instances in different directions.
 
 use sirtm_noc::NodeId;
 use sirtm_taskgraph::TaskId;
@@ -100,10 +101,8 @@ impl Directory {
         None
     }
 
-    /// The nearest known instance's node (the [`SendPolicy::Nearest`]
-    /// resolution).
-    ///
-    /// [`SendPolicy::Nearest`]: crate::config::SendPolicy::Nearest
+    /// The nearest known instance's node: where the platform sends data
+    /// packets.
     pub fn pick_nearest(&self, task: TaskId) -> Option<NodeId> {
         self.best(task).map(|e| e.node)
     }
@@ -111,51 +110,6 @@ impl Directory {
     /// Whether any instance of `task` is known.
     pub fn knows(&self, task: TaskId) -> bool {
         self.best(task).is_some()
-    }
-
-    /// Up to `k` *distinct* known instances of `task`, nearest first
-    /// (ties to the lowest node id) — the destination set of a multicast
-    /// fork wave. Allocates; the hot loop uses
-    /// [`Directory::pick_distinct_into`].
-    pub fn pick_distinct(&self, task: TaskId, k: usize) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(k);
-        self.pick_distinct_into(task, k, &mut out);
-        out
-    }
-
-    /// Allocation-free [`Directory::pick_distinct`]: clears `out` and
-    /// fills it with up to `k` distinct instances, nearest first. The
-    /// candidate set is at most [`SLOTS`] entries, so ordering happens in
-    /// a fixed stack buffer.
-    pub fn pick_distinct_into(&self, task: TaskId, k: usize, out: &mut Vec<NodeId>) {
-        out.clear();
-        let base = task.index() * SLOTS;
-        let mut candidates = [None::<DirEntry>; SLOTS];
-        let mut n = 0;
-        for e in self.entries[base..base + SLOTS].iter().flatten() {
-            // Insertion sort by (dist, node) into the fixed buffer.
-            let mut i = n;
-            while i > 0 {
-                let prev = candidates[i - 1].expect("filled below i");
-                if (prev.dist, prev.node) <= (e.dist, e.node) {
-                    break;
-                }
-                candidates[i] = candidates[i - 1];
-                i -= 1;
-            }
-            candidates[i] = Some(*e);
-            n += 1;
-        }
-        for e in candidates[..n].iter().flatten() {
-            // Distinct nodes only: the same instance can appear through
-            // several neighbour slots at different distances.
-            if !out.contains(&e.node) {
-                out.push(e.node);
-                if out.len() == k {
-                    break;
-                }
-            }
-        }
     }
 
     /// Clears every entry (used when a node dies).

@@ -3,9 +3,7 @@
 
 use sirtm_core::io::AimIo;
 use sirtm_core::models::{ModelKind, RtmModel};
-use sirtm_noc::{
-    Cycle, Mesh, MeshStats, MulticastService, NodeId, Packet, PacketKind, Port, Router,
-};
+use sirtm_noc::{Cycle, Mesh, MeshStats, NodeId, Packet, PacketKind, Port, Router};
 use sirtm_taskgraph::{Mapping, TaskGraph, TaskId};
 use sirtm_telemetry::SimCounters;
 
@@ -30,8 +28,6 @@ pub struct PlatformStats {
     pub bounce_drops: u64,
     /// Task switches actually applied (task changed).
     pub task_switches: u64,
-    /// Multicast fork waves sent (Multicast send policy only).
-    pub multicast_groups: u64,
     /// Completions per task since construction.
     pub completions_per_task: Vec<u64>,
 }
@@ -87,16 +83,13 @@ pub struct Platform {
     models: Vec<Box<dyn RtmModel>>,
     dirs: Vec<Directory>,
     neighbours: Vec<[Option<usize>; 4]>,
-    /// Present under `SendPolicy::Multicast`: the tree-distribution
-    /// service layered over the unicast fabric.
-    mcast: Option<MulticastService>,
     cycle: Cycle,
     stats: PlatformStats,
     /// Deterministic sim-plane telemetry (cycle/scan/gossip counters);
     /// NoC message counters are merged in from the mesh on snapshot.
     sim: SimCounters,
 
-    // ---- activity-gating state (see DESIGN: "Performance architecture")
+    // ---- activity-gating state (see README: "Performance architecture")
     /// Per-node `models[idx].is_passive()`, cached so the hot loop can
     /// elide scan assembly without a virtual call.
     passive: Vec<bool>,
@@ -138,7 +131,6 @@ pub struct Platform {
     delivery_scratch: Vec<u16>,
     edge_scratch: Vec<(TaskId, u8, u8, sirtm_taskgraph::EdgeKind)>,
     evict_scratch: Vec<Packet>,
-    mcast_dests: Vec<NodeId>,
 }
 
 impl Platform {
@@ -181,7 +173,7 @@ impl Platform {
         let n_tasks = graph.len();
         let mut router_cfg = cfg.router.clone();
         router_cfg.n_tasks = n_tasks;
-        router_cfg.opportunistic_delivery = cfg.opportunistic_delivery && adaptive;
+        router_cfg.opportunistic_delivery = adaptive;
         let mut mesh = Mesh::new(cfg.dims, router_cfg);
         let mut pes = Vec::with_capacity(cfg.dims.len());
         for idx in 0..cfg.dims.len() {
@@ -205,8 +197,6 @@ impl Platform {
         for _ in 0..cfg.dir_dist_max {
             dirs = gossip_round(&dirs, &locals, &neighbours, n_tasks, cfg.dir_dist_max);
         }
-        let mcast = (cfg.send_policy == crate::config::SendPolicy::Multicast)
-            .then(|| MulticastService::new(cfg.dims));
         let passive: Vec<bool> = models.iter().map(|m| m.is_passive()).collect();
         let n = cfg.dims.len();
         let period = cfg.aim_period as usize;
@@ -224,7 +214,6 @@ impl Platform {
                 completions_per_task: vec![0; n_tasks],
                 ..PlatformStats::default()
             },
-            mcast,
             graph,
             n_tasks,
             mesh,
@@ -248,7 +237,6 @@ impl Platform {
             delivery_scratch: Vec::with_capacity(n),
             edge_scratch: Vec::new(),
             evict_scratch: Vec::new(),
-            mcast_dests: Vec::new(),
         }
     }
 
@@ -636,14 +624,6 @@ impl Platform {
                 let idx = raw as usize;
                 let node = NodeId::new(raw);
                 while let Some(pkt) = self.mesh.pop_delivered(node) {
-                    if let Some(svc) = self.mcast.as_mut() {
-                        // Pure relay stops forward the wave and consume
-                        // the copy; member stops fall through to PE
-                        // delivery.
-                        if !svc.on_delivered(&mut self.mesh, node, &pkt) {
-                            continue;
-                        }
-                    }
                     self.deliver(idx, pkt);
                 }
             }
@@ -724,13 +704,6 @@ impl Platform {
                 continue;
             }
             for pkt in self.mesh.take_delivered(node) {
-                if let Some(svc) = self.mcast.as_mut() {
-                    // Pure relay stops forward the wave and consume the
-                    // copy; member stops fall through to PE delivery.
-                    if !svc.on_delivered(&mut self.mesh, node, &pkt) {
-                        continue;
-                    }
-                }
                 self.deliver(idx, pkt);
             }
         }
@@ -848,57 +821,15 @@ impl Platform {
                 sirtm_taskgraph::EdgeKind::Data => PacketKind::Data,
                 sirtm_taskgraph::EdgeKind::Feedback => PacketKind::Ack,
             };
-            // Multicast policy: a multi-packet data edge (the fork of
-            // Fig. 3) becomes one tree-distributed wave over distinct
-            // instances; shared path prefixes are traversed once.
-            if let Some(svc) = self
-                .mcast
-                .as_mut()
-                .filter(|_| count > 1 && pkt_kind == PacketKind::Data)
-            {
-                let mut dests = std::mem::take(&mut self.mcast_dests);
-                self.dirs[idx].pick_distinct_into(to, count as usize, &mut dests);
-                if !dests.is_empty() {
-                    svc.send(&mut self.mesh, node, &dests, to, pkt_kind, payload);
-                    self.stats.multicast_groups += 1;
-                    self.stats.sends += dests.len() as u64;
-                    // Fewer known instances than fork branches: top the
-                    // wave up with unicasts so the join still fills.
-                    for _ in dests.len()..count as usize {
-                        match self.dirs[idx].pick(to) {
-                            Some(dest) => {
-                                self.mesh.inject(node, dest, to, pkt_kind, payload);
-                                self.stats.sends += 1;
-                            }
-                            None => {
-                                self.mesh.inject(node, node, to, pkt_kind, payload);
-                                self.stats.send_failures += 1;
-                            }
-                        }
-                    }
-                    dests.clear();
-                    self.mcast_dests = dests;
-                    continue;
-                }
-                dests.clear();
-                self.mcast_dests = dests;
-            }
             for _ in 0..count {
                 // Data flows to the nearest instance (locality builds the
                 // spatial work gradients the models forage on); feedback
                 // acks round-robin over the known instances so the
                 // colony's success signal reaches the whole source
                 // population, not just the closest member.
-                let resolved = match (self.cfg.send_policy, pkt_kind) {
-                    (_, PacketKind::Ack) => self.dirs[idx].pick(to),
-                    (crate::config::SendPolicy::Nearest, _) => self.dirs[idx].pick_nearest(to),
-                    // Multicast handled multi-packet data edges above;
-                    // what reaches here falls back to round-robin.
-                    (
-                        crate::config::SendPolicy::RoundRobin
-                        | crate::config::SendPolicy::Multicast,
-                        _,
-                    ) => self.dirs[idx].pick(to),
+                let resolved = match pkt_kind {
+                    PacketKind::Ack => self.dirs[idx].pick(to),
+                    _ => self.dirs[idx].pick_nearest(to),
                 };
                 match resolved {
                     Some(dest) => {
@@ -1264,57 +1195,6 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn multicast_policy_serves_the_pipeline_with_fewer_flit_hops() {
-        let run = |policy: crate::config::SendPolicy| {
-            let cfg = PlatformConfig {
-                dims: GridDims::new(4, 4),
-                dir_dist_max: 12,
-                send_policy: policy,
-                opportunistic_delivery: false,
-                ..PlatformConfig::default()
-            };
-            let g = graph();
-            let mapping = Mapping::heuristic(&g, cfg.dims);
-            let mut p = Platform::new(g, &mapping, &ModelKind::NoIntelligence, cfg);
-            p.run_ms(200.0);
-            (
-                p.completions(TaskId::new(2)),
-                p.mesh_stats().flit_hops,
-                p.stats().multicast_groups,
-            )
-        };
-        let (uni_sinks, uni_hops, uni_groups) = run(crate::config::SendPolicy::RoundRobin);
-        let (mc_sinks, mc_hops, mc_groups) = run(crate::config::SendPolicy::Multicast);
-        assert_eq!(uni_groups, 0);
-        assert!(mc_groups > 10, "fork waves went out as trees: {mc_groups}");
-        // The application behaves: the join stage still fills at a
-        // comparable rate.
-        assert!(
-            mc_sinks as f64 > uni_sinks as f64 * 0.8,
-            "multicast sinks {mc_sinks} vs unicast {uni_sinks}"
-        );
-        assert!(mc_sinks > 10);
-        // And the fabric carried measurably fewer flits per sink.
-        let uni_cost = uni_hops as f64 / uni_sinks as f64;
-        let mc_cost = mc_hops as f64 / mc_sinks as f64;
-        assert!(
-            mc_cost < uni_cost,
-            "tree distribution saves fabric work: {mc_cost:.1} vs {uni_cost:.1} hops/sink"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "opportunistic delivery disabled")]
-    fn multicast_with_opportunistic_delivery_rejected() {
-        let cfg = PlatformConfig {
-            send_policy: crate::config::SendPolicy::Multicast,
-            opportunistic_delivery: true,
-            ..PlatformConfig::default()
-        };
-        cfg.validate();
     }
 
     #[test]

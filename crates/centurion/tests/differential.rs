@@ -49,7 +49,6 @@ struct Observation {
     bounces: u64,
     bounce_drops: u64,
     switches: u64,
-    multicast_groups: u64,
     mesh: sirtm_noc::MeshStats,
     task_counts: Vec<usize>,
     alive: usize,
@@ -67,7 +66,6 @@ fn observe(p: &Platform, window_cycles: u64) -> Observation {
         bounces: stats.bounces,
         bounce_drops: stats.bounce_drops,
         switches: stats.task_switches,
-        multicast_groups: stats.multicast_groups,
         mesh: p.mesh_stats(),
         task_counts: p.task_counts(),
         alive: p.alive_count(),

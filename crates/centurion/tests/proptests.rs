@@ -57,21 +57,9 @@ fn apply(platform: &mut Platform, a: &Action) {
 }
 
 fn build(model: ModelKind, seed: u64) -> Platform {
-    build_with_policy(model, seed, sirtm_centurion::config::SendPolicy::Nearest)
-}
-
-fn build_with_policy(
-    model: ModelKind,
-    seed: u64,
-    send_policy: sirtm_centurion::config::SendPolicy,
-) -> Platform {
-    let multicast = send_policy == sirtm_centurion::config::SendPolicy::Multicast;
     let cfg = PlatformConfig {
         dims: GridDims::new(5, 5),
         dir_dist_max: 14,
-        send_policy,
-        // Multicast relay copies must surface at their addressed stop.
-        opportunistic_delivery: !multicast,
         ..PlatformConfig::default()
     };
     let graph = fork_join(&ForkJoinParams::default());
@@ -96,14 +84,7 @@ proptest! {
             1 => ModelKind::NetworkInteraction(NiConfig::default()),
             _ => ModelKind::ForagingForWork(FfwConfig::default()),
         };
-        // Chaos must also be survivable under the multicast send policy
-        // (relay duties racing kills and knob twiddles).
-        let policy = if seed.is_multiple_of(2) {
-            sirtm_centurion::config::SendPolicy::Nearest
-        } else {
-            sirtm_centurion::config::SendPolicy::Multicast
-        };
-        let mut p = build_with_policy(model, seed, policy);
+        let mut p = build(model, seed);
         for a in &actions {
             apply(&mut p, a);
             prop_assert!(p.alive_count() <= 25);

@@ -349,6 +349,7 @@ fn resolve_spec(args: &Args) -> ScenarioSpec {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", path.display())));
         return ScenarioSpec::from_json_text(&text)
+            .and_then(|spec| spec.check_grid().map(|()| spec))
             .unwrap_or_else(|e| die(&format!("bad spec {}: {e}", path.display())));
     }
     let name = args
@@ -364,8 +365,18 @@ fn resolve_sweep(args: &Args) -> SweepSpec {
     if let Some(path) = &args.sweep_file {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", path.display())));
-        return SweepSpec::from_json_text(&text)
+        let sweep = SweepSpec::from_json_text(&text)
             .unwrap_or_else(|e| die(&format!("bad sweep descriptor {}: {e}", path.display())));
+        for plan in sweep.expand().iter().filter(|p| p.replicate == 0) {
+            if let Err(e) = plan.spec.check_grid() {
+                die(&format!(
+                    "bad sweep descriptor {}: cell {}: {e}",
+                    path.display(),
+                    plan.cell
+                ));
+            }
+        }
+        return sweep;
     }
     let base = resolve_spec(args);
     SweepSpec {

@@ -5,12 +5,10 @@
 //! the original hand-rolled harness — same seeds, same mappings, same
 //! victims, same measures — which `tests/scenario_equivalence.rs` pins.
 
-use sirtm_centurion::{Platform, PlatformConfig};
+use sirtm_centurion::PlatformConfig;
 use sirtm_core::models::ModelKind;
-use sirtm_faults::Fault;
-use sirtm_scenario::timeline::CompiledAction;
 use sirtm_scenario::{
-    parallel_map, EventAction, EventSpec, MappingSpec, ScenarioSpec, Timeline, WorkloadSpec,
+    parallel_map, EventAction, EventSpec, MappingSpec, ScenarioSpec, WorkloadSpec,
 };
 use sirtm_taskgraph::workloads::{fork_join, ForkJoinParams};
 use sirtm_taskgraph::{TaskGraph, TaskId};
@@ -120,27 +118,6 @@ pub struct RunResult {
     pub final_rate: f64,
 }
 
-/// Builds the platform for a run (mapping, phases, model) without running
-/// it — examples and ablations reuse this.
-pub fn build_platform(spec: &RunSpec, cfg: &ExperimentConfig) -> Platform {
-    sirtm_scenario::build_platform(&cfg.scenario(&spec.model, spec.faults), spec.seed)
-}
-
-/// The deterministic fault set of a run (same seed → same victims, shared
-/// across models for paired comparison).
-pub fn fault_set(spec: &RunSpec, cfg: &ExperimentConfig) -> Vec<Fault> {
-    let timeline = Timeline::compile(&cfg.scenario(&spec.model, spec.faults), spec.seed);
-    timeline
-        .events()
-        .iter()
-        .filter_map(|e| match &e.action {
-            CompiledAction::Faults(faults) => Some(faults.clone()),
-            _ => None,
-        })
-        .next()
-        .unwrap_or_default()
-}
-
 /// Executes one run end to end.
 pub fn run_one(spec: &RunSpec, cfg: &ExperimentConfig) -> RunResult {
     let outcome = sirtm_scenario::run_spec(&cfg.scenario(&spec.model, spec.faults), spec.seed);
@@ -159,22 +136,6 @@ pub fn run_one(spec: &RunSpec, cfg: &ExperimentConfig) -> RunResult {
 /// regardless of scheduling (bit-identical to a sequential pass).
 pub fn run_many(specs: &[RunSpec], cfg: &ExperimentConfig) -> Vec<RunResult> {
     parallel_map(specs.len(), 0, |i| run_one(&specs[i], cfg))
-}
-
-/// The reference throughput every relative-performance figure is
-/// normalised to: the median steady rate of the No-Intelligence,
-/// fault-free configuration (the paper's highlighted table row).
-pub fn baseline_reference(cfg: &ExperimentConfig, runs: usize) -> f64 {
-    let specs: Vec<RunSpec> = (0..runs)
-        .map(|i| RunSpec {
-            model: ModelKind::NoIntelligence,
-            faults: 0,
-            seed: 0xBA5E_0000 + i as u64,
-        })
-        .collect();
-    let results = run_many(&specs, cfg);
-    let rates: Vec<f64> = results.iter().map(|r| r.final_rate).collect();
-    crate::stats::Quartiles::of(&rates).q2
 }
 
 #[cfg(test)]
@@ -248,29 +209,6 @@ mod tests {
         let b = run_one(&spec, &cfg);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.settle_ms, b.settle_ms);
-    }
-
-    #[test]
-    fn fault_sets_are_seed_stable_and_model_independent() {
-        let cfg = quick_cfg();
-        let a = fault_set(
-            &RunSpec {
-                model: ModelKind::NoIntelligence,
-                faults: 8,
-                seed: 3,
-            },
-            &cfg,
-        );
-        let b = fault_set(
-            &RunSpec {
-                model: ModelKind::ForagingForWork(FfwConfig::default()),
-                faults: 8,
-                seed: 3,
-            },
-            &cfg,
-        );
-        assert_eq!(a, b, "paired comparison needs identical victims");
-        assert_eq!(a.len(), 8);
     }
 
     #[test]

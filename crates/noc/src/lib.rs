@@ -29,14 +29,12 @@
 
 pub mod buffer;
 pub mod mesh;
-pub mod multicast;
 pub mod packet;
 pub mod router;
 pub mod types;
 
 pub use buffer::FlitBuffer;
 pub use mesh::{Mesh, MeshStats};
-pub use multicast::{MulticastService, MulticastStats, MulticastTree};
 pub use packet::{Flit, Packet, PacketId, PacketKind, RcapCommand, RouteMode};
 pub use router::{
     InPort, OutPort, Router, RouterConfig, RouterMonitors, RouterPlan, RouterSettings,

@@ -148,51 +148,6 @@ proptest! {
     }
 }
 
-proptest! {
-    /// Multicast trees cover every member, never cost more links than
-    /// unicast, and the relay service delivers to each member exactly
-    /// once on a live fabric — for arbitrary destination sets.
-    #[test]
-    fn multicast_tree_and_service_invariants(
-        root in 0u16..16,
-        dest_picks in proptest::collection::vec(0u16..16, 1..8),
-    ) {
-        use sirtm_noc::multicast::{MulticastService, MulticastTree};
-        use sirtm_taskgraph::GridDims;
-
-        let dims = GridDims::new(4, 4);
-        let root = NodeId::new(root);
-        let dests: Vec<NodeId> = dest_picks.iter().map(|&d| NodeId::new(d)).collect();
-        let tree = MulticastTree::xy(root, &dests, dims);
-        prop_assert!(tree.link_count() <= tree.unicast_link_count());
-        // Expected member set: distinct destinations, root excluded.
-        let mut expected: Vec<NodeId> = dests.clone();
-        expected.sort();
-        expected.dedup();
-        expected.retain(|&d| d != root);
-        prop_assert_eq!(tree.member_count(), expected.len());
-
-        let mut mesh = Mesh::new(dims, RouterConfig::default());
-        let mut service = MulticastService::new(dims);
-        service.send(&mut mesh, root, &dests, TaskId::new(0), PacketKind::Data, 1);
-        let mut got: Vec<NodeId> = Vec::new();
-        for _ in 0..600 {
-            mesh.step();
-            for i in 0..dims.len() {
-                let node = NodeId::new(i as u16);
-                for pkt in mesh.take_delivered(node) {
-                    if service.on_delivered(&mut mesh, node, &pkt) {
-                        got.push(node);
-                    }
-                }
-            }
-        }
-        got.sort();
-        prop_assert_eq!(got, expected, "each member exactly once");
-        prop_assert_eq!(service.in_flight(), 0);
-    }
-}
-
 /// One event of a [`FabricCase`]; node numbers wrap onto the grid.
 #[derive(Debug, Clone)]
 enum Event {

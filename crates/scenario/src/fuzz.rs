@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 
 use sirtm_rng::{Rng, SplitMix64};
-use sirtm_taskgraph::{GridDims, TaskId};
+use sirtm_taskgraph::{GridDims, Mapping, MappingError, TaskId};
 use sirtm_telemetry::SimCounters;
 
 use crate::json::{self, Json};
@@ -481,12 +481,6 @@ impl Operator {
     }
 }
 
-/// Clamps every event target and magnitude (and the duration/settle
-/// region) to the spec's own grid and run bounds, so no mutation or
-/// shrink step can produce a spec that `validate`/`Timeline::compile`
-/// rejects. This is the mutation-layer answer to
-/// `faults::random_nodes`-style saturation: out-of-range values clamp
-/// instead of panicking downstream.
 /// The workload's source tasks (the only valid phase-shift targets).
 fn source_tasks(spec: &ScenarioSpec) -> Vec<u8> {
     let graph = spec.graph();
@@ -495,7 +489,32 @@ fn source_tasks(spec: &ScenarioSpec) -> Vec<u8> {
         .collect()
 }
 
+/// Clamps every event target and magnitude (and the duration/settle
+/// region) to the spec's own grid and run bounds, and grows a grid too
+/// small for a heuristically placed graph, so no mutation or shrink step
+/// can produce a spec that `validate`/`check_grid`/`Timeline::compile`
+/// rejects. This is the mutation-layer answer to
+/// `faults::random_nodes`-style saturation: out-of-range values clamp
+/// instead of panicking downstream.
 pub fn clamp_spec(spec: &mut ScenarioSpec) {
+    // Grow the shorter side until the grid holds one instance of each
+    // heuristically placed graph (the fuzzer's own grids always do).
+    for (_, graph) in spec.heuristic_graphs() {
+        if let Err(MappingError::GridTooSmall { needed, .. }) =
+            Mapping::heuristic_checked(&graph, spec.grid())
+        {
+            let (mut w, mut h) = (spec.grid().width(), spec.grid().height());
+            while (w as usize) * (h as usize) < needed {
+                if w <= h {
+                    w += 1;
+                } else {
+                    h += 1;
+                }
+            }
+            spec.platform.dims = GridDims::new(w, h);
+            spec.platform.dir_dist_max = (w + h + 4).min(255) as u8;
+        }
+    }
     let dims = spec.grid();
     let (w, h) = (dims.width(), dims.height());
     let sources = source_tasks(spec);

@@ -15,7 +15,7 @@ use sirtm_telemetry::SimCounters;
 
 use crate::detect::{settling_ms, DetectorConfig};
 use crate::recorder::{Recorder, RunTrace};
-use crate::spec::{MappingSpec, ScenarioSpec};
+use crate::spec::ScenarioSpec;
 use crate::timeline::Timeline;
 
 /// Everything one run produced.
@@ -75,15 +75,10 @@ pub fn initial_mapping(
     graph: &sirtm_taskgraph::TaskGraph,
     rng: &mut Xoshiro256StarStar,
 ) -> Mapping {
-    let random = match spec.mapping {
-        MappingSpec::Auto => spec.model.is_adaptive(),
-        MappingSpec::Random => true,
-        MappingSpec::Heuristic => false,
-    };
-    if random {
-        Mapping::random_uniform(graph, spec.grid(), rng)
-    } else {
+    if spec.maps_heuristically() {
         Mapping::heuristic(graph, spec.grid())
+    } else {
+        Mapping::random_uniform(graph, spec.grid(), rng)
     }
 }
 
@@ -107,9 +102,13 @@ pub fn build_platform(spec: &ScenarioSpec, seed: u64) -> Platform {
 ///
 /// # Panics
 ///
-/// Panics if the spec is internally inconsistent.
+/// Panics if the spec is internally inconsistent, or its grid cannot hold
+/// a graph the run places heuristically ([`ScenarioSpec::check_grid`]).
 pub fn run_spec(spec: &ScenarioSpec, seed: u64) -> RunOutcome {
     spec.validate();
+    if let Err(e) = spec.check_grid() {
+        panic!("{e}");
+    }
     let mut platform = build_platform(spec, seed);
     let mut timeline = Timeline::compile(spec, seed);
     let mut recorder = Recorder::new(spec.window_ms, spec.sink());

@@ -18,7 +18,7 @@
 use sirtm_centurion::PlatformConfig;
 use sirtm_core::models::{FfwConfig, ModelKind, NiConfig};
 use sirtm_taskgraph::workloads::{self, ForkJoinParams};
-use sirtm_taskgraph::{GridDims, TaskGraph, TaskId};
+use sirtm_taskgraph::{GridDims, Mapping, TaskGraph, TaskId};
 
 use crate::detect::DetectorConfig;
 use crate::json::Json;
@@ -254,6 +254,51 @@ impl ScenarioSpec {
             .min_by(|a, b| a.total_cmp(b))
     }
 
+    /// Whether the initial placement is the Manhattan heuristic: always
+    /// under [`MappingSpec::Heuristic`], and for the non-adaptive baseline
+    /// under [`MappingSpec::Auto`] (the paper's protocol).
+    pub fn maps_heuristically(&self) -> bool {
+        match self.mapping {
+            MappingSpec::Auto => !self.model.is_adaptive(),
+            MappingSpec::Random => false,
+            MappingSpec::Heuristic => true,
+        }
+    }
+
+    /// Every graph the run places with the Manhattan heuristic, labelled:
+    /// the workload under a heuristic placement, and the stress workload
+    /// of each thermal event's runaway pre-run.
+    pub(crate) fn heuristic_graphs(&self) -> Vec<(&'static str, TaskGraph)> {
+        let workload = self
+            .maps_heuristically()
+            .then(|| ("workload", self.graph()));
+        let thermal = self.events.iter().filter_map(|e| match &e.action {
+            EventAction::ThermalFaults(t) => Some((
+                "thermal pre-run",
+                sirtm_thermal::stress_graph(t.generation_period),
+            )),
+            _ => None,
+        });
+        workload.into_iter().chain(thermal).collect()
+    }
+
+    /// Checks that the grid holds one instance of every graph the run
+    /// places with the Manhattan heuristic (see [`Self::maps_heuristically`]
+    /// and the thermal events' pre-runs). [`run_spec`] asserts this; the
+    /// `scenarios` CLI checks it on every loaded spec.
+    ///
+    /// [`run_spec`]: crate::run_spec
+    ///
+    /// # Errors
+    ///
+    /// Names the first graph the grid cannot hold.
+    pub fn check_grid(&self) -> Result<(), String> {
+        for (what, graph) in self.heuristic_graphs() {
+            Mapping::heuristic_checked(&graph, self.grid()).map_err(|e| format!("{what}: {e}"))?;
+        }
+        Ok(())
+    }
+
     /// Checks internal consistency.
     ///
     /// # Panics
@@ -322,15 +367,7 @@ impl ScenarioSpec {
     /// Returns a description of the first missing or malformed field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         let name = req_str(v, "name")?.to_string();
-        let grid = v.get("grid").ok_or("missing `grid`")?;
-        let grid = grid.as_arr().ok_or("`grid` must be [width, height]")?;
-        if grid.len() != 2 {
-            return Err("`grid` must be [width, height]".to_string());
-        }
-        let dims = GridDims::new(
-            num_as(grid[0].as_num(), "grid width")?,
-            num_as(grid[1].as_num(), "grid height")?,
-        );
+        let dims = grid_from_json(v.get("grid").ok_or("missing `grid`")?)?;
         let mut platform = PlatformConfig {
             dims,
             ..PlatformConfig::default()
@@ -642,6 +679,18 @@ fn opt_num(v: &Json, key: &str, default: f64) -> Result<f64, String> {
     }
 }
 
+/// Parses `[width, height]` grid dimensions, both non-zero.
+pub(crate) fn grid_from_json(v: &Json) -> Result<GridDims, String> {
+    let pair = v.as_arr().filter(|p| p.len() == 2);
+    let pair = pair.ok_or("`grid` must be [width, height]")?;
+    let width = num_as(pair[0].as_num(), "grid width")?;
+    let height = num_as(pair[1].as_num(), "grid height")?;
+    if width == 0 || height == 0 {
+        return Err(format!("grid {width}x{height} has a zero dimension"));
+    }
+    Ok(GridDims::new(width, height))
+}
+
 fn num_as(n: Option<f64>, what: &str) -> Result<u16, String> {
     let n = n.ok_or_else(|| format!("{what} must be a number"))?;
     if n < 0.0 || n > u16::MAX as f64 || n.fract() != 0.0 {
@@ -781,6 +830,10 @@ mod tests {
             ),
             (r#"{"name": "x", "model": "ffw", "duration_ms": 1}"#, "grid"),
             (
+                r#"{"name": "z", "grid": [0, 4], "model": "ffw", "duration_ms": 10}"#,
+                "zero dimension",
+            ),
+            (
                 r#"{"name": "x", "grid": [4,4], "model": "alien", "duration_ms": 1}"#,
                 "unknown model",
             ),
@@ -797,6 +850,28 @@ mod tests {
             let err = ScenarioSpec::from_json_text(text).expect_err("must fail");
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
         }
+    }
+
+    #[test]
+    fn check_grid_rejects_grids_too_small_for_a_heuristic_graph() {
+        let tiny = r#"{"name": "z", "grid": [1, 1], "model": "none", "duration_ms": 10}"#;
+        let mut spec = ScenarioSpec::from_json_text(tiny).expect("parses");
+        let err = spec
+            .check_grid()
+            .expect_err("the baseline maps heuristically");
+        assert!(err.starts_with("workload:"), "{err}");
+        // A random placement fits any grid...
+        spec.mapping = MappingSpec::Random;
+        assert_eq!(spec.check_grid(), Ok(()));
+        // ...but a thermal event's pre-run still maps heuristically.
+        spec.events.push(EventSpec {
+            at_ms: 5.0,
+            action: EventAction::ThermalFaults(ThermalEventSpec::default()),
+        });
+        let err = spec.check_grid().expect_err("the pre-run needs 5 nodes");
+        assert!(err.starts_with("thermal pre-run:"), "{err}");
+        spec.platform.dims = GridDims::new(1, 5);
+        assert_eq!(spec.check_grid(), Ok(()));
     }
 
     #[test]

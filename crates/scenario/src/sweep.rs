@@ -22,7 +22,9 @@ use sirtm_taskgraph::GridDims;
 
 use crate::json::Json;
 use crate::run::{run_spec, RunOutcome, RunSummary};
-use crate::spec::{model_from_name, model_name, EventAction, EventSpec, ScenarioSpec};
+use crate::spec::{
+    grid_from_json, model_from_name, model_name, EventAction, EventSpec, ScenarioSpec,
+};
 use crate::stats::{OnlineStats, Quartiles};
 
 /// One swept dimension. Applying a value mutates a copy of the base
@@ -388,14 +390,7 @@ fn axis_from_json(v: &Json) -> Result<Axis, String> {
         Some("grid") => Ok(Axis::Grid(
             values("values")?
                 .iter()
-                .map(|g| {
-                    let pair = g.as_arr().filter(|p| p.len() == 2);
-                    let pair = pair.ok_or("grid values must be [width, height]")?;
-                    match (pair[0].as_num(), pair[1].as_num()) {
-                        (Some(w), Some(h)) => Ok(GridDims::new(w as u16, h as u16)),
-                        _ => Err("grid dimensions must be numbers".to_string()),
-                    }
-                })
+                .map(grid_from_json)
                 .collect::<Result<Vec<_>, _>>()?,
         )),
         Some("duration_ms") => Ok(Axis::Duration(

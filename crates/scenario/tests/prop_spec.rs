@@ -8,6 +8,10 @@
 //!   fuzz corpus) without drifting.
 //! * [`ShardPlan`] partitions the run list: shard ranges are disjoint,
 //!   cover `0..run_count` in order, and are balanced to within one run.
+//!
+//! Clamped specs are also checked end to end: every one either fails
+//! [`ScenarioSpec::check_grid`] or runs a short horizon without panicking
+//! and renders an artefact that passes [`check_artifact`].
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -16,8 +20,8 @@ use proptest::sample::select;
 use sirtm_core::models::{FfwConfig, ModelKind, NiConfig};
 use sirtm_scenario::detect::DetectorConfig;
 use sirtm_scenario::{
-    clamp_spec, EventAction, EventSpec, MappingSpec, ScenarioSpec, ShardPlan, ThermalEventSpec,
-    Timeline, WorkloadSpec,
+    check_artifact, clamp_spec, run_sweep, EventAction, EventSpec, MappingSpec, ScenarioSpec,
+    SeedScheme, ShardPlan, SweepOptions, SweepSpec, ThermalEventSpec, Timeline, WorkloadSpec,
 };
 use sirtm_taskgraph::workloads::ForkJoinParams;
 use sirtm_taskgraph::GridDims;
@@ -238,5 +242,31 @@ proptest! {
         clamp_spec(&mut s);
         s.validate();
         let _ = Timeline::compile(&s, 42);
+    }
+
+    /// Robustness: a clamped spec, cut to at most four windows, either
+    /// fails the grid check or runs through the sweep orchestrator and
+    /// renders a structurally sound artefact.
+    #[test]
+    fn clamped_specs_run_and_render_checkable_artifacts(s in spec()) {
+        let mut s = s;
+        clamp_spec(&mut s);
+        s.duration_ms = s.duration_ms.min(4.0 * s.window_ms);
+        // Re-clamp: the shorter run pulls events and the settle region in.
+        clamp_spec(&mut s);
+        s.validate();
+        if s.check_grid().is_ok() {
+            let sweep = SweepSpec {
+                name: s.name.clone(),
+                base: s,
+                axes: vec![],
+                replicates: 1,
+                seeds: SeedScheme::Derived { root: 42 },
+            };
+            let text = run_sweep(&sweep, SweepOptions { threads: 1 })
+                .to_json()
+                .render_pretty();
+            prop_assert_eq!(check_artifact(&text), Ok(1));
+        }
     }
 }

@@ -74,5 +74,5 @@ pub use coupling::{ThermalLoop, ThermalSample, ThermalTrace};
 pub use governor::{GovernorConfig, NoGovernor, ThermalAction, ThermalGovernor, ThresholdGovernor};
 pub use grid::ThermalGrid;
 pub use power::{PowerModel, PowerModelConfig};
-pub use scenario::{thermal_fault_scenario, ThermalScenario, ThermalScenarioReport};
+pub use scenario::{stress_graph, thermal_fault_scenario, ThermalScenario, ThermalScenarioReport};
 pub use sensor::{RingOscillator, SensorBank, SensorConfig};

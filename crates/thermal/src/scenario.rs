@@ -16,7 +16,7 @@ use sirtm_core::models::ModelKind;
 use sirtm_faults::{Fault, FaultEvent, FaultKind, FaultSchedule};
 use sirtm_noc::{Cycle, NodeId};
 use sirtm_taskgraph::workloads::{fork_join, ForkJoinParams};
-use sirtm_taskgraph::Mapping;
+use sirtm_taskgraph::{Mapping, TaskGraph};
 
 use crate::config::ThermalConfig;
 use crate::coupling::ThermalLoop;
@@ -82,6 +82,15 @@ impl ThermalScenarioReport {
     }
 }
 
+/// The stress workload of the runaway pre-run: the Fig. 3 fork-join at
+/// `generation_period`, placed with the Manhattan heuristic.
+pub fn stress_graph(generation_period: u32) -> TaskGraph {
+    fork_join(&ForkJoinParams {
+        generation_period,
+        ..ForkJoinParams::default()
+    })
+}
+
 /// Runs the unmanaged runaway and converts the tiles that crossed the
 /// trip temperature into a [`FaultSchedule`] firing at `fault_at` —
 /// the paper's protocol (all faults injected at a single instant).
@@ -100,16 +109,14 @@ impl ThermalScenarioReport {
 ///
 /// # Panics
 ///
-/// Panics if the scenario's platform grid differs from `thermal.dims`.
+/// Panics if the scenario's platform grid differs from `thermal.dims`,
+/// or cannot hold one instance of the [`stress_graph`].
 pub fn thermal_fault_scenario(
     scenario: &ThermalScenario,
     thermal: &ThermalConfig,
     fault_at: Cycle,
 ) -> (FaultSchedule, ThermalScenarioReport) {
-    let graph = fork_join(&ForkJoinParams {
-        generation_period: scenario.generation_period,
-        ..ForkJoinParams::default()
-    });
+    let graph = stress_graph(scenario.generation_period);
     let mapping = Mapping::heuristic(&graph, scenario.platform.dims);
     let mut platform = Platform::new(
         graph,
