@@ -34,7 +34,10 @@ pub mod pe;
 pub mod platform;
 pub mod render;
 
-pub use config::PlatformConfig;
+pub use config::{
+    PlatformConfig, AIM_PERIOD, FEED_GAIN_MULTIPLIER, FOREIGN_CAP, FREQ_RANGE_MHZ, GOSSIP_PERIOD,
+    MAX_BOUNCES, NOMINAL_MHZ, QUEUE_CAP, RECENT_DEMAND_WINDOW,
+};
 pub use controller::ExperimentController;
 pub use directory::{DirEntry, Directory};
 pub use pe::{Accept, PeStats, ProcessingElement};

@@ -3,11 +3,14 @@
 
 use sirtm_core::io::AimIo;
 use sirtm_core::models::{ModelKind, RtmModel};
-use sirtm_noc::{Cycle, Mesh, MeshStats, NodeId, Packet, PacketKind, Port, Router};
+use sirtm_noc::{Cycle, Mesh, MeshStats, NodeId, Packet, PacketKind, Port, Router, RouterConfig};
 use sirtm_taskgraph::{Mapping, TaskGraph, TaskId};
 use sirtm_telemetry::SimCounters;
 
-use crate::config::PlatformConfig;
+use crate::config::{
+    PlatformConfig, AIM_PERIOD, FEED_GAIN_MULTIPLIER, FOREIGN_CAP, FREQ_RANGE_MHZ, GOSSIP_PERIOD,
+    MAX_BOUNCES, NOMINAL_MHZ, QUEUE_CAP, RECENT_DEMAND_WINDOW,
+};
 use crate::directory::{gossip_round, gossip_round_into, Directory};
 use crate::pe::{Accept, PeStats, ProcessingElement};
 
@@ -83,6 +86,8 @@ pub struct Platform {
     models: Vec<Box<dyn RtmModel>>,
     dirs: Vec<Directory>,
     neighbours: Vec<[Option<usize>; 4]>,
+    /// Gossip staleness bound in hops, derived from the grid.
+    dir_dist_max: u8,
     cycle: Cycle,
     stats: PlatformStats,
     /// Deterministic sim-plane telemetry (cycle/scan/gossip counters);
@@ -113,7 +118,7 @@ pub struct Platform {
     /// then a provable fixpoint and is skipped until an advertised task
     /// or directory changes.
     gossip_converged: bool,
-    /// `scan_buckets[now % aim_period]` = nodes whose staggered AIM scan
+    /// `scan_buckets[now % AIM_PERIOD]` = nodes whose staggered AIM scan
     /// is due at that residue (ascending node order).
     scan_buckets: Vec<Vec<u32>>,
     /// Per-residue count of alive, non-passive nodes — the scan events
@@ -171,15 +176,18 @@ impl Platform {
         assert_eq!(mapping.dims(), cfg.dims, "mapping grid mismatch");
         assert_eq!(models.len(), cfg.dims.len(), "one model per node");
         let n_tasks = graph.len();
-        let mut router_cfg = cfg.router.clone();
-        router_cfg.n_tasks = n_tasks;
-        router_cfg.opportunistic_delivery = adaptive;
+        // Routers deliver task-affine packets opportunistically exactly
+        // when the colony is adaptive (never for the baseline).
+        let router_cfg = RouterConfig {
+            n_tasks,
+            opportunistic_delivery: adaptive,
+            ..RouterConfig::default()
+        };
         let mut mesh = Mesh::new(cfg.dims, router_cfg);
         let mut pes = Vec::with_capacity(cfg.dims.len());
         for idx in 0..cfg.dims.len() {
             let node = NodeId::new(idx as u16);
-            let mut pe =
-                ProcessingElement::new(node, cfg.nominal_mhz, cfg.queue_cap, cfg.foreign_cap);
+            let mut pe = ProcessingElement::new(node, NOMINAL_MHZ, QUEUE_CAP, FOREIGN_CAP);
             if let Some(task) = mapping.task_of(idx) {
                 pe.switch_task(task, &graph, 0, false);
                 mesh.router_mut(node).settings_mut().local_task = Some(task);
@@ -193,13 +201,17 @@ impl Platform {
         // Pre-warm the gossip directories: the loaded mapping is known to
         // every node at t = 0, exactly as a freshly configured platform
         // would be. Adaptation churn still updates them live afterwards.
+        // The staleness bound covers the grid's diameter plus slack, so
+        // every node learns of every task instance.
+        let (w, h) = (u32::from(cfg.dims.width()), u32::from(cfg.dims.height()));
+        let dir_dist_max = (w + h + 4).min(255) as u8;
         let locals: Vec<Option<TaskId>> = pes.iter().map(ProcessingElement::task).collect();
-        for _ in 0..cfg.dir_dist_max {
-            dirs = gossip_round(&dirs, &locals, &neighbours, n_tasks, cfg.dir_dist_max);
+        for _ in 0..dir_dist_max {
+            dirs = gossip_round(&dirs, &locals, &neighbours, n_tasks, dir_dist_max);
         }
         let passive: Vec<bool> = models.iter().map(|m| m.is_passive()).collect();
         let n = cfg.dims.len();
-        let period = cfg.aim_period as usize;
+        let period = AIM_PERIOD as usize;
         let mut scan_buckets = vec![Vec::new(); period];
         let mut scan_residue_live = vec![0u32; period];
         for (idx, &is_passive) in passive.iter().enumerate() {
@@ -222,6 +234,7 @@ impl Platform {
             dirs_next: dirs.clone(),
             dirs,
             neighbours,
+            dir_dist_max,
             cycle: 0,
             sim: SimCounters::default(),
             cfg,
@@ -422,7 +435,7 @@ impl Platform {
         self.locals[idx] = None;
         self.gossip_converged = false;
         if was_alive && !self.passive[idx] {
-            let r = scan_residue(idx, self.cfg.aim_period as u64) as usize;
+            let r = scan_residue(idx, AIM_PERIOD as u64) as usize;
             self.scan_residue_live[r] -= 1;
         }
     }
@@ -468,7 +481,7 @@ impl Platform {
     ///
     /// Panics if `node` is off-grid.
     pub fn set_frequency(&mut self, node: NodeId, mhz: u16) {
-        let (lo, hi) = self.cfg.freq_range_mhz;
+        let (lo, hi) = FREQ_RANGE_MHZ;
         self.pes[node.index()].set_frequency_mhz(mhz.clamp(lo, hi));
     }
 
@@ -579,7 +592,7 @@ impl Platform {
                 next = next.min(s);
             }
             if !self.gossip_converged {
-                next = next.min(next_multiple(self.cycle, self.cfg.gossip_period as u64));
+                next = next.min(next_multiple(self.cycle, GOSSIP_PERIOD as u64));
             }
             if next > self.cycle {
                 // A PE that stays mid-work over the jump (its completion
@@ -597,7 +610,7 @@ impl Platform {
     /// non-passive node's staggered AIM scan is due; `None` when no such
     /// node remains and scans cannot change a decision.
     fn next_scan_event(&self) -> Option<Cycle> {
-        let period = self.cfg.aim_period as u64;
+        let period = AIM_PERIOD as u64;
         (self.cycle..self.cycle + period)
             .find(|t| self.scan_residue_live[(t % period) as usize] > 0)
     }
@@ -649,7 +662,7 @@ impl Platform {
         // 3. Phase-staggered AIM scans (unsynchronised hardware AIMs),
         // via the precomputed residue buckets instead of 128 modulo
         // tests.
-        let r = (now % self.cfg.aim_period as u64) as usize;
+        let r = (now % AIM_PERIOD as u64) as usize;
         self.sim.aim_scans += self.scan_buckets[r].len() as u64;
         for k in 0..self.scan_buckets[r].len() {
             let idx = self.scan_buckets[r][k] as usize;
@@ -658,7 +671,7 @@ impl Platform {
         // 4. Gossip directory round, double-buffered; once a round
         // reproduces its input it is a fixpoint and is skipped until an
         // advertised task or directory changes.
-        if now.is_multiple_of(self.cfg.gossip_period as u64) && !self.gossip_converged {
+        if now.is_multiple_of(GOSSIP_PERIOD as u64) && !self.gossip_converged {
             self.sim.gossip_rounds += 1;
             let mut next = std::mem::take(&mut self.dirs_next);
             gossip_round_into(
@@ -666,7 +679,7 @@ impl Platform {
                 &self.locals,
                 &self.neighbours,
                 self.n_tasks,
-                self.cfg.dir_dist_max,
+                self.dir_dist_max,
                 &mut next,
             );
             if next == self.dirs {
@@ -715,7 +728,7 @@ impl Platform {
             }
         }
         // 3. Phase-staggered AIM scans (unsynchronised hardware AIMs).
-        let period = self.cfg.aim_period as u64;
+        let period = AIM_PERIOD as u64;
         for idx in 0..self.pes.len() {
             if (now + idx as u64 * 7).is_multiple_of(period) {
                 self.sim.aim_scans += 1;
@@ -723,7 +736,7 @@ impl Platform {
             }
         }
         // 4. Gossip directory round.
-        if now.is_multiple_of(self.cfg.gossip_period as u64) {
+        if now.is_multiple_of(GOSSIP_PERIOD as u64) {
             self.sim.gossip_rounds += 1;
             let locals: Vec<Option<TaskId>> = self
                 .pes
@@ -735,7 +748,7 @@ impl Platform {
                 &locals,
                 &self.neighbours,
                 self.n_tasks,
-                self.cfg.dir_dist_max,
+                self.dir_dist_max,
             );
         }
         // 5. Fabric cycle, every router stepped.
@@ -781,7 +794,7 @@ impl Platform {
     /// task, or drops it when the bounce budget is spent / nobody else
     /// runs the task.
     fn bounce(&mut self, idx: usize, pkt: Packet) {
-        if pkt.bounces >= self.cfg.max_bounces {
+        if pkt.bounces >= MAX_BOUNCES {
             self.stats.bounce_drops += 1;
             return;
         }
@@ -900,9 +913,8 @@ impl Platform {
         let feed = {
             let (data, acks) = self.pes[idx].take_feed_counts();
             let gain = self.pes[idx].task().map_or(1, |t| {
-                let service_scans =
-                    (self.graph.spec(t).service_cycles / self.cfg.aim_period).max(1);
-                service_scans * self.cfg.feed_gain_multiplier
+                let service_scans = (self.graph.spec(t).service_cycles / AIM_PERIOD).max(1);
+                service_scans * FEED_GAIN_MULTIPLIER
             });
             data.saturating_mul(gain)
                 .saturating_add(acks.saturating_mul(255))
@@ -914,9 +926,9 @@ impl Platform {
             pe: &self.pes[idx],
             neighbours: nb,
             now,
-            period: self.cfg.aim_period as u64,
+            period: AIM_PERIOD as u64,
             n_tasks: self.n_tasks,
-            recent_window: self.cfg.recent_demand_window,
+            recent_window: RECENT_DEMAND_WINDOW,
             feed,
             switch_to: None,
         };
@@ -1063,7 +1075,6 @@ mod tests {
     fn small_cfg() -> PlatformConfig {
         PlatformConfig {
             dims: GridDims::new(4, 4),
-            dir_dist_max: 12,
             ..PlatformConfig::default()
         }
     }

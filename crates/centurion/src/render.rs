@@ -86,7 +86,6 @@ mod tests {
     fn platform() -> Platform {
         let cfg = PlatformConfig {
             dims: GridDims::new(4, 4),
-            dir_dist_max: 12,
             ..PlatformConfig::default()
         };
         let g = fork_join(&ForkJoinParams::default());

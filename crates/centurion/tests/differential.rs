@@ -20,7 +20,6 @@ use sirtm_taskgraph::{GridDims, Mapping};
 fn config(dims: GridDims) -> PlatformConfig {
     PlatformConfig {
         dims,
-        dir_dist_max: 12,
         ..PlatformConfig::default()
     }
 }

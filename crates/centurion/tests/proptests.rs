@@ -59,7 +59,6 @@ fn apply(platform: &mut Platform, a: &Action) {
 fn build(model: ModelKind, seed: u64) -> Platform {
     let cfg = PlatformConfig {
         dims: GridDims::new(5, 5),
-        dir_dist_max: 14,
         ..PlatformConfig::default()
     };
     let graph = fork_join(&ForkJoinParams::default());

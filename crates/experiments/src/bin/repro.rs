@@ -11,8 +11,9 @@
 
 use std::path::PathBuf;
 
-use sirtm_experiments::harness::ExperimentConfig;
+use sirtm_core::models::ModelKind;
 use sirtm_experiments::{fig4, table1, table2, thermal_ext};
+use sirtm_scenario::ScenarioSpec;
 use sirtm_taskgraph::{workloads, FlowAnalysis};
 
 struct Args {
@@ -101,35 +102,34 @@ fn print_graph() {
 
 fn main() {
     let args = parse_args();
-    let cfg = ExperimentConfig {
-        runs: args.runs,
-        ..ExperimentConfig::default()
+    // The paper's protocol: the 8x16 Centurion running the Fig. 3
+    // fork-join for 1000 ms in 2 ms windows, settling measured strictly
+    // before the 500 ms fault instant. Fig. 4 plots 10 ms windows.
+    let mut base = ScenarioSpec::new("paper", ModelKind::NoIntelligence);
+    base.settle_region_ms = Some(500.0);
+    let fig4_base = ScenarioSpec {
+        window_ms: 10.0,
+        ..base.clone()
     };
     let started = std::time::Instant::now();
     match args.command.as_str() {
         "graph" => print_graph(),
         "table1" => {
-            let t = table1::run(&cfg);
+            let t = table1::run(&base, args.runs);
             println!("{}", table1::render(&t));
             if let Err(e) = table1::write_csv(&t, &args.out.join("table1.csv")) {
                 eprintln!("repro: CSV write failed: {e}");
             }
         }
         "table2" => {
-            let t = table2::run(&cfg);
+            let t = table2::run(&base, args.runs);
             println!("{}", table2::render(&t));
             if let Err(e) = table2::write_csv(&t, &args.out.join("table2.csv")) {
                 eprintln!("repro: CSV write failed: {e}");
             }
         }
         "fig4" => {
-            let f = fig4::run(
-                &ExperimentConfig {
-                    window_ms: 10.0,
-                    ..cfg
-                },
-                args.seed,
-            );
+            let f = fig4::run(&fig4_base, args.seed);
             println!("{}", fig4::render(&f, 80));
             match fig4::write_csvs(&f, &args.out) {
                 Ok(files) => {
@@ -147,19 +147,13 @@ fn main() {
         }
         "all" => {
             print_graph();
-            let t1 = table1::run(&cfg);
+            let t1 = table1::run(&base, args.runs);
             println!("\n{}", table1::render(&t1));
             let _ = table1::write_csv(&t1, &args.out.join("table1.csv"));
-            let t2 = table2::run(&cfg);
+            let t2 = table2::run(&base, args.runs);
             println!("\n{}", table2::render(&t2));
             let _ = table2::write_csv(&t2, &args.out.join("table2.csv"));
-            let f = fig4::run(
-                &ExperimentConfig {
-                    window_ms: 10.0,
-                    ..cfg
-                },
-                args.seed,
-            );
+            let f = fig4::run(&fig4_base, args.seed);
             println!("{}", fig4::render(&f, 80));
             if let Ok(files) = fig4::write_csvs(&f, &args.out) {
                 println!("\nCSV series written under {}", args.out.display());

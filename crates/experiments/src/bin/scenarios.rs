@@ -368,7 +368,7 @@ fn resolve_sweep(args: &Args) -> SweepSpec {
         let sweep = SweepSpec::from_json_text(&text)
             .unwrap_or_else(|e| die(&format!("bad sweep descriptor {}: {e}", path.display())));
         for plan in sweep.expand().iter().filter(|p| p.replicate == 0) {
-            if let Err(e) = plan.spec.check_grid() {
+            if let Err(e) = plan.spec.check().and_then(|()| plan.spec.check_grid()) {
                 die(&format!(
                     "bad sweep descriptor {}: cell {}: {e}",
                     path.display(),

@@ -4,8 +4,9 @@
 
 use std::path::Path;
 
-use crate::harness::{run_one, ExperimentConfig, RunSpec};
-use crate::recorder::RunTrace;
+use sirtm_scenario::recorder::RunTrace;
+use sirtm_scenario::{run_spec, EventAction, EventSpec, ScenarioSpec};
+
 use crate::render::{downsample, sparkline, write_csv};
 use crate::table1::paper_models;
 
@@ -41,32 +42,34 @@ pub struct Fig4 {
 }
 
 /// Regenerates the figure's data (one representative seed; the figure in
-/// the paper is likewise a typical single run).
-pub fn run(cfg: &ExperimentConfig, seed: u64) -> Fig4 {
+/// the paper is likewise a typical single run). Each model runs `base`
+/// with the panel's faults at the end of its settle region.
+pub fn run(base: &ScenarioSpec, seed: u64) -> Fig4 {
+    let fault_at_ms = crate::fault_at_ms(base);
     let panels = FIG4_FAULTS
         .iter()
         .map(|&faults| Fig4Panel {
             faults,
             traces: paper_models()
                 .into_iter()
-                .map(|(name, model)| Fig4Trace {
-                    model: name,
-                    trace: run_one(
-                        &RunSpec {
-                            model,
-                            faults,
-                            seed,
-                        },
-                        cfg,
-                    )
-                    .trace,
+                .map(|(name, model)| {
+                    let mut spec = base.clone();
+                    spec.model = model;
+                    spec.events = vec![EventSpec {
+                        at_ms: fault_at_ms,
+                        action: EventAction::RandomPeFaults { count: faults },
+                    }];
+                    Fig4Trace {
+                        model: name,
+                        trace: run_spec(&spec, seed).trace,
+                    }
                 })
                 .collect(),
         })
         .collect();
     Fig4 {
         panels,
-        fault_at_ms: cfg.fault_at_ms,
+        fault_at_ms,
     }
 }
 
@@ -178,17 +181,20 @@ pub fn write_csvs(fig: &Fig4, dir: &Path) -> std::io::Result<Vec<std::path::Path
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sirtm_core::models::ModelKind;
+
+    /// A `duration_ms` run in 10 ms windows, faulted halfway.
+    fn base(duration_ms: f64) -> ScenarioSpec {
+        let mut spec = ScenarioSpec::new("fig4", ModelKind::NoIntelligence);
+        spec.duration_ms = duration_ms;
+        spec.window_ms = 10.0;
+        spec.settle_region_ms = Some(duration_ms / 2.0);
+        spec
+    }
 
     #[test]
     fn fig4_panels_have_three_models_and_fault_drop() {
-        let cfg = ExperimentConfig {
-            duration_ms: 200.0,
-            fault_at_ms: 100.0,
-            window_ms: 10.0,
-            runs: 1,
-            ..ExperimentConfig::default()
-        };
-        let fig = run(&cfg, 9);
+        let fig = run(&base(200.0), 9);
         assert_eq!(fig.panels.len(), 2);
         assert_eq!(fig.panels[0].faults, 5);
         assert_eq!(fig.panels[1].faults, 42);
@@ -210,14 +216,7 @@ mod tests {
 
     #[test]
     fn fig4_csvs_written() {
-        let cfg = ExperimentConfig {
-            duration_ms: 60.0,
-            fault_at_ms: 30.0,
-            window_ms: 10.0,
-            runs: 1,
-            ..ExperimentConfig::default()
-        };
-        let fig = run(&cfg, 3);
+        let fig = run(&base(60.0), 3);
         let dir = std::env::temp_dir().join("sirtm_fig4_test");
         let files = write_csvs(&fig, &dir).expect("writes");
         assert_eq!(files.len(), 6, "2 panels x 3 models");

@@ -8,34 +8,32 @@
 //! | Fig. 4 (time series, 5 & 42 faults) | [`fig4`] | `repro -- fig4` |
 //!
 //! Every table is a thin view over the scenario engine
-//! ([`sirtm_scenario`]): the experiment configurations convert to
-//! declarative [`sirtm_scenario::ScenarioSpec`]s, the tables are
-//! [`sirtm_scenario::SweepSpec`]s, and execution goes through the
-//! parallel deterministic sweep orchestrator. The measurement stack
-//! ([`recorder`], [`detect`], [`stats`]) lives in `sirtm-scenario` and
-//! is re-exported here under its historical paths.
-//!
-//! Building blocks: [`harness`] (legacy-shaped run construction over
-//! scenario specs) and [`render`] (ASCII tables, sparklines, CSV).
+//! ([`sirtm_scenario`]): each takes a base
+//! [`sirtm_scenario::ScenarioSpec`] that carries the paper's protocol,
+//! the tables are [`sirtm_scenario::SweepSpec`]s, and execution goes
+//! through the parallel deterministic sweep orchestrator.
+//! [`render`] draws ASCII tables, sparklines and CSV.
 //!
 //! # Examples
 //!
-//! ```
-//! use sirtm_experiments::harness::{run_one, ExperimentConfig, RunSpec};
-//! use sirtm_core::models::ModelKind;
+//! One run of the paper's protocol is one spec, executed by
+//! [`sirtm_scenario::run_spec`]:
 //!
-//! let cfg = ExperimentConfig {
-//!     duration_ms: 60.0,
-//!     fault_at_ms: 30.0,
-//!     window_ms: 10.0,
-//!     ..ExperimentConfig::default()
-//! };
-//! let result = run_one(
-//!     &RunSpec { model: ModelKind::NoIntelligence, faults: 2, seed: 7 },
-//!     &cfg,
-//! );
-//! assert_eq!(result.trace.samples.len(), 6);
-//! assert!(result.recovery_ms.is_some());
+//! ```
+//! use sirtm_core::models::ModelKind;
+//! use sirtm_scenario::{run_spec, EventAction, EventSpec, ScenarioSpec};
+//!
+//! let mut spec = ScenarioSpec::new("quick", ModelKind::NoIntelligence);
+//! spec.duration_ms = 60.0;
+//! spec.window_ms = 10.0;
+//! spec.settle_region_ms = Some(30.0);
+//! spec.events = vec![EventSpec {
+//!     at_ms: 30.0,
+//!     action: EventAction::RandomPeFaults { count: 2 },
+//! }];
+//! let outcome = run_spec(&spec, 7);
+//! assert_eq!(outcome.trace.samples.len(), 6);
+//! assert!(outcome.recovery_ms.is_some());
 //! ```
 //!
 //! Tables are sweeps, and any sweep — tables included — shards and
@@ -69,14 +67,17 @@
 //! );
 //! ```
 
+use sirtm_scenario::ScenarioSpec;
+
 pub mod fig4;
-pub mod harness;
 pub mod render;
 pub mod table1;
 pub mod table2;
 pub mod thermal_ext;
 
-pub use sirtm_scenario::{detect, recorder, stats};
-
-pub use harness::{run_many, run_one, ExperimentConfig, RunResult, RunSpec};
-pub use stats::Quartiles;
+/// The fault-injection instant of the paper's protocol over `base`: the
+/// end of its settle region (the paper injects at 500 ms and measures
+/// settling strictly before), or the end of the run when it has none.
+pub(crate) fn fault_at_ms(base: &ScenarioSpec) -> f64 {
+    base.settle_region_ms.unwrap_or(base.duration_ms)
+}

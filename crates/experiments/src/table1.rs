@@ -11,10 +11,8 @@
 //! deterministic orchestrator.
 
 use sirtm_core::models::{FfwConfig, ModelKind, NiConfig};
-use sirtm_scenario::{presets, run_sweep, SweepOptions, SweepSpec};
-
-use crate::harness::ExperimentConfig;
-use crate::stats::Quartiles;
+use sirtm_scenario::stats::Quartiles;
+use sirtm_scenario::{presets, run_sweep, ScenarioSpec, SweepOptions, SweepSpec};
 
 /// One Table I row.
 #[derive(Debug, Clone)]
@@ -75,14 +73,15 @@ pub(crate) fn cell_model(cell: &sirtm_scenario::CellResult) -> String {
         .unwrap_or_else(|| cell.spec.model.name().to_string())
 }
 
-/// Table I as a sweep spec (fault-free, model axis, historical seeds).
-pub fn sweep(cfg: &ExperimentConfig) -> SweepSpec {
-    presets::table1_sweep(cfg.scenario(&ModelKind::NoIntelligence, 0), cfg.runs)
+/// Table I as a sweep spec: `runs` replicates of the fault-free `base`
+/// per paper model, with the historical seeds.
+pub fn sweep(base: &ScenarioSpec, runs: usize) -> SweepSpec {
+    presets::table1_sweep(base.clone(), runs)
 }
 
-/// Regenerates Table I.
-pub fn run(cfg: &ExperimentConfig) -> Table1 {
-    let result = run_sweep(&sweep(cfg), SweepOptions::default());
+/// Regenerates Table I from a fault-free `base`.
+pub fn run(base: &ScenarioSpec, runs: usize) -> Table1 {
+    let result = run_sweep(&sweep(base, runs), SweepOptions::default());
     // Normalise to the baseline's own median (the paper's highlighted row).
     let reference_rate = result.cells[0].final_rate.q2.max(1e-9);
     let rows = result
@@ -97,7 +96,7 @@ pub fn run(cfg: &ExperimentConfig) -> Table1 {
     Table1 {
         rows,
         reference_rate,
-        runs: cfg.runs,
+        runs,
     }
 }
 
@@ -177,13 +176,10 @@ mod tests {
     fn small_table1_has_paper_shape() {
         // A reduced-size smoke check of the full pipeline; `repro table1`
         // produces the full 100-run numbers.
-        let cfg = ExperimentConfig {
-            runs: 3,
-            duration_ms: 250.0,
-            fault_at_ms: 250.0,
-            ..ExperimentConfig::default()
-        };
-        let t = run(&cfg);
+        let mut base = ScenarioSpec::new("t1", ModelKind::NoIntelligence);
+        base.duration_ms = 250.0;
+        base.settle_region_ms = Some(250.0);
+        let t = run(&base, 3);
         assert_eq!(t.rows.len(), 3);
         assert_eq!(t.rows[0].model, "No Intelligence");
         // The baseline row is the reference: its median is 100%.

@@ -9,11 +9,8 @@
 //! The table is one declarative sweep: model × fault level (see
 //! [`sirtm_scenario::presets::table2_sweep`]), seeded `20000 + i`.
 
-use sirtm_core::models::ModelKind;
-use sirtm_scenario::{presets, run_sweep, SweepOptions, SweepSpec};
-
-use crate::harness::ExperimentConfig;
-use crate::stats::Quartiles;
+use sirtm_scenario::stats::Quartiles;
+use sirtm_scenario::{presets, run_sweep, ScenarioSpec, SweepOptions, SweepSpec};
 
 /// The paper's fault sweep.
 pub const FAULT_LEVELS: [usize; 6] = [0, 2, 4, 8, 16, 32];
@@ -41,19 +38,16 @@ pub struct Table2 {
     pub reference_rate: f64,
 }
 
-/// Table II as a sweep spec (model × fault axes, historical seeds).
-pub fn sweep(cfg: &ExperimentConfig) -> SweepSpec {
-    presets::table2_sweep(
-        cfg.scenario(&ModelKind::NoIntelligence, 0),
-        cfg.fault_at_ms,
-        &FAULT_LEVELS,
-        cfg.runs,
-    )
+/// Table II as a sweep spec: `runs` replicates per model × fault level,
+/// with the historical seeds. The faults land at the end of `base`'s
+/// settle region.
+pub fn sweep(base: &ScenarioSpec, runs: usize) -> SweepSpec {
+    presets::table2_sweep(base.clone(), crate::fault_at_ms(base), &FAULT_LEVELS, runs)
 }
 
 /// Regenerates Table II.
-pub fn run(cfg: &ExperimentConfig) -> Table2 {
-    let result = run_sweep(&sweep(cfg), SweepOptions::default());
+pub fn run(base: &ScenarioSpec, runs: usize) -> Table2 {
+    let result = run_sweep(&sweep(base, runs), SweepOptions::default());
     // First cell is the baseline, 0 faults: the highlighted row.
     let reference_rate = result.cells[0].final_rate.q2.max(1e-9);
     let rows = result
@@ -144,7 +138,7 @@ pub fn write_csv(table: &Table2, path: &std::path::Path) -> std::io::Result<()> 
         .rows
         .iter()
         .map(|r| {
-            let rec = |f: fn(&crate::stats::Quartiles) -> f64| {
+            let rec = |f: fn(&Quartiles) -> f64| {
                 r.recovery_ms
                     .as_ref()
                     .map(|q| format!("{:.1}", f(q)))
@@ -168,23 +162,14 @@ pub fn write_csv(table: &Table2, path: &std::path::Path) -> std::io::Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sirtm_core::models::ModelKind;
 
     #[test]
     fn small_table2_shows_degradation_with_faults() {
-        let cfg = ExperimentConfig {
-            runs: 2,
-            duration_ms: 300.0,
-            fault_at_ms: 150.0,
-            ..ExperimentConfig::default()
-        };
-        // Restrict to the baseline row sweep to keep the test fast: run()
-        // covers all models, so use a tiny fault subset via direct calls.
-        let t = run(&ExperimentConfig {
-            runs: 1,
-            duration_ms: 240.0,
-            fault_at_ms: 120.0,
-            ..cfg
-        });
+        let mut base = ScenarioSpec::new("t2", ModelKind::NoIntelligence);
+        base.duration_ms = 240.0;
+        base.settle_region_ms = Some(120.0);
+        let t = run(&base, 1);
         assert_eq!(t.rows.len(), 3 * FAULT_LEVELS.len());
         // 0-fault rows have no recovery time.
         assert!(t.rows[0].recovery_ms.is_none());

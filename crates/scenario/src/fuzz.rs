@@ -33,6 +33,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
+use sirtm_centurion::{FREQ_RANGE_MHZ, NOMINAL_MHZ};
 use sirtm_rng::{Rng, SplitMix64};
 use sirtm_taskgraph::{GridDims, Mapping, MappingError, TaskId};
 use sirtm_telemetry::SimCounters;
@@ -413,7 +414,7 @@ impl Operator {
                 });
             }
             Operator::DvfsAll => {
-                let (lo, hi) = spec.platform.freq_range_mhz;
+                let (lo, hi) = FREQ_RANGE_MHZ;
                 let mhz = rng.range_u64(lo as u64..hi as u64 + 1) as u16;
                 spec.events.push(EventSpec {
                     at_ms: Self::random_at(spec, rng),
@@ -421,7 +422,7 @@ impl Operator {
                 });
             }
             Operator::DvfsRows => {
-                let (lo, hi) = spec.platform.freq_range_mhz;
+                let (lo, hi) = FREQ_RANGE_MHZ;
                 let mhz = rng.range_u64(lo as u64..hi as u64 + 1) as u16;
                 let first_row = rng.below_u64(h as u64) as u16;
                 let rows = 1 + rng.below_u64((h - first_row) as u64) as u16;
@@ -474,7 +475,6 @@ impl Operator {
                 const GRIDS: [(u16, u16); 4] = [(4, 4), (4, 8), (6, 6), (8, 8)];
                 let (gw, gh) = GRIDS[rng.below_u64(GRIDS.len() as u64) as usize];
                 spec.platform.dims = GridDims::new(gw, gh);
-                spec.platform.dir_dist_max = (gw + gh + 4).min(255) as u8;
             }
         }
         true
@@ -512,7 +512,6 @@ pub fn clamp_spec(spec: &mut ScenarioSpec) {
                 }
             }
             spec.platform.dims = GridDims::new(w, h);
-            spec.platform.dir_dist_max = (w + h + 4).min(255) as u8;
         }
     }
     let dims = spec.grid();
@@ -549,7 +548,7 @@ pub fn clamp_spec(spec: &mut ScenarioSpec) {
                 t.runaway_ms = t.runaway_ms.max(spec.window_ms);
             }
             EventAction::SetFrequencyAll { mhz } => {
-                let (lo, hi) = spec.platform.freq_range_mhz;
+                let (lo, hi) = FREQ_RANGE_MHZ;
                 *mhz = (*mhz).clamp(lo, hi);
             }
             EventAction::SetFrequencyRows {
@@ -557,7 +556,7 @@ pub fn clamp_spec(spec: &mut ScenarioSpec) {
                 rows,
                 mhz,
             } => {
-                let (lo, hi) = spec.platform.freq_range_mhz;
+                let (lo, hi) = FREQ_RANGE_MHZ;
                 *mhz = (*mhz).clamp(lo, hi);
                 (*first_row, *rows) = clamp_band(*first_row, *rows);
             }
@@ -969,7 +968,7 @@ fn shrink(
         // Pass 3: magnitude halving, event by event, to fixpoint each.
         let mut i = 0;
         while i < best.events.len() {
-            while let Some(action) = halve_magnitude(&best.events[i].action, &best) {
+            while let Some(action) = halve_magnitude(&best.events[i].action) {
                 let mut candidate = best.clone();
                 candidate.events[i].action = action;
                 if try_reduce(
@@ -1000,7 +999,6 @@ fn shrink(
             };
             let mut candidate = best.clone();
             candidate.platform.dims = GridDims::new(nw, nh);
-            candidate.platform.dir_dist_max = (nw + nh + 4).min(255) as u8;
             if !try_reduce(
                 &mut candidate,
                 "collapse-grid",
@@ -1022,7 +1020,7 @@ fn shrink(
 
 /// The next magnitude-halving step for an action, or `None` when the
 /// action is already minimal (or has no meaningful magnitude).
-fn halve_magnitude(action: &EventAction, spec: &ScenarioSpec) -> Option<EventAction> {
+fn halve_magnitude(action: &EventAction) -> Option<EventAction> {
     match action {
         EventAction::RandomPeFaults { count } if *count > 1 => {
             Some(EventAction::RandomPeFaults { count: count / 2 })
@@ -1049,7 +1047,7 @@ fn halve_magnitude(action: &EventAction, spec: &ScenarioSpec) -> Option<EventAct
         // DVFS moves halve toward the nominal clock: magnitude is the
         // deviation, not the raw register value.
         EventAction::SetFrequencyAll { mhz } => {
-            let nominal = spec.platform.nominal_mhz;
+            let nominal = NOMINAL_MHZ;
             let next = midpoint_mhz(*mhz, nominal)?;
             Some(EventAction::SetFrequencyAll { mhz: next })
         }
@@ -1058,7 +1056,7 @@ fn halve_magnitude(action: &EventAction, spec: &ScenarioSpec) -> Option<EventAct
             rows,
             mhz,
         } => {
-            let nominal = spec.platform.nominal_mhz;
+            let nominal = NOMINAL_MHZ;
             let next = midpoint_mhz(*mhz, nominal)?;
             Some(EventAction::SetFrequencyRows {
                 first_row: *first_row,

@@ -109,7 +109,6 @@ pub fn preset(name: &str) -> Option<ScenarioSpec> {
         "light-4x4" => {
             let mut s = ScenarioSpec::new("light-4x4", ffw);
             s.platform.dims = GridDims::new(4, 4);
-            s.platform.dir_dist_max = 12;
             s.workload = WorkloadSpec::ForkJoin(ForkJoinParams {
                 generation_period: 1600, // a quarter of the paper's rate
                 ..ForkJoinParams::default()
@@ -132,7 +131,6 @@ pub fn preset(name: &str) -> Option<ScenarioSpec> {
             // agent-extinction reproducer.
             let mut s = ScenarioSpec::new("frontier-pinch", ffw);
             s.platform.dims = GridDims::new(4, 4);
-            s.platform.dir_dist_max = 12;
             s.workload = WorkloadSpec::ForkJoin(ForkJoinParams {
                 generation_period: 1600,
                 ..ForkJoinParams::default()

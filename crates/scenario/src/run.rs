@@ -252,7 +252,6 @@ mod tests {
     fn generation_period_event_shifts_the_workload_phase() {
         let mut spec = ScenarioSpec::new("phase", ModelKind::NoIntelligence);
         spec.platform.dims = GridDims::new(4, 4);
-        spec.platform.dir_dist_max = 12;
         // Lightly loaded, so the doubled source rate stays within the
         // worker stage's capacity and shows up at the sink in full.
         spec.workload =

@@ -25,7 +25,7 @@
 //! checkpoint against an edited spec, is rejected rather than silently
 //! merged. See `docs/sharding.md` for the formats and the protocol.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -417,6 +417,135 @@ fn parse_checkpoint_row(line: &str) -> Result<(u64, usize, RunSummary), String> 
     Ok((seq, index, summary))
 }
 
+/// Why a journal's header line cannot anchor a walk.
+enum HeaderFault {
+    /// No complete, parseable header line: the writer was killed before
+    /// its first write finished, so no run completed.
+    Torn,
+    /// A complete header that is not a valid shard-checkpoint header.
+    Invalid(String),
+}
+
+/// The first journal line a walk did not trust.
+struct BadLine {
+    /// 1-based file line (the header is line 1).
+    line: usize,
+    /// Why the line is untrustworthy.
+    reason: String,
+    /// Whether it is an unverifiable *final* line: the benign signature
+    /// of a process killed mid-append.
+    torn_tail: bool,
+}
+
+/// One verified pass over a checkpoint journal's text: the walk
+/// [`load_checkpoint`], [`journal_progress`] and [`sanitize_journal`]
+/// share, so they agree on which rows a journal holds. Each caller
+/// applies its own policy to [`JournalWalk::bad`].
+struct JournalWalk<'a> {
+    /// The header's sweep fingerprint.
+    fingerprint: String,
+    /// The header's shard coordinates; rows must index into its range.
+    plan: ShardPlan,
+    /// The header line, trailing newline included.
+    header: &'a str,
+    /// Trusted rows in journal order: consecutive sequence numbers from
+    /// 1, distinct run indices. Each carries its line (newline included).
+    rows: Vec<(usize, RunSummary, &'a str)>,
+    /// Byte length of the trusted prefix: the header plus every trusted
+    /// line, benign exact-duplicate rows included.
+    trusted_len: usize,
+    /// The first untrusted line, if the walk stopped before the end.
+    bad: Option<BadLine>,
+}
+
+/// Walks `text` as a checkpoint journal: a JSON header line (`kind`,
+/// `fingerprint`, shard coordinates), then `SEQ CRC JSON` run rows. The
+/// walk stops at the first row that is torn, fails its CRC, breaks the
+/// sequence, indexes outside the header's shard or repeats a run index
+/// with a distinct row. An exact byte-for-byte repeat of the
+/// immediately preceding row (a duplicated append at handoff) stays in
+/// the trusted prefix but counts once.
+fn walk_journal(text: &str) -> Result<JournalWalk<'_>, HeaderFault> {
+    let mut segments = text.split_inclusive('\n');
+    let header = segments
+        .next()
+        .filter(|seg| seg.ends_with('\n'))
+        .ok_or(HeaderFault::Torn)?;
+    let json = parse(header.trim_end_matches('\n')).map_err(|_| HeaderFault::Torn)?;
+    if json.get("kind").and_then(Json::as_str) != Some("sirtm-shard-checkpoint") {
+        return Err(HeaderFault::Invalid("not a shard checkpoint".to_string()));
+    }
+    let fingerprint = json
+        .get("fingerprint")
+        .and_then(Json::as_str)
+        .ok_or_else(|| HeaderFault::Invalid("header missing `fingerprint`".to_string()))?
+        .to_string();
+    let coord = |key: &str| {
+        json.get(key)
+            .and_then(Json::as_num)
+            .map(|n| n as usize)
+            .ok_or_else(|| HeaderFault::Invalid(format!("header missing `{key}`")))
+    };
+    let (shard, shards, run_count) = (coord("shard")?, coord("shards")?, coord("run_count")?);
+    if shards == 0 || shard >= shards {
+        return Err(HeaderFault::Invalid(format!(
+            "header names shard {shard}/{shards}"
+        )));
+    }
+    let mut walk = JournalWalk {
+        fingerprint,
+        plan: ShardPlan::new(shard, shards, run_count),
+        header,
+        rows: Vec::new(),
+        trusted_len: header.len(),
+        bad: None,
+    };
+    let segs: Vec<&str> = segments.collect();
+    let mut seen = BTreeSet::new();
+    let mut prev: Option<&str> = None;
+    for (k, &seg) in segs.iter().enumerate() {
+        let fail = |reason: String, verified: bool| BadLine {
+            line: k + 2,
+            reason,
+            torn_tail: !verified && k + 1 == segs.len(),
+        };
+        let verdict = match seg.strip_suffix('\n') {
+            None => Err("line is torn (no trailing newline)".to_string()),
+            Some(line) => parse_checkpoint_row(line),
+        };
+        let (seq, index, summary) = match verdict {
+            Ok(row) => row,
+            Err(reason) => {
+                walk.bad = Some(fail(reason, false));
+                break;
+            }
+        };
+        if prev == Some(seg) {
+            walk.trusted_len += seg.len();
+            continue;
+        }
+        let expected = walk.rows.len() as u64 + 1;
+        let reason = if seq != expected {
+            format!("row sequence number {seq} where {expected} was expected (reordered or spliced journal)")
+        } else if !walk.plan.range().contains(&index) {
+            format!(
+                "run index {index} outside shard range {:?}",
+                walk.plan.range()
+            )
+        } else if !seen.insert(index) {
+            format!("run {index} journalled twice with distinct rows")
+        } else {
+            walk.rows.push((index, summary, seg));
+            walk.trusted_len += seg.len();
+            prev = Some(seg);
+            continue;
+        };
+        walk.bad = Some(fail(reason, true));
+        break;
+    }
+    Ok(walk)
+}
+
 /// What [`load_checkpoint`] recovered from a journal.
 #[derive(Debug)]
 pub struct LoadedCheckpoint {
@@ -492,104 +621,41 @@ pub fn load_checkpoint(
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(LoadedCheckpoint::empty()),
         Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
     };
-    let mut segments = text.split_inclusive('\n');
-    // A torn header (killed mid-first-write: no trailing newline, or
-    // unparseable JSON) means no run completed: treat as empty; the
-    // writer truncates and starts over.
-    let Some(header_seg) = segments.next() else {
-        return Ok(LoadedCheckpoint::empty());
+    let walk = match walk_journal(&text) {
+        Ok(walk) => walk,
+        // A torn header means no run completed: treat as empty; the
+        // writer truncates and starts over.
+        Err(HeaderFault::Torn) => return Ok(LoadedCheckpoint::empty()),
+        Err(HeaderFault::Invalid(reason)) => return Err(format!("{}: {reason}", path.display())),
     };
-    if !header_seg.ends_with('\n') {
-        return Ok(LoadedCheckpoint::empty());
-    }
-    let Ok(header) = parse(header_seg.trim_end_matches('\n')) else {
-        return Ok(LoadedCheckpoint::empty());
-    };
-    if header.get("kind").and_then(Json::as_str) != Some("sirtm-shard-checkpoint") {
-        return Err(format!("{}: not a shard checkpoint", path.display()));
-    }
-    if header.get("fingerprint").and_then(Json::as_str) != Some(fingerprint) {
+    if walk.fingerprint != fingerprint {
         return Err(format!(
             "{}: checkpoint belongs to a different sweep (fingerprint mismatch) — \
              delete it or point --checkpoint elsewhere",
             path.display()
         ));
     }
-    let coord = |key: &str| header.get(key).and_then(Json::as_num).map(|n| n as usize);
-    if coord("shard") != Some(plan.shard) || coord("shards") != Some(plan.shards) {
+    if walk.plan != plan {
         return Err(format!(
-            "{}: checkpoint is for shard {:?}/{:?}, not {}/{}",
+            "{}: checkpoint is for shard {}/{}, not {}/{}",
             path.display(),
-            coord("shard"),
-            coord("shards"),
+            walk.plan.shard,
+            walk.plan.shards,
             plan.shard,
             plan.shards
         ));
     }
-    let mut loaded = LoadedCheckpoint {
-        completed: BTreeMap::new(),
-        next_seq: 1,
-        valid_len: header_seg.len() as u64,
-    };
-    let segs: Vec<&str> = segments.collect();
-    let mut prev: Option<(u64, &str)> = None;
-    for (k, seg) in segs.iter().enumerate() {
-        // Header is file line 1, first row is file line 2.
-        let file_line = k + 2;
-        let last = k + 1 == segs.len();
-        let line = seg.strip_suffix('\n');
-        let verdict = match line {
-            // No trailing newline: the append never finished.
-            None => Err("line is torn (no trailing newline)".to_string()),
-            Some(line) => parse_checkpoint_row(line),
-        };
-        let (seq, index, summary) = match verdict {
-            Ok(row) => row,
-            // A single unverifiable TAIL line is the benign signature
-            // of a kill mid-append: drop it, the run recomputes. The
-            // trusted prefix excludes it, so resume truncates it away.
-            Err(_) if last => break,
-            Err(reason) => return Err(quarantine(path, file_line, &reason)),
-        };
-        let line = line.expect("verified rows have a trailing newline");
-        // An exact repeat of the previous row is a benign duplicated
-        // append (a salvage handoff replay): keep it in the trusted
-        // prefix, count it once.
-        if prev == Some((seq, line)) {
-            loaded.valid_len += seg.len() as u64;
-            continue;
-        }
-        if seq != loaded.next_seq {
-            return Err(quarantine(
-                path,
-                file_line,
-                &format!(
-                    "row sequence number {seq} where {} was expected \
-                     (reordered or spliced journal)",
-                    loaded.next_seq
-                ),
-            ));
-        }
-        if !plan.range().contains(&index) {
-            return Err(quarantine(
-                path,
-                file_line,
-                &format!("run index {index} outside shard range {:?}", plan.range()),
-            ));
-        }
-        if loaded.completed.contains_key(&index) {
-            return Err(quarantine(
-                path,
-                file_line,
-                &format!("run {index} journalled twice with distinct rows"),
-            ));
-        }
-        loaded.completed.insert(index, summary);
-        loaded.next_seq = seq + 1;
-        loaded.valid_len += seg.len() as u64;
-        prev = Some((seq, line));
+    match walk.bad {
+        // A single unverifiable TAIL line is the benign signature of a
+        // kill mid-append: the trusted prefix excludes it, so resume
+        // truncates it away and the run recomputes.
+        Some(bad) if !bad.torn_tail => Err(quarantine(path, bad.line, &bad.reason)),
+        _ => Ok(LoadedCheckpoint {
+            next_seq: walk.rows.len() as u64 + 1,
+            completed: walk.rows.into_iter().map(|(i, s, _)| (i, s)).collect(),
+            valid_len: walk.trusted_len as u64,
+        }),
     }
-    Ok(loaded)
 }
 
 /// A read-only progress snapshot of one shard's checkpoint journal —
@@ -630,60 +696,14 @@ impl JournalProgress {
 pub fn journal_progress(path: &Path) -> Result<JournalProgress, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let mut segments = text.split_inclusive('\n');
-    let header_seg = segments
-        .next()
-        .filter(|seg| seg.ends_with('\n'))
-        .ok_or_else(|| format!("{}: journal has no complete header line", path.display()))?;
-    let header = parse(header_seg.trim_end_matches('\n'))
-        .map_err(|e| format!("{}: bad header: {e}", path.display()))?;
-    if header.get("kind").and_then(Json::as_str) != Some("sirtm-shard-checkpoint") {
-        return Err(format!("{}: not a shard checkpoint", path.display()));
-    }
-    let fingerprint = header
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{}: header missing `fingerprint`", path.display()))?
-        .to_string();
-    let coord = |key: &str| {
-        header
-            .get(key)
-            .and_then(Json::as_num)
-            .map(|n| n as usize)
-            .ok_or_else(|| format!("{}: header missing `{key}`", path.display()))
-    };
-    let (shard, shards, run_count) = (coord("shard")?, coord("shards")?, coord("run_count")?);
-    if shards == 0 || shard >= shards {
-        return Err(format!(
-            "{}: header names shard {shard}/{shards}",
-            path.display()
-        ));
-    }
-    let plan = ShardPlan::new(shard, shards, run_count);
-    let mut completed = 0usize;
-    let mut next_seq = 1u64;
-    let mut prev: Option<(u64, &str)> = None;
-    for seg in segments {
-        let Some(line) = seg.strip_suffix('\n') else {
-            break;
-        };
-        let Ok((seq, index, _)) = parse_checkpoint_row(line) else {
-            break;
-        };
-        if prev == Some((seq, line)) {
-            continue; // benign duplicated append
-        }
-        if seq != next_seq || !plan.range().contains(&index) {
-            break;
-        }
-        next_seq += 1;
-        completed += 1;
-        prev = Some((seq, line));
-    }
+    let walk = walk_journal(&text).map_err(|fault| match fault {
+        HeaderFault::Torn => format!("{}: journal has no complete header line", path.display()),
+        HeaderFault::Invalid(reason) => format!("{}: {reason}", path.display()),
+    })?;
     Ok(JournalProgress {
-        plan,
-        fingerprint,
-        completed,
+        plan: walk.plan,
+        fingerprint: walk.fingerprint,
+        completed: walk.rows.len(),
     })
 }
 
@@ -698,43 +718,15 @@ pub fn journal_progress(path: &Path) -> Result<JournalProgress, String> {
 /// for corruption at rest.
 #[must_use]
 pub fn sanitize_journal(text: &str, fingerprint: &str, plan: ShardPlan) -> Option<String> {
-    let mut segments = text.split_inclusive('\n');
-    let header_seg = segments.next()?;
-    if !header_seg.ends_with('\n') {
+    let walk = walk_journal(text).ok()?;
+    if walk.fingerprint != fingerprint || walk.plan != plan {
         return None;
     }
-    let header = parse(header_seg.trim_end_matches('\n')).ok()?;
-    if header.get("kind").and_then(Json::as_str) != Some("sirtm-shard-checkpoint")
-        || header.get("fingerprint").and_then(Json::as_str) != Some(fingerprint)
-    {
-        return None;
-    }
-    let coord = |key: &str| header.get(key).and_then(Json::as_num).map(|n| n as usize);
-    if coord("shard") != Some(plan.shard) || coord("shards") != Some(plan.shards) {
-        return None;
-    }
-    let mut out = String::from(header_seg);
-    let mut next_seq = 1u64;
-    let mut seen = std::collections::BTreeSet::new();
-    let mut prev: Option<(u64, &str)> = None;
-    for seg in segments {
-        let Some(line) = seg.strip_suffix('\n') else {
-            break;
-        };
-        let Ok((seq, index, _)) = parse_checkpoint_row(line) else {
-            break;
-        };
-        if prev == Some((seq, line)) {
-            // A benign exact duplicate: drop it from the sanitized
-            // copy rather than forwarding it.
-            continue;
-        }
-        if seq != next_seq || !plan.range().contains(&index) || !seen.insert(index) {
-            break;
-        }
-        next_seq += 1;
-        out.push_str(seg);
-        prev = Some((seq, line));
+    // Benign exact duplicates are dropped from the sanitized copy
+    // rather than forwarded.
+    let mut out = String::from(walk.header);
+    for (_, _, line) in &walk.rows {
+        out.push_str(line);
     }
     Some(out)
 }
@@ -1375,6 +1367,42 @@ mod tests {
         assert_eq!(loaded.completed.len(), 2, "the duplicate collapses");
         let resumed = run_shard(&sweep, plan, Some(&dir), opts, None).expect("resumes");
         assert_eq!((resumed.resumed, resumed.executed), (2, plan.len() - 2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_journal_reader_agrees_on_a_run_journalled_twice() {
+        // Run 0 journalled twice with distinct rows: resuming must not
+        // trust it, and no reader may count it as two completed runs.
+        let sweep = small_sweep();
+        let plan = ShardPlan::all(1, sweep.run_count())[0];
+        let fp = fingerprint(&sweep);
+        let summary = |seed| RunSummary {
+            seed,
+            settle_ms: 1.0,
+            pre_rate: 2.0,
+            recovery_ms: None,
+            final_rate: 3.0,
+        };
+        let header = format!("{}\n", checkpoint_header(&fp, plan).render());
+        let first = format!("{}\n", checkpoint_row(1, 0, &summary(1)));
+        let text = format!("{header}{first}{}\n", checkpoint_row(2, 0, &summary(2)));
+        let dir = temp_dir("twice");
+        std::fs::create_dir_all(&dir).expect("creates");
+        let path = checkpoint_file(&dir, plan);
+        std::fs::write(&path, &text).expect("writes");
+        assert_eq!(
+            journal_progress(&path).expect("reads").completed,
+            1,
+            "status counts distinct verified runs"
+        );
+        assert_eq!(
+            sanitize_journal(&text, &fp, plan),
+            Some(format!("{header}{first}"))
+        );
+        let err = load_checkpoint(&path, &fp, plan).expect_err("must not resume");
+        assert!(err.contains("line 3") && err.contains("twice"), "{err}");
+        assert!(quarantine_path(&path).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

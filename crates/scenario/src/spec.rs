@@ -299,26 +299,122 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Checks internal consistency.
+    /// Checks that the simulator can run the spec: a positive time base,
+    /// window and duration; workload parameters the graph builders
+    /// accept; events inside the run and inside the grid, with parameters
+    /// the platform accepts. [`Self::from_json`] applies it to every
+    /// parsed spec. Whether the grid can hold a heuristic placement is
+    /// the separate [`Self::check_grid`].
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated bound.
+    pub fn check(&self) -> Result<(), String> {
+        if self.platform.cycles_per_ms == 0 {
+            return Err("`cycles_per_ms` must be a positive integer".to_string());
+        }
+        if !(self.window_ms > 0.0 && self.window_ms.is_finite()) {
+            return Err(format!(
+                "window must be positive, not {} ms",
+                self.window_ms
+            ));
+        }
+        if !(self.duration_ms >= self.window_ms && self.duration_ms.is_finite()) {
+            return Err(format!(
+                "duration {} ms shorter than one {} ms window",
+                self.duration_ms, self.window_ms
+            ));
+        }
+        if self.detector.steady_windows == 0 {
+            return Err("detector `steady_windows` must be non-zero".to_string());
+        }
+        match &self.workload {
+            WorkloadSpec::ForkJoin(p) if p.branches == 0 => {
+                return Err("fork-join `branches` must be non-zero".to_string())
+            }
+            WorkloadSpec::Pipeline { stages, .. } if *stages < 2 => {
+                return Err(format!(
+                    "pipeline `stages` must be at least 2, not {stages}"
+                ))
+            }
+            WorkloadSpec::ForkJoin(ForkJoinParams {
+                generation_period: 0,
+                ..
+            })
+            | WorkloadSpec::Pipeline {
+                generation_period: 0,
+                ..
+            }
+            | WorkloadSpec::Diamond {
+                generation_period: 0,
+            } => return Err("workload `generation_period` must be non-zero".to_string()),
+            _ => {}
+        }
+        let (w, h) = (self.grid().width(), self.grid().height());
+        let band = |what: &str, first_row: u16, rows: u16| {
+            let end = u32::from(first_row) + u32::from(rows);
+            if end > u32::from(h) {
+                return Err(format!(
+                    "{what} rows {first_row}..{end} outside the {w}x{h} grid"
+                ));
+            }
+            Ok(())
+        };
+        for e in &self.events {
+            if !(e.at_ms >= 0.0 && e.at_ms <= self.duration_ms) {
+                return Err(format!(
+                    "event at {} ms outside the {} ms run",
+                    e.at_ms, self.duration_ms
+                ));
+            }
+            match &e.action {
+                EventAction::ClockRegionFaults { first_row, rows } => {
+                    band("clock region", *first_row, *rows)?
+                }
+                EventAction::SetFrequencyRows {
+                    first_row, rows, ..
+                } => band("frequency region", *first_row, *rows)?,
+                EventAction::HotspotFaults { x, y, .. } if *x >= w || *y >= h => {
+                    return Err(format!(
+                        "hotspot centre ({x}, {y}) outside the {w}x{h} grid"
+                    ))
+                }
+                EventAction::ThermalFaults(t) => {
+                    if t.generation_period == 0 {
+                        return Err("thermal `generation_period` must be non-zero".to_string());
+                    }
+                    if let Some((first_row, rows)) = t.overclock_rows {
+                        band("thermal overclock", first_row, rows)?;
+                    }
+                }
+                EventAction::SetGenerationPeriod {
+                    task,
+                    period_cycles,
+                } => {
+                    if *period_cycles == 0 {
+                        return Err("`period_cycles` must be non-zero".to_string());
+                    }
+                    let graph = self.graph();
+                    if usize::from(*task) >= graph.len()
+                        || !graph.spec(TaskId::new(*task)).is_source()
+                    {
+                        return Err(format!("task {task} is not a source of the workload"));
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Panicking form of [`Self::check`].
     ///
     /// # Panics
     ///
-    /// Panics on non-positive windows/durations, events outside the run,
-    /// or an invalid platform configuration.
+    /// Panics with [`Self::check`]'s message.
     pub fn validate(&self) {
-        self.platform.validate();
-        assert!(self.window_ms > 0.0, "window must be positive");
-        assert!(
-            self.duration_ms >= self.window_ms,
-            "duration shorter than one window"
-        );
-        for e in &self.events {
-            assert!(
-                e.at_ms >= 0.0 && e.at_ms <= self.duration_ms,
-                "event at {} ms outside the {} ms run",
-                e.at_ms,
-                self.duration_ms
-            );
+        if let Err(e) = self.check() {
+            panic!("{e}");
         }
     }
 
@@ -364,7 +460,8 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or malformed field.
+    /// Returns a description of the first missing or malformed field, or
+    /// of the first bound [`Self::check`] finds violated.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         let name = req_str(v, "name")?.to_string();
         let dims = grid_from_json(v.get("grid").ok_or("missing `grid`")?)?;
@@ -372,7 +469,6 @@ impl ScenarioSpec {
             dims,
             ..PlatformConfig::default()
         };
-        platform.dir_dist_max = (dims.width() + dims.height() + 4).min(255) as u8;
         if let Some(c) = v.get("cycles_per_ms").and_then(Json::as_num) {
             platform.cycles_per_ms = c as u32;
         }
@@ -406,7 +502,7 @@ impl ScenarioSpec {
                 .collect::<Result<Vec<_>, _>>()?,
             None => Vec::new(),
         };
-        Ok(Self {
+        let spec = Self {
             name,
             platform,
             model,
@@ -417,7 +513,9 @@ impl ScenarioSpec {
             settle_region_ms,
             detector,
             events,
-        })
+        };
+        spec.check()?;
+        Ok(spec)
     }
 
     /// Parses a spec from JSON text.
@@ -845,6 +943,95 @@ mod tests {
                 r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 1,
                     "events": [{"at_ms": 1, "action": "warp-core-breach"}]}"#,
                 "unknown event action",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "cycles_per_ms": 0}"#,
+                "cycles_per_ms",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "cycles_per_ms": -5}"#,
+                "cycles_per_ms",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "cycles_per_ms": 0.4}"#,
+                "cycles_per_ms",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "window_ms": 0}"#,
+                "window",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "window_ms": -1}"#,
+                "window",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 0}"#,
+                "duration",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": -10}"#,
+                "duration",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "events": [{"at_ms": -5, "action": "random-pe-faults", "count": 1}]}"#,
+                "outside the 10 ms run",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "workload": {"kind": "fork-join", "generation_period": 0}}"#,
+                "generation_period",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "workload": {"kind": "fork-join", "branches": 0}}"#,
+                "branches",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "workload": {"kind": "pipeline", "stages": 0,
+                                 "generation_period": 400, "service": 50}}"#,
+                "stages",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "events": [{"at_ms": 5, "action": "hotspot-faults",
+                                "x": 99, "y": 99, "radius": 1}]}"#,
+                "hotspot centre (99, 99) outside the 4x4 grid",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "events": [{"at_ms": 5, "action": "clock-region-faults",
+                                "first_row": 9, "rows": 1}]}"#,
+                "clock region rows 9..10 outside the 4x4 grid",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "events": [{"at_ms": 5, "action": "set-frequency-rows",
+                                "first_row": 2, "rows": 3, "mhz": 50}]}"#,
+                "frequency region rows 2..5 outside the 4x4 grid",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "events": [{"at_ms": 5, "action": "thermal-faults",
+                                "generation_period": 0}]}"#,
+                "thermal `generation_period`",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "events": [{"at_ms": 5, "action": "set-generation-period",
+                                "task": 1, "period_cycles": 200}]}"#,
+                "task 1 is not a source",
+            ),
+            (
+                r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
+                    "detector": {"steady_windows": 0}}"#,
+                "steady_windows",
             ),
         ] {
             let err = ScenarioSpec::from_json_text(text).expect_err("must fail");

@@ -108,10 +108,7 @@ impl Axis {
                 }
                 spec.settle_region_ms = Some(*at_ms);
             }
-            Axis::Grid(v) => {
-                spec.platform.dims = v[i];
-                spec.platform.dir_dist_max = (v[i].width() + v[i].height() + 4).min(255) as u8;
-            }
+            Axis::Grid(v) => spec.platform.dims = v[i],
             Axis::Duration(v) => spec.duration_ms = v[i],
         }
     }
@@ -798,7 +795,6 @@ mod tests {
     fn tiny_base() -> ScenarioSpec {
         let mut spec = ScenarioSpec::new("tiny", ModelKind::NoIntelligence);
         spec.platform.dims = GridDims::new(4, 4);
-        spec.platform.dir_dist_max = 12;
         spec.duration_ms = 60.0;
         spec.window_ms = 4.0;
         spec.settle_region_ms = Some(30.0);
@@ -958,6 +954,15 @@ mod tests {
         assert!(result.cells[0].recovery_ms.is_none(), "fault-free cell");
         assert!(result.cells[1].recovery_ms.is_some(), "faulted cell");
         assert_eq!(result.cells[0].final_rate_online.count, 3);
+        // A cell's quartiles are exactly those of its own runs (what a
+        // table row recomputed from per-seed runs would read).
+        for cell in &result.cells {
+            let of = |f: fn(&RunSummary) -> f64| {
+                Quartiles::of(&cell.runs.iter().map(f).collect::<Vec<_>>())
+            };
+            assert_eq!(cell.settle_ms, of(|r| r.settle_ms));
+            assert_eq!(cell.final_rate, of(|r| r.final_rate));
+        }
         let text = result.to_json().render_pretty();
         assert_eq!(check_artifact(&text), Ok(6));
         // Seeds round-trip exactly: u64 > 2^53 would lose bits as a JSON

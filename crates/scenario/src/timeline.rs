@@ -371,7 +371,6 @@ mod tests {
     fn small_spec(events: Vec<EventSpec>) -> ScenarioSpec {
         let mut spec = ScenarioSpec::new("t", ModelKind::NoIntelligence);
         spec.platform.dims = GridDims::new(4, 4);
-        spec.platform.dir_dist_max = 12;
         spec.duration_ms = 100.0;
         spec.events = events;
         spec

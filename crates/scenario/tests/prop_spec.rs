@@ -11,7 +11,9 @@
 //!
 //! Clamped specs are also checked end to end: every one either fails
 //! [`ScenarioSpec::check_grid`] or runs a short horizon without panicking
-//! and renders an artefact that passes [`check_artifact`].
+//! and renders an artefact that passes [`check_artifact`]. So is the JSON
+//! input path: a spec with one degenerate number is rejected by
+//! [`ScenarioSpec::from_json`] or runs without panicking.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -19,6 +21,7 @@ use proptest::sample::select;
 
 use sirtm_core::models::{FfwConfig, ModelKind, NiConfig};
 use sirtm_scenario::detect::DetectorConfig;
+use sirtm_scenario::json::Json;
 use sirtm_scenario::{
     check_artifact, clamp_spec, run_sweep, EventAction, EventSpec, MappingSpec, ScenarioSpec,
     SeedScheme, ShardPlan, SweepOptions, SweepSpec, ThermalEventSpec, Timeline, WorkloadSpec,
@@ -161,7 +164,6 @@ fn spec() -> impl Strategy<Value = ScenarioSpec> {
                     )| {
                         let mut s = ScenarioSpec::new(name, model);
                         s.platform.dims = GridDims::new(dims.0, dims.1);
-                        s.platform.dir_dist_max = (dims.0 + dims.1 + 4).min(255) as u8;
                         s.platform.cycles_per_ms = cycles;
                         s.workload = workload;
                         s.mapping = mapping;
@@ -183,11 +185,46 @@ fn spec() -> impl Strategy<Value = ScenarioSpec> {
     )
 }
 
+/// A generated spec clamped into the input domain `from_json` accepts
+/// (events inside the run and the grid, generation-period moves on
+/// source tasks).
+fn valid_spec() -> impl Strategy<Value = ScenarioSpec> {
+    spec().prop_map(|mut s| {
+        clamp_spec(&mut s);
+        s
+    })
+}
+
+/// Every numeric leaf of a JSON tree, in document order.
+fn numbers(v: &mut Json) -> Vec<&mut f64> {
+    match v {
+        Json::Num(n) => vec![n],
+        Json::Arr(items) => items.iter_mut().flat_map(numbers).collect(),
+        Json::Obj(pairs) => pairs.iter_mut().flat_map(|(_, v)| numbers(v)).collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// Runs one replicate of `s` through the sweep orchestrator and
+/// renders the artefact.
+fn sweep_artifact(s: ScenarioSpec) -> String {
+    let sweep = SweepSpec {
+        name: s.name.clone(),
+        base: s,
+        axes: vec![],
+        replicates: 1,
+        seeds: SeedScheme::Derived { root: 42 },
+    };
+    run_sweep(&sweep, SweepOptions { threads: 1 })
+        .to_json()
+        .render_pretty()
+}
+
 proptest! {
     /// `parse ∘ render = id`: both the compact and the pretty rendering
     /// reconstruct the exact typed spec, floats and escapes included.
     #[test]
-    fn spec_json_round_trips(s in spec()) {
+    fn spec_json_round_trips(s in valid_spec()) {
         s.validate();
         let pretty = ScenarioSpec::from_json_text(&s.to_json_pretty())
             .expect("pretty rendering parses");
@@ -200,7 +237,7 @@ proptest! {
     /// A second render after a round-trip is byte-identical — the codec
     /// has one canonical form, which the corpus format relies on.
     #[test]
-    fn spec_rendering_is_canonical(s in spec()) {
+    fn spec_rendering_is_canonical(s in valid_spec()) {
         let text = s.to_json_pretty();
         let back = ScenarioSpec::from_json_text(&text).expect("parses");
         prop_assert_eq!(back.to_json_pretty(), text);
@@ -256,17 +293,33 @@ proptest! {
         clamp_spec(&mut s);
         s.validate();
         if s.check_grid().is_ok() {
-            let sweep = SweepSpec {
-                name: s.name.clone(),
-                base: s,
-                axes: vec![],
-                replicates: 1,
-                seeds: SeedScheme::Derived { root: 42 },
-            };
-            let text = run_sweep(&sweep, SweepOptions { threads: 1 })
-                .to_json()
-                .render_pretty();
-            prop_assert_eq!(check_artifact(&text), Ok(1));
+            prop_assert_eq!(check_artifact(&sweep_artifact(s)), Ok(1));
+        }
+    }
+
+    /// Robustness of the spec input path: a rendered spec with any one
+    /// numeric field set to 0, -1 or 0.5 is either rejected by
+    /// `from_json`, or, cut to at most four windows, fails the grid
+    /// check or runs through the sweep orchestrator without panicking.
+    #[test]
+    fn degenerate_spec_numbers_are_rejected_or_run(
+        s in valid_spec(),
+        pick in any::<u32>(),
+        value in select(vec![0.0, -1.0, 0.5]),
+    ) {
+        let mut json = s.to_json();
+        {
+            let mut fields = numbers(&mut json);
+            let i = pick as usize % fields.len();
+            *fields[i] = value;
+        }
+        if let Ok(mut s) = ScenarioSpec::from_json(&json) {
+            let cut = s.duration_ms.min(4.0 * s.window_ms);
+            s.events.retain(|e| e.at_ms <= cut);
+            s.duration_ms = cut;
+            if s.check_grid().is_ok() {
+                sweep_artifact(s);
+            }
         }
     }
 }

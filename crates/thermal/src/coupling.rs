@@ -9,7 +9,7 @@
 //! counts, and the per-node governors turn counts back into DVFS and
 //! shutdown knob writes.
 
-use sirtm_centurion::Platform;
+use sirtm_centurion::{Platform, FREQ_RANGE_MHZ, NOMINAL_MHZ};
 use sirtm_noc::NodeId;
 
 use crate::config::ThermalConfig;
@@ -126,8 +126,8 @@ impl ThermalLoop {
     ) -> Self {
         let pcfg = platform.config();
         let power = PowerModel::new(PowerModelConfig {
-            nominal_mhz: pcfg.nominal_mhz,
-            freq_range_mhz: pcfg.freq_range_mhz,
+            nominal_mhz: NOMINAL_MHZ,
+            freq_range_mhz: FREQ_RANGE_MHZ,
             ..PowerModelConfig::default()
         });
         let sensors = SensorBank::new(SensorConfig::default(), pcfg.dims.len(), sensor_seed);

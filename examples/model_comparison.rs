@@ -11,16 +11,9 @@
 //! ```
 
 use sirtm_core::models::{FfwConfig, ModelKind, NiConfig};
-use sirtm_experiments::harness::{run_one, ExperimentConfig, RunSpec};
+use sirtm_scenario::{run_spec, EventAction, EventSpec, ScenarioSpec};
 
 fn main() {
-    let cfg = ExperimentConfig {
-        duration_ms: 600.0,
-        fault_at_ms: 300.0,
-        window_ms: 5.0,
-        runs: 1,
-        ..ExperimentConfig::default()
-    };
     let models = [
         ("No Intelligence   ", ModelKind::NoIntelligence),
         (
@@ -36,14 +29,17 @@ fn main() {
         println!("— {faults} faults at 300 ms —");
         let mut baseline = None;
         for (name, model) in &models {
-            let r = run_one(
-                &RunSpec {
-                    model: model.clone(),
-                    faults,
-                    seed: 42,
-                },
-                &cfg,
-            );
+            let mut spec = ScenarioSpec::new(name.trim(), model.clone());
+            spec.duration_ms = 600.0;
+            spec.window_ms = 5.0;
+            spec.settle_region_ms = Some(300.0);
+            if faults > 0 {
+                spec.events = vec![EventSpec {
+                    at_ms: 300.0,
+                    action: EventAction::RandomPeFaults { count: faults },
+                }];
+            }
+            let r = run_spec(&spec, 42);
             let b = *baseline.get_or_insert(r.final_rate);
             println!(
                 "  {name}  steady {:.2} sinks/ms  ({:>5.1}% of baseline)  settle {:>3.0} ms{}",

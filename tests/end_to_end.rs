@@ -10,7 +10,6 @@ use sirtm::taskgraph::{workloads, GridDims, Mapping, TaskId};
 fn small_cfg() -> PlatformConfig {
     PlatformConfig {
         dims: GridDims::new(6, 6),
-        dir_dist_max: 16,
         ..PlatformConfig::default()
     }
 }

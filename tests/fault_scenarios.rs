@@ -135,7 +135,6 @@ fn kill_more_than_alive_is_consistent_across_every_layer() {
     // alive agents — nobody panics, everybody dies exactly once.
     let mut spec = ScenarioSpec::new("overkill", ModelKind::ForagingForWork(FfwConfig::default()));
     spec.platform.dims = GridDims::new(4, 4);
-    spec.platform.dir_dist_max = 12;
     spec.duration_ms = 40.0;
     spec.window_ms = 4.0;
     spec.events = vec![EventSpec {

@@ -3,46 +3,59 @@
 //! qualitative claims against regressions.
 
 use sirtm::core::models::{FfwConfig, ModelKind, NiConfig};
-use sirtm::experiments::harness::{run_one, ExperimentConfig, RunSpec};
-use sirtm::experiments::stats::mean;
+use sirtm::scenario::stats::mean;
+use sirtm::scenario::{run_spec, EventAction, EventSpec, RunOutcome, ScenarioSpec};
 
-fn cfg(duration_ms: f64, fault_at_ms: f64) -> ExperimentConfig {
-    ExperimentConfig {
-        duration_ms,
-        fault_at_ms,
-        window_ms: 5.0,
-        runs: 1,
-        ..ExperimentConfig::default()
+/// The paper's protocol at reduced scale: `model` for `duration_ms` in
+/// `window_ms` windows, with `faults` random PE deaths at `fault_at_ms`
+/// (the end of the settle region, faulted or not).
+fn spec(
+    model: ModelKind,
+    faults: usize,
+    duration_ms: f64,
+    fault_at_ms: f64,
+    window_ms: f64,
+) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::new("shape", model);
+    spec.duration_ms = duration_ms;
+    spec.window_ms = window_ms;
+    spec.settle_region_ms = Some(fault_at_ms);
+    if faults > 0 {
+        spec.events = vec![EventSpec {
+            at_ms: fault_at_ms,
+            action: EventAction::RandomPeFaults { count: faults },
+        }];
     }
+    spec
 }
 
-fn steady_rates(model: ModelKind, faults: usize, seeds: &[u64], c: &ExperimentConfig) -> Vec<f64> {
+fn run(
+    model: ModelKind,
+    faults: usize,
+    seed: u64,
+    duration_ms: f64,
+    fault_at_ms: f64,
+) -> RunOutcome {
+    run_spec(&spec(model, faults, duration_ms, fault_at_ms, 5.0), seed)
+}
+
+fn steady_rates(model: ModelKind, faults: usize, seeds: &[u64], timing: (f64, f64)) -> Vec<f64> {
     seeds
         .iter()
-        .map(|&seed| {
-            run_one(
-                &RunSpec {
-                    model: model.clone(),
-                    faults,
-                    seed,
-                },
-                c,
-            )
-            .final_rate
-        })
+        .map(|&seed| run(model.clone(), faults, seed, timing.0, timing.1).final_rate)
         .collect()
 }
 
 #[test]
 fn table1_shape_ffw_beats_baseline_fault_free() {
-    let c = cfg(400.0, 400.0);
+    let c = (400.0, 400.0);
     let seeds = [1, 2, 3];
-    let base = mean(&steady_rates(ModelKind::NoIntelligence, 0, &seeds, &c));
+    let base = mean(&steady_rates(ModelKind::NoIntelligence, 0, &seeds, c));
     let ffw = mean(&steady_rates(
         ModelKind::ForagingForWork(FfwConfig::default()),
         0,
         &seeds,
-        &c,
+        c,
     ));
     assert!(
         ffw > base * 1.05,
@@ -52,14 +65,14 @@ fn table1_shape_ffw_beats_baseline_fault_free() {
 
 #[test]
 fn table1_shape_ni_is_near_baseline() {
-    let c = cfg(400.0, 400.0);
+    let c = (400.0, 400.0);
     let seeds = [1, 2, 3];
-    let base = mean(&steady_rates(ModelKind::NoIntelligence, 0, &seeds, &c));
+    let base = mean(&steady_rates(ModelKind::NoIntelligence, 0, &seeds, c));
     let ni = mean(&steady_rates(
         ModelKind::NetworkInteraction(NiConfig::default()),
         0,
         &seeds,
-        &c,
+        c,
     ));
     let ratio = ni / base;
     assert!(
@@ -71,10 +84,10 @@ fn table1_shape_ni_is_near_baseline() {
 
 #[test]
 fn table2_shape_baseline_degrades_roughly_with_capacity() {
-    let c = cfg(500.0, 250.0);
+    let c = (500.0, 250.0);
     let seeds = [4, 5];
-    let clean = mean(&steady_rates(ModelKind::NoIntelligence, 0, &seeds, &c));
-    let faulted = mean(&steady_rates(ModelKind::NoIntelligence, 32, &seeds, &c));
+    let clean = mean(&steady_rates(ModelKind::NoIntelligence, 0, &seeds, c));
+    let faulted = mean(&steady_rates(ModelKind::NoIntelligence, 32, &seeds, c));
     let retained = faulted / clean;
     // 32 of 128 nodes lost: the static mapping retains around 75% minus
     // chain effects (dead sources kill whole instances). Paper: 69%.
@@ -87,15 +100,15 @@ fn table2_shape_baseline_degrades_roughly_with_capacity() {
 
 #[test]
 fn table2_shape_ffw_retains_more_than_baseline_under_faults() {
-    let c = cfg(500.0, 250.0);
+    let c = (500.0, 250.0);
     let seeds = [6, 7];
     for faults in [16usize, 32] {
-        let base = mean(&steady_rates(ModelKind::NoIntelligence, faults, &seeds, &c));
+        let base = mean(&steady_rates(ModelKind::NoIntelligence, faults, &seeds, c));
         let ffw = mean(&steady_rates(
             ModelKind::ForagingForWork(FfwConfig::default()),
             faults,
             &seeds,
-            &c,
+            c,
         ));
         assert!(
             ffw > base,
@@ -106,22 +119,13 @@ fn table2_shape_ffw_retains_more_than_baseline_under_faults() {
 
 #[test]
 fn settling_order_baseline_first() {
-    let c = cfg(400.0, 400.0);
-    let base = run_one(
-        &RunSpec {
-            model: ModelKind::NoIntelligence,
-            faults: 0,
-            seed: 8,
-        },
-        &c,
-    );
-    let ffw = run_one(
-        &RunSpec {
-            model: ModelKind::ForagingForWork(FfwConfig::default()),
-            faults: 0,
-            seed: 8,
-        },
-        &c,
+    let base = run(ModelKind::NoIntelligence, 0, 8, 400.0, 400.0);
+    let ffw = run(
+        ModelKind::ForagingForWork(FfwConfig::default()),
+        0,
+        8,
+        400.0,
+        400.0,
     );
     assert!(
         base.settle_ms < ffw.settle_ms,
@@ -133,21 +137,7 @@ fn settling_order_baseline_first() {
 
 #[test]
 fn fig4_shape_fault_drop_is_visible_in_nodes_active() {
-    let c = ExperimentConfig {
-        duration_ms: 400.0,
-        fault_at_ms: 200.0,
-        window_ms: 10.0,
-        runs: 1,
-        ..ExperimentConfig::default()
-    };
-    let r = run_one(
-        &RunSpec {
-            model: ModelKind::NoIntelligence,
-            faults: 42,
-            seed: 9,
-        },
-        &c,
-    );
+    let r = run_spec(&spec(ModelKind::NoIntelligence, 42, 400.0, 200.0, 10.0), 9);
     let active = r.trace.nodes_active();
     let pre = mean(&active[10..20]);
     let post = mean(&active[30..40]);

@@ -124,5 +124,5 @@ fn colony_fixed_threshold_settles() {
 
 #[test]
 fn experiments_stats_reachable() {
-    assert_eq!(sirtm::experiments::stats::mean(&[1.0, 2.0, 3.0]), 2.0);
+    assert_eq!(sirtm::scenario::stats::mean(&[1.0, 2.0, 3.0]), 2.0);
 }
