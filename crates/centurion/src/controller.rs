@@ -87,7 +87,7 @@ impl ExperimentController {
 mod tests {
     use super::*;
     use sirtm_core::models::ModelKind;
-    use sirtm_noc::RouteMode;
+    use sirtm_noc::Port;
     use sirtm_taskgraph::workloads::{fork_join, ForkJoinParams};
     use sirtm_taskgraph::Mapping;
 
@@ -117,9 +117,13 @@ mod tests {
         let mut p = platform();
         let c = ExperimentController::new(p.config().dims);
         let dest = NodeId::new(77);
-        c.configure_in_band(&mut p, dest, RcapCommand::SetRouteMode(RouteMode::Yx));
+        c.configure_in_band(
+            &mut p,
+            dest,
+            RcapCommand::SetPortEnabled(Port::North, false),
+        );
         p.run_ms(5.0);
-        assert_eq!(p.router(dest).settings().route_mode, RouteMode::Yx);
+        assert!(!p.router(dest).settings().port_enabled[Port::North.index()]);
     }
 
     #[test]
@@ -127,8 +131,12 @@ mod tests {
         let mut p = platform();
         let c = ExperimentController::new(p.config().dims);
         let injected_before = p.mesh_stats().injected;
-        c.configure_debug(&mut p, NodeId::new(50), RcapCommand::SetRedirectAge(42));
-        assert_eq!(p.router(NodeId::new(50)).settings().redirect_age, 42);
+        c.configure_debug(
+            &mut p,
+            NodeId::new(50),
+            RcapCommand::SetPortEnabled(Port::South, false),
+        );
+        assert!(!p.router(NodeId::new(50)).settings().port_enabled[Port::South.index()]);
         assert_eq!(p.mesh_stats().injected, injected_before, "no NoC traffic");
     }
 

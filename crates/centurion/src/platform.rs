@@ -181,7 +181,6 @@ impl Platform {
         let router_cfg = RouterConfig {
             n_tasks,
             opportunistic_delivery: adaptive,
-            ..RouterConfig::default()
         };
         let mut mesh = Mesh::new(cfg.dims, router_cfg);
         let mut pes = Vec::with_capacity(cfg.dims.len());

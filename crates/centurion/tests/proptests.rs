@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use sirtm_centurion::{Platform, PlatformConfig};
 use sirtm_core::models::{FfwConfig, ModelKind, NiConfig};
-use sirtm_noc::{NodeId, Port, RcapCommand, RouteMode};
+use sirtm_noc::{NodeId, Port, RcapCommand};
 use sirtm_rng::Xoshiro256StarStar;
 use sirtm_taskgraph::workloads::{fork_join, ForkJoinParams};
 use sirtm_taskgraph::{GridDims, Mapping};
@@ -46,8 +46,8 @@ fn apply(platform: &mut Platform, a: &Action) {
         Action::SetFreq(n, f) => platform.set_frequency(NodeId::new(n), f),
         Action::Config(n, c) => {
             let cmd = match c {
-                0 => RcapCommand::SetRouteMode(RouteMode::Adaptive),
-                1 => RcapCommand::SetRedirectAge(80),
+                0 => RcapCommand::SetPortEnabled(Port::North, false),
+                1 => RcapCommand::SetPortEnabled(Port::East, true),
                 2 => RcapCommand::SetPortEnabled(Port::East, false),
                 _ => RcapCommand::AimWrite { reg: 2, value: 40 },
             };

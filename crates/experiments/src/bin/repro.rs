@@ -40,7 +40,8 @@ fn parse_args() -> Args {
                 args.runs = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--runs needs a number"));
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| die("--runs needs a run count >= 1"));
             }
             "--seed" => {
                 args.seed = it

@@ -170,6 +170,14 @@ fn parse_shard(text: &str) -> (usize, usize) {
     (k, n)
 }
 
+/// Parses a count that must be at least 1, or dies with `msg`.
+fn parse_count(text: &str, msg: &str) -> usize {
+    text.parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| die(msg))
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         command: "list".to_string(),
@@ -216,11 +224,10 @@ fn parse_args() -> Args {
             "--spec" => args.spec_file = Some(PathBuf::from(next_val("--spec"))),
             "--sweep" => args.sweep_file = Some(PathBuf::from(next_val("--sweep"))),
             "--runs" => {
-                args.runs = Some(
-                    next_val("--runs")
-                        .parse()
-                        .unwrap_or_else(|_| die("--runs needs a number")),
-                );
+                args.runs = Some(parse_count(
+                    &next_val("--runs"),
+                    "--runs needs a run count >= 1",
+                ));
             }
             "--threads" => {
                 args.threads = next_val("--threads")
@@ -290,9 +297,10 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|_| die("--chaos-rate needs a percentage 0-100"));
             }
             "--budget" => {
-                args.budget = next_val("--budget")
-                    .parse()
-                    .unwrap_or_else(|_| die("--budget needs an evaluation count"));
+                args.budget = parse_count(
+                    &next_val("--budget"),
+                    "--budget needs an evaluation count >= 1",
+                );
             }
             "--fuzz-seed" => {
                 // Hex-quoted like --chaos-seed (0xC0FFEE in the docs and CI).

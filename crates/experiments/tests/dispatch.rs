@@ -169,6 +169,51 @@ fn dispatch_cli_artifact_is_byte_identical_to_run_cli() {
 }
 
 #[test]
+fn zero_run_inputs_exit_2_with_a_message() {
+    let dir = temp_dir("zero_runs");
+    let sweep = dir.join("zero.json");
+    std::fs::write(
+        &sweep,
+        r#"{"name": "z", "base": {"name": "b", "grid": [4,4], "model": "ffw",
+            "duration_ms": 60}, "replicates": 0,
+            "seeds": {"scheme": "derived", "root": "7"}}"#,
+    )
+    .expect("write descriptor");
+    let sweep = sweep.to_str().expect("utf8 path");
+    let work = dir.join("work");
+    let work = work.to_str().expect("utf8 path");
+    for (args, needle) in [
+        (&["run", "light-4x4", "--runs", "0"][..], "--runs"),
+        (&["fuzz", "--budget", "0"][..], "--budget"),
+        (
+            &[
+                "dispatch",
+                "light-4x4",
+                "--runs",
+                "0",
+                "--local",
+                "1",
+                "--checkpoint",
+                work,
+            ][..],
+            "--runs",
+        ),
+        (&["run", "--sweep", sweep][..], "replicates"),
+    ] {
+        let out = run_cli(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "--runs", "0"])
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(2), "repro --runs 0");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn merge_cli_names_the_offending_file_on_fingerprint_mismatch() {
     let dir = temp_dir("merge_names");
     let shard = |k: usize, out: &Path| {

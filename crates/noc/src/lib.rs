@@ -3,14 +3,16 @@
 //! A from-scratch model of the Centurion NoC described in the DATE 2020
 //! paper (Fig. 2a): five-channel wormhole routers with a sixth Router
 //! Configuration Access Port (RCAP), credit-based flow control over small
-//! input buffers, dimension-ordered or minimal-adaptive routing, and a
-//! deliberately *basic* deadlock recovery (timeout-and-drop, no
-//! guarantees) mirroring the hardware's.
+//! input buffers, dimension-ordered (XY) routing, and a deliberately
+//! *basic* deadlock recovery (drop a head blocked for more than
+//! [`DEADLOCK_TIMEOUT`] cycles, no guarantees) mirroring the hardware's.
 //!
-//! Routers expose the paper's **monitors** (per-task routing events,
-//! internal deliveries, blocked cycles, drops) and **knobs** (local task
-//! register, routing mode, port enables, timeouts) — the surface the
-//! embedded social-insect intelligence senses and actuates.
+//! Routers expose the paper's **monitors** (per-task routing events and
+//! internal deliveries, the latest application packet routed) and
+//! **knobs** (local task register, opportunistic delivery, port enables)
+//! — the surface the embedded social-insect intelligence senses and
+//! actuates. RCAP commands set port enables and carry AIM register
+//! writes.
 //!
 //! # Examples
 //!
@@ -35,8 +37,9 @@ pub mod types;
 
 pub use buffer::FlitBuffer;
 pub use mesh::{Mesh, MeshStats};
-pub use packet::{Flit, Packet, PacketId, PacketKind, RcapCommand, RouteMode};
+pub use packet::{Flit, Packet, PacketId, PacketKind, RcapCommand};
 pub use router::{
     InPort, OutPort, Router, RouterConfig, RouterMonitors, RouterPlan, RouterSettings,
+    DEADLOCK_TIMEOUT, REDIRECT_AGE,
 };
 pub use types::{Coord, Cycle, Direction, NodeId, Port};

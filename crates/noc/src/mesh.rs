@@ -506,7 +506,7 @@ impl Mesh {
                     self.arrivals[to / 64] |= 1 << (to % 64);
                 }
                 OutPort::Internal => {
-                    if let Some(pkt) = router.receive_internal(flit, now) {
+                    if let Some(pkt) = router.receive_internal(flit) {
                         let latency = now.saturating_sub(pkt.created_cycle) + 1;
                         self.stats.delivered += 1;
                         self.stats.latency_sum += latency;

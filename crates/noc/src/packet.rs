@@ -28,45 +28,11 @@ impl fmt::Display for PacketId {
     }
 }
 
-/// Routing behaviour selector (a router knob, switchable via RCAP).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RouteMode {
-    /// Dimension-ordered X-then-Y routing. Deadlock-free on a mesh.
-    #[default]
-    Xy,
-    /// Y-then-X routing. Also deadlock-free; useful for ablations.
-    Yx,
-    /// Minimal-adaptive: prefers the X direction but detours to a
-    /// productive Y output when X is blocked. *Not* deadlock-free — this is
-    /// what the paper's "basic deadlock recovery mechanism" is for.
-    Adaptive,
-}
-
-impl fmt::Display for RouteMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            RouteMode::Xy => "XY",
-            RouteMode::Yx => "YX",
-            RouteMode::Adaptive => "adaptive",
-        };
-        f.write_str(s)
-    }
-}
-
 /// A configuration command carried by a [`PacketKind::Config`] packet and
 /// applied by the destination router's RCAP, or injected directly through
 /// the platform's debug interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RcapCommand {
-    /// Set the head-of-line blocking timeout for deadlock recovery.
-    SetDeadlockTimeout(Cycle),
-    /// Set the age after which packets may be absorbed by any node whose
-    /// task matches (task-affine opportunistic delivery).
-    SetRedirectAge(Cycle),
-    /// Enable or disable opportunistic delivery altogether.
-    SetOpportunisticDelivery(bool),
-    /// Switch routing mode.
-    SetRouteMode(RouteMode),
     /// Enable or disable one port (link fault model / power gating).
     SetPortEnabled(Port, bool),
     /// Write an AIM register. Routers do not interpret this: the command is
@@ -263,13 +229,12 @@ mod tests {
     fn packet_kind_classification() {
         assert!(PacketKind::Data.is_application());
         assert!(PacketKind::Ack.is_application());
-        assert!(!PacketKind::Config(RcapCommand::SetRedirectAge(5)).is_application());
+        assert!(!PacketKind::Config(RcapCommand::AimWrite { reg: 0, value: 5 }).is_application());
     }
 
     #[test]
     fn display_forms() {
         assert_eq!(PacketId::new(3).to_string(), "p3");
-        assert_eq!(RouteMode::Adaptive.to_string(), "adaptive");
         let text = packet(2).to_string();
         assert!(text.contains("p7"));
         assert!(text.contains("T1"));

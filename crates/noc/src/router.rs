@@ -6,18 +6,28 @@
 //! five concurrent wormhole connections can be active; input and output
 //! interfaces are independent, giving full-duplex channels.
 //!
-//! The router exposes *monitors* (routing events per task, internal
-//! deliveries, blocked cycles, drops) and *knobs* (local task register,
-//! routing mode, deadlock timeout, opportunistic-delivery settings, port
-//! enables) — the sensor/actuator surface the embedded intelligence uses.
+//! The router exposes *monitors* (routing events and internal
+//! deliveries per task, the latest application packet routed) and *knobs*
+//! (local task register, opportunistic delivery, port enables) — the
+//! sensor/actuator surface the embedded intelligence uses. Routing is
+//! dimension-ordered (XY), and the deadlock-recovery and redirect
+//! timeouts are the fixed [`DEADLOCK_TIMEOUT`] and [`REDIRECT_AGE`].
 
 use std::collections::VecDeque;
 
 use sirtm_taskgraph::TaskId;
 
 use crate::buffer::FlitBuffer;
-use crate::packet::{Flit, Packet, PacketId, PacketKind, RcapCommand, RouteMode};
+use crate::packet::{Flit, Packet, PacketId, PacketKind, RcapCommand};
 use crate::types::{Coord, Cycle, Direction, NodeId, Port};
+
+/// Head-of-line blocking cycles after which the basic deadlock recovery
+/// drops a blocked packet.
+pub const DEADLOCK_TIMEOUT: Cycle = 200;
+
+/// Minimum packet age before a router running the packet's task may
+/// absorb it (task-affine opportunistic delivery).
+pub const REDIRECT_AGE: Cycle = 150;
 
 /// Input side of the crossbar: the four link buffers plus the local
 /// injection queue (the internal port's input half).
@@ -97,16 +107,9 @@ pub struct RouterSettings {
     /// Task the local processing element currently performs. Used for
     /// task-affine opportunistic delivery and read by neighbouring AIMs.
     pub local_task: Option<TaskId>,
-    /// Enables task-affine opportunistic delivery: a packet older than
-    /// `redirect_age` may be absorbed by any node whose task matches.
+    /// Enables task-affine opportunistic delivery: a packet at least
+    /// [`REDIRECT_AGE`] old may be absorbed by any node whose task matches.
     pub opportunistic_delivery: bool,
-    /// Minimum packet age before opportunistic absorption may happen.
-    pub redirect_age: Cycle,
-    /// Head-of-line blocking cycles before the basic deadlock recovery
-    /// drops the blocked packet.
-    pub deadlock_timeout: Cycle,
-    /// Routing algorithm.
-    pub route_mode: RouteMode,
     /// Per-port enables (N, E, S, W, Internal, RCAP order).
     pub port_enabled: [bool; 6],
     /// Cleared when the whole tile is failed (router-dead fault model).
@@ -118,9 +121,6 @@ impl RouterSettings {
         Self {
             local_task: None,
             opportunistic_delivery: config.opportunistic_delivery,
-            redirect_age: config.redirect_age,
-            deadlock_timeout: config.deadlock_timeout,
-            route_mode: config.route_mode,
             port_enabled: [true; 6],
             alive: true,
         }
@@ -132,20 +132,6 @@ impl RouterSettings {
 pub struct RouterMonitors {
     routed_per_task: Vec<u32>,
     internal_per_task: Vec<u32>,
-    /// Cumulative head flits forwarded towards any link port.
-    pub routed_events: u64,
-    /// Cumulative packets delivered to the local node.
-    pub internal_deliveries: u64,
-    /// Cumulative packets dropped by deadlock recovery.
-    pub dropped_packets: u64,
-    /// Cumulative cycles any head-of-line flit spent blocked.
-    pub blocked_head_cycles: u64,
-    /// Cumulative flits moved through the crossbar.
-    pub forwarded_flits: u64,
-    /// Cumulative RCAP commands applied.
-    pub rcap_commands: u64,
-    /// Cycle of the most recent internal delivery, if any.
-    pub last_internal_cycle: Option<Cycle>,
     /// Task and cycle of the most recent application head flit forwarded
     /// towards any link — a latched "demand passing by" register the FFW
     /// model forages from when no packet is actually queued.
@@ -162,7 +148,7 @@ impl RouterMonitors {
     }
 
     /// Per-task counts of head flits routed since the last
-    /// [`RouterMonitors::take_routed_per_task`] (non-destructive view).
+    /// [`RouterMonitors::take_routed_into`] (non-destructive view).
     pub fn routed_per_task(&self) -> &[u32] {
         &self.routed_per_task
     }
@@ -173,21 +159,8 @@ impl RouterMonitors {
         &self.internal_per_task
     }
 
-    /// Reads and clears the per-task routed counters (the AIM's
-    /// reset-on-read impulse counters feed from this).
-    pub fn take_routed_per_task(&mut self) -> Vec<u32> {
-        let n = self.routed_per_task.len();
-        std::mem::replace(&mut self.routed_per_task, vec![0; n])
-    }
-
-    /// Reads and clears the per-task internal-delivery counters.
-    pub fn take_internal_per_task(&mut self) -> Vec<u32> {
-        let n = self.internal_per_task.len();
-        std::mem::replace(&mut self.internal_per_task, vec![0; n])
-    }
-
-    /// Allocation-free variant of [`RouterMonitors::take_routed_per_task`]:
-    /// copies into `buf` and clears.
+    /// Reads and clears the per-task routed counters into `buf` (the
+    /// AIM's reset-on-read impulse counters feed from this).
     ///
     /// # Panics
     ///
@@ -203,8 +176,8 @@ impl RouterMonitors {
         }
     }
 
-    /// Allocation-free variant of
-    /// [`RouterMonitors::take_internal_per_task`].
+    /// Reads and clears the per-task internal-delivery counters into
+    /// `buf`.
     ///
     /// # Panics
     ///
@@ -226,24 +199,15 @@ impl RouterMonitors {
 pub struct RouterConfig {
     /// Number of application tasks (sizes the per-task monitor banks).
     pub n_tasks: usize,
-    /// Initial deadlock-recovery timeout.
-    pub deadlock_timeout: Cycle,
-    /// Initial opportunistic-delivery age threshold.
-    pub redirect_age: Cycle,
     /// Whether opportunistic delivery starts enabled.
     pub opportunistic_delivery: bool,
-    /// Initial routing mode.
-    pub route_mode: RouteMode,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             n_tasks: 3,
-            deadlock_timeout: 200,
-            redirect_age: 150,
             opportunistic_delivery: false,
-            route_mode: RouteMode::Xy,
         }
     }
 }
@@ -423,16 +387,7 @@ impl Router {
         self.delivered.len()
     }
 
-    /// Drains AIM register writes received through RCAP.
-    ///
-    /// Allocates the returned `Vec`; the hot loop drains through
-    /// [`Router::pop_aim_write`] instead.
-    pub fn take_aim_writes(&mut self) -> Vec<(u8, u8)> {
-        self.pending_aim_writes.drain(..).collect()
-    }
-
-    /// Pops the oldest pending AIM register write, if any (allocation-free
-    /// drain).
+    /// Pops the oldest AIM register write received through RCAP, if any.
     pub fn pop_aim_write(&mut self) -> Option<(u8, u8)> {
         self.pending_aim_writes.pop_front()
     }
@@ -481,12 +436,7 @@ impl Router {
     /// Applies an RCAP command to this router. AIM writes are queued for
     /// the platform instead of being interpreted here.
     pub fn apply_config(&mut self, cmd: RcapCommand) {
-        self.monitors.rcap_commands += 1;
         match cmd {
-            RcapCommand::SetDeadlockTimeout(t) => self.settings.deadlock_timeout = t,
-            RcapCommand::SetRedirectAge(a) => self.settings.redirect_age = a,
-            RcapCommand::SetOpportunisticDelivery(on) => self.settings.opportunistic_delivery = on,
-            RcapCommand::SetRouteMode(m) => self.settings.route_mode = m,
             RcapCommand::SetPortEnabled(p, on) => self.settings.port_enabled[p.index()] = on,
             RcapCommand::AimWrite { reg, value } => self.pending_aim_writes.push_back((reg, value)),
         }
@@ -559,54 +509,38 @@ impl Router {
         }
     }
 
-    /// Ordered output preferences for a head packet (fixed-size: at most
-    /// two productive directions exist under minimal routing).
-    fn preferences(&self, pkt: &Packet, now: Cycle) -> [Option<OutPort>; 2] {
+    /// The output a head packet requests: its local port at its
+    /// destination or when aged and task-affine, else the XY link.
+    fn route(&self, pkt: &Packet, now: Cycle) -> OutPort {
         if pkt.dest == self.node {
             return match pkt.kind {
-                PacketKind::Config(_) => [Some(OutPort::Rcap), None],
-                _ => [Some(OutPort::Internal), None],
+                PacketKind::Config(_) => OutPort::Rcap,
+                _ => OutPort::Internal,
             };
         }
         // Task-affine opportunistic absorption of aged packets.
         if self.settings.opportunistic_delivery
             && pkt.kind.is_application()
             && self.settings.local_task == Some(pkt.task)
-            && pkt.age(now) >= self.settings.redirect_age
+            && pkt.age(now) >= REDIRECT_AGE
         {
-            return [Some(OutPort::Internal), None];
+            return OutPort::Internal;
         }
-        let (sx, sy) = (self.coord.x as i32, self.coord.y as i32);
         // Destination coordinate is derivable from the id because ids are
         // row-major; the mesh guarantees dest is on-grid.
-        let dest = pkt.dest;
-        let (dx, dy) = (
-            (dest.index() % self.dims_width()) as i32 - sx,
-            (dest.index() / self.dims_width()) as i32 - sy,
-        );
-        let x_dir = if dx > 0 {
-            Some(Direction::East)
+        let dest = pkt.dest.index();
+        let dx = (dest % self.dims_width()) as i32 - self.coord.x as i32;
+        let dy = (dest / self.dims_width()) as i32 - self.coord.y as i32;
+        debug_assert!(dx != 0 || dy != 0, "a remote destination is off this tile");
+        OutPort::Link(if dx > 0 {
+            Direction::East
         } else if dx < 0 {
-            Some(Direction::West)
+            Direction::West
+        } else if dy > 0 {
+            Direction::South
         } else {
-            None
-        };
-        let y_dir = if dy > 0 {
-            Some(Direction::South)
-        } else if dy < 0 {
-            Some(Direction::North)
-        } else {
-            None
-        };
-        let link = |d: Option<Direction>| d.map(OutPort::Link);
-        match self.settings.route_mode {
-            RouteMode::Xy => [link(x_dir).or(link(y_dir)), None],
-            RouteMode::Yx => [link(y_dir).or(link(x_dir)), None],
-            RouteMode::Adaptive => match (link(x_dir), link(y_dir)) {
-                (Some(x), y) => [Some(x), y],
-                (None, y) => [y, None],
-            },
-        }
+            Direction::North
+        })
     }
 
     /// Width of the owning grid, stashed at mesh build time.
@@ -648,10 +582,10 @@ impl Router {
     /// accept a flit.
     ///
     /// One pass over the occupied inputs finds each free head's request:
-    /// the first of its route preferences whose output is available.
-    /// Availability reads only start-of-cycle state, so the request is
-    /// the same for every output, and requests are gathered into one
-    /// bitmask of inputs per output. A second pass visits the allocated
+    /// its route's output, if that output is available. Availability
+    /// reads only start-of-cycle state, so the request is the same for
+    /// every output, and requests are gathered into one bitmask of
+    /// inputs per output. A second pass visits the allocated
     /// or requested outputs in N, E, S, W, Internal, RCAP order: an
     /// allocated output advances its circuit, a free one grants the
     /// lowest requesting input of its mask rotated by the round-robin
@@ -684,12 +618,8 @@ impl Router {
             let (None, Some(pkt)) = (self.circuits[idx], head) else {
                 continue;
             };
-            let request = self
-                .preferences(pkt, now)
-                .into_iter()
-                .flatten()
-                .find(|&p| self.output_available(p, &credit));
-            if let Some(o) = request {
+            let o = self.route(pkt, now);
+            if self.output_available(o, &credit) {
                 requests[o.index()] |= 1 << idx;
                 outputs |= 1 << o.index();
             }
@@ -761,9 +691,7 @@ impl Router {
         }
         self.rr[m.output.index()] = ((m.input.index() + 1) % 5) as u8;
         self.blocked[m.input.index()] = 0;
-        self.monitors.forwarded_flits += 1;
         if let (Flit::Head { pkt, .. }, OutPort::Link(_)) = (flit, m.output) {
-            self.monitors.routed_events += 1;
             if let Some(c) = self.monitors.routed_per_task.get_mut(pkt.task.index()) {
                 *c += 1;
             }
@@ -785,7 +713,7 @@ impl Router {
 
     /// Handles a flit consumed by the internal port; returns the packet
     /// when its tail completes reassembly.
-    pub(crate) fn receive_internal(&mut self, flit: Flit, now: Cycle) -> Option<Packet> {
+    pub(crate) fn receive_internal(&mut self, flit: Flit) -> Option<Packet> {
         let done = match flit {
             Flit::Head { pkt, is_tail } => {
                 if is_tail {
@@ -804,8 +732,6 @@ impl Router {
             }
         };
         if let Some(pkt) = done {
-            self.monitors.internal_deliveries += 1;
-            self.monitors.last_internal_cycle = Some(now);
             if let Some(c) = self.monitors.internal_per_task.get_mut(pkt.task.index()) {
                 *c += 1;
             }
@@ -847,8 +773,7 @@ impl Router {
                 continue;
             }
             self.blocked[idx] += 1;
-            self.monitors.blocked_head_cycles += 1;
-            if self.blocked[idx] > self.settings.deadlock_timeout
+            if self.blocked[idx] > DEADLOCK_TIMEOUT
                 && self.circuits[idx].is_none()
                 && self.dropping[idx].is_none()
             {
@@ -865,7 +790,6 @@ impl Router {
                         self.inject_queue.pop_front();
                     }
                 }
-                self.monitors.dropped_packets += 1;
                 dropped += 1;
                 self.blocked[idx] = 0;
             }
@@ -924,79 +848,61 @@ mod tests {
         let r = router();
         // Router at (1,1) on an 8-wide grid. Node 12 is (4,1): go east.
         assert_eq!(
-            r.preferences(&packet(12, 0, 0), 0),
-            [Some(OutPort::Link(Direction::East)), None]
+            r.route(&packet(12, 0, 0), 0),
+            OutPort::Link(Direction::East)
+        );
+        // Node 26 is (2,3): x first, so east before south.
+        assert_eq!(
+            r.route(&packet(26, 0, 0), 0),
+            OutPort::Link(Direction::East)
         );
         // Node 1 is (1,0): x aligned, go north.
         assert_eq!(
-            r.preferences(&packet(1, 0, 0), 0),
-            [Some(OutPort::Link(Direction::North)), None]
+            r.route(&packet(1, 0, 0), 0),
+            OutPort::Link(Direction::North)
         );
         // Node 9 is self: internal.
-        assert_eq!(
-            r.preferences(&packet(9, 0, 0), 0),
-            [Some(OutPort::Internal), None]
-        );
-    }
-
-    #[test]
-    fn yx_and_adaptive_preferences() {
-        let mut r = router();
-        // Node 26 is (2,3): dx=+1, dy=+2.
-        r.settings_mut().route_mode = RouteMode::Yx;
-        assert_eq!(
-            r.preferences(&packet(26, 0, 0), 0),
-            [Some(OutPort::Link(Direction::South)), None]
-        );
-        r.settings_mut().route_mode = RouteMode::Adaptive;
-        assert_eq!(
-            r.preferences(&packet(26, 0, 0), 0),
-            [
-                Some(OutPort::Link(Direction::East)),
-                Some(OutPort::Link(Direction::South))
-            ]
-        );
+        assert_eq!(r.route(&packet(9, 0, 0), 0), OutPort::Internal);
     }
 
     #[test]
     fn config_packets_route_to_rcap() {
         let r = router();
         let mut p = packet(9, 0, 0);
-        p.kind = PacketKind::Config(RcapCommand::SetRedirectAge(5));
-        assert_eq!(r.preferences(&p, 0), [Some(OutPort::Rcap), None]);
+        p.kind = PacketKind::Config(RcapCommand::AimWrite { reg: 0, value: 5 });
+        assert_eq!(r.route(&p, 0), OutPort::Rcap);
     }
 
     #[test]
     fn opportunistic_absorption_requires_all_conditions() {
         let mut r = router();
         r.settings_mut().opportunistic_delivery = true;
-        r.settings_mut().redirect_age = 100;
         r.settings_mut().local_task = Some(TaskId::new(2));
         let p = packet(30, 2, 0); // not for us, task matches
-                                  // Too young: routed normally.
-        assert_ne!(r.preferences(&p, 50), [Some(OutPort::Internal), None]);
+        let east = OutPort::Link(Direction::East);
+        // Too young: routed normally.
+        assert_eq!(r.route(&p, REDIRECT_AGE - 1), east);
         // Old enough: absorbed.
-        assert_eq!(r.preferences(&p, 150), [Some(OutPort::Internal), None]);
+        assert_eq!(r.route(&p, REDIRECT_AGE), OutPort::Internal);
         // Wrong task: routed normally.
         let q = packet(30, 1, 0);
-        assert_ne!(r.preferences(&q, 150), [Some(OutPort::Internal), None]);
+        assert_eq!(r.route(&q, REDIRECT_AGE), east);
         // Feature off: routed normally.
         r.settings_mut().opportunistic_delivery = false;
-        assert_ne!(r.preferences(&p, 150), [Some(OutPort::Internal), None]);
+        assert_eq!(r.route(&p, REDIRECT_AGE), east);
     }
 
     #[test]
     fn apply_config_updates_settings() {
         let mut r = router();
-        r.apply_config(RcapCommand::SetDeadlockTimeout(99));
-        assert_eq!(r.settings().deadlock_timeout, 99);
-        r.apply_config(RcapCommand::SetRouteMode(RouteMode::Adaptive));
-        assert_eq!(r.settings().route_mode, RouteMode::Adaptive);
         r.apply_config(RcapCommand::SetPortEnabled(Port::East, false));
         assert!(!r.settings().port_enabled[Port::East.index()]);
         r.apply_config(RcapCommand::AimWrite { reg: 2, value: 7 });
-        assert_eq!(r.take_aim_writes(), vec![(2, 7)]);
-        assert_eq!(r.monitors().rcap_commands, 4);
+        r.apply_config(RcapCommand::AimWrite { reg: 3, value: 1 });
+        assert_eq!(r.aim_write_backlog(), 2);
+        assert_eq!(r.pop_aim_write(), Some((2, 7)));
+        assert_eq!(r.pop_aim_write(), Some((3, 1)));
+        assert_eq!(r.pop_aim_write(), None);
     }
 
     #[test]
@@ -1013,9 +919,34 @@ mod tests {
     fn monitors_take_resets() {
         let mut m = RouterMonitors::new(3);
         m.routed_per_task[1] = 5;
+        m.internal_per_task[2] = 4;
         assert_eq!(m.routed_per_task(), &[0, 5, 0]);
-        assert_eq!(m.take_routed_per_task(), vec![0, 5, 0]);
+        let mut buf = [9; 3];
+        m.take_routed_into(&mut buf);
+        assert_eq!(buf, [0, 5, 0]);
         assert_eq!(m.routed_per_task(), &[0, 0, 0]);
+        m.take_internal_into(&mut buf);
+        assert_eq!(buf, [0, 0, 4]);
+        assert_eq!(m.internal_per_task(), &[0, 0, 0]);
+    }
+
+    /// The hot structs' sizes on a 64-bit target, so a new field cannot
+    /// silently regrow the state the mesh phase walks every cycle.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn hot_structs_stay_small() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<Packet>() <= 32,
+            "Packet is {}",
+            size_of::<Packet>()
+        );
+        assert!(size_of::<Flit>() <= 40, "Flit is {}", size_of::<Flit>());
+        assert!(
+            size_of::<Router>() <= 1032,
+            "Router is {}",
+            size_of::<Router>()
+        );
     }
 
     /// The nested-loop planner the one-pass [`Router::plan_into`]
@@ -1071,13 +1002,7 @@ mod tests {
                 let Some(Flit::Head { pkt, .. }) = r.head_flit(i) else {
                     continue;
                 };
-                let first_available = r
-                    .preferences(&pkt, now)
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .find(|&p| r.output_available(p, credit));
-                if first_available == Some(o) {
+                if r.route(&pkt, now) == o {
                     candidate[i.index()] = true;
                     any = true;
                 }
@@ -1120,9 +1045,9 @@ mod tests {
     }
 
     /// A random router state: heads (or body flits) on any of the five
-    /// inputs, circuits, dropping inputs, port enables, `rr` pointers,
-    /// every route mode and opportunistic delivery. Heads are biased
-    /// towards a few destinations so inputs often contend for an output.
+    /// inputs, circuits, dropping inputs, port enables, `rr` pointers
+    /// and opportunistic delivery. Heads are biased towards a few
+    /// destinations so inputs often contend for an output.
     fn random_router(rng: &mut Mix) -> Router {
         let (w, h) = (2 + rng.below(6) as u16, 2 + rng.below(6) as u16);
         let (x, y) = (rng.below(w as u64) as u16, rng.below(h as u64) as u16);
@@ -1140,7 +1065,7 @@ mod tests {
                 rng.below(n) as u16
             };
             let kind = if rng.chance(20) {
-                PacketKind::Config(RcapCommand::SetRedirectAge(1))
+                PacketKind::Config(RcapCommand::AimWrite { reg: 0, value: 1 })
             } else {
                 PacketKind::Data
             };
@@ -1157,9 +1082,7 @@ mod tests {
         };
         let s = &mut r.settings;
         s.alive = rng.chance(95);
-        s.route_mode = [RouteMode::Xy, RouteMode::Yx, RouteMode::Adaptive][rng.below(3) as usize];
         s.opportunistic_delivery = rng.chance(50);
-        s.redirect_age = rng.below(100);
         s.local_task = rng.chance(70).then(|| TaskId::new(rng.below(3) as u8));
         for e in &mut s.port_enabled {
             *e = rng.chance(85);

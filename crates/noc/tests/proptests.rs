@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use sirtm_noc::buffer::DEPTH;
 use sirtm_noc::{
-    Flit, FlitBuffer, Mesh, NodeId, PacketId, PacketKind, Port, RcapCommand, RouteMode,
-    RouterConfig,
+    Flit, FlitBuffer, Mesh, NodeId, PacketId, PacketKind, Port, RcapCommand, RouterConfig,
+    DEADLOCK_TIMEOUT,
 };
 use sirtm_taskgraph::{GridDims, TaskId};
 
@@ -20,12 +20,11 @@ struct TrafficCase {
     height: u16,
     sends: Vec<(u16, u16, u8, u8)>, // (src, dest, task, payload)
     kills: Vec<u16>,
-    adaptive: bool,
 }
 
 fn traffic_case() -> impl Strategy<Value = TrafficCase> {
-    (2u16..6, 2u16..6, any::<bool>())
-        .prop_flat_map(|(w, h, adaptive)| {
+    (2u16..6, 2u16..6)
+        .prop_flat_map(|(w, h)| {
             let nodes = w * h;
             let send = (0..nodes, 0..nodes, 0u8..3, 0u8..6);
             let kill = proptest::collection::vec(0..nodes, 0..2);
@@ -34,15 +33,13 @@ fn traffic_case() -> impl Strategy<Value = TrafficCase> {
                 Just(h),
                 proptest::collection::vec(send, 1..40),
                 kill,
-                Just(adaptive),
             )
         })
-        .prop_map(|(width, height, sends, kills, adaptive)| TrafficCase {
+        .prop_map(|(width, height, sends, kills)| TrafficCase {
             width,
             height,
             sends,
             kills,
-            adaptive,
         })
 }
 
@@ -53,19 +50,10 @@ proptest! {
     /// consumed by RCAP or dropped — never duplicated, never lost.
     #[test]
     fn flit_conservation(case in traffic_case()) {
-        let config = RouterConfig {
-            deadlock_timeout: 50, // recover fast so tests drain
-            ..RouterConfig::default()
-        };
-        let mut mesh = Mesh::new(GridDims::new(case.width, case.height), config);
-        if case.adaptive {
-            for i in 0..(case.width * case.height) {
-                mesh.apply_config_direct(
-                    NodeId::new(i),
-                    RcapCommand::SetRouteMode(RouteMode::Adaptive),
-                );
-            }
-        }
+        let mut mesh = Mesh::new(
+            GridDims::new(case.width, case.height),
+            RouterConfig::default(),
+        );
         for &k in &case.kills {
             mesh.router_mut(NodeId::new(k)).kill();
         }
@@ -165,8 +153,8 @@ enum Event {
         port: u8,
         on: bool,
     },
-    /// A `SetRouteMode(Adaptive)` config packet from `src` to `dest`.
-    Adaptive {
+    /// An `AimWrite` config packet from `src` to `dest`.
+    AimWrite {
         src: u16,
         dest: u16,
     },
@@ -176,7 +164,6 @@ enum Event {
 struct FabricCase {
     width: u16,
     height: u16,
-    deadlock_timeout: u64,
     opportunistic: bool,
     /// Every `mix_every`-th cycle the worklist twin takes a naive step
     /// instead, to check that the two steppers can be mixed.
@@ -192,7 +179,7 @@ fn event() -> impl Strategy<Value = Event> {
         1 => any::<u16>().prop_map(Event::Kill),
         2 => (any::<u16>(), any::<u16>(), 0u8..6, any::<bool>())
             .prop_map(|(src, dest, port, on)| Event::Port { src, dest, port, on }),
-        1 => (any::<u16>(), any::<u16>()).prop_map(|(src, dest)| Event::Adaptive { src, dest }),
+        1 => (any::<u16>(), any::<u16>()).prop_map(|(src, dest)| Event::AimWrite { src, dest }),
     ]
 }
 
@@ -200,16 +187,14 @@ fn fabric_case() -> impl Strategy<Value = FabricCase> {
     (
         2u16..6,
         2u16..6,
-        3u64..40,
         any::<bool>(),
         prop_oneof![Just(u64::MAX), 2u64..9],
         proptest::collection::vec((0u64..250, event()), 1..60),
     )
         .prop_map(
-            |(width, height, deadlock_timeout, opportunistic, mix_every, events)| FabricCase {
+            |(width, height, opportunistic, mix_every, events)| FabricCase {
                 width,
                 height,
-                deadlock_timeout,
                 opportunistic,
                 mix_every,
                 events,
@@ -248,12 +233,8 @@ fn apply_event(mesh: &mut Mesh, event: &Event) {
                 RcapCommand::SetPortEnabled(Port::ALL[port as usize], on),
             );
         }
-        Event::Adaptive { src, dest } => {
-            mesh.send_config(
-                n(src),
-                n(dest),
-                RcapCommand::SetRouteMode(RouteMode::Adaptive),
-            );
+        Event::AimWrite { src, dest } => {
+            mesh.send_config(n(src), n(dest), RcapCommand::AimWrite { reg: 1, value: 2 });
         }
     }
 }
@@ -262,8 +243,6 @@ fn apply_event(mesh: &mut Mesh, event: &Event) {
 /// [`Mesh::step_naive`], from a case's configuration.
 fn twins(case: &FabricCase) -> (Mesh, Mesh) {
     let config = RouterConfig {
-        deadlock_timeout: case.deadlock_timeout,
-        redirect_age: 10,
         opportunistic_delivery: case.opportunistic,
         ..RouterConfig::default()
     };
@@ -276,12 +255,18 @@ fn twins(case: &FabricCase) -> (Mesh, Mesh) {
     (mesh.clone(), mesh)
 }
 
-/// Drains every fresh delivery, as the platform does each cycle.
-fn drain(mesh: &mut Mesh) {
+/// Drains every fresh delivery, as the platform does each cycle, and
+/// returns how many were absorbed by a node other than their
+/// destination.
+fn drain(mesh: &mut Mesh) -> u64 {
+    let mut absorbed = 0;
     for k in 0..mesh.fresh_delivered().len() {
         let node = NodeId::new(mesh.fresh_delivered()[k]);
-        while mesh.pop_delivered(node).is_some() {}
+        while let Some(pkt) = mesh.pop_delivered(node) {
+            absorbed += u64::from(pkt.dest != node);
+        }
     }
+    absorbed
 }
 
 /// Asserts the twins agree on everything a step can change.
@@ -311,32 +296,74 @@ fn assert_twins_equal(fast: &Mesh, naive: &Mesh) {
     }
 }
 
+/// Steps a case's twins, applying each event before its cycle's step,
+/// until `2 * DEADLOCK_TIMEOUT` cycles after the last event — long
+/// enough for a packet blocked by that event to be dropped and for
+/// packets it strands to be dropped or absorbed in turn — and asserts
+/// they agree router by router every cycle. Returns the packets dropped
+/// and the packets absorbed away from their destination.
+fn run_twins(case: &FabricCase) -> (u64, u64) {
+    let (mut fast, mut naive) = twins(case);
+    let last_event = case.events.iter().map(|&(at, _)| at).max().unwrap_or(0);
+    let mut absorbed = 0;
+    for cycle in 0..=last_event + 2 * DEADLOCK_TIMEOUT {
+        for (_, event) in case.events.iter().filter(|(at, _)| *at == cycle) {
+            apply_event(&mut fast, event);
+            apply_event(&mut naive, event);
+        }
+        if cycle % case.mix_every == 0 {
+            fast.step_naive();
+        } else {
+            fast.step();
+        }
+        naive.step_naive();
+        assert_twins_equal(&fast, &naive);
+        absorbed += drain(&mut fast);
+        drain(&mut naive);
+    }
+    (naive.stats().dropped, absorbed)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The worklist stepper is decision-for-decision identical to the
     /// exhaustive one under random traffic, mid-run tile deaths, in-band
-    /// port disables and route-mode switches, and a short deadlock
-    /// timeout — compared router by router, every cycle.
+    /// port disables and AIM writes, deadlock drops and opportunistic
+    /// absorption — compared router by router, every cycle.
     #[test]
     fn worklist_step_matches_naive_step(case in fabric_case()) {
-        let (mut fast, mut naive) = twins(&case);
-        for cycle in 0..400u64 {
-            for (_, event) in case.events.iter().filter(|(at, _)| *at == cycle) {
-                apply_event(&mut fast, event);
-                apply_event(&mut naive, event);
-            }
-            if cycle % case.mix_every == 0 {
-                fast.step_naive();
-            } else {
-                fast.step();
-            }
-            naive.step_naive();
-            assert_twins_equal(&fast, &naive);
-            drain(&mut fast);
-            drain(&mut naive);
-        }
+        run_twins(&case);
     }
+}
+
+/// Fixed twin-checked cases that reach the recovery paths under the
+/// production timeouts: a packet bound for a dead tile is dropped, or,
+/// when the tile before it runs the packet's task, absorbed there once
+/// aged.
+#[test]
+fn twins_agree_on_a_drop_and_an_aged_absorption() {
+    let case = |opportunistic, mix_every| FabricCase {
+        width: 4,
+        height: 1,
+        opportunistic,
+        mix_every,
+        // n2 runs task 2 (`twins` maps node i to task i % 3).
+        events: vec![
+            (0, Event::Kill(3)),
+            (
+                1,
+                Event::Send {
+                    src: 0,
+                    dest: 3,
+                    task: 2,
+                    payload: 1,
+                },
+            ),
+        ],
+    };
+    assert_eq!(run_twins(&case(false, u64::MAX)), (1, 0), "dropped");
+    assert_eq!(run_twins(&case(true, 3)), (0, 1), "absorbed");
 }
 
 /// Regression: a flit that arrives at an idle router is aged in its
@@ -345,11 +372,7 @@ proptest! {
 /// delays every deadlock drop by one cycle.
 #[test]
 fn arrival_cycle_ages_a_flit_at_an_idle_router() {
-    let config = RouterConfig {
-        deadlock_timeout: 3,
-        ..RouterConfig::default()
-    };
-    let mut fast = Mesh::new(GridDims::new(3, 1), config);
+    let mut fast = Mesh::new(GridDims::new(3, 1), RouterConfig::default());
     // n1 cannot forward east, so the packet's head stalls there.
     fast.apply_config_direct(
         NodeId::new(1),
@@ -364,7 +387,7 @@ fn arrival_cycle_ages_a_flit_at_an_idle_router() {
     );
     let mut naive = fast.clone();
     let mut dropped_at = None;
-    for cycle in 0..10u64 {
+    for cycle in 0..DEADLOCK_TIMEOUT + 10 {
         fast.step();
         naive.step_naive();
         assert_twins_equal(&fast, &naive);
@@ -375,18 +398,16 @@ fn arrival_cycle_ages_a_flit_at_an_idle_router() {
                     .input_occupancy(sirtm_noc::Direction::West),
                 1
             );
-            assert_eq!(
-                fast.router(NodeId::new(1)).monitors().blocked_head_cycles,
-                1
-            );
         }
         if dropped_at.is_none() && fast.stats().dropped == 1 {
             dropped_at = Some(cycle);
         }
     }
-    // Blocked for cycles 0, 1, 2 and 3; the count exceeds the timeout on
-    // cycle 3 and recovery drops the packet.
-    assert_eq!(dropped_at, Some(3));
+    // Blocked for cycles 0 to DEADLOCK_TIMEOUT; the count exceeds the
+    // timeout on cycle DEADLOCK_TIMEOUT and recovery drops the packet. A
+    // head first aged the cycle after it arrived would drop a cycle
+    // later.
+    assert_eq!(dropped_at, Some(DEADLOCK_TIMEOUT));
 }
 
 #[derive(Debug, Clone, Copy)]

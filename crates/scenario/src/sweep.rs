@@ -245,7 +245,13 @@ impl SweepSpec {
         let replicates = v
             .get("replicates")
             .and_then(Json::as_num)
-            .ok_or("sweep missing `replicates`")? as usize;
+            .ok_or("sweep missing `replicates`")?;
+        if replicates < 1.0 || replicates.fract() != 0.0 {
+            return Err(format!(
+                "`replicates` must be an integer >= 1, got {replicates}"
+            ));
+        }
+        let replicates = replicates as usize;
         let seeds = v.get("seeds").ok_or("sweep missing `seeds`")?;
         let seeds = match seeds.get("scheme").and_then(Json::as_str) {
             Some("sequential") => SeedScheme::Sequential {
@@ -359,9 +365,14 @@ fn axis_to_json(axis: &Axis) -> Json {
 
 fn axis_from_json(v: &Json) -> Result<Axis, String> {
     let values = |key: &str| -> Result<&[Json], String> {
-        v.get(key)
+        let values = v
+            .get(key)
             .and_then(Json::as_arr)
-            .ok_or_else(|| format!("axis missing `{key}` array"))
+            .ok_or_else(|| format!("axis missing `{key}` array"))?;
+        if values.is_empty() {
+            return Err(format!("axis `{key}` needs at least one value"));
+        }
+        Ok(values)
     };
     match v.get("axis").and_then(Json::as_str) {
         Some("model") => Ok(Axis::Model(
@@ -379,8 +390,9 @@ fn axis_from_json(v: &Json) -> Result<Axis, String> {
                 .iter()
                 .map(|c| {
                     c.as_num()
+                        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
                         .map(|n| n as usize)
-                        .ok_or("fault counts must be numbers".to_string())
+                        .ok_or("fault counts must be integers >= 0".to_string())
                 })
                 .collect::<Result<Vec<_>, _>>()?,
         }),
@@ -886,6 +898,13 @@ mod tests {
 
     #[test]
     fn bad_sweep_descriptors_are_rejected() {
+        let sweep_text = |replicates: &str, axes: &str| {
+            format!(
+                r#"{{"name": "x", "base": {{"name": "b", "grid": [4,4], "model": "ffw",
+                    "duration_ms": 60}}, "replicates": {replicates}, "axes": {axes},
+                    "seeds": {{"scheme": "derived", "root": "7"}}}}"#
+            )
+        };
         for (text, needle) in [
             ("{}", "name"),
             (r#"{"name": "x"}"#, "base"),
@@ -906,6 +925,28 @@ mod tests {
                     "duration_ms": 60}, "replicates": 1, "axes": [{"axis": "warp"}],
                     "seeds": {"scheme": "derived", "root": "7"}}"#,
                 "axis",
+            ),
+            (&sweep_text("0", "[]"), "replicates"),
+            (&sweep_text("-1", "[]"), "replicates"),
+            (&sweep_text("1.5", "[]"), "replicates"),
+            (
+                &sweep_text("1", r#"[{"axis": "faults", "at_ms": 30, "counts": []}]"#),
+                "at least one value",
+            ),
+            (
+                &sweep_text("1", r#"[{"axis": "model", "values": []}]"#),
+                "at least one value",
+            ),
+            (
+                &sweep_text(
+                    "1",
+                    r#"[{"axis": "faults", "at_ms": 30, "counts": [2, -1]}]"#,
+                ),
+                "integers >= 0",
+            ),
+            (
+                &sweep_text("1", r#"[{"axis": "faults", "at_ms": 30, "counts": [0.5]}]"#),
+                "integers >= 0",
             ),
         ] {
             let err = SweepSpec::from_json_text(text).expect_err("must fail");

@@ -184,27 +184,6 @@ fn colony_generalises_to_other_task_graphs() {
 }
 
 #[test]
-fn adaptive_routing_mode_sustains_the_colony() {
-    // The paper's future-work extension: minimal-adaptive routing (with
-    // the basic deadlock recovery backstopping it) instead of XY. The
-    // colony must still function.
-    let cfg = small_cfg();
-    let mut p = platform_for(ModelKind::ForagingForWork(FfwConfig::default()), 8, cfg);
-    for i in 0..36u16 {
-        p.apply_config_direct(
-            NodeId::new(i),
-            RcapCommand::SetRouteMode(sirtm::noc::RouteMode::Adaptive),
-        );
-    }
-    p.run_ms(250.0);
-    assert!(
-        p.completions(TaskId::new(2)) > 50,
-        "adaptive routing sustained {} sink completions",
-        p.completions(TaskId::new(2))
-    );
-}
-
-#[test]
 fn full_paper_platform_is_deterministic_end_to_end() {
     let run = || {
         let mut p = platform_for(
