@@ -145,7 +145,7 @@ fn packet_to_dead_router_is_dropped_by_recovery() {
     let mut m = mesh(4, 1);
     m.router_mut(n(3)).kill();
     m.inject(n(0), n(3), t(0), PacketKind::Data, 1);
-    // Default deadlock timeout is 200; give it time to trigger.
+    // Give the 200-cycle deadlock timeout time to trigger.
     for _ in 0..600 {
         m.step();
     }
