@@ -6,13 +6,22 @@
 //! the same: it owns a [`Picoblaze`] core running one of the bundled
 //! `.psm` programs and bridges its port space to the node's [`AimIo`].
 //!
-//! The core is the plain interpreter, one `match` per instruction. A
-//! tiered engine (pre-decoded micro-ops plus compiled basic blocks) was
-//! tried in its place and deleted because it did not pay: on the
-//! `firmware-8x16` perfbench workload, on a 2-core Intel Xeon VM, five
-//! interleaved pairs of runs gave a median of 1.66 runs per CPU-second
-//! for the tiered engine against 2.17 for the interpreter, which won
-//! every pair, and peak RSS fell from 6.3 to 5.8 MiB.
+//! The core is the plain interpreter, one `match` per instruction, in a
+//! single run loop that keeps the PC and flags in locals and credits the
+//! retired count once per scan. Each bundled program is assembled once
+//! per process and shared by every node's core. With both, and with a
+//! `ni.psm` that scans in 49.3 instead of 63.3 instructions and an
+//! `ffw.psm` at 9.5 instead of 11.3 (perfbench's scripted 3-task
+//! probe), the `firmware-8x16` perfbench workload on a 2-core Intel Xeon
+//! VM went from a median of 2.57 to 3.36 runs per CPU-second over ten
+//! interleaved pairs of 10 s runs, the change winning all ten.
+//!
+//! A tiered engine (pre-decoded micro-ops plus compiled basic blocks) was
+//! tried in the interpreter's place and deleted because it did not pay:
+//! on the same workload and machine, five interleaved pairs of runs gave
+//! a median of 1.66 runs per CPU-second for the tiered engine against
+//! 2.17 for the interpreter, which won every pair, and peak RSS fell
+//! from 6.3 to 5.8 MiB.
 //!
 //! # Port map
 //!
@@ -32,6 +41,8 @@
 //! | `0x40+r` | in | AIM configuration register `r` |
 //! | `0x00` | out | switch the node to the written task id |
 //! | `0xFF` | out | end-of-scan sync |
+
+use std::sync::{Arc, OnceLock};
 
 use sirtm_picoblaze::vm::{Picoblaze, PortIo, RunOutcome};
 use sirtm_picoblaze::{asm, Instruction};
@@ -217,7 +228,11 @@ impl FirmwareModel {
     /// Panics if `n_tasks` exceeds [`FirmwareModel::MAX_TASKS`]: beyond 16
     /// tasks the port map's per-task banks alias each other, so firmware
     /// would silently read the wrong monitors.
-    pub fn from_program(program: Vec<Instruction>, name: &'static str, n_tasks: usize) -> Self {
+    pub fn from_program(
+        program: impl Into<Arc<[Instruction]>>,
+        name: &'static str,
+        n_tasks: usize,
+    ) -> Self {
         assert!(
             n_tasks <= Self::MAX_TASKS,
             "the AIM port map supports at most {} tasks, got {n_tasks}",
@@ -245,14 +260,20 @@ impl FirmwareModel {
         self.scratch_presets.push((addr, value));
     }
 
-    /// The bundled Network Interaction firmware.
+    /// The bundled Network Interaction firmware. The source is assembled
+    /// once per process; every model shares that one program image.
     ///
     /// # Panics
     ///
     /// Panics if the bundled source fails to assemble (a build defect).
     pub fn network_interaction(n_tasks: usize, cfg: &NiConfig) -> Self {
-        let program = asm::assemble(NI_SOURCE).expect("bundled NI firmware must assemble");
-        let mut fw = Self::from_program(program, "ni-fw", n_tasks);
+        static PROGRAM: OnceLock<Arc<[Instruction]>> = OnceLock::new();
+        let program = PROGRAM.get_or_init(|| {
+            asm::assemble(NI_SOURCE)
+                .expect("bundled NI firmware must assemble")
+                .into()
+        });
+        let mut fw = Self::from_program(Arc::clone(program), "ni-fw", n_tasks);
         fw.configure(regs::NI_THRESHOLD, cfg.threshold);
         fw.configure(regs::NI_LEAK, cfg.leak);
         fw.configure(regs::NI_FIXATION, cfg.fixation_scans);
@@ -261,14 +282,20 @@ impl FirmwareModel {
         fw
     }
 
-    /// The bundled Foraging-for-Work firmware.
+    /// The bundled Foraging-for-Work firmware, assembled once per process
+    /// and shared like [`FirmwareModel::network_interaction`]'s.
     ///
     /// # Panics
     ///
     /// Panics if the bundled source fails to assemble (a build defect).
     pub fn foraging_for_work(n_tasks: usize, cfg: &FfwConfig) -> Self {
-        let program = asm::assemble(FFW_SOURCE).expect("bundled FFW firmware must assemble");
-        let mut fw = Self::from_program(program, "ffw-fw", n_tasks);
+        static PROGRAM: OnceLock<Arc<[Instruction]>> = OnceLock::new();
+        let program = PROGRAM.get_or_init(|| {
+            asm::assemble(FFW_SOURCE)
+                .expect("bundled FFW firmware must assemble")
+                .into()
+        });
+        let mut fw = Self::from_program(Arc::clone(program), "ffw-fw", n_tasks);
         fw.configure(regs::FFW_TIMEOUT, cfg.timeout_scans);
         fw
     }
@@ -452,7 +479,7 @@ mod tests {
     #[test]
     fn runtime_fixation_decrease_reclamps_commit_store() {
         // Lowering NI_FIXATION at runtime must re-clamp the commitment
-        // store, matching NetworkInteraction::configure's immediate clamp.
+        // store at the next scan, as NetworkInteraction::scan does.
         let cfg = NiConfig {
             threshold: 5,
             fixation_scans: 200,
@@ -470,6 +497,70 @@ mod tests {
             io.switches,
             vec![TaskId::new(0)],
             "re-clamped store lets the stored stimulus decide immediately"
+        );
+    }
+
+    /// Instructions one scan retires, from the `JUMP scan` that closes
+    /// the previous scan to this scan's sync write.
+    fn scan_cost(fw: &mut FirmwareModel, io: &mut MockAimIo, routed: [u32; 3], feed: u32) -> u64 {
+        let before = fw.instructions_retired();
+        io.routed = routed.to_vec();
+        io.feed = feed;
+        fw.scan(io);
+        io.tick();
+        fw.instructions_retired() - before
+    }
+
+    #[test]
+    fn scan_instruction_counts_are_pinned() {
+        // The shipped firmware's cost per scan path, on 3 tasks. A change
+        // to either `.psm` that lengthens a path fails here.
+        let cfg = NiConfig {
+            threshold: 10,
+            fixation_scans: 3,
+            ..NiConfig::default()
+        };
+        let mut fw = FirmwareModel::network_interaction(3, &cfg);
+        let mut io = MockAimIo::new(3);
+        scan_cost(&mut fw, &mut io, [0; 3], 0); // from reset: store 3 -> 2
+        assert_eq!(
+            scan_cost(&mut fw, &mut io, [1, 2, 0], 0),
+            47,
+            "draining: unfed, store 2 -> 1, still committed"
+        );
+        assert_eq!(
+            scan_cost(&mut fw, &mut io, [1, 2, 0], 60),
+            50,
+            "committed: fed, store tops up to the cap"
+        );
+        for _ in 0..2 {
+            scan_cost(&mut fw, &mut io, [0; 3], 0); // store 3 -> 1
+        }
+        assert_eq!(
+            scan_cost(&mut fw, &mut io, [0, 0, 1], 0),
+            71,
+            "deciding: store drains to 0, nothing at the threshold"
+        );
+        assert!(io.switches.is_empty());
+        assert_eq!(
+            scan_cost(&mut fw, &mut io, [0, 9, 0], 0),
+            89,
+            "firing: task 1 crosses the threshold, counters clear"
+        );
+        assert_eq!(io.switches, vec![TaskId::new(1)]);
+        scan_cost(&mut fw, &mut io, [300; 3], 0); // counters reach 255
+        assert_eq!(
+            scan_cost(&mut fw, &mut io, [300; 3], 0),
+            50,
+            "saturating: draining, every counter clamps at 255"
+        );
+
+        let mut fw = FirmwareModel::foraging_for_work(3, &FfwConfig::default());
+        scan_cost(&mut fw, &mut io, [0; 3], 255); // fed: armed
+        assert_eq!(
+            scan_cost(&mut fw, &mut io, [0; 3], 0),
+            9,
+            "FFW: unfed, the watchdog counts down"
         );
     }
 

@@ -134,6 +134,20 @@ impl ModelKind {
     pub fn is_adaptive(&self) -> bool {
         !matches!(self, ModelKind::NoIntelligence)
     }
+
+    /// Most tasks the model can be built for: the firmware models are
+    /// bounded by the AIM port map ([`FirmwareModel::MAX_TASKS`]), the
+    /// others are not (`None`).
+    ///
+    /// [`FirmwareModel::MAX_TASKS`]: crate::firmware::FirmwareModel::MAX_TASKS
+    pub fn max_tasks(&self) -> Option<usize> {
+        match self {
+            ModelKind::NetworkInteractionFirmware(_) | ModelKind::ForagingForWorkFirmware(_) => {
+                Some(crate::firmware::FirmwareModel::MAX_TASKS)
+            }
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for ModelKind {

@@ -139,13 +139,16 @@ impl RtmModel for NetworkInteraction {
         }
         // Task fixation: own-task work tops the commitment store up
         // (work-proportionally, capped); unfed scans drain it. An engaged
-        // node accumulates stimulus but defers the decision.
+        // node accumulates stimulus but defers the decision. The store is
+        // clamped to the fixation window here, not when the window is
+        // written: like the firmware, which reads its configuration
+        // registers once per scan, only the last of several writes
+        // between two scans counts.
+        let cap = self.cfg.fixation_scans;
+        self.commit = self.commit.min(cap);
         let feed = io.feed_amount().min(255) as u8;
         if feed > 0 {
-            self.commit = self
-                .commit
-                .saturating_add(feed)
-                .min(self.cfg.fixation_scans);
+            self.commit = self.commit.saturating_add(feed).min(cap);
         } else {
             self.commit = self.commit.saturating_sub(1);
         }
@@ -191,10 +194,7 @@ impl RtmModel for NetworkInteraction {
                 }
             }
             regs::NI_INHIBITION => self.cfg.social_inhibition_gain = value,
-            regs::NI_FIXATION => {
-                self.cfg.fixation_scans = value;
-                self.commit = self.commit.min(value);
-            }
+            regs::NI_FIXATION => self.cfg.fixation_scans = value,
             _ => {}
         }
     }

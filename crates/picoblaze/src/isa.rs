@@ -35,7 +35,10 @@ impl Register {
 
     /// Register index in `0..16`.
     pub const fn index(self) -> usize {
-        self.0 as usize
+        // `new` guarantees `self.0 < 16`, so the mask changes nothing; it
+        // shows the compiler the range, which drops the bounds check on
+        // every register-file access in the interpreter.
+        (self.0 & 0x0F) as usize
     }
 
     /// Raw 4-bit encoding.

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::isa::{Address, Condition, Instruction, Operand, Register, ShiftOp};
 
@@ -127,6 +128,9 @@ pub enum RunOutcome {
 /// The PicoBlaze-style core: 16 registers, 256-byte scratchpad, 2 flags,
 /// 30-deep call stack and a 12-bit program counter.
 ///
+/// The program is shared, not copied: cores built from the same
+/// `Arc<[Instruction]>` (or cloned from one another) hold one image.
+///
 /// # Examples
 ///
 /// ```
@@ -146,10 +150,12 @@ pub enum RunOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Picoblaze {
-    program: Vec<Instruction>,
+    program: Arc<[Instruction]>,
     regs: [u8; 16],
     scratch: [u8; SCRATCHPAD_LEN],
-    stack: Vec<u16>,
+    stack: [u16; STACK_DEPTH],
+    /// Number of live entries in `stack`.
+    depth: usize,
     pc: u16,
     zero: bool,
     carry: bool,
@@ -161,14 +167,45 @@ pub struct Picoblaze {
     opcode_counts: [u64; Instruction::COUNT],
 }
 
+/// A `sync` port for [`Picoblaze::exec`] that no 8-bit port equals, so
+/// the run only ends on its budget or a fault.
+const NO_SYNC: u16 = 0x100;
+
+fn operand_value(regs: &[u8; 16], op: Operand) -> u8 {
+    match op {
+        Operand::Reg(r) => regs[r.index()],
+        Operand::Imm(k) => k,
+    }
+}
+
+fn address_value(regs: &[u8; 16], a: Address) -> u8 {
+    match a {
+        Address::Direct(k) => k,
+        Address::Indirect(r) => regs[r.index()],
+    }
+}
+
+fn condition_met(c: Condition, zero: bool, carry: bool) -> bool {
+    match c {
+        Condition::Always => true,
+        Condition::Zero => zero,
+        Condition::NotZero => !zero,
+        Condition::Carry => carry,
+        Condition::NotCarry => !carry,
+    }
+}
+
 impl Picoblaze {
     /// Creates a core with the given program loaded and all state zeroed.
-    pub fn new(program: Vec<Instruction>) -> Self {
+    /// A `Vec` becomes a fresh image; an `Arc<[Instruction]>` is shared
+    /// with its other holders.
+    pub fn new(program: impl Into<Arc<[Instruction]>>) -> Self {
         Self {
-            program,
+            program: program.into(),
             regs: [0; 16],
             scratch: [0; SCRATCHPAD_LEN],
-            stack: Vec::with_capacity(STACK_DEPTH),
+            stack: [0; STACK_DEPTH],
+            depth: 0,
             pc: 0,
             zero: false,
             carry: false,
@@ -182,7 +219,7 @@ impl Picoblaze {
     pub fn reset(&mut self) {
         self.regs = [0; 16];
         self.scratch = [0; SCRATCHPAD_LEN];
-        self.stack.clear();
+        self.depth = 0;
         self.pc = 0;
         self.zero = false;
         self.carry = false;
@@ -253,30 +290,6 @@ impl Picoblaze {
         &self.program
     }
 
-    fn operand_value(&self, op: Operand) -> u8 {
-        match op {
-            Operand::Reg(r) => self.regs[r.index()],
-            Operand::Imm(k) => k,
-        }
-    }
-
-    fn address_value(&self, a: Address) -> u8 {
-        match a {
-            Address::Direct(k) => k,
-            Address::Indirect(r) => self.regs[r.index()],
-        }
-    }
-
-    fn condition_met(&self, c: Condition) -> bool {
-        match c {
-            Condition::Always => true,
-            Condition::Zero => self.zero,
-            Condition::NotZero => !self.zero,
-            Condition::Carry => self.carry,
-            Condition::NotCarry => !self.carry,
-        }
-    }
-
     /// Executes one instruction.
     ///
     /// # Errors
@@ -285,147 +298,17 @@ impl Picoblaze {
     /// core state is left as it was *before* the faulting instruction, so
     /// errors are inspectable.
     pub fn step<P: PortIo + ?Sized>(&mut self, io: &mut P) -> Result<(), VmError> {
-        let pc = self.pc;
-        let instr = *self.program.get(pc as usize).ok_or(VmError::PcOutOfRange {
-            pc,
-            len: self.program.len(),
-        })?;
-        let mut next_pc = pc.wrapping_add(1);
-        use Instruction::*;
-        match instr {
-            Load(x, op) => {
-                self.regs[x.index()] = self.operand_value(op);
-            }
-            And(x, op) => {
-                let r = self.regs[x.index()] & self.operand_value(op);
-                self.regs[x.index()] = r;
-                self.zero = r == 0;
-                self.carry = false;
-            }
-            Or(x, op) => {
-                let r = self.regs[x.index()] | self.operand_value(op);
-                self.regs[x.index()] = r;
-                self.zero = r == 0;
-                self.carry = false;
-            }
-            Xor(x, op) => {
-                let r = self.regs[x.index()] ^ self.operand_value(op);
-                self.regs[x.index()] = r;
-                self.zero = r == 0;
-                self.carry = false;
-            }
-            Add(x, op) => {
-                let (r, c) = self.regs[x.index()].overflowing_add(self.operand_value(op));
-                self.regs[x.index()] = r;
-                self.zero = r == 0;
-                self.carry = c;
-            }
-            AddCy(x, op) => {
-                let cin = self.carry as u16;
-                let sum = self.regs[x.index()] as u16 + self.operand_value(op) as u16 + cin;
-                let r = (sum & 0xFF) as u8;
-                self.regs[x.index()] = r;
-                // Z chains across multi-byte adds, per KCPSM6.
-                self.zero = self.zero && r == 0;
-                self.carry = sum > 0xFF;
-            }
-            Sub(x, op) => {
-                let (r, b) = self.regs[x.index()].overflowing_sub(self.operand_value(op));
-                self.regs[x.index()] = r;
-                self.zero = r == 0;
-                self.carry = b;
-            }
-            SubCy(x, op) => {
-                let bin = self.carry as i16;
-                let diff = self.regs[x.index()] as i16 - self.operand_value(op) as i16 - bin;
-                let r = (diff & 0xFF) as u8;
-                self.regs[x.index()] = r;
-                self.zero = self.zero && r == 0;
-                self.carry = diff < 0;
-            }
-            Compare(x, op) => {
-                let (r, b) = self.regs[x.index()].overflowing_sub(self.operand_value(op));
-                self.zero = r == 0;
-                self.carry = b;
-            }
-            Test(x, op) => {
-                let r = self.regs[x.index()] & self.operand_value(op);
-                self.zero = r == 0;
-                self.carry = r.count_ones() % 2 == 1;
-            }
-            Shift(op, x) => {
-                let v = self.regs[x.index()];
-                let (r, out_bit) = match op {
-                    ShiftOp::Sl0 => (v << 1, v & 0x80 != 0),
-                    ShiftOp::Sl1 => ((v << 1) | 1, v & 0x80 != 0),
-                    ShiftOp::Slx => ((v << 1) | (v & 1), v & 0x80 != 0),
-                    ShiftOp::Sla => ((v << 1) | self.carry as u8, v & 0x80 != 0),
-                    ShiftOp::Rl => (v.rotate_left(1), v & 0x80 != 0),
-                    ShiftOp::Sr0 => (v >> 1, v & 1 != 0),
-                    ShiftOp::Sr1 => ((v >> 1) | 0x80, v & 1 != 0),
-                    ShiftOp::Srx => ((v >> 1) | (v & 0x80), v & 1 != 0),
-                    ShiftOp::Sra => ((v >> 1) | ((self.carry as u8) << 7), v & 1 != 0),
-                    ShiftOp::Rr => (v.rotate_right(1), v & 1 != 0),
-                };
-                self.regs[x.index()] = r;
-                self.zero = r == 0;
-                self.carry = out_bit;
-            }
-            Store(x, a) => {
-                let addr = self.address_value(a);
-                self.scratch[addr as usize] = self.regs[x.index()];
-            }
-            Fetch(x, a) => {
-                let addr = self.address_value(a);
-                self.regs[x.index()] = self.scratch[addr as usize];
-            }
-            Input(x, a) => {
-                let port = self.address_value(a);
-                self.regs[x.index()] = io.input(port);
-            }
-            Output(x, a) => {
-                let port = self.address_value(a);
-                io.output(port, self.regs[x.index()]);
-            }
-            Jump(c, addr) => {
-                if self.condition_met(c) {
-                    next_pc = addr;
-                }
-            }
-            Call(c, addr) => {
-                if self.condition_met(c) {
-                    if self.stack.len() >= STACK_DEPTH {
-                        return Err(VmError::StackOverflow { pc });
-                    }
-                    self.stack.push(pc.wrapping_add(1));
-                    next_pc = addr;
-                }
-            }
-            Return(c) => {
-                if self.condition_met(c) {
-                    next_pc = self.stack.pop().ok_or(VmError::StackUnderflow { pc })?;
-                }
-            }
-        }
-        self.pc = next_pc;
-        self.instret += 1;
-        #[cfg(feature = "profile")]
-        {
-            self.opcode_counts[instr.opcode_index()] += 1;
-        }
-        Ok(())
+        self.exec(1, NO_SYNC, io).map(drop)
     }
 
     /// Executes up to `n` instructions.
     ///
     /// # Errors
     ///
-    /// Stops at and returns the first [`VmError`].
+    /// Stops at and returns the first [`VmError`], with the core state as
+    /// it was before the faulting instruction.
     pub fn step_n<P: PortIo + ?Sized>(&mut self, n: u64, io: &mut P) -> Result<(), VmError> {
-        for _ in 0..n {
-            self.step(io)?;
-        }
-        Ok(())
+        self.exec(n, NO_SYNC, io).map(drop)
     }
 
     /// Runs until the core writes to output `port` (the AIM's end-of-scan
@@ -433,41 +316,191 @@ impl Picoblaze {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`VmError`].
+    /// Propagates the first [`VmError`], with the core state as it was
+    /// before the faulting instruction.
     pub fn run_until_port_write<P: PortIo + ?Sized>(
         &mut self,
         port: u8,
         budget: u64,
         io: &mut P,
     ) -> Result<RunOutcome, VmError> {
-        struct Watch<'a, P: ?Sized> {
-            inner: &'a mut P,
-            port: u8,
-            hit: bool,
-        }
-        impl<P: PortIo + ?Sized> PortIo for Watch<'_, P> {
-            fn input(&mut self, port: u8) -> u8 {
-                self.inner.input(port)
-            }
-            fn output(&mut self, port: u8, value: u8) {
-                if port == self.port {
-                    self.hit = true;
+        Ok(match self.exec(budget, u16::from(port), io)? {
+            Some(executed) => RunOutcome::PortWritten(executed),
+            None => RunOutcome::BudgetExhausted,
+        })
+    }
+
+    /// The interpreter: the one body of instruction semantics behind
+    /// [`Self::step`], [`Self::step_n`] and [`Self::run_until_port_write`].
+    ///
+    /// Retires up to `budget` instructions and stops early right after a
+    /// write to output port `sync` ([`NO_SYNC`] never matches), returning
+    /// the instructions retired up to and including that write. PC and
+    /// flags live in locals and `instret` is credited once per call; on a
+    /// fault everything the faulting instruction would have changed is
+    /// left as it was.
+    fn exec<P: PortIo + ?Sized>(
+        &mut self,
+        budget: u64,
+        sync: u16,
+        io: &mut P,
+    ) -> Result<Option<u64>, VmError> {
+        use Instruction::*;
+        let program: &[Instruction] = &self.program;
+        let regs = &mut self.regs;
+        let mut pc = self.pc;
+        let mut zero = self.zero;
+        let mut carry = self.carry;
+        let mut executed = 0u64;
+        let mut synced = false;
+        let mut fault = None;
+        while executed < budget {
+            let Some(&instr) = program.get(usize::from(pc)) else {
+                fault = Some(VmError::PcOutOfRange {
+                    pc,
+                    len: program.len(),
+                });
+                break;
+            };
+            let mut next_pc = pc.wrapping_add(1);
+            match instr {
+                Load(x, op) => {
+                    regs[x.index()] = operand_value(regs, op);
                 }
-                self.inner.output(port, value);
+                And(x, op) => {
+                    let r = regs[x.index()] & operand_value(regs, op);
+                    regs[x.index()] = r;
+                    zero = r == 0;
+                    carry = false;
+                }
+                Or(x, op) => {
+                    let r = regs[x.index()] | operand_value(regs, op);
+                    regs[x.index()] = r;
+                    zero = r == 0;
+                    carry = false;
+                }
+                Xor(x, op) => {
+                    let r = regs[x.index()] ^ operand_value(regs, op);
+                    regs[x.index()] = r;
+                    zero = r == 0;
+                    carry = false;
+                }
+                Add(x, op) => {
+                    let (r, c) = regs[x.index()].overflowing_add(operand_value(regs, op));
+                    regs[x.index()] = r;
+                    zero = r == 0;
+                    carry = c;
+                }
+                AddCy(x, op) => {
+                    let sum =
+                        regs[x.index()] as u16 + operand_value(regs, op) as u16 + carry as u16;
+                    let r = (sum & 0xFF) as u8;
+                    regs[x.index()] = r;
+                    // Z chains across multi-byte adds, per KCPSM6.
+                    zero = zero && r == 0;
+                    carry = sum > 0xFF;
+                }
+                Sub(x, op) => {
+                    let (r, b) = regs[x.index()].overflowing_sub(operand_value(regs, op));
+                    regs[x.index()] = r;
+                    zero = r == 0;
+                    carry = b;
+                }
+                SubCy(x, op) => {
+                    let diff =
+                        regs[x.index()] as i16 - operand_value(regs, op) as i16 - carry as i16;
+                    let r = (diff & 0xFF) as u8;
+                    regs[x.index()] = r;
+                    zero = zero && r == 0;
+                    carry = diff < 0;
+                }
+                Compare(x, op) => {
+                    let (r, b) = regs[x.index()].overflowing_sub(operand_value(regs, op));
+                    zero = r == 0;
+                    carry = b;
+                }
+                Test(x, op) => {
+                    let r = regs[x.index()] & operand_value(regs, op);
+                    zero = r == 0;
+                    carry = r.count_ones() % 2 == 1;
+                }
+                Shift(op, x) => {
+                    let v = regs[x.index()];
+                    let (r, out_bit) = match op {
+                        ShiftOp::Sl0 => (v << 1, v & 0x80 != 0),
+                        ShiftOp::Sl1 => ((v << 1) | 1, v & 0x80 != 0),
+                        ShiftOp::Slx => ((v << 1) | (v & 1), v & 0x80 != 0),
+                        ShiftOp::Sla => ((v << 1) | carry as u8, v & 0x80 != 0),
+                        ShiftOp::Rl => (v.rotate_left(1), v & 0x80 != 0),
+                        ShiftOp::Sr0 => (v >> 1, v & 1 != 0),
+                        ShiftOp::Sr1 => ((v >> 1) | 0x80, v & 1 != 0),
+                        ShiftOp::Srx => ((v >> 1) | (v & 0x80), v & 1 != 0),
+                        ShiftOp::Sra => ((v >> 1) | ((carry as u8) << 7), v & 1 != 0),
+                        ShiftOp::Rr => (v.rotate_right(1), v & 1 != 0),
+                    };
+                    regs[x.index()] = r;
+                    zero = r == 0;
+                    carry = out_bit;
+                }
+                Store(x, a) => {
+                    self.scratch[usize::from(address_value(regs, a))] = regs[x.index()];
+                }
+                Fetch(x, a) => {
+                    regs[x.index()] = self.scratch[usize::from(address_value(regs, a))];
+                }
+                Input(x, a) => {
+                    regs[x.index()] = io.input(address_value(regs, a));
+                }
+                Output(x, a) => {
+                    let port = address_value(regs, a);
+                    io.output(port, regs[x.index()]);
+                    synced = u16::from(port) == sync;
+                }
+                Jump(c, addr) => {
+                    if condition_met(c, zero, carry) {
+                        next_pc = addr;
+                    }
+                }
+                Call(c, addr) => {
+                    if condition_met(c, zero, carry) {
+                        let Some(slot) = self.stack.get_mut(self.depth) else {
+                            fault = Some(VmError::StackOverflow { pc });
+                            break;
+                        };
+                        *slot = pc.wrapping_add(1);
+                        self.depth += 1;
+                        next_pc = addr;
+                    }
+                }
+                Return(c) => {
+                    if condition_met(c, zero, carry) {
+                        let Some(depth) = self.depth.checked_sub(1) else {
+                            fault = Some(VmError::StackUnderflow { pc });
+                            break;
+                        };
+                        self.depth = depth;
+                        next_pc = self.stack[depth];
+                    }
+                }
+            }
+            pc = next_pc;
+            executed += 1;
+            #[cfg(feature = "profile")]
+            {
+                self.opcode_counts[instr.opcode_index()] += 1;
+            }
+            if synced {
+                break;
             }
         }
-        let mut watch = Watch {
-            inner: io,
-            port,
-            hit: false,
-        };
-        for executed in 1..=budget {
-            self.step(&mut watch)?;
-            if watch.hit {
-                return Ok(RunOutcome::PortWritten(executed));
-            }
+        self.pc = pc;
+        self.zero = zero;
+        self.carry = carry;
+        self.instret += executed;
+        match fault {
+            Some(e) => Err(e),
+            None => Ok(synced.then_some(executed)),
         }
-        Ok(RunOutcome::BudgetExhausted)
     }
 }
 
@@ -830,6 +863,58 @@ mod tests {
         assert_eq!(total, cpu.instret(), "histogram sums to instret");
         cpu.reset();
         assert_eq!(cpu.opcode_counts().iter().sum::<u64>(), 0);
+    }
+
+    #[test]
+    fn run_until_port_write_fault_keeps_the_state_before_it() {
+        // 30 nested CALLs fill the stack; the 31st faults mid-run.
+        let prog = vec![
+            Add(r(0), Operand::Imm(1)), // 0
+            Call(Condition::Always, 0), // 1
+        ];
+        let mut cpu = Picoblaze::new(prog);
+        let outcome = cpu.run_until_port_write(0xFF, 1000, &mut SparseIo::new());
+        assert_eq!(outcome, Err(VmError::StackOverflow { pc: 1 }));
+        assert_eq!(cpu.pc(), 1, "PC stays on the faulting CALL");
+        assert_eq!(cpu.instret(), 2 * STACK_DEPTH as u64 + 1);
+        assert_eq!(cpu.reg(r(0)), STACK_DEPTH as u8 + 1);
+        assert_eq!(cpu.flags(), (false, false));
+    }
+
+    #[cfg(feature = "profile")]
+    #[test]
+    fn opcode_profile_sums_to_instret_however_a_run_ends() {
+        let prog = vec![
+            Load(r(0), Operand::Imm(1)),         // 0
+            Add(r(0), Operand::Imm(1)),          // 1
+            Output(r(0), Address::Direct(0xFF)), // 2: sync
+            Return(Condition::Always),           // 3: underflow fault
+        ];
+        let sums_to_instret = |cpu: &Picoblaze| {
+            assert_eq!(cpu.opcode_counts().iter().sum::<u64>(), cpu.instret());
+        };
+        let mut cpu = Picoblaze::new(prog);
+        let mut io = SparseIo::new();
+        assert_eq!(
+            cpu.run_until_port_write(0xFF, 100, &mut io),
+            Ok(RunOutcome::PortWritten(3))
+        );
+        assert_eq!(cpu.instret(), 3);
+        sums_to_instret(&cpu);
+        assert_eq!(
+            cpu.run_until_port_write(0xFF, 100, &mut io),
+            Err(VmError::StackUnderflow { pc: 3 })
+        );
+        assert_eq!(cpu.instret(), 3, "the faulting RETURN is not retired");
+        assert_eq!(cpu.pc(), 3);
+        sums_to_instret(&cpu);
+        cpu.reset();
+        assert_eq!(
+            cpu.run_until_port_write(0xFF, 2, &mut io),
+            Ok(RunOutcome::BudgetExhausted)
+        );
+        assert_eq!(cpu.instret(), 2);
+        sums_to_instret(&cpu);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use sirtm_telemetry::SimCounters;
 use crate::json::{self, Json};
 use crate::run::RunOutcome;
 use crate::shard;
-use crate::spec::{EventAction, EventSpec, ScenarioSpec};
+use crate::spec::{EventAction, EventSpec, ScenarioSpec, WorkloadSpec};
 use crate::sweep::{
     run_sweep_observed, RunPlan, SeedScheme, SweepObserver, SweepOptions, SweepSpec,
 };
@@ -490,13 +490,18 @@ fn source_tasks(spec: &ScenarioSpec) -> Vec<u8> {
 }
 
 /// Clamps every event target and magnitude (and the duration/settle
-/// region) to the spec's own grid and run bounds, and grows a grid too
-/// small for a heuristically placed graph, so no mutation or shrink step
-/// can produce a spec that `validate`/`check_grid`/`Timeline::compile`
-/// rejects. This is the mutation-layer answer to
-/// `faults::random_nodes`-style saturation: out-of-range values clamp
-/// instead of panicking downstream.
+/// region) to the spec's own grid and run bounds, cuts a pipeline to the
+/// model's task limit, and grows a grid too small for a heuristically
+/// placed graph, so no mutation or shrink step can produce a spec that
+/// `validate`/`check_grid`/`Timeline::compile` rejects. This is the
+/// mutation-layer answer to `faults::random_nodes`-style saturation:
+/// out-of-range values clamp instead of panicking downstream.
 pub fn clamp_spec(spec: &mut ScenarioSpec) {
+    if let (Some(max), WorkloadSpec::Pipeline { stages, .. }) =
+        (spec.model.max_tasks(), &mut spec.workload)
+    {
+        *stages = (*stages).min(u8::try_from(max).unwrap_or(u8::MAX));
+    }
     // Grow the shorter side until the grid holds one instance of each
     // heuristically placed graph (the fuzzer's own grids always do).
     for (_, graph) in spec.heuristic_graphs() {

@@ -350,6 +350,15 @@ impl ScenarioSpec {
             } => return Err("workload `generation_period` must be non-zero".to_string()),
             _ => {}
         }
+        if let Some(max) = self.model.max_tasks() {
+            let n = self.graph().len();
+            if n > max {
+                return Err(format!(
+                    "model `{}` supports at most {max} tasks, but the workload has {n}",
+                    model_name(&self.model)
+                ));
+            }
+        }
         let (w, h) = (self.grid().width(), self.grid().height());
         let band = |what: &str, first_row: u16, rows: u16| {
             let end = u32::from(first_row) + u32::from(rows);
@@ -999,6 +1008,12 @@ mod tests {
                 "stages",
             ),
             (
+                r#"{"name": "x", "grid": [8,8], "model": "ni-fw", "duration_ms": 10,
+                    "workload": {"kind": "pipeline", "stages": 17,
+                                 "generation_period": 400, "service": 50}}"#,
+                "at most 16 tasks",
+            ),
+            (
                 r#"{"name": "x", "grid": [4,4], "model": "ffw", "duration_ms": 10,
                     "events": [{"at_ms": 5, "action": "hotspot-faults",
                                 "x": 99, "y": 99, "radius": 1}]}"#,
@@ -1037,6 +1052,29 @@ mod tests {
             let err = ScenarioSpec::from_json_text(text).expect_err("must fail");
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
         }
+    }
+
+    #[test]
+    fn firmware_models_take_at_most_sixteen_tasks() {
+        let pipeline = |model: &str, stages: u8| {
+            let mut spec = ScenarioSpec::new("p", model_from_name(model).expect("known model"));
+            spec.workload = WorkloadSpec::Pipeline {
+                stages,
+                generation_period: 400,
+                service: 50,
+            };
+            spec.check()
+        };
+        for model in ["ni-fw", "ffw-fw"] {
+            assert_eq!(pipeline(model, 16), Ok(()), "{model}");
+            let err = pipeline(model, 17).expect_err("17 tasks exceed the port map");
+            assert!(err.contains("at most 16 tasks"), "{err}");
+        }
+        assert_eq!(
+            pipeline("ni", 17),
+            Ok(()),
+            "behavioural models have no limit"
+        );
     }
 
     #[test]

@@ -34,6 +34,8 @@ fn model() -> impl Strategy<Value = ModelKind> {
         ModelKind::NoIntelligence,
         ModelKind::NetworkInteraction(NiConfig::default()),
         ModelKind::ForagingForWork(FfwConfig::default()),
+        ModelKind::NetworkInteractionFirmware(NiConfig::default()),
+        ModelKind::ForagingForWorkFirmware(FfwConfig::default()),
     ])
 }
 
@@ -46,7 +48,8 @@ fn workload() -> impl Strategy<Value = WorkloadSpec> {
                 ..ForkJoinParams::default()
             })
         }),
-        (2u8..6, 200u32..4000, 20u32..400).prop_map(|(stages, generation_period, service)| {
+        // Past 16 stages: the firmware models' task limit.
+        (2u8..20, 200u32..4000, 20u32..400).prop_map(|(stages, generation_period, service)| {
             WorkloadSpec::Pipeline {
                 stages,
                 generation_period,
