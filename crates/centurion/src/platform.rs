@@ -95,9 +95,9 @@ pub struct Platform {
     sim: SimCounters,
 
     // ---- activity-gating state (see README: "Performance architecture")
-    /// Per-node `models[idx].is_passive()`, cached so the hot loop can
-    /// elide scan assembly without a virtual call.
-    passive: Vec<bool>,
+    /// `!model.is_adaptive()`: the baseline's scan reads nothing and
+    /// decides nothing, so the hot loop elides its assembly.
+    passive: bool,
     /// Next cycle at which stepping PE `idx` could change state
     /// ([`NEVER`] = quiescent until an external event re-arms it).
     pe_next: Vec<Cycle>,
@@ -121,8 +121,9 @@ pub struct Platform {
     /// `scan_buckets[now % AIM_PERIOD]` = nodes whose staggered AIM scan
     /// is due at that residue (ascending node order).
     scan_buckets: Vec<Vec<u32>>,
-    /// Per-residue count of alive, non-passive nodes — the scan events
-    /// the fast-forward must stop for.
+    /// Per-residue count of alive nodes whose scans can decide (none on a
+    /// passive platform) — the scan events the fast-forward must stop
+    /// for.
     scan_residue_live: Vec<u32>,
     /// AIM register writes this platform has drained from routers;
     /// compared against the mesh's arrival counter to detect outstanding
@@ -152,35 +153,16 @@ impl Platform {
         model: &ModelKind,
         cfg: PlatformConfig,
     ) -> Self {
-        let n_tasks = graph.len();
-        let models = (0..cfg.dims.len()).map(|_| model.build(n_tasks)).collect();
-        Self::with_models(graph, mapping, models, model.is_adaptive(), cfg)
-    }
-
-    /// Builds a platform with an explicit per-node model vector
-    /// (heterogeneous colonies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `models.len()` differs from the grid size, the mapping's
-    /// grid differs from the configuration's, or the configuration is
-    /// invalid.
-    pub fn with_models(
-        graph: TaskGraph,
-        mapping: &Mapping,
-        models: Vec<Box<dyn RtmModel>>,
-        adaptive: bool,
-        cfg: PlatformConfig,
-    ) -> Self {
         cfg.validate();
         assert_eq!(mapping.dims(), cfg.dims, "mapping grid mismatch");
-        assert_eq!(models.len(), cfg.dims.len(), "one model per node");
         let n_tasks = graph.len();
-        // Routers deliver task-affine packets opportunistically exactly
-        // when the colony is adaptive (never for the baseline).
+        let models = (0..cfg.dims.len()).map(|_| model.build(n_tasks)).collect();
+        // One rule for the baseline: its scans are elided and its routers
+        // never deliver task-affine packets opportunistically.
+        let passive = !model.is_adaptive();
         let router_cfg = RouterConfig {
             n_tasks,
-            opportunistic_delivery: adaptive,
+            opportunistic_delivery: !passive,
         };
         let mut mesh = Mesh::new(cfg.dims, router_cfg);
         let mut pes = Vec::with_capacity(cfg.dims.len());
@@ -208,15 +190,14 @@ impl Platform {
         for _ in 0..dir_dist_max {
             dirs = gossip_round(&dirs, &locals, &neighbours, n_tasks, dir_dist_max);
         }
-        let passive: Vec<bool> = models.iter().map(|m| m.is_passive()).collect();
         let n = cfg.dims.len();
         let period = AIM_PERIOD as usize;
         let mut scan_buckets = vec![Vec::new(); period];
         let mut scan_residue_live = vec![0u32; period];
-        for (idx, &is_passive) in passive.iter().enumerate() {
+        for idx in 0..n {
             let r = scan_residue(idx, period as u64) as usize;
             scan_buckets[r].push(idx as u32);
-            if !is_passive {
+            if !passive {
                 scan_residue_live[r] += 1;
             }
         }
@@ -433,7 +414,7 @@ impl Platform {
         self.owed_since[idx] = None;
         self.locals[idx] = None;
         self.gossip_converged = false;
-        if was_alive && !self.passive[idx] {
+        if was_alive && !self.passive {
             let r = scan_residue(idx, AIM_PERIOD as u64) as usize;
             self.scan_residue_live[r] -= 1;
         }
@@ -605,9 +586,9 @@ impl Platform {
         }
     }
 
-    /// The next cycle (at or after the current one) at which any alive,
-    /// non-passive node's staggered AIM scan is due; `None` when no such
-    /// node remains and scans cannot change a decision.
+    /// The next cycle (at or after the current one) at which any alive
+    /// node's staggered AIM scan is due on an adaptive platform; `None`
+    /// when no such node remains and scans cannot change a decision.
     fn next_scan_event(&self) -> Option<Cycle> {
         let period = AIM_PERIOD as u64;
         (self.cycle..self.cycle + period)
@@ -697,9 +678,8 @@ impl Platform {
     /// Advances the platform by one cycle with the original exhaustive
     /// loop: every router drained and stepped ([`Mesh::step_naive`]),
     /// every PE stepped, every scan condition tested, every gossip round
-    /// recomputed from scratch. Retained as
-    /// the differential oracle for [`Platform::step`] (and as the bench
-    /// baseline); it makes no use of the activity-gating state.
+    /// recomputed from scratch. Retained as the differential oracle for
+    /// [`Platform::step`]; it makes no use of the activity-gating state.
     pub fn step_naive(&mut self) {
         // The naive PE pass credits busy time itself, every cycle: settle
         // what the optimized stepper still owes and stop the lazy credit.
@@ -861,13 +841,13 @@ impl Platform {
         self.edge_scratch = edges;
     }
 
-    /// One AIM scan of node `idx`, eliding the sense/decide assembly for
-    /// passive models: a passive scan reads nothing and decides nothing,
+    /// One AIM scan of node `idx`, eliding the sense/decide assembly on a
+    /// passive platform: a baseline scan reads nothing and decides nothing,
     /// so the only platform state the full path would touch is the
     /// reset-on-read feed counters (and any pending register writes) —
     /// which this shortcut touches identically.
     fn scan_fast(&mut self, idx: usize, now: Cycle) {
-        if !self.passive[idx] {
+        if !self.passive {
             self.scan(idx, now);
             return;
         }

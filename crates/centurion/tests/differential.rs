@@ -169,6 +169,28 @@ fn ni_twins_agree_across_seeds() {
 }
 
 #[test]
+fn ni_firmware_twins_agree_across_seeds() {
+    for seed in [1, 2, 3] {
+        assert_twins_agree(
+            ModelKind::NetworkInteractionFirmware(NiConfig::default()),
+            seed,
+            GridDims::new(4, 4),
+        );
+    }
+}
+
+#[test]
+fn ffw_firmware_twins_agree_across_seeds() {
+    for seed in [1, 2, 3] {
+        assert_twins_agree(
+            ModelKind::ForagingForWorkFirmware(FfwConfig::default()),
+            seed,
+            GridDims::new(4, 4),
+        );
+    }
+}
+
+#[test]
 fn baseline_twins_agree_with_fast_forward() {
     // The passive baseline is where the optimized stepper jumps whole
     // quiescent stretches; the fault scenario forces re-settling.

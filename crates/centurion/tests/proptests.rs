@@ -75,13 +75,15 @@ proptest! {
     #[test]
     fn platform_survives_chaos(
         actions in proptest::collection::vec(action(25), 1..25),
-        model_pick in 0u8..3,
+        model_pick in 0u8..5,
         seed in any::<u64>(),
     ) {
         let model = match model_pick {
             0 => ModelKind::NoIntelligence,
             1 => ModelKind::NetworkInteraction(NiConfig::default()),
-            _ => ModelKind::ForagingForWork(FfwConfig::default()),
+            2 => ModelKind::ForagingForWork(FfwConfig::default()),
+            3 => ModelKind::NetworkInteractionFirmware(NiConfig::default()),
+            _ => ModelKind::ForagingForWorkFirmware(FfwConfig::default()),
         };
         let mut p = build(model, seed);
         for a in &actions {

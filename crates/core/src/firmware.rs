@@ -208,9 +208,6 @@ pub struct FirmwareModel {
     internal: Vec<u32>,
     budget_overruns: u64,
     faults: u64,
-    /// Scratchpad bytes written at load time and after every reset
-    /// (non-zero power-on state, e.g. NI's full commitment store).
-    scratch_presets: Vec<(u8, u8)>,
 }
 
 impl FirmwareModel {
@@ -248,16 +245,7 @@ impl FirmwareModel {
             internal: vec![0; n_tasks],
             budget_overruns: 0,
             faults: 0,
-            scratch_presets: Vec::new(),
         }
-    }
-
-    /// Registers a scratchpad byte to be written now and after every
-    /// reset (firmware state with a non-zero power-on value).
-    pub fn preset_scratch(&mut self, addr: u8, value: u8) {
-        self.core.set_scratch(addr, value);
-        self.scratch_presets.retain(|&(a, _)| a != addr);
-        self.scratch_presets.push((addr, value));
     }
 
     /// The bundled Network Interaction firmware. The source is assembled
@@ -278,7 +266,7 @@ impl FirmwareModel {
         fw.configure(regs::NI_LEAK, cfg.leak);
         fw.configure(regs::NI_FIXATION, cfg.fixation_scans);
         // The commitment store powers on full (cold-start grace).
-        fw.preset_scratch(0x21, cfg.fixation_scans);
+        fw.core.set_scratch(0x21, cfg.fixation_scans);
         fw
     }
 
@@ -356,15 +344,6 @@ impl RtmModel for FirmwareModel {
     fn configure(&mut self, reg: u8, value: u8) {
         if let Some(slot) = self.config.get_mut(reg as usize) {
             *slot = value;
-        }
-    }
-
-    fn reset(&mut self) {
-        self.core.reset();
-        self.budget_overruns = 0;
-        self.faults = 0;
-        for &(addr, value) in &self.scratch_presets {
-            self.core.set_scratch(addr, value);
         }
     }
 }
@@ -522,7 +501,7 @@ mod tests {
         };
         let mut fw = FirmwareModel::network_interaction(3, &cfg);
         let mut io = MockAimIo::new(3);
-        scan_cost(&mut fw, &mut io, [0; 3], 0); // from reset: store 3 -> 2
+        scan_cost(&mut fw, &mut io, [0; 3], 0); // from power-on: store 3 -> 2
         assert_eq!(
             scan_cost(&mut fw, &mut io, [1, 2, 0], 0),
             47,
@@ -569,23 +548,5 @@ mod tests {
     fn more_than_sixteen_tasks_rejected() {
         // Beyond 16 tasks the port map's per-task banks alias each other.
         let _ = FirmwareModel::network_interaction(17, &NiConfig::default());
-    }
-
-    #[test]
-    fn reset_restores_power_on_state() {
-        let cfg = NiConfig {
-            threshold: 10,
-            fixation_scans: 0,
-            ..NiConfig::default()
-        };
-        let mut fw = FirmwareModel::network_interaction(2, &cfg);
-        let mut io = MockAimIo::new(2);
-        io.routed = vec![7, 0];
-        fw.scan(&mut io);
-        fw.reset();
-        // Counter state cleared: 7 more impulses do not fire.
-        io.routed = vec![7, 0];
-        fw.scan(&mut io);
-        assert!(io.switches.is_empty());
     }
 }

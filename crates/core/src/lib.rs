@@ -9,17 +9,18 @@
 //!
 //! * [`io`] — the monitor/knob surface ([`io::AimIo`]) between a node's
 //!   intelligence and its router/processing element,
-//! * [`stimulus`] — impulse counters, thresholds, comparators and timers
-//!   (the sense-react primitives of Fig. 2b),
+//! * [`stimulus`] — impulse counters with thresholds, and timeout timers
+//!   (the sense-react primitives of Fig. 2b the models are built from),
 //! * [`models`] — the task-allocation models: **Network Interaction**,
 //!   **Foraging for Work**, the No-Intelligence baseline, the adaptive
 //!   extensions (self-reinforcement, social inhibition) and the ODE
 //!   reference colony,
 //! * [`firmware`] — the same models as PicoBlaze firmware, bridged to the
 //!   node through a memory-mapped port space and differentially tested
-//!   against the behavioural implementations,
-//! * [`pathway`] — a declarative builder for new sense→decide→act
-//!   pathways from the same primitives.
+//!   against the behavioural implementations.
+//!
+//! A platform runs one model on every node, picked by a
+//! [`models::ModelKind`].
 //!
 //! # Examples
 //!
@@ -44,7 +45,6 @@
 pub mod firmware;
 pub mod io;
 pub mod models;
-pub mod pathway;
 pub mod stimulus;
 
 pub use firmware::FirmwareModel;
@@ -52,5 +52,4 @@ pub use io::{AimIo, MockAimIo};
 pub use models::{
     FfwConfig, ForagingForWork, ModelKind, NetworkInteraction, NiConfig, NoIntelligence, RtmModel,
 };
-pub use pathway::{PathwayBuilder, PathwayModel};
-pub use stimulus::{ImpulseIntegrator, ThresholdUnit, TimeoutTimer, VectorComparator};
+pub use stimulus::{ThresholdUnit, TimeoutTimer};

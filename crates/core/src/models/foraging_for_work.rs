@@ -140,11 +140,6 @@ impl RtmModel for ForagingForWork {
             _ => {}
         }
     }
-
-    fn reset(&mut self) {
-        self.timer = TimeoutTimer::new(self.cfg.timeout_scans as u32);
-        self.bonus = 0;
-    }
 }
 
 #[cfg(test)]
@@ -315,17 +310,5 @@ mod tests {
         io.feed = 255;
         m.scan(&mut io);
         assert_eq!(m.remaining(), 5);
-    }
-
-    #[test]
-    fn reset_restores_expired_timer() {
-        let mut m = model(7);
-        let mut io = MockAimIo::new(3);
-        io.local = Some(TaskId::new(0));
-        io.feed = 255;
-        m.scan(&mut io);
-        assert_eq!(m.remaining(), 7);
-        m.reset();
-        assert_eq!(m.remaining(), 0);
     }
 }

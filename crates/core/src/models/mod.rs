@@ -9,10 +9,11 @@
 //! | 5. Foraging for work | [`ForagingForWork`] |
 //! | 6. Network task allocation (ODE abstraction) | [`network_ode::OdeColony`] |
 //!
-//! All models sense and act exclusively through [`AimIo`] and can run
-//! either natively ([`RtmModel`] implementations here) or as PicoBlaze
-//! firmware ([`crate::firmware::FirmwareModel`]); the two backends are
-//! differentially tested for equivalence.
+//! All models sense and act exclusively through [`AimIo`]. [`ModelKind`]
+//! names the five a platform can run, one on every node: the baseline,
+//! and NI and FFW each either as a behavioural [`RtmModel`] here or as
+//! PicoBlaze firmware ([`crate::firmware::FirmwareModel`]). The two
+//! backends of a model are differentially tested for equivalence.
 //!
 //! [`ThresholdUnit`]: crate::stimulus::ThresholdUnit
 
@@ -63,22 +64,10 @@ pub trait RtmModel: fmt::Debug {
     fn configure(&mut self, reg: u8, value: u8) {
         let _ = (reg, value);
     }
-
-    /// `true` when [`RtmModel::scan`] is a guaranteed no-op: it neither
-    /// reads the [`AimIo`] surface nor mutates model state. The platform
-    /// uses this to elide scan assembly for such models on its hot path —
-    /// the elision is decision-identical because a passive scan could not
-    /// have observed or changed anything. Only return `true` when that
-    /// guarantee holds unconditionally.
-    fn is_passive(&self) -> bool {
-        false
-    }
-
-    /// Returns internal state to power-on defaults.
-    fn reset(&mut self) {}
 }
 
-/// Selects and builds a model; the platform stores one per node.
+/// Selects and builds a model: the only way a model reaches a platform,
+/// which builds one instance per node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelKind {
     /// The paper's baseline: a fixed heuristic mapping, no runtime
@@ -130,7 +119,7 @@ impl ModelKind {
     }
 
     /// Whether the model performs any runtime adaptation (false only for
-    /// the baseline).
+    /// the baseline, whose scan neither reads its node nor changes state).
     pub fn is_adaptive(&self) -> bool {
         !matches!(self, ModelKind::NoIntelligence)
     }

@@ -105,12 +105,6 @@ impl NetworkInteraction {
         self.units.iter().map(ThresholdUnit::count).collect()
     }
 
-    fn rebuild_units(&mut self) {
-        for u in &mut self.units {
-            *u = ThresholdUnit::new(self.cfg.threshold as u32).with_leak(self.cfg.leak as u32);
-        }
-    }
-
     /// Effective threshold for task `t` given neighbour occupancy.
     fn effective_threshold(&self, t: usize, io: &dyn AimIo) -> u32 {
         let base = self.cfg.threshold as u32;
@@ -187,21 +181,16 @@ impl RtmModel for NetworkInteraction {
             }
             regs::NI_LEAK => {
                 self.cfg.leak = value;
-                let counts = self.counters();
-                self.rebuild_units();
-                for (u, c) in self.units.iter_mut().zip(counts) {
-                    u.excite(c);
+                for u in &mut self.units {
+                    let count = u.count();
+                    *u = ThresholdUnit::new(self.cfg.threshold as u32).with_leak(value as u32);
+                    u.excite(count);
                 }
             }
             regs::NI_INHIBITION => self.cfg.social_inhibition_gain = value,
             regs::NI_FIXATION => self.cfg.fixation_scans = value,
             _ => {}
         }
-    }
-
-    fn reset(&mut self) {
-        self.rebuild_units();
-        self.commit = self.cfg.fixation_scans;
     }
 }
 
@@ -353,16 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_counters() {
-        let mut m = model(100);
-        let mut io = MockAimIo::new(3);
-        io.routed = vec![50, 20, 0];
-        m.scan(&mut io);
-        m.reset();
-        assert_eq!(m.counters(), vec![0, 0, 0]);
-    }
-
-    #[test]
     fn fixation_defers_switching_while_fed() {
         let mut m = NetworkInteraction::new(
             2,
@@ -393,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn fixation_grace_applies_from_start_and_reset() {
+    fn fixation_grace_applies_from_start() {
         let mut m = NetworkInteraction::new(
             2,
             NiConfig {
@@ -415,11 +394,5 @@ mod tests {
             io.tick();
         }
         assert_eq!(io.switches, vec![TaskId::new(0)], "decides after draining");
-        // After reset the grace window applies again.
-        m.reset();
-        io.switches.clear();
-        io.routed = vec![9, 0];
-        m.scan(&mut io);
-        assert!(io.switches.is_empty());
     }
 }

@@ -34,10 +34,6 @@ impl RtmModel for NoIntelligence {
     }
 
     fn scan(&mut self, _io: &mut dyn AimIo) {}
-
-    fn is_passive(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -4,15 +4,17 @@
 //! to convert between impulse sequences (spike trains) and binary number
 //! representation, logical comparators that generate impulses when vector
 //! inputs match, and threshold circuits that act as final decision
-//! makers". This module provides those building blocks; the task-allocation
-//! models in [`crate::models`] are wired out of them.
+//! makers". This module holds the two the task-allocation models in
+//! [`crate::models`] are wired out of: a saturating impulse counter with a
+//! firing threshold, and a retriggerable timeout.
 
 /// An excitatory/inhibitory impulse counter with a firing threshold —
 /// the "sense-react thresholder" of Fig. 2b.
 ///
 /// Impulses raise ([`ThresholdUnit::excite`]) or lower
-/// ([`ThresholdUnit::inhibit`]) a saturating counter; an optional leak
-/// decays it every scan. The unit *fires* while the counter is at or above
+/// ([`ThresholdUnit::inhibit`]) a counter that saturates at
+/// [`ThresholdUnit::DEFAULT_SATURATION`]; an optional leak decays it every
+/// scan. The unit *fires* while the counter is at or above
 /// the threshold.
 ///
 /// # Examples
@@ -34,38 +36,24 @@ pub struct ThresholdUnit {
     count: u32,
     threshold: u32,
     leak: u32,
-    saturation: u32,
 }
 
 impl ThresholdUnit {
-    /// Default saturation cap, matching an 8-bit hardware counter.
+    /// Saturation cap, matching an 8-bit hardware counter.
     pub const DEFAULT_SATURATION: u32 = 255;
 
-    /// Creates a unit firing at `threshold`, with no leak and the default
-    /// 8-bit saturation.
+    /// Creates a unit firing at `threshold`, with no leak.
     pub fn new(threshold: u32) -> Self {
         Self {
             count: 0,
             threshold,
             leak: 0,
-            saturation: Self::DEFAULT_SATURATION,
         }
     }
 
     /// Sets the per-scan leak (decay applied by [`ThresholdUnit::tick`]).
     pub fn with_leak(mut self, leak: u32) -> Self {
         self.leak = leak;
-        self
-    }
-
-    /// Sets the saturation cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `saturation == 0`.
-    pub fn with_saturation(mut self, saturation: u32) -> Self {
-        assert!(saturation > 0, "saturation must be non-zero");
-        self.saturation = saturation;
         self
     }
 
@@ -86,7 +74,7 @@ impl ThresholdUnit {
 
     /// Applies `n` excitatory impulses (saturating).
     pub fn excite(&mut self, n: u32) {
-        self.count = self.count.saturating_add(n).min(self.saturation);
+        self.count = self.count.saturating_add(n).min(Self::DEFAULT_SATURATION);
     }
 
     /// Applies `n` inhibitory impulses (floor at zero).
@@ -173,83 +161,6 @@ impl TimeoutTimer {
     }
 }
 
-/// Fires an impulse when its input vector equals a reference — the
-/// paper's "logical comparators that generate impulses when vector inputs
-/// match".
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct VectorComparator {
-    reference: Vec<u8>,
-    mask: Vec<u8>,
-}
-
-impl VectorComparator {
-    /// Creates a comparator matching `reference` exactly.
-    pub fn new(reference: Vec<u8>) -> Self {
-        let mask = vec![0xFF; reference.len()];
-        Self { reference, mask }
-    }
-
-    /// Creates a comparator matching `reference` under `mask` (only bits
-    /// set in the mask participate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn with_mask(reference: Vec<u8>, mask: Vec<u8>) -> Self {
-        assert_eq!(reference.len(), mask.len(), "mask length mismatch");
-        Self { reference, mask }
-    }
-
-    /// Returns `true` (an impulse) when `input` matches.
-    pub fn matches(&self, input: &[u8]) -> bool {
-        input.len() == self.reference.len()
-            && input
-                .iter()
-                .zip(&self.reference)
-                .zip(&self.mask)
-                .all(|((&i, &r), &m)| i & m == r & m)
-    }
-}
-
-/// Integrates impulses into a binary count over a window — the spike-train
-/// to binary converter of the paper's AIM platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct ImpulseIntegrator {
-    total: u64,
-    window: u64,
-}
-
-impl ImpulseIntegrator {
-    /// Creates an empty integrator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` impulses to the current window.
-    pub fn add(&mut self, n: u32) {
-        self.window += n as u64;
-        self.total += n as u64;
-    }
-
-    /// Reads the window count as a saturating byte (the 8-bit bus of the
-    /// PicoBlaze AIM) and clears the window.
-    pub fn take_u8(&mut self) -> u8 {
-        let v = self.window.min(255) as u8;
-        self.window = 0;
-        v
-    }
-
-    /// Reads and clears the exact window count.
-    pub fn take(&mut self) -> u64 {
-        std::mem::take(&mut self.window)
-    }
-
-    /// Lifetime total across all windows.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,9 +182,9 @@ mod tests {
 
     #[test]
     fn threshold_saturates() {
-        let mut u = ThresholdUnit::new(10).with_saturation(20);
+        let mut u = ThresholdUnit::new(10);
         u.excite(500);
-        assert_eq!(u.count(), 20);
+        assert_eq!(u.count(), ThresholdUnit::DEFAULT_SATURATION);
     }
 
     #[test]
@@ -296,12 +207,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_saturation_rejected() {
-        let _ = ThresholdUnit::new(1).with_saturation(0);
-    }
-
-    #[test]
     fn timer_starts_expired_and_rearms() {
         let mut t = TimeoutTimer::new(3);
         assert_eq!(t.remaining(), 0);
@@ -321,33 +226,5 @@ mod tests {
         assert!(!t.step_unfed());
         t.feed();
         assert_eq!(t.remaining(), 5);
-    }
-
-    #[test]
-    fn comparator_exact_and_masked() {
-        let c = VectorComparator::new(vec![1, 2, 3]);
-        assert!(c.matches(&[1, 2, 3]));
-        assert!(!c.matches(&[1, 2, 4]));
-        assert!(!c.matches(&[1, 2]));
-        let m = VectorComparator::with_mask(vec![0xF0, 0x00], vec![0xF0, 0x00]);
-        assert!(m.matches(&[0xF3, 0x55]), "masked-out bits ignored");
-        assert!(!m.matches(&[0x03, 0x55]));
-    }
-
-    #[test]
-    #[should_panic(expected = "mask length")]
-    fn comparator_mask_length_mismatch_panics() {
-        let _ = VectorComparator::with_mask(vec![1], vec![1, 2]);
-    }
-
-    #[test]
-    fn integrator_window_and_total() {
-        let mut i = ImpulseIntegrator::new();
-        i.add(300);
-        assert_eq!(i.take_u8(), 255, "byte read saturates");
-        i.add(2);
-        assert_eq!(i.take(), 2);
-        assert_eq!(i.total(), 302);
-        assert_eq!(i.take(), 0, "window cleared");
     }
 }

@@ -278,9 +278,8 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|_| die("--max-attempts needs a number"));
             }
             "--cycles" => {
-                args.cycles = next_val("--cycles")
-                    .parse()
-                    .unwrap_or_else(|_| die("--cycles needs a number"));
+                args.cycles =
+                    parse_count(&next_val("--cycles"), "--cycles needs a cycle count >= 1");
             }
             "--chaos-seed" => {
                 // Seeds are conventionally quoted in hex (0xC4A05 in the
@@ -294,7 +293,9 @@ fn parse_args() -> Args {
             "--chaos-rate" => {
                 args.chaos_rate = next_val("--chaos-rate")
                     .parse()
-                    .unwrap_or_else(|_| die("--chaos-rate needs a percentage 0-100"));
+                    .ok()
+                    .filter(|&pct| pct <= 100)
+                    .unwrap_or_else(|| die("--chaos-rate needs a percentage 0-100"));
             }
             "--budget" => {
                 args.budget = parse_count(
@@ -313,7 +314,9 @@ fn parse_args() -> Args {
             "--threshold" => {
                 args.threshold = next_val("--threshold")
                     .parse()
-                    .unwrap_or_else(|_| die("--threshold needs a fitness value"));
+                    .ok()
+                    .filter(|x: &f64| x.is_finite())
+                    .unwrap_or_else(|| die("--threshold needs a finite fitness value"));
             }
             "--corpus" => args.corpus = Some(PathBuf::from(next_val("--corpus"))),
             "--log" => args.log = Some(PathBuf::from(next_val("--log"))),
@@ -850,7 +853,7 @@ fn chaos_soak(args: &Args) {
     } else {
         args.local
     };
-    let cycles = args.cycles.max(1);
+    let cycles = args.cycles;
     let reference = run_sweep(&sweep, SweepOptions { threads: 1 })
         .to_json()
         .render_pretty();

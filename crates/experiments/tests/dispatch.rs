@@ -199,6 +199,29 @@ fn zero_run_inputs_exit_2_with_a_message() {
             "--runs",
         ),
         (&["run", "--sweep", sweep][..], "replicates"),
+        // Values that parse but name no run the harness can honour: zero
+        // soak cycles, a fault rate above 100%, and fuzz thresholds that
+        // are not finite (nan and inf admit no find, -inf admits all).
+        (
+            &["chaos-soak", "light-4x4", "--cycles", "0"][..],
+            "--cycles needs a cycle count >= 1",
+        ),
+        (
+            &["chaos-soak", "light-4x4", "--chaos-rate", "500"][..],
+            "--chaos-rate needs a percentage 0-100",
+        ),
+        (
+            &["fuzz", "--threshold", "nan"][..],
+            "--threshold needs a finite",
+        ),
+        (
+            &["fuzz", "--threshold", "inf"][..],
+            "--threshold needs a finite",
+        ),
+        (
+            &["fuzz", "--threshold", "-inf"][..],
+            "--threshold needs a finite",
+        ),
     ] {
         let out = run_cli(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
