@@ -1,13 +1,13 @@
 //! Micro-benchmarks of the SIRTM substrates: NoC cycle cost (idle and
-//! loaded), platform cycle cost, AIM scan cost (behavioural vs PicoBlaze
-//! firmware), raw PicoBlaze interpretation and assembly.
+//! loaded), router planning, platform cycle cost, raw PicoBlaze
+//! interpretation and assembly. AIM scan costs are perfbench's
+//! `core.ns_per_aim_scan.*` probes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use sirtm_centurion::{Platform, PlatformConfig};
-use sirtm_core::io::MockAimIo;
-use sirtm_core::models::{FfwConfig, ModelKind, NiConfig};
+use sirtm_core::models::{FfwConfig, ModelKind};
 use sirtm_noc::{
     Coord, Direction, Mesh, NodeId, Packet, PacketId, PacketKind, Router, RouterConfig, RouterPlan,
 };
@@ -203,47 +203,6 @@ fn platform_cycle(c: &mut Criterion) {
     group.finish();
 }
 
-fn aim_scan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("aim_scan");
-    let stimulate = |io: &mut MockAimIo, i: u64| {
-        io.routed = vec![(i % 3) as u32, 2, 1];
-        io.internal = vec![0, 1, 0];
-        io.feed = if i.is_multiple_of(4) { 60 } else { 0 };
-        io.oldest = i.is_multiple_of(5).then_some((TaskId::new(1), 400));
-    };
-    for (name, kind) in [
-        (
-            "ni_behavioural",
-            ModelKind::NetworkInteraction(NiConfig::default()),
-        ),
-        (
-            "ni_firmware",
-            ModelKind::NetworkInteractionFirmware(NiConfig::default()),
-        ),
-        (
-            "ffw_behavioural",
-            ModelKind::ForagingForWork(FfwConfig::default()),
-        ),
-        (
-            "ffw_firmware",
-            ModelKind::ForagingForWorkFirmware(FfwConfig::default()),
-        ),
-    ] {
-        group.bench_function(name, |b| {
-            let mut model = kind.build(3);
-            let mut io = MockAimIo::new(3);
-            let mut i = 0u64;
-            b.iter(|| {
-                i += 1;
-                stimulate(&mut io, i);
-                model.scan(&mut io);
-                black_box(io.local)
-            });
-        });
-    }
-    group.finish();
-}
-
 fn picoblaze(c: &mut Criterion) {
     let mut group = c.benchmark_group("picoblaze");
     group.bench_function("interpret_alu_loop", |b| {
@@ -279,12 +238,5 @@ fn picoblaze(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    mesh_cycle,
-    router_plan,
-    platform_cycle,
-    aim_scan,
-    picoblaze
-);
+criterion_group!(benches, mesh_cycle, router_plan, platform_cycle, picoblaze);
 criterion_main!(benches);

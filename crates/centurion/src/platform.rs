@@ -2,7 +2,7 @@
 //! directories and the simulation loop that binds them.
 
 use sirtm_core::io::AimIo;
-use sirtm_core::models::{ModelKind, RtmModel};
+use sirtm_core::models::{Model, ModelKind};
 use sirtm_noc::{Cycle, Mesh, MeshStats, NodeId, Packet, PacketKind, Port, Router, RouterConfig};
 use sirtm_taskgraph::{Mapping, TaskGraph, TaskId};
 use sirtm_telemetry::SimCounters;
@@ -76,14 +76,14 @@ pub struct NodeSnapshot {
 /// platform.run_ms(50.0);
 /// assert!(platform.completions_total() > 0);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Platform {
     cfg: PlatformConfig,
     graph: TaskGraph,
     n_tasks: usize,
     mesh: Mesh,
     pes: Vec<ProcessingElement>,
-    models: Vec<Box<dyn RtmModel>>,
+    models: Vec<Model>,
     dirs: Vec<Directory>,
     neighbours: Vec<[Option<usize>; 4]>,
     /// Gossip staleness bound in hops, derived from the grid.
@@ -536,15 +536,6 @@ impl Platform {
     /// Runs for `cycles` cycles through the activity-gated stepper.
     pub fn run_cycles(&mut self, cycles: Cycle) {
         self.run_until(self.cycle + cycles);
-    }
-
-    /// Runs for `ms` milliseconds through the naive reference stepper
-    /// ([`Platform::step_naive`]); the differential oracle's driver.
-    pub fn run_ms_naive(&mut self, ms: f64) {
-        let target = self.cycle + self.cfg.ms_to_cycles(ms);
-        while self.cycle < target {
-            self.step_naive();
-        }
     }
 
     /// Advances to `target` with the optimized stepper, fast-forwarding

@@ -1,5 +1,6 @@
 //! Property-based robustness tests: the platform never panics and keeps
-//! its invariants under arbitrary fault/knob/retask storms.
+//! its invariants under arbitrary fault/knob/retask storms, and a clone
+//! taken mid-storm evolves exactly as the original does.
 
 use proptest::prelude::*;
 
@@ -67,17 +68,39 @@ fn build(model: ModelKind, seed: u64) -> Platform {
     Platform::new(graph, &mapping, &model, cfg)
 }
 
+/// Asserts that two platforms are observably identical: counters, mesh
+/// statistics, sim-plane counters, task counts and every node snapshot.
+fn assert_twins(a: &Platform, b: &Platform) {
+    assert_eq!(a.now(), b.now());
+    assert_eq!(a.stats(), b.stats());
+    assert_eq!(a.mesh_stats(), b.mesh_stats());
+    assert_eq!(a.sim_counters(), b.sim_counters());
+    assert_eq!(a.task_counts(), b.task_counts());
+    for i in 0..25u16 {
+        let node = NodeId::new(i);
+        assert_eq!(a.node_snapshot(node), b.node_snapshot(node));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Arbitrary storms of faults, knob twiddles and run segments never
-    /// panic, and basic invariants hold throughout.
+    /// panic, and basic invariants hold throughout. At a drawn action the
+    /// platform is cloned; both copies then take the remaining actions
+    /// and must stay identical, so a clone carries every piece of state
+    /// the run depends on (models, event tables, lazy credit, scratch).
     #[test]
     fn platform_survives_chaos(
-        actions in proptest::collection::vec(action(25), 1..25),
+        case in proptest::collection::vec(action(25), 1..25)
+            .prop_flat_map(|actions| {
+                let n = actions.len();
+                (Just(actions), 0..n)
+            }),
         model_pick in 0u8..5,
         seed in any::<u64>(),
     ) {
+        let (actions, fork_at) = case;
         let model = match model_pick {
             0 => ModelKind::NoIntelligence,
             1 => ModelKind::NetworkInteraction(NiConfig::default()),
@@ -86,8 +109,16 @@ proptest! {
             _ => ModelKind::ForagingForWorkFirmware(FfwConfig::default()),
         };
         let mut p = build(model, seed);
-        for a in &actions {
+        let mut twin = None;
+        for (i, a) in actions.iter().enumerate() {
+            if i == fork_at {
+                twin = Some(p.clone());
+            }
             apply(&mut p, a);
+            if let Some(t) = twin.as_mut() {
+                apply(t, a);
+                assert_twins(&p, t);
+            }
             prop_assert!(p.alive_count() <= 25);
             let counts = p.task_counts();
             prop_assert!(counts.iter().sum::<usize>() <= p.alive_count());
@@ -101,6 +132,9 @@ proptest! {
         let before = p.now();
         p.run_ms(5.0);
         prop_assert_eq!(p.now(), before + 500);
+        let mut twin = twin.expect("the fork index lies within the actions");
+        twin.run_ms(5.0);
+        assert_twins(&p, &twin);
     }
 
     /// Killed PEs stay dead and never complete work again.

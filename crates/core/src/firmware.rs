@@ -50,7 +50,7 @@ use sirtm_taskgraph::TaskId;
 
 use crate::io::{AimIo, N_NEIGHBOURS};
 use crate::models::regs;
-use crate::models::{FfwConfig, NiConfig, RtmModel};
+use crate::models::{FfwConfig, NiConfig};
 
 /// Input port: number of tasks.
 pub const IN_NTASKS: u8 = 0x00;
@@ -98,8 +98,8 @@ pub const FFW_SOURCE: &str = include_str!("../firmware/ffw.psm");
 /// Reset-on-read monitor banks are snapshotted once per scan (the AIM
 /// hardware latches its impulse counters at scan start), so firmware may
 /// read a port repeatedly and see consistent values.
-struct FirmwarePorts<'a> {
-    io: &'a mut dyn AimIo,
+struct FirmwarePorts<'a, I: ?Sized> {
+    io: &'a mut I,
     routed: &'a [u32],
     internal: &'a [u32],
     config: &'a [u8; N_CONFIG_REGS],
@@ -110,7 +110,7 @@ fn sat8(v: u32) -> u8 {
     v.min(255) as u8
 }
 
-impl PortIo for FirmwarePorts<'_> {
+impl<I: AimIo + ?Sized> PortIo for FirmwarePorts<'_, I> {
     fn input(&mut self, port: u8) -> u8 {
         match port {
             IN_NTASKS => self.n_tasks as u8,
@@ -171,9 +171,9 @@ impl PortIo for FirmwarePorts<'_> {
     }
 }
 
-/// An [`RtmModel`] whose decisions are made by PicoBlaze firmware.
+/// A node model whose decisions are made by PicoBlaze firmware.
 ///
-/// Each [`RtmModel::scan`] snapshots the monitor banks, then runs the core
+/// Each [`FirmwareModel::scan`] snapshots the monitor banks, then runs the core
 /// until it writes the sync port (or the instruction budget is exhausted —
 /// counted in [`FirmwareModel::budget_overruns`]). Firmware faults (stack
 /// escape etc.) are counted rather than propagated: a crashed AIM in
@@ -183,7 +183,7 @@ impl PortIo for FirmwarePorts<'_> {
 ///
 /// ```
 /// use sirtm_core::firmware::FirmwareModel;
-/// use sirtm_core::models::{NiConfig, RtmModel};
+/// use sirtm_core::models::NiConfig;
 /// use sirtm_core::io::MockAimIo;
 /// use sirtm_taskgraph::TaskId;
 ///
@@ -197,11 +197,10 @@ impl PortIo for FirmwarePorts<'_> {
 /// model.scan(&mut io);
 /// assert_eq!(io.switches, vec![TaskId::new(1)]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FirmwareModel {
     core: Picoblaze,
     config: [u8; N_CONFIG_REGS],
-    name: &'static str,
     budget: u64,
     n_tasks: usize,
     routed: Vec<u32>,
@@ -225,11 +224,7 @@ impl FirmwareModel {
     /// Panics if `n_tasks` exceeds [`FirmwareModel::MAX_TASKS`]: beyond 16
     /// tasks the port map's per-task banks alias each other, so firmware
     /// would silently read the wrong monitors.
-    pub fn from_program(
-        program: impl Into<Arc<[Instruction]>>,
-        name: &'static str,
-        n_tasks: usize,
-    ) -> Self {
+    pub fn from_program(program: impl Into<Arc<[Instruction]>>, n_tasks: usize) -> Self {
         assert!(
             n_tasks <= Self::MAX_TASKS,
             "the AIM port map supports at most {} tasks, got {n_tasks}",
@@ -238,7 +233,6 @@ impl FirmwareModel {
         Self {
             core: Picoblaze::new(program),
             config: [0; N_CONFIG_REGS],
-            name,
             budget: Self::DEFAULT_BUDGET,
             n_tasks,
             routed: vec![0; n_tasks],
@@ -261,7 +255,7 @@ impl FirmwareModel {
                 .expect("bundled NI firmware must assemble")
                 .into()
         });
-        let mut fw = Self::from_program(Arc::clone(program), "ni-fw", n_tasks);
+        let mut fw = Self::from_program(Arc::clone(program), n_tasks);
         fw.configure(regs::NI_THRESHOLD, cfg.threshold);
         fw.configure(regs::NI_LEAK, cfg.leak);
         fw.configure(regs::NI_FIXATION, cfg.fixation_scans);
@@ -283,7 +277,7 @@ impl FirmwareModel {
                 .expect("bundled FFW firmware must assemble")
                 .into()
         });
-        let mut fw = Self::from_program(Arc::clone(program), "ffw-fw", n_tasks);
+        let mut fw = Self::from_program(Arc::clone(program), n_tasks);
         fw.configure(regs::FFW_TIMEOUT, cfg.timeout_scans);
         fw
     }
@@ -313,14 +307,10 @@ impl FirmwareModel {
     pub fn instructions_retired(&self) -> u64 {
         self.core.instret()
     }
-}
 
-impl RtmModel for FirmwareModel {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn scan(&mut self, io: &mut dyn AimIo) {
+    /// Performs one scan: latches the monitor banks, then runs the
+    /// firmware to its sync write.
+    pub fn scan<I: AimIo + ?Sized>(&mut self, io: &mut I) {
         // Latch the reset-on-read monitor banks for this scan.
         io.read_routed(&mut self.routed);
         io.read_internal(&mut self.internal);
@@ -341,7 +331,9 @@ impl RtmModel for FirmwareModel {
         }
     }
 
-    fn configure(&mut self, reg: u8, value: u8) {
+    /// Writes an AIM configuration register, which the firmware reads at
+    /// input port `0x40 + reg`; registers past the bank are ignored.
+    pub fn configure(&mut self, reg: u8, value: u8) {
         if let Some(slot) = self.config.get_mut(reg as usize) {
             *slot = value;
         }
@@ -409,7 +401,7 @@ mod tests {
         // A program that immediately writes an out-of-range task id.
         let src = "LOAD s0, 9\nOUTPUT s0, (0x00)\nOUTPUT s0, (0xFF)\nspin: JUMP spin\n";
         let program = asm::assemble(src).expect("valid");
-        let mut fw = FirmwareModel::from_program(program, "test", 3);
+        let mut fw = FirmwareModel::from_program(program, 3);
         let mut io = MockAimIo::new(3);
         fw.scan(&mut io);
         assert!(io.switches.is_empty(), "task 9 of 3 must be ignored");
@@ -419,7 +411,7 @@ mod tests {
     fn budget_overrun_is_counted_not_fatal() {
         let src = "spin: JUMP spin\n";
         let program = asm::assemble(src).expect("valid");
-        let mut fw = FirmwareModel::from_program(program, "test", 3).with_budget(64);
+        let mut fw = FirmwareModel::from_program(program, 3).with_budget(64);
         let mut io = MockAimIo::new(3);
         fw.scan(&mut io);
         fw.scan(&mut io);
@@ -431,7 +423,7 @@ mod tests {
         // RETURN with empty stack faults immediately.
         let src = "RETURN\n";
         let program = asm::assemble(src).expect("valid");
-        let mut fw = FirmwareModel::from_program(program, "test", 3);
+        let mut fw = FirmwareModel::from_program(program, 3);
         let mut io = MockAimIo::new(3);
         fw.scan(&mut io);
         assert_eq!(fw.faults(), 1);

@@ -12,15 +12,15 @@
 //! * [`stimulus`] — impulse counters with thresholds, and timeout timers
 //!   (the sense-react primitives of Fig. 2b the models are built from),
 //! * [`models`] — the task-allocation models: **Network Interaction**,
-//!   **Foraging for Work**, the No-Intelligence baseline, the adaptive
-//!   extensions (self-reinforcement, social inhibition) and the ODE
-//!   reference colony,
+//!   **Foraging for Work**, the adaptive extensions (self-reinforcement,
+//!   social inhibition) and the ODE reference colony,
 //! * [`firmware`] — the same models as PicoBlaze firmware, bridged to the
 //!   node through a memory-mapped port space and differentially tested
 //!   against the behavioural implementations.
 //!
 //! A platform runs one model on every node, picked by a
-//! [`models::ModelKind`].
+//! [`models::ModelKind`]; each node holds the [`models::Model`] it builds,
+//! the No-Intelligence baseline's being the passive one.
 //!
 //! # Examples
 //!
@@ -49,7 +49,5 @@ pub mod stimulus;
 
 pub use firmware::FirmwareModel;
 pub use io::{AimIo, MockAimIo};
-pub use models::{
-    FfwConfig, ForagingForWork, ModelKind, NetworkInteraction, NiConfig, NoIntelligence, RtmModel,
-};
+pub use models::{FfwConfig, ForagingForWork, Model, ModelKind, NetworkInteraction, NiConfig};
 pub use stimulus::{ThresholdUnit, TimeoutTimer};

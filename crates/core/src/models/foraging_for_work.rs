@@ -15,7 +15,7 @@
 //! behaviour is the special case of a saturated feed.
 
 use crate::io::AimIo;
-use crate::models::{regs, RtmModel};
+use crate::models::regs;
 use crate::stimulus::TimeoutTimer;
 
 /// Configuration of the [`ForagingForWork`] model.
@@ -55,7 +55,7 @@ impl Default for FfwConfig {
 ///
 /// ```
 /// use sirtm_core::io::{AimIo, MockAimIo};
-/// use sirtm_core::models::{FfwConfig, ForagingForWork, RtmModel};
+/// use sirtm_core::models::{FfwConfig, ForagingForWork};
 /// use sirtm_taskgraph::TaskId;
 ///
 /// let mut model = ForagingForWork::new(3, FfwConfig { timeout_scans: 2, ..FfwConfig::default() });
@@ -91,14 +91,9 @@ impl ForagingForWork {
     fn rearm_value(&self) -> u32 {
         self.cfg.timeout_scans as u32 + self.bonus
     }
-}
 
-impl RtmModel for ForagingForWork {
-    fn name(&self) -> &'static str {
-        "ffw"
-    }
-
-    fn scan(&mut self, io: &mut dyn AimIo) {
+    /// Performs one sense→decide→act scan.
+    pub fn scan<I: AimIo + ?Sized>(&mut self, io: &mut I) {
         // Commitment earned from work accepted for processing since the
         // last scan (work-proportional; acks saturate to a full rearm).
         let feed = io.feed_amount();
@@ -129,7 +124,9 @@ impl RtmModel for ForagingForWork {
         }
     }
 
-    fn configure(&mut self, reg: u8, value: u8) {
+    /// Writes an AIM configuration register; registers FFW does not read
+    /// are ignored.
+    pub fn configure(&mut self, reg: u8, value: u8) {
         match reg {
             regs::FFW_TIMEOUT => {
                 self.cfg.timeout_scans = value;

@@ -11,23 +11,23 @@
 //!
 //! All models sense and act exclusively through [`AimIo`]. [`ModelKind`]
 //! names the five a platform can run, one on every node: the baseline,
-//! and NI and FFW each either as a behavioural [`RtmModel`] here or as
-//! PicoBlaze firmware ([`crate::firmware::FirmwareModel`]). The two
-//! backends of a model are differentially tested for equivalence.
+//! and NI and FFW each either as a behavioural model here or as
+//! PicoBlaze firmware ([`FirmwareModel`]). The two backends of a model
+//! are differentially tested for equivalence. [`ModelKind::build`]
+//! returns one node's [`Model`], which dispatches each scan statically.
 //!
 //! [`ThresholdUnit`]: crate::stimulus::ThresholdUnit
 
 pub mod foraging_for_work;
 pub mod network_interaction;
 pub mod network_ode;
-pub mod no_intelligence;
 
 pub use foraging_for_work::{FfwConfig, ForagingForWork};
 pub use network_interaction::{NetworkInteraction, NiConfig};
-pub use no_intelligence::NoIntelligence;
 
 use std::fmt;
 
+use crate::firmware::FirmwareModel;
 use crate::io::AimIo;
 
 /// AIM configuration register numbers, shared between the behavioural
@@ -50,19 +50,58 @@ pub mod regs {
     pub const NI_FIXATION: u8 = 6;
 }
 
-/// A per-node runtime-management controller: one scan = one AIM
+/// One node's runtime-management controller: one scan = one AIM
 /// activation (sense → decide → act through the node's [`AimIo`]).
-pub trait RtmModel: fmt::Debug {
-    /// Short stable name used in reports ("none", "ni", "ffw", …).
-    fn name(&self) -> &'static str;
+///
+/// The firmware variant is boxed: a [`FirmwareModel`] carries a whole
+/// PicoBlaze core, and inline it would make every node's model that
+/// size.
+///
+/// # Examples
+///
+/// ```
+/// use sirtm_core::io::MockAimIo;
+/// use sirtm_core::models::ModelKind;
+///
+/// let mut model = ModelKind::NoIntelligence.build(3);
+/// let mut io = MockAimIo::new(3);
+/// io.routed = vec![100, 100, 100];
+/// model.scan(&mut io);
+/// assert!(io.switches.is_empty(), "the baseline never switches tasks");
+/// ```
+#[derive(Debug, Clone)]
+pub enum Model {
+    /// The paper's baseline: the node keeps whatever task the fixed
+    /// heuristic mapping assigned, and a scan reads and decides nothing.
+    Passive,
+    /// Behavioural Network Interaction.
+    Ni(NetworkInteraction),
+    /// Behavioural Foraging for Work.
+    Ffw(ForagingForWork),
+    /// Either model as PicoBlaze firmware.
+    Firmware(Box<FirmwareModel>),
+}
 
+impl Model {
     /// Performs one sense→decide→act scan.
-    fn scan(&mut self, io: &mut dyn AimIo);
+    pub fn scan<I: AimIo + ?Sized>(&mut self, io: &mut I) {
+        match self {
+            Model::Passive => {}
+            Model::Ni(m) => m.scan(io),
+            Model::Ffw(m) => m.scan(io),
+            Model::Firmware(m) => m.scan(io),
+        }
+    }
 
     /// Writes an AIM configuration register (RCAP `AimWrite` lands here).
-    /// Unknown registers are ignored.
-    fn configure(&mut self, reg: u8, value: u8) {
-        let _ = (reg, value);
+    /// Registers the model does not read are ignored.
+    pub fn configure(&mut self, reg: u8, value: u8) {
+        match self {
+            Model::Passive => {}
+            Model::Ni(m) => m.configure(reg, value),
+            Model::Ffw(m) => m.configure(reg, value),
+            Model::Firmware(m) => m.configure(reg, value),
+        }
     }
 }
 
@@ -91,19 +130,21 @@ impl ModelKind {
     ///
     /// Panics if bundled firmware fails to assemble (a build defect, not a
     /// runtime condition).
-    pub fn build(&self, n_tasks: usize) -> Box<dyn RtmModel> {
+    pub fn build(&self, n_tasks: usize) -> Model {
         match self {
-            ModelKind::NoIntelligence => Box::new(NoIntelligence::new()),
+            ModelKind::NoIntelligence => Model::Passive,
             ModelKind::NetworkInteraction(cfg) => {
-                Box::new(NetworkInteraction::new(n_tasks, cfg.clone()))
+                Model::Ni(NetworkInteraction::new(n_tasks, cfg.clone()))
             }
-            ModelKind::ForagingForWork(cfg) => Box::new(ForagingForWork::new(n_tasks, cfg.clone())),
-            ModelKind::NetworkInteractionFirmware(cfg) => Box::new(
-                crate::firmware::FirmwareModel::network_interaction(n_tasks, cfg),
-            ),
-            ModelKind::ForagingForWorkFirmware(cfg) => Box::new(
-                crate::firmware::FirmwareModel::foraging_for_work(n_tasks, cfg),
-            ),
+            ModelKind::ForagingForWork(cfg) => {
+                Model::Ffw(ForagingForWork::new(n_tasks, cfg.clone()))
+            }
+            ModelKind::NetworkInteractionFirmware(cfg) => {
+                Model::Firmware(Box::new(FirmwareModel::network_interaction(n_tasks, cfg)))
+            }
+            ModelKind::ForagingForWorkFirmware(cfg) => {
+                Model::Firmware(Box::new(FirmwareModel::foraging_for_work(n_tasks, cfg)))
+            }
         }
     }
 
@@ -127,12 +168,10 @@ impl ModelKind {
     /// Most tasks the model can be built for: the firmware models are
     /// bounded by the AIM port map ([`FirmwareModel::MAX_TASKS`]), the
     /// others are not (`None`).
-    ///
-    /// [`FirmwareModel::MAX_TASKS`]: crate::firmware::FirmwareModel::MAX_TASKS
     pub fn max_tasks(&self) -> Option<usize> {
         match self {
             ModelKind::NetworkInteractionFirmware(_) | ModelKind::ForagingForWorkFirmware(_) => {
-                Some(crate::firmware::FirmwareModel::MAX_TASKS)
+                Some(FirmwareModel::MAX_TASKS)
             }
             _ => None,
         }
@@ -152,16 +191,46 @@ mod tests {
     #[test]
     fn kinds_build_and_report_names() {
         let kinds = [
-            ModelKind::NoIntelligence,
-            ModelKind::NetworkInteraction(NiConfig::default()),
-            ModelKind::ForagingForWork(FfwConfig::default()),
-            ModelKind::NetworkInteractionFirmware(NiConfig::default()),
-            ModelKind::ForagingForWorkFirmware(FfwConfig::default()),
+            (ModelKind::NoIntelligence, "none", "passive"),
+            (
+                ModelKind::NetworkInteraction(NiConfig::default()),
+                "ni",
+                "ni",
+            ),
+            (
+                ModelKind::ForagingForWork(FfwConfig::default()),
+                "ffw",
+                "ffw",
+            ),
+            (
+                ModelKind::NetworkInteractionFirmware(NiConfig::default()),
+                "ni-fw",
+                "firmware",
+            ),
+            (
+                ModelKind::ForagingForWorkFirmware(FfwConfig::default()),
+                "ffw-fw",
+                "firmware",
+            ),
         ];
-        for k in kinds {
-            let model = k.build(3);
-            assert_eq!(model.name(), k.name());
+        for (k, name, variant) in kinds {
+            assert_eq!(k.name(), name);
+            let built = match k.build(3) {
+                Model::Passive => "passive",
+                Model::Ni(_) => "ni",
+                Model::Ffw(_) => "ffw",
+                Model::Firmware(_) => "firmware",
+            };
+            assert_eq!(built, variant, "{k}");
         }
+    }
+
+    #[test]
+    fn model_fits_one_cache_line() {
+        // The behavioural models stay inline; the firmware variant's
+        // PicoBlaze core sits behind a box.
+        let size = std::mem::size_of::<Model>();
+        assert!(size <= 64, "Model is {size} bytes");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use sirtm_taskgraph::TaskId;
 
 use crate::io::AimIo;
-use crate::models::{regs, RtmModel};
+use crate::models::regs;
 use crate::stimulus::ThresholdUnit;
 
 /// Configuration of the [`NetworkInteraction`] model.
@@ -64,7 +64,7 @@ impl Default for NiConfig {
 ///
 /// ```
 /// use sirtm_core::io::{AimIo, MockAimIo};
-/// use sirtm_core::models::{NetworkInteraction, NiConfig, RtmModel};
+/// use sirtm_core::models::{NetworkInteraction, NiConfig};
 /// use sirtm_taskgraph::TaskId;
 ///
 /// let mut model = NetworkInteraction::new(3, NiConfig {
@@ -106,7 +106,7 @@ impl NetworkInteraction {
     }
 
     /// Effective threshold for task `t` given neighbour occupancy.
-    fn effective_threshold(&self, t: usize, io: &dyn AimIo) -> u32 {
+    fn effective_threshold<I: AimIo + ?Sized>(&self, t: usize, io: &I) -> u32 {
         let base = self.cfg.threshold as u32;
         if self.cfg.social_inhibition_gain == 0 {
             return base;
@@ -116,14 +116,9 @@ impl NetworkInteraction {
             .count() as u32;
         base + occupied * self.cfg.social_inhibition_gain as u32
     }
-}
 
-impl RtmModel for NetworkInteraction {
-    fn name(&self) -> &'static str {
-        "ni"
-    }
-
-    fn scan(&mut self, io: &mut dyn AimIo) {
+    /// Performs one sense→decide→act scan.
+    pub fn scan<I: AimIo + ?Sized>(&mut self, io: &mut I) {
         io.read_routed(&mut self.buf);
         // Excite each task's thresholder by the impulses observed, with
         // the firmware's 8-bit saturation, then apply leak.
@@ -171,7 +166,9 @@ impl RtmModel for NetworkInteraction {
         }
     }
 
-    fn configure(&mut self, reg: u8, value: u8) {
+    /// Writes an AIM configuration register; registers NI does not read
+    /// are ignored.
+    pub fn configure(&mut self, reg: u8, value: u8) {
         match reg {
             regs::NI_THRESHOLD => {
                 self.cfg.threshold = value;

@@ -62,11 +62,6 @@ impl ThresholdUnit {
         self.count
     }
 
-    /// Current threshold.
-    pub fn threshold(&self) -> u32 {
-        self.threshold
-    }
-
     /// Replaces the threshold (adaptive-threshold extensions use this).
     pub fn set_threshold(&mut self, threshold: u32) {
         self.threshold = threshold;
@@ -120,11 +115,6 @@ impl TimeoutTimer {
             timeout_scans,
             remaining: 0,
         }
-    }
-
-    /// The configured timeout in scans.
-    pub fn timeout(&self) -> u32 {
-        self.timeout_scans
     }
 
     /// Reconfigures the timeout (applies from the next rearm).

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use sirtm_core::firmware::FirmwareModel;
 use sirtm_core::io::MockAimIo;
-use sirtm_core::models::{regs, FfwConfig, ModelKind, NiConfig, RtmModel};
+use sirtm_core::models::{regs, FfwConfig, Model, ModelKind, NiConfig};
 use sirtm_taskgraph::TaskId;
 
 /// One scan's worth of synthetic stimulus.
@@ -106,13 +106,13 @@ fn ffw_trace(n_tasks: usize) -> impl Strategy<Value = Vec<Step>> {
 
 /// Runs a model over a trace and returns the switch decisions
 /// (step index, task) it made.
-fn run_trace(model: &mut dyn RtmModel, trace: &[Step], n_tasks: usize) -> Vec<(usize, u8)> {
+fn run_trace(model: &mut Model, trace: &[Step], n_tasks: usize) -> Vec<(usize, u8)> {
     run_trace_from(model, trace, n_tasks, None)
 }
 
 /// Like [`run_trace`] but with an initial local task.
 fn run_trace_from(
-    model: &mut dyn RtmModel,
+    model: &mut Model,
     trace: &[Step],
     n_tasks: usize,
     local_init: Option<u8>,
@@ -160,8 +160,8 @@ proptest! {
         let cfg = NiConfig { threshold, leak, fixation_scans: fixation, ..NiConfig::default() };
         let mut behavioural = ModelKind::NetworkInteraction(cfg.clone()).build(n_tasks);
         let mut firmware = ModelKind::NetworkInteractionFirmware(cfg).build(n_tasks);
-        let a = run_trace(behavioural.as_mut(), &trace, n_tasks);
-        let b = run_trace(firmware.as_mut(), &trace, n_tasks);
+        let a = run_trace(&mut behavioural, &trace, n_tasks);
+        let b = run_trace(&mut firmware, &trace, n_tasks);
         prop_assert_eq!(a, b);
     }
 
@@ -179,8 +179,8 @@ proptest! {
         let local_init = local_init.filter(|&t| usize::from(t) < n_tasks);
         let mut behavioural = ModelKind::ForagingForWork(cfg.clone()).build(n_tasks);
         let mut firmware = ModelKind::ForagingForWorkFirmware(cfg).build(n_tasks);
-        let a = run_trace_from(behavioural.as_mut(), &trace, n_tasks, local_init);
-        let b = run_trace_from(firmware.as_mut(), &trace, n_tasks, local_init);
+        let a = run_trace_from(&mut behavioural, &trace, n_tasks, local_init);
+        let b = run_trace_from(&mut firmware, &trace, n_tasks, local_init);
         prop_assert_eq!(a, b);
     }
 
@@ -188,7 +188,7 @@ proptest! {
     #[test]
     fn baseline_is_inert(trace in proptest::collection::vec(stimulus(3), 1..60)) {
         let mut model = ModelKind::NoIntelligence.build(3);
-        prop_assert!(run_trace(model.as_mut(), &scans(trace), 3).is_empty());
+        prop_assert!(run_trace(&mut model, &scans(trace), 3).is_empty());
     }
 }
 
@@ -218,8 +218,8 @@ fn backends_agree_on_fuzz_derived_seeds() {
         let mut behavioural = ModelKind::NetworkInteraction(ni.clone()).build(3);
         let mut firmware = ModelKind::NetworkInteractionFirmware(ni).build(3);
         assert_eq!(
-            run_trace(behavioural.as_mut(), &trace, 3),
-            run_trace(firmware.as_mut(), &trace, 3),
+            run_trace(&mut behavioural, &trace, 3),
+            run_trace(&mut firmware, &trace, 3),
             "NI backends diverged on fuzz seed {seed:#x}"
         );
         let ffw = FfwConfig {
@@ -229,8 +229,8 @@ fn backends_agree_on_fuzz_derived_seeds() {
         let mut behavioural = ModelKind::ForagingForWork(ffw.clone()).build(3);
         let mut firmware = ModelKind::ForagingForWorkFirmware(ffw).build(3);
         assert_eq!(
-            run_trace_from(behavioural.as_mut(), &trace, 3, Some(0)),
-            run_trace_from(firmware.as_mut(), &trace, 3, Some(0)),
+            run_trace_from(&mut behavioural, &trace, 3, Some(0)),
+            run_trace_from(&mut firmware, &trace, 3, Some(0)),
             "FFW backends diverged on fuzz seed {seed:#x}"
         );
     }
@@ -257,8 +257,8 @@ fn ni_backends_agree_on_directed_burst() {
     );
     let mut behavioural = ModelKind::NetworkInteraction(cfg.clone()).build(3);
     let mut firmware = ModelKind::NetworkInteractionFirmware(cfg).build(3);
-    let a = run_trace(behavioural.as_mut(), &trace, 3);
-    let b = run_trace(firmware.as_mut(), &trace, 3);
+    let a = run_trace(&mut behavioural, &trace, 3);
+    let b = run_trace(&mut firmware, &trace, 3);
     assert_eq!(a, b);
     assert!(!a.is_empty(), "the burst must trigger at least one switch");
 }
@@ -291,8 +291,8 @@ fn ffw_backends_agree_on_feed_then_starve() {
     let trace = scans(trace);
     let mut behavioural = ModelKind::ForagingForWork(cfg.clone()).build(3);
     let mut firmware = ModelKind::ForagingForWorkFirmware(cfg).build(3);
-    let a = run_trace_from(behavioural.as_mut(), &trace, 3, Some(0));
-    let b = run_trace_from(firmware.as_mut(), &trace, 3, Some(0));
+    let a = run_trace_from(&mut behavioural, &trace, 3, Some(0));
+    let b = run_trace_from(&mut firmware, &trace, 3, Some(0));
     assert_eq!(a, b);
     // Starvation with work still waiting re-forages every timeout+1 scans:
     // first expiry 5 unfed scans after the last feed, then periodically.

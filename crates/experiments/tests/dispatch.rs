@@ -182,9 +182,20 @@ fn zero_run_inputs_exit_2_with_a_message() {
     let sweep = sweep.to_str().expect("utf8 path");
     let work = dir.join("work");
     let work = work.to_str().expect("utf8 path");
-    for (args, needle) in [
-        (&["run", "light-4x4", "--runs", "0"][..], "--runs"),
-        (&["fuzz", "--budget", "0"][..], "--budget"),
+    let replicates =
+        format!("bad sweep descriptor {sweep}: `replicates` must be an integer >= 1, got 0");
+    // Each row names the whole message `die` prints on the first stderr
+    // line: the usage line that follows names every flag, so a bare flag
+    // name would match any exit-2 error.
+    for (args, message) in [
+        (
+            &["run", "light-4x4", "--runs", "0"][..],
+            "--runs needs a run count >= 1",
+        ),
+        (
+            &["fuzz", "--budget", "0"][..],
+            "--budget needs an evaluation count >= 1",
+        ),
         (
             &[
                 "dispatch",
@@ -196,9 +207,9 @@ fn zero_run_inputs_exit_2_with_a_message() {
                 "--checkpoint",
                 work,
             ][..],
-            "--runs",
+            "--runs needs a run count >= 1",
         ),
-        (&["run", "--sweep", sweep][..], "replicates"),
+        (&["run", "--sweep", sweep][..], replicates.as_str()),
         // Values that parse but name no run the harness can honour: zero
         // soak cycles, a fault rate above 100%, and fuzz thresholds that
         // are not finite (nan and inf admit no find, -inf admits all).
@@ -212,27 +223,34 @@ fn zero_run_inputs_exit_2_with_a_message() {
         ),
         (
             &["fuzz", "--threshold", "nan"][..],
-            "--threshold needs a finite",
+            "--threshold needs a finite fitness value",
         ),
         (
             &["fuzz", "--threshold", "inf"][..],
-            "--threshold needs a finite",
+            "--threshold needs a finite fitness value",
         ),
         (
             &["fuzz", "--threshold", "-inf"][..],
-            "--threshold needs a finite",
+            "--threshold needs a finite fitness value",
         ),
     ] {
         let out = run_cli(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        let expected = format!("scenarios: {message}");
+        assert_eq!(stderr.lines().next(), Some(expected.as_str()), "{args:?}");
     }
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["table1", "--runs", "0"])
         .output()
         .expect("repro runs");
-    assert_eq!(out.status.code(), Some(2), "repro --runs 0");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "repro --runs 0: {stderr}");
+    assert_eq!(
+        stderr.lines().next(),
+        Some("repro: --runs needs a run count >= 1"),
+        "repro --runs 0"
+    );
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -215,21 +215,6 @@ impl Picoblaze {
         }
     }
 
-    /// Resets registers, scratchpad, flags, stack and PC (program kept).
-    pub fn reset(&mut self) {
-        self.regs = [0; 16];
-        self.scratch = [0; SCRATCHPAD_LEN];
-        self.depth = 0;
-        self.pc = 0;
-        self.zero = false;
-        self.carry = false;
-        self.instret = 0;
-        #[cfg(feature = "profile")]
-        {
-            self.opcode_counts = [0; Instruction::COUNT];
-        }
-    }
-
     /// Current value of register `r`.
     pub fn reg(&self, r: Register) -> u8 {
         self.regs[r.index()]
@@ -260,7 +245,7 @@ impl Picoblaze {
         (self.zero, self.carry)
     }
 
-    /// Number of instructions retired since construction/reset.
+    /// Number of instructions retired since construction.
     pub fn instret(&self) -> u64 {
         self.instret
     }
@@ -792,20 +777,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_pristine_state() {
-        let (mut cpu, _) = run(
-            vec![Load(r(0), Operand::Imm(9)), Store(r(0), Address::Direct(1))],
-            2,
-        );
-        assert_eq!(cpu.instret(), 2);
-        cpu.reset();
-        assert_eq!(cpu.reg(r(0)), 0);
-        assert_eq!(cpu.scratch(1), 0);
-        assert_eq!(cpu.pc(), 0);
-        assert_eq!(cpu.instret(), 0);
-    }
-
-    #[test]
     fn run_until_port_write_sync() {
         let prog = vec![
             Load(r(0), Operand::Imm(1)),
@@ -861,8 +832,6 @@ mod tests {
         assert_eq!(count("AND"), 0);
         let total: u64 = cpu.opcode_counts().iter().sum();
         assert_eq!(total, cpu.instret(), "histogram sums to instret");
-        cpu.reset();
-        assert_eq!(cpu.opcode_counts().iter().sum::<u64>(), 0);
     }
 
     #[test]
@@ -908,7 +877,7 @@ mod tests {
         assert_eq!(cpu.instret(), 3, "the faulting RETURN is not retired");
         assert_eq!(cpu.pc(), 3);
         sums_to_instret(&cpu);
-        cpu.reset();
+        let mut cpu = Picoblaze::new(cpu.program().to_vec());
         assert_eq!(
             cpu.run_until_port_write(0xFF, 2, &mut io),
             Ok(RunOutcome::BudgetExhausted)
