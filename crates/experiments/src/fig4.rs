@@ -5,7 +5,7 @@
 use std::path::Path;
 
 use sirtm_scenario::recorder::RunTrace;
-use sirtm_scenario::{run_spec, EventAction, EventSpec, ScenarioSpec};
+use sirtm_scenario::{run_group, EventAction, EventSpec, ScenarioSpec};
 
 use crate::render::{downsample, sparkline, write_csv};
 use crate::table1::paper_models;
@@ -43,30 +43,44 @@ pub struct Fig4 {
 
 /// Regenerates the figure's data (one representative seed; the figure in
 /// the paper is likewise a typical single run). Each model runs `base`
-/// with the panel's faults at the end of its settle region.
+/// with the panel's faults at the end of its settle region. A model's
+/// panels differ only in the fault count, so they run as one fork group
+/// ([`run_group`]) that simulates the pre-fault prefix once.
 pub fn run(base: &ScenarioSpec, seed: u64) -> Fig4 {
     let fault_at_ms = crate::fault_at_ms(base);
-    let panels = FIG4_FAULTS
+    let mut panels: Vec<Fig4Panel> = FIG4_FAULTS
         .iter()
         .map(|&faults| Fig4Panel {
             faults,
-            traces: paper_models()
-                .into_iter()
-                .map(|(name, model)| {
-                    let mut spec = base.clone();
-                    spec.model = model;
-                    spec.events = vec![EventSpec {
-                        at_ms: fault_at_ms,
-                        action: EventAction::RandomPeFaults { count: faults },
-                    }];
-                    Fig4Trace {
-                        model: name,
-                        trace: run_spec(&spec, seed).trace,
-                    }
-                })
-                .collect(),
+            traces: Vec::new(),
         })
         .collect();
+    for (name, model) in paper_models() {
+        let specs: Vec<ScenarioSpec> = FIG4_FAULTS
+            .iter()
+            .map(|&faults| {
+                let mut spec = base.clone();
+                spec.model = model.clone();
+                spec.events = vec![EventSpec {
+                    at_ms: fault_at_ms,
+                    action: EventAction::RandomPeFaults { count: faults },
+                }];
+                spec
+            })
+            .collect();
+        let members: Vec<&ScenarioSpec> = specs.iter().collect();
+        run_group(
+            &members,
+            seed,
+            |_| {},
+            |k, outcome| {
+                panels[k].traces.push(Fig4Trace {
+                    model: name.clone(),
+                    trace: outcome.trace,
+                });
+            },
+        );
+    }
     Fig4 {
         panels,
         fault_at_ms,

@@ -159,7 +159,7 @@ pub use fuzz::{
     Operator, ReplayReport,
 };
 pub use observe::{FuzzTelemetry, SweepTelemetry};
-pub use run::{build_platform, run_spec, RunOutcome, RunSummary};
+pub use run::{build_platform, run_group, run_spec, RunOutcome, RunSummary};
 pub use shard::{
     journal_progress, merge_named_shards, merge_shards, run_shard, run_shard_observed,
     JournalProgress, ShardPlan, ShardResult, ShardRunReport,

@@ -69,8 +69,9 @@ impl RunTrace {
 
 /// Incremental recorder: drive the platform yourself and call
 /// [`Recorder::sample`] at window boundaries, or use
-/// [`Recorder::run_windows`] to do both.
-#[derive(Debug)]
+/// [`Recorder::run_windows`] to do both. A clone records on
+/// independently from the window it was taken at.
+#[derive(Debug, Clone)]
 pub struct Recorder {
     window_ms: f64,
     sink: TaskId,

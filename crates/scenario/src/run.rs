@@ -1,6 +1,11 @@
-//! Executing one scenario run: platform construction from the spec,
+//! Executing scenario runs: platform construction from the spec,
 //! timeline application through the activity-gated `run_until` fast
 //! path, and the paper's per-run measures.
+//!
+//! Runs execute in *fork groups* ([`run_group`]): runs at one seed whose
+//! specs differ only in their events are one run until an event fires,
+//! so a group simulates that shared prefix once and finishes each member
+//! on its own copy. [`run_spec`] is the group of one.
 //!
 //! The construction and measurement pipeline is bit-compatible with the
 //! original experiment harness: the same seed produces the same mapping,
@@ -105,21 +110,108 @@ pub fn build_platform(spec: &ScenarioSpec, seed: u64) -> Platform {
 /// Panics if the spec is internally inconsistent, or its grid cannot hold
 /// a graph the run places heuristically ([`ScenarioSpec::check_grid`]).
 pub fn run_spec(spec: &ScenarioSpec, seed: u64) -> RunOutcome {
-    spec.validate();
-    if let Err(e) = spec.check_grid() {
-        panic!("{e}");
+    let mut outcome = None;
+    run_group(&[spec], seed, |_| {}, |_, o| outcome = Some(o));
+    outcome.expect("a group of one finishes its run")
+}
+
+/// Executes a fork group: one run of each of `specs` at `seed`, where the
+/// specs are equal once their events are cleared
+/// ([`ScenarioSpec::eq_except_events`]). Each member's outcome is
+/// bit-identical to [`run_spec`]'s, sim counters included.
+///
+/// The group builds one platform and steps whole windows while every
+/// member's next event still lies in the future. A timeline is polled
+/// only at window starts, so no member could have fired an event inside
+/// this shared prefix. Every member but the last then finishes on a
+/// clone of the prefix platform and recorder, dropped before the next
+/// clone is made; the last takes the prefix state itself. A group of one
+/// therefore clones nothing.
+///
+/// Members run one after another on the calling thread. `started(k)`
+/// fires for member 0 before the prefix and for every later member right
+/// before its own suffix; `finished(k, outcome)` fires after member `k`'s
+/// suffix. Member 0's span therefore carries the shared prefix.
+///
+/// # Panics
+///
+/// Panics if `specs` is empty, if a spec is internally inconsistent or
+/// fails [`ScenarioSpec::check_grid`], or if two members differ beyond
+/// their events. All members are checked before any work starts.
+pub fn run_group(
+    specs: &[&ScenarioSpec],
+    seed: u64,
+    mut started: impl FnMut(usize),
+    mut finished: impl FnMut(usize, RunOutcome),
+) {
+    let (&lead, _) = specs.split_first().expect("a fork group has members");
+    for spec in specs {
+        spec.validate();
+        if let Err(e) = spec.check_grid() {
+            panic!("{e}");
+        }
+        assert!(
+            spec.eq_except_events(lead),
+            "fork group members must differ only in their events"
+        );
     }
-    let mut platform = build_platform(spec, seed);
-    let mut timeline = Timeline::compile(spec, seed);
-    let mut recorder = Recorder::new(spec.window_ms, spec.sink());
-    let thermal_solves = timeline.thermal_solves();
-    recorder.run_windows(&mut platform, spec.total_windows(), |_, p| {
+    started(0);
+    let mut platform = build_platform(lead, seed);
+    let timelines: Vec<Timeline> = specs.iter().map(|s| Timeline::compile(s, seed)).collect();
+    let mut recorder = Recorder::new(lead.window_ms, lead.sink());
+    let windows = lead.total_windows();
+    let mut window = 0;
+    while window < windows
+        && timelines
+            .iter()
+            .all(|t| t.next_at().is_none_or(|at| at > platform.now()))
+    {
+        platform.run_ms(lead.window_ms);
+        recorder.sample(&platform);
+        window += 1;
+    }
+    let last = specs.len() - 1;
+    let mut prefix = Some((platform, recorder));
+    for (k, timeline) in timelines.into_iter().enumerate() {
+        if k > 0 {
+            started(k);
+        }
+        let state = if k == last {
+            prefix.take()
+        } else {
+            prefix.clone()
+        };
+        let (platform, recorder) = state.expect("the prefix outlives every member but the last");
+        finished(
+            k,
+            finish(
+                specs[k],
+                seed,
+                timeline,
+                platform,
+                recorder,
+                windows - window,
+            ),
+        );
+    }
+}
+
+/// Runs a member's remaining `windows` from the fork point, polling its
+/// own timeline before each window, and measures the whole run.
+fn finish(
+    spec: &ScenarioSpec,
+    seed: u64,
+    mut timeline: Timeline,
+    mut platform: Platform,
+    mut recorder: Recorder,
+    windows: usize,
+) -> RunOutcome {
+    recorder.run_windows(&mut platform, windows, |_, p| {
         timeline.poll(p);
     });
     let mut sim = platform.sim_counters();
-    sim.thermal_solves += thermal_solves;
-    let trace = recorder.into_trace();
-    measure(spec, seed, trace, sim)
+    sim.thermal_solves += timeline.thermal_solves();
+    measure(spec, seed, recorder.into_trace(), sim)
 }
 
 /// Extracts the paper's measures from a recorded trace.
@@ -235,6 +327,14 @@ mod tests {
         let a = run_spec(&spec, 77);
         let b = run_spec(&spec, 77);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "differ only in their events")]
+    fn fork_group_members_must_differ_only_in_their_events() {
+        let none = quick(ModelKind::NoIntelligence, 5);
+        let ffw = quick(ModelKind::ForagingForWork(FfwConfig::default()), 5);
+        run_group(&[&none, &ffw], 1, |_| {}, |_, _| {});
     }
 
     #[test]

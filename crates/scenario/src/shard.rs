@@ -31,10 +31,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use crate::json::{parse, Json};
-use crate::run::{run_spec, RunSummary};
+use crate::run::RunSummary;
 use crate::stats::OnlineStats;
 use crate::sweep::{
-    aggregate, parallel_map, NullObserver, SweepObserver, SweepOptions, SweepResult, SweepSpec,
+    aggregate, fork_groups, parallel_map, run_plan_group, NullObserver, SweepObserver,
+    SweepOptions, SweepResult, SweepSpec,
 };
 
 /// One shard of a sweep: a contiguous, balanced slice of the expanded
@@ -876,25 +877,24 @@ pub fn run_shard_observed(
         }
         _ => None,
     };
-    let fresh = parallel_map(todo.len(), opts.threads, |k| {
-        let index = todo[k];
-        observer.run_started(&plans[index]);
-        let outcome = run_spec(&plans[index].spec, plans[index].seed);
-        observer.run_finished(&plans[index], &outcome);
-        let summary = outcome.summary();
-        if let Some(journal) = &journal {
-            // One line per completed run, flushed immediately: the
-            // checkpoint is never more than one torn line behind.
-            let mut guard = journal.lock().expect("checkpoint journal poisoned");
-            let (file, next_seq) = &mut *guard;
-            let line = checkpoint_row(*next_seq, index, &summary);
-            *next_seq += 1;
-            writeln!(file, "{line}").expect("checkpoint append failed");
-        }
-        (index, summary)
+    // Fork groups form only within this invocation's runs, so a shard
+    // boundary or a `limit` cut merely splits a group.
+    let groups = fork_groups(&plans, todo.iter().copied());
+    let fresh = parallel_map(groups.len(), opts.threads, |g| {
+        run_plan_group(&plans, &groups[g], observer, |index, summary| {
+            if let Some(journal) = &journal {
+                // One line per completed run, flushed immediately: the
+                // checkpoint is never more than one torn line behind.
+                let mut guard = journal.lock().expect("checkpoint journal poisoned");
+                let (file, next_seq) = &mut *guard;
+                let line = checkpoint_row(*next_seq, index, summary);
+                *next_seq += 1;
+                writeln!(file, "{line}").expect("checkpoint append failed");
+            }
+        })
     });
-    let executed = fresh.len();
-    completed.extend(fresh);
+    let executed = todo.len();
+    completed.extend(fresh.into_iter().flatten());
     let result = (!interrupted).then(|| ShardResult {
         plan,
         sweep_json: sweep.to_json(),

@@ -240,6 +240,35 @@ impl ScenarioSpec {
         TaskId::new((self.graph().len() - 1) as u8)
     }
 
+    /// Whether `self` and `other` are equal in every field but `events`.
+    /// Runs of two such specs at one seed are the same run until the
+    /// first event fires, which is the grouping key of
+    /// [`run_group`](crate::run::run_group).
+    pub fn eq_except_events(&self, other: &Self) -> bool {
+        // Destructured, so a new field cannot be left out of the key.
+        let Self {
+            name,
+            platform,
+            model,
+            workload,
+            mapping,
+            duration_ms,
+            window_ms,
+            settle_region_ms,
+            detector,
+            events: _,
+        } = self;
+        *name == other.name
+            && *platform == other.platform
+            && *model == other.model
+            && *workload == other.workload
+            && *mapping == other.mapping
+            && *duration_ms == other.duration_ms
+            && *window_ms == other.window_ms
+            && *settle_region_ms == other.settle_region_ms
+            && *detector == other.detector
+    }
+
     /// Number of recording windows.
     pub fn total_windows(&self) -> usize {
         (self.duration_ms / self.window_ms).round() as usize

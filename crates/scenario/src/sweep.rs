@@ -8,12 +8,15 @@
 //! sweep produces **bit-identical results regardless of worker count
 //! and of execution order** (enforced by `tests/determinism.rs`).
 //!
-//! Execution is a self-scheduling `std::thread` pool: workers steal the
-//! next run index from a shared atomic counter, write summaries into
-//! their run's slot, and the aggregation pass then folds cells in plan
-//! order (deterministic Welford accumulation, quartiles over ordered
-//! samples).
+//! Execution is a self-scheduling `std::thread` pool over *fork groups*:
+//! the runs at one seed whose specs differ only in their events, which
+//! [`run_group`] simulates up to their first event once. Workers steal
+//! the next group from a shared atomic counter, write each member's
+//! summary into its run's slot, and the aggregation pass then folds
+//! cells in plan order (deterministic Welford accumulation, quartiles
+//! over ordered samples).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sirtm_core::models::ModelKind;
@@ -21,7 +24,7 @@ use sirtm_rng::{Rng, SplitMix64};
 use sirtm_taskgraph::GridDims;
 
 use crate::json::Json;
-use crate::run::{run_spec, RunOutcome, RunSummary};
+use crate::run::{run_group, RunOutcome, RunSummary};
 use crate::spec::{
     grid_from_json, model_from_name, model_name, EventAction, EventSpec, ScenarioSpec,
 };
@@ -519,12 +522,22 @@ where
 /// [`sirtm_telemetry::SimCounters`] from the outcome. Implementations
 /// must be `Sync` (runs call in from worker threads, concurrently) and
 /// must not panic: an observer is a bystander, never a participant.
+///
+/// Runs execute in fork groups ([`run_group`]). The members of a group
+/// run on one thread, one after another, in plan order. `run_started`
+/// fires for the first member before the group's shared prefix, and for
+/// each later member right before its own suffix; `run_finished` fires
+/// after each member's suffix. The first member's span therefore
+/// carries the shared prefix, and a later member's span only its own
+/// suffix.
 pub trait SweepObserver: Sync {
-    /// A run is about to execute on some worker thread.
+    /// A run is about to execute (or, for a later member of a fork
+    /// group, to continue from the shared prefix) on some worker thread.
     fn run_started(&self, _plan: &RunPlan) {}
 
     /// A run finished; `outcome` carries the full trace and the run's
-    /// deterministic sim-plane counters (`outcome.sim`).
+    /// deterministic sim-plane counters (`outcome.sim`), shared prefix
+    /// included.
     fn run_finished(&self, _plan: &RunPlan, _outcome: &RunOutcome) {}
 }
 
@@ -558,6 +571,7 @@ pub fn run_sweep_observed(
 ) -> SweepResult {
     let plans = sweep.expand();
     assert!(!plans.is_empty(), "sweep expands to zero runs");
+    let groups = fork_groups(&plans, 0..plans.len());
     let threads_used = if opts.threads == 0 {
         std::thread::available_parallelism()
             .map(|w| w.get())
@@ -565,17 +579,75 @@ pub fn run_sweep_observed(
     } else {
         opts.threads
     }
-    .min(plans.len());
-    let summaries = parallel_map(plans.len(), opts.threads, |i| {
-        let plan = &plans[i];
-        observer.run_started(plan);
-        let outcome = run_spec(&plan.spec, plan.seed);
-        observer.run_finished(plan, &outcome);
-        outcome.summary()
-    });
+    .min(groups.len());
+    let mut ran: Vec<(usize, RunSummary)> = parallel_map(groups.len(), opts.threads, |g| {
+        run_plan_group(&plans, &groups[g], observer, |_, _| {})
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    ran.sort_unstable_by_key(|&(index, _)| index);
+    let summaries: Vec<RunSummary> = ran.into_iter().map(|(_, summary)| summary).collect();
     let mut result = aggregate(sweep, &plans, &summaries);
     result.threads_used = threads_used;
     result
+}
+
+/// Splits `indices` (plan indices in plan order) into fork groups: the
+/// runs at one seed whose specs are equal once their events are cleared
+/// ([`ScenarioSpec::eq_except_events`]). Groups come in the order of
+/// their first member, and members keep plan order. Under
+/// [`SeedScheme::Sequential`] the cells of a fault axis group by
+/// replicate; under [`SeedScheme::Derived`] every run is its own group.
+pub(crate) fn fork_groups(
+    plans: &[RunPlan],
+    indices: impl IntoIterator<Item = usize>,
+) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    // Seed -> the groups at that seed, so specs are compared only
+    // between runs that could share a prefix.
+    let mut by_seed: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    for i in indices {
+        let at_seed = by_seed.entry(plans[i].seed).or_default();
+        let spec = &plans[i].spec;
+        match at_seed
+            .iter()
+            .find(|&&g| plans[groups[g][0]].spec.eq_except_events(spec))
+        {
+            Some(&g) => groups[g].push(i),
+            None => {
+                at_seed.push(groups.len());
+                groups.push(vec![i]);
+            }
+        }
+    }
+    groups
+}
+
+/// Runs the fork group `group` of `plans` with the observer's hooks
+/// around each member; `done` sees each member's plan index and summary
+/// as it finishes. Returns the `(index, summary)` pairs in member order.
+pub(crate) fn run_plan_group(
+    plans: &[RunPlan],
+    group: &[usize],
+    observer: &dyn SweepObserver,
+    mut done: impl FnMut(usize, &RunSummary),
+) -> Vec<(usize, RunSummary)> {
+    let specs: Vec<&ScenarioSpec> = group.iter().map(|&i| &plans[i].spec).collect();
+    let mut summaries = Vec::with_capacity(group.len());
+    run_group(
+        &specs,
+        plans[group[0]].seed,
+        |k| observer.run_started(&plans[group[k]]),
+        |k, outcome| {
+            let plan = &plans[group[k]];
+            observer.run_finished(plan, &outcome);
+            let summary = outcome.summary();
+            done(plan.index, &summary);
+            summaries.push((plan.index, summary));
+        },
+    );
+    summaries
 }
 
 /// The deterministic aggregation pass: folds per-run summaries (plan
@@ -851,6 +923,44 @@ mod tests {
         // Zero-fault cells carry no event; others carry exactly one.
         assert!(plans[0].spec.events.is_empty());
         assert_eq!(plans[2].spec.events.len(), 1);
+    }
+
+    #[test]
+    fn fork_groups_pair_fault_twins_at_one_seed_within_the_given_runs() {
+        let mut sweep = SweepSpec {
+            name: "fork".into(),
+            base: tiny_base(),
+            axes: vec![
+                Axis::Model(vec![
+                    ModelKind::NoIntelligence,
+                    ModelKind::ForagingForWork(FfwConfig::default()),
+                ]),
+                Axis::RandomFaults {
+                    at_ms: 30.0,
+                    counts: vec![0, 2, 4],
+                },
+            ],
+            replicates: 2,
+            seeds: SeedScheme::Sequential { base: 100 },
+        };
+        let plans = sweep.expand();
+        // Run `2 * cell + replicate`: a model's three fault levels share
+        // each replicate's seed; the two models never group.
+        assert_eq!(
+            fork_groups(&plans, 0..12),
+            vec![vec![0, 2, 4], vec![1, 3, 5], vec![6, 8, 10], vec![7, 9, 11]]
+        );
+        // A slice (a shard, a `limit` cut) groups only within itself.
+        assert_eq!(
+            fork_groups(&plans, 3..9),
+            vec![vec![3, 5], vec![4], vec![6, 8], vec![7]]
+        );
+        sweep.seeds = SeedScheme::Derived { root: 7 };
+        let plans = sweep.expand();
+        assert_eq!(
+            fork_groups(&plans, 0..12),
+            (0..12).map(|i| vec![i]).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -304,6 +304,12 @@ impl Timeline {
         self.next >= self.events.len()
     }
 
+    /// The firing instant of the next event [`Timeline::poll`] has not
+    /// applied yet (`None` once every event has fired).
+    pub fn next_at(&self) -> Option<Cycle> {
+        self.events.get(self.next).map(|e| e.at)
+    }
+
     /// Total PE-death faults across all events (`PeDead` and `TileDead`)
     /// — the count a colony-level mirror of this timeline kills through
     /// [`sirtm_colony::ColonyModel::kill_agents`].
@@ -333,11 +339,6 @@ impl Timeline {
             applied += 1;
         }
         applied
-    }
-
-    /// Rewinds the timeline (for replay on a fresh platform).
-    pub fn reset(&mut self) {
-        self.next = 0;
     }
 
     fn apply(action: &CompiledAction, platform: &mut Platform) {
@@ -544,11 +545,13 @@ mod tests {
         let mut p = Platform::new(graph, &mapping, &spec.model, spec.platform.clone());
         p.run_ms(4.0);
         assert_eq!(timeline.poll(&mut p), 0, "too early");
+        assert_eq!(timeline.next_at(), Some(spec.platform.ms_to_cycles(5.0)));
         assert_eq!(p.alive_count(), 16);
         p.run_ms(2.0);
         assert_eq!(timeline.poll(&mut p), 1);
         assert_eq!(p.alive_count(), 13);
         assert!(timeline.exhausted());
+        assert_eq!(timeline.next_at(), None);
     }
 
     #[test]

@@ -42,29 +42,42 @@ fn sweep_32() -> SweepSpec {
     }
 }
 
+/// `sweep_32` with the paper's paired seeds: replicate `i` of both cells
+/// runs seed `base + i`, so each fault-free run and its faulted twin form
+/// a fork group that shares its first 60 ms.
+fn sweep_32_paired() -> SweepSpec {
+    SweepSpec {
+        name: "determinism-paired".to_string(),
+        seeds: SeedScheme::Sequential { base: 20_000 },
+        ..sweep_32()
+    }
+}
+
 #[test]
 fn sweep_is_bit_identical_across_thread_counts() {
-    let sweep = sweep_32();
-    assert_eq!(sweep.run_count(), 32);
-    let single = run_sweep(&sweep, SweepOptions { threads: 1 });
-    for threads in [2, 8] {
-        let parallel = run_sweep(&sweep, SweepOptions { threads });
-        assert_eq!(
-            all_bits(&single),
-            all_bits(&parallel),
-            "{threads}-thread sweep must match the sequential pass bit for bit"
-        );
-        // Aggregates fold in plan order, so they match bitwise too.
-        for (a, b) in single.cells.iter().zip(&parallel.cells) {
-            assert_eq!(a.settle_ms.q2.to_bits(), b.settle_ms.q2.to_bits());
+    for sweep in [sweep_32(), sweep_32_paired()] {
+        assert_eq!(sweep.run_count(), 32);
+        let single = run_sweep(&sweep, SweepOptions { threads: 1 });
+        for threads in [2, 4, 8] {
+            let parallel = run_sweep(&sweep, SweepOptions { threads });
             assert_eq!(
-                a.final_rate_online.mean.to_bits(),
-                b.final_rate_online.mean.to_bits()
+                all_bits(&single),
+                all_bits(&parallel),
+                "{}: {threads}-thread sweep must match the sequential pass bit for bit",
+                sweep.name
             );
-            assert_eq!(
-                a.recovery_ms.map(|q| q.q2.to_bits()),
-                b.recovery_ms.map(|q| q.q2.to_bits())
-            );
+            // Aggregates fold in plan order, so they match bitwise too.
+            for (a, b) in single.cells.iter().zip(&parallel.cells) {
+                assert_eq!(a.settle_ms.q2.to_bits(), b.settle_ms.q2.to_bits());
+                assert_eq!(
+                    a.final_rate_online.mean.to_bits(),
+                    b.final_rate_online.mean.to_bits()
+                );
+                assert_eq!(
+                    a.recovery_ms.map(|q| q.q2.to_bits()),
+                    b.recovery_ms.map(|q| q.q2.to_bits())
+                );
+            }
         }
     }
 }
@@ -72,19 +85,20 @@ fn sweep_is_bit_identical_across_thread_counts() {
 #[test]
 fn runs_are_execution_order_independent() {
     // Each run is a pure function of (spec, seed): executing the plan in
-    // reverse order one run at a time reproduces the orchestrator's
-    // results exactly.
-    let sweep = sweep_32();
-    let orchestrated = run_sweep(&sweep, SweepOptions { threads: 4 });
-    let plans = sweep.expand();
-    let mut reversed: Vec<_> = plans
-        .iter()
-        .rev()
-        .map(|p| (p.index, run_spec(&p.spec, p.seed).summary()))
-        .collect();
-    reversed.sort_by_key(|&(i, _)| i);
-    let manual: Vec<_> = reversed.iter().map(|(_, s)| bits(s)).collect();
-    assert_eq!(all_bits(&orchestrated), manual);
+    // reverse order one run at a time, from scratch, reproduces the
+    // orchestrator's results exactly, forked runs included.
+    for sweep in [sweep_32(), sweep_32_paired()] {
+        let orchestrated = run_sweep(&sweep, SweepOptions { threads: 4 });
+        let plans = sweep.expand();
+        let mut reversed: Vec<_> = plans
+            .iter()
+            .rev()
+            .map(|p| (p.index, run_spec(&p.spec, p.seed).summary()))
+            .collect();
+        reversed.sort_by_key(|&(i, _)| i);
+        let manual: Vec<_> = reversed.iter().map(|(_, s)| bits(s)).collect();
+        assert_eq!(all_bits(&orchestrated), manual, "{}", sweep.name);
+    }
 }
 
 #[test]

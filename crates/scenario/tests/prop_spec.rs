@@ -13,7 +13,9 @@
 //! [`ScenarioSpec::check_grid`] or runs a short horizon without panicking
 //! and renders an artefact that passes [`check_artifact`]. So is the JSON
 //! input path: a spec with one degenerate number is rejected by
-//! [`ScenarioSpec::from_json`] or runs without panicking.
+//! [`ScenarioSpec::from_json`] or runs without panicking. And a fork
+//! group ([`run_group`]) is invisible: each member's outcome equals the
+//! one [`run_spec`] computes from scratch, bit for bit.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -23,8 +25,9 @@ use sirtm_core::models::{FfwConfig, ModelKind, NiConfig};
 use sirtm_scenario::detect::DetectorConfig;
 use sirtm_scenario::json::Json;
 use sirtm_scenario::{
-    check_artifact, clamp_spec, run_sweep, EventAction, EventSpec, MappingSpec, ScenarioSpec,
-    SeedScheme, ShardPlan, SweepOptions, SweepSpec, ThermalEventSpec, Timeline, WorkloadSpec,
+    check_artifact, clamp_spec, run_group, run_spec, run_sweep, EventAction, EventSpec,
+    MappingSpec, ScenarioSpec, SeedScheme, ShardPlan, SweepOptions, SweepSpec, ThermalEventSpec,
+    Timeline, WorkloadSpec,
 };
 use sirtm_taskgraph::workloads::ForkJoinParams;
 use sirtm_taskgraph::GridDims;
@@ -198,6 +201,51 @@ fn valid_spec() -> impl Strategy<Value = ScenarioSpec> {
     })
 }
 
+/// How one member of a fork group differs from the group's base spec.
+#[derive(Debug, Clone)]
+enum Variant {
+    /// The base spec's own events.
+    Base,
+    /// No events: the shared prefix can run to the end.
+    Cleared,
+    /// The base events plus one at this fraction of the run.
+    Later(f64, EventAction),
+    /// The base events plus one at this fraction of the first window. At
+    /// fraction 0 it fires before the first window, so the prefix is
+    /// empty.
+    FirstWindow(f64, EventAction),
+}
+
+impl Variant {
+    /// The member spec this variant makes of `base`.
+    fn apply(&self, base: &ScenarioSpec) -> ScenarioSpec {
+        let mut spec = base.clone();
+        match self {
+            Variant::Base => {}
+            Variant::Cleared => spec.events.clear(),
+            Variant::Later(frac, action) => spec.events.push(EventSpec {
+                at_ms: frac * spec.duration_ms,
+                action: action.clone(),
+            }),
+            Variant::FirstWindow(frac, action) => spec.events.push(EventSpec {
+                at_ms: frac * spec.window_ms,
+                action: action.clone(),
+            }),
+        }
+        spec
+    }
+}
+
+fn variant() -> impl Strategy<Value = Variant> {
+    prop_oneof![
+        Just(Variant::Base),
+        Just(Variant::Cleared),
+        (0.0f64..1.0, action()).prop_map(|(frac, a)| Variant::Later(frac, a)),
+        (prop_oneof![Just(0.0), 0.0f64..1.0], action())
+            .prop_map(|(frac, a)| Variant::FirstWindow(frac, a)),
+    ]
+}
+
 /// Every numeric leaf of a JSON tree, in document order.
 fn numbers(v: &mut Json) -> Vec<&mut f64> {
     match v {
@@ -297,6 +345,48 @@ proptest! {
         s.validate();
         if s.check_grid().is_ok() {
             prop_assert_eq!(check_artifact(&sweep_artifact(s)), Ok(1));
+        }
+    }
+
+    /// A fork group is invisible: 1-3 members that differ from a clamped
+    /// spec only in their events (none, the spec's own, one more later,
+    /// or one more in the first window) each get the outcome `run_spec`
+    /// computes from scratch, trace and sim counters included. `Debug`
+    /// renders every float exactly, so equal renderings are equal bits.
+    #[test]
+    fn fork_group_members_match_run_spec(
+        s in spec(),
+        variants in pvec(variant(), 1..4),
+        seed in any::<u64>(),
+    ) {
+        let mut base = s;
+        clamp_spec(&mut base);
+        base.duration_ms = base.duration_ms.min(6.0 * base.window_ms);
+        clamp_spec(&mut base);
+        // Clamping a member can grow its grid for a thermal event's
+        // pre-run; such a member is no longer in the base's group.
+        let members: Vec<ScenarioSpec> = variants
+            .iter()
+            .map(|v| {
+                let mut m = v.apply(&base);
+                clamp_spec(&mut m);
+                m
+            })
+            .filter(|m| m.eq_except_events(&base) && m.check_grid().is_ok())
+            .collect();
+        prop_assume!(!members.is_empty());
+        let refs: Vec<&ScenarioSpec> = members.iter().collect();
+        let mut forked = Vec::new();
+        run_group(&refs, seed, |_| {}, |k, outcome| forked.push((k, outcome)));
+        prop_assert_eq!(forked.len(), members.len());
+        for (k, outcome) in forked {
+            prop_assert_eq!(
+                format!("{outcome:?}"),
+                format!("{:?}", run_spec(&members[k], seed)),
+                "member {} of {} diverged from its from-scratch run",
+                k,
+                members.len()
+            );
         }
     }
 

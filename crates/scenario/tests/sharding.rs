@@ -27,6 +27,17 @@ fn sweep_12() -> SweepSpec {
     }
 }
 
+/// `sweep_12` with the paper's paired seeds: run `i` and run `6 + i`
+/// share seed `base + i` and form a fork group whenever one invocation
+/// holds both.
+fn sweep_12_paired() -> SweepSpec {
+    SweepSpec {
+        name: "shard-matrix-paired".to_string(),
+        seeds: SeedScheme::Sequential { base: 20_000 },
+        ..sweep_12()
+    }
+}
+
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sirtm_sharding_{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -35,36 +46,41 @@ fn temp_dir(name: &str) -> PathBuf {
 
 #[test]
 fn shard_matrix_merges_byte_identical_to_unsharded() {
-    let sweep = sweep_12();
-    let reference = run_sweep(&sweep, SweepOptions { threads: 1 })
-        .to_json()
-        .render_pretty();
-    // Matrix: shard count × per-shard worker threads. Thread counts are
-    // deliberately uneven across shards — partitioning must be a pure
-    // function of the spec, not of execution resources.
-    for shards in [1usize, 2, 4] {
-        for threads in [1usize, 3] {
-            let results: Vec<ShardResult> = ShardPlan::all(shards, sweep.run_count())
-                .into_iter()
-                .enumerate()
-                .map(|(k, plan)| {
-                    let opts = SweepOptions {
-                        threads: threads + k % 2,
-                    };
-                    run_shard(&sweep, plan, None, opts, None)
-                        .expect("shard runs")
-                        .result
-                        .expect("uninterrupted shard completes")
-                })
-                .collect();
-            let merged = merge_shards(&results).expect("complete shard set");
-            let text = merged.to_json().render_pretty();
-            assert_eq!(
-                text, reference,
-                "{shards} shards × {threads} threads diverged from the single-process artefact"
-            );
-            // The merged artefact passes the `scenarios check` gate.
-            assert_eq!(check_artifact(&text), Ok(sweep.run_count()));
+    // The paired sweep forks all six pairs when unsharded; 2, 4, 5 and 7
+    // shards of 12 runs put every pair across a shard boundary, so each
+    // of its runs executes alone from scratch there.
+    for sweep in [sweep_12(), sweep_12_paired()] {
+        let reference = run_sweep(&sweep, SweepOptions { threads: 1 })
+            .to_json()
+            .render_pretty();
+        // Matrix: shard count × per-shard worker threads. Thread counts
+        // are deliberately uneven across shards — partitioning must be a
+        // pure function of the spec, not of execution resources.
+        for shards in [1usize, 2, 4, 5, 7] {
+            for threads in [1usize, 3] {
+                let results: Vec<ShardResult> = ShardPlan::all(shards, sweep.run_count())
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, plan)| {
+                        let opts = SweepOptions {
+                            threads: threads + k % 2,
+                        };
+                        run_shard(&sweep, plan, None, opts, None)
+                            .expect("shard runs")
+                            .result
+                            .expect("uninterrupted shard completes")
+                    })
+                    .collect();
+                let merged = merge_shards(&results).expect("complete shard set");
+                let text = merged.to_json().render_pretty();
+                assert_eq!(
+                    text, reference,
+                    "{}: {shards} shards × {threads} threads diverged from the single-process artefact",
+                    sweep.name
+                );
+                // The merged artefact passes the `scenarios check` gate.
+                assert_eq!(check_artifact(&text), Ok(sweep.run_count()));
+            }
         }
     }
 }
@@ -117,6 +133,28 @@ fn interrupted_shard_resumes_from_its_checkpoint() {
         reference,
         "resume path must not change a single byte of the artefact"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shard_interrupted_inside_a_fork_group_resumes_to_the_same_merge() {
+    let sweep = sweep_12_paired();
+    let reference = run_sweep(&sweep, SweepOptions { threads: 1 })
+        .to_json()
+        .render_pretty();
+    let dir = temp_dir("fork-resume");
+    let plan = ShardPlan::all(1, sweep.run_count())[0];
+    let opts = SweepOptions { threads: 2 };
+    // A limit of 8 admits runs 0..8: pairs (0, 6) and (1, 7) fork, and
+    // the groups of runs 2..6 are cut before their partners 8..12.
+    let partial = run_shard(&sweep, plan, Some(&dir), opts, Some(8)).expect("partial runs");
+    assert!(partial.result.is_none(), "interrupted shard is incomplete");
+    assert_eq!((partial.resumed, partial.executed), (0, 8));
+    let resumed = run_shard(&sweep, plan, Some(&dir), opts, None).expect("resume runs");
+    assert_eq!((resumed.resumed, resumed.executed), (8, 4));
+    let merged = merge_shards(&[resumed.result.expect("resumed shard completes")])
+        .expect("complete shard set");
+    assert_eq!(merged.to_json().render_pretty(), reference);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
