@@ -13,6 +13,10 @@
 //! ([`Directory::pick_nearest`]) and round-robin acks over the candidate
 //! slots ([`Directory::pick`]), which spreads the success signal across
 //! sibling instances in different directions.
+//!
+//! [`gossip_round`] recomputes every table; the platform's [`Gossip`]
+//! recomputes only the tables whose inputs changed and yields the same
+//! tables round for round.
 
 use sirtm_noc::NodeId;
 use sirtm_taskgraph::TaskId;
@@ -122,10 +126,9 @@ impl Directory {
 ///
 /// `locals[n]` is node `n`'s advertised task (alive nodes only);
 /// `neighbours[n][d]` is the node index of `n`'s neighbour in direction
-/// `d` (N, E, S, W), if any. Reads `prev`, writes a fresh set of tables.
-///
-/// Allocates the returned tables; the platform hot loop double-buffers
-/// through [`gossip_round_into`] instead.
+/// `d` (N, E, S, W), if any. Reads `prev`, returns a fresh set of tables
+/// (the sender-side round-robin pointers are carried over). The oracle
+/// [`Gossip::round`] is checked against.
 pub fn gossip_round(
     prev: &[Directory],
     locals: &[Option<TaskId>],
@@ -134,31 +137,7 @@ pub fn gossip_round(
     dist_max: u8,
 ) -> Vec<Directory> {
     let mut next: Vec<Directory> = prev.to_vec();
-    gossip_round_into(prev, locals, neighbours, n_tasks, dist_max, &mut next);
-    next
-}
-
-/// Allocation-free [`gossip_round`]: recomputes every table of `next`
-/// from `prev` in place. `next` must hold one directory per node, sized
-/// for `n_tasks` (the platform's reused double buffer). Every entry slot
-/// is overwritten and the sender-side round-robin pointers are carried
-/// over from `prev`, so the result is identical to [`gossip_round`].
-///
-/// # Panics
-///
-/// Panics if `next` and `prev` differ in length or task count.
-pub fn gossip_round_into(
-    prev: &[Directory],
-    locals: &[Option<TaskId>],
-    neighbours: &[[Option<usize>; 4]],
-    n_tasks: usize,
-    dist_max: u8,
-    next: &mut [Directory],
-) {
-    assert_eq!(prev.len(), next.len(), "grid size mismatch");
     for (n, dir) in next.iter_mut().enumerate() {
-        assert_eq!(dir.n_tasks, prev[n].n_tasks, "task count mismatch");
-        dir.rr.copy_from_slice(&prev[n].rr);
         for t in 0..n_tasks {
             let task = TaskId::new(t as u8);
             // Self slot: advertise own task at distance 0.
@@ -170,13 +149,207 @@ pub fn gossip_round_into(
             // Neighbour slots: their best from the previous round, one
             // hop further and bounded by the staleness limit.
             for (d, link) in neighbours[n].iter().enumerate() {
-                let entry = link.and_then(|m| prev[m].best(task)).and_then(|e| {
-                    let dist = e.dist.saturating_add(1);
-                    (dist <= dist_max).then_some(DirEntry { node: e.node, dist })
-                });
+                let entry = link
+                    .and_then(|m| prev[m].best(task))
+                    .and_then(|e| hop(e, dist_max));
                 dir.set_slot(task, d, entry);
             }
         }
+    }
+    next
+}
+
+/// `e` as seen one hop further away, unless that exceeds `dist_max`.
+fn hop(e: DirEntry, dist_max: u8) -> Option<DirEntry> {
+    let dist = e.dist.saturating_add(1);
+    (dist <= dist_max).then_some(DirEntry { node: e.node, dist })
+}
+
+/// Every node's directory, advanced by gossip rounds that recompute only
+/// the nodes whose tables can change.
+///
+/// A node's next table depends only on its advertised task and on its
+/// neighbours' best entries from the previous round. So a round
+/// recomputes only *dirty* nodes: nodes whose task changed, a cleared
+/// (killed) node and its neighbours, the neighbours of any node whose
+/// best entry changed in the last round, and every node whose table
+/// changed in it. The last rule makes the round after a change recheck
+/// it, as a full round would, so the gossip counts as converged — no
+/// node dirty — exactly when a full round would reproduce its input.
+/// Tables match [`gossip_round`]'s round for round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Gossip {
+    dirs: Vec<Directory>,
+    /// `bests[n * n_tasks + t]`: node `n`'s best entry for task `t` as of
+    /// the last round — what its neighbours read in the next.
+    bests: Vec<Option<DirEntry>>,
+    /// Nodes the next round recomputes, and their membership flags.
+    dirty: Vec<u32>,
+    is_dirty: Vec<bool>,
+    /// Reused buffers: the list being recomputed and its changed nodes.
+    spare: Vec<u32>,
+    changed: Vec<u32>,
+    n_tasks: usize,
+    dist_max: u8,
+}
+
+impl Gossip {
+    /// Starts from `dirs` (one per node, each sized for `n_tasks`) with
+    /// every node dirty, so the first round checks them all.
+    pub fn new(dirs: Vec<Directory>, n_tasks: usize, dist_max: u8) -> Self {
+        let n = dirs.len();
+        let mut gossip = Self {
+            bests: vec![None; n * n_tasks],
+            dirty: Vec::with_capacity(n),
+            is_dirty: vec![false; n],
+            spare: Vec::with_capacity(n),
+            changed: Vec::with_capacity(n),
+            dirs,
+            n_tasks,
+            dist_max,
+        };
+        gossip.reset_derived();
+        gossip
+    }
+
+    /// Every node's directory, in node order.
+    pub fn directories(&self) -> &[Directory] {
+        &self.dirs
+    }
+
+    /// The staleness bound on entry distance, in hops.
+    pub fn dist_max(&self) -> u8 {
+        self.dist_max
+    }
+
+    /// Whether the tables are at a fixpoint: no node is dirty, so a round
+    /// would change nothing.
+    pub fn is_converged(&self) -> bool {
+        self.dirty.is_empty()
+    }
+
+    /// [`Directory::pick`] on `node`'s directory.
+    pub fn pick(&mut self, node: usize, task: TaskId) -> Option<NodeId> {
+        self.dirs[node].pick(task)
+    }
+
+    /// [`Directory::pick_nearest`] on `node`'s directory.
+    pub fn pick_nearest(&self, node: usize, task: TaskId) -> Option<NodeId> {
+        self.dirs[node].pick_nearest(task)
+    }
+
+    /// Records that `node`'s advertised task changed.
+    pub fn task_changed(&mut self, node: usize) {
+        self.mark(node);
+    }
+
+    /// Clears `node`'s directory (the node died): it and, if it knew any
+    /// instance, its neighbours become dirty.
+    pub fn clear(&mut self, node: usize, neighbours: &[[Option<usize>; 4]]) {
+        self.dirs[node].clear();
+        self.mark(node);
+        if self.publish_bests(node) {
+            for &m in neighbours[node].iter().flatten() {
+                self.mark(m);
+            }
+        }
+    }
+
+    /// Replaces every table (after rounds computed elsewhere, such as the
+    /// platform's naive stepper) and marks every node dirty.
+    pub fn reset(&mut self, dirs: Vec<Directory>) {
+        assert_eq!(dirs.len(), self.dirs.len(), "grid size mismatch");
+        self.dirs = dirs;
+        self.reset_derived();
+    }
+
+    /// Marks every node dirty, so the next round checks every table.
+    pub fn mark_all_dirty(&mut self) {
+        for node in 0..self.dirs.len() {
+            self.mark(node);
+        }
+    }
+
+    /// Recomputes the cached bests and marks every node dirty.
+    fn reset_derived(&mut self) {
+        for node in 0..self.dirs.len() {
+            self.publish_bests(node);
+        }
+        self.mark_all_dirty();
+    }
+
+    fn mark(&mut self, node: usize) {
+        if !std::mem::replace(&mut self.is_dirty[node], true) {
+            self.dirty.push(node as u32);
+        }
+    }
+
+    /// Refreshes `node`'s cached bests from its table; returns whether
+    /// any changed.
+    fn publish_bests(&mut self, node: usize) -> bool {
+        let mut moved = false;
+        for t in 0..self.n_tasks {
+            let best = self.dirs[node].best(TaskId::new(t as u8));
+            let cached = &mut self.bests[node * self.n_tasks + t];
+            moved |= *cached != best;
+            *cached = best;
+        }
+        moved
+    }
+
+    /// One synchronous gossip round over the dirty nodes. `locals` and
+    /// `neighbours` are as for [`gossip_round`].
+    pub fn round(&mut self, locals: &[Option<TaskId>], neighbours: &[[Option<usize>; 4]]) {
+        let spare = std::mem::take(&mut self.spare);
+        let mut dirty = std::mem::replace(&mut self.dirty, spare);
+        let mut changed = std::mem::take(&mut self.changed);
+        // Recompute every dirty table from the previous round's bests;
+        // the bests are republished only once all are done.
+        for &n in &dirty {
+            let n = n as usize;
+            self.is_dirty[n] = false;
+            if self.recompute(n, locals[n], &neighbours[n]) {
+                changed.push(n as u32);
+            }
+        }
+        for &n in &changed {
+            let n = n as usize;
+            self.mark(n);
+            if self.publish_bests(n) {
+                for &m in neighbours[n].iter().flatten() {
+                    self.mark(m);
+                }
+            }
+        }
+        dirty.clear();
+        changed.clear();
+        self.spare = dirty;
+        self.changed = changed;
+    }
+
+    /// Rebuilds `n`'s table in place; returns whether it changed.
+    fn recompute(&mut self, n: usize, local: Option<TaskId>, links: &[Option<usize>; 4]) -> bool {
+        let (nt, dist_max) = (self.n_tasks, self.dist_max);
+        let entries = &mut self.dirs[n].entries;
+        let mut changed = false;
+        let mut set = |slot: usize, entry: Option<DirEntry>| {
+            changed |= std::mem::replace(&mut entries[slot], entry) != entry;
+        };
+        for t in 0..nt {
+            let task = TaskId::new(t as u8);
+            let self_entry = (local == Some(task)).then_some(DirEntry {
+                node: NodeId::new(n as u16),
+                dist: 0,
+            });
+            set(t * SLOTS + SELF_SLOT, self_entry);
+            for (d, link) in links.iter().enumerate() {
+                let entry = link
+                    .and_then(|m| self.bests[m * nt + t])
+                    .and_then(|e| hop(e, dist_max));
+                set(t * SLOTS + d, entry);
+            }
+        }
+        changed
     }
 }
 

@@ -39,6 +39,6 @@ pub use config::{
     MAX_BOUNCES, NOMINAL_MHZ, QUEUE_CAP, RECENT_DEMAND_WINDOW,
 };
 pub use controller::ExperimentController;
-pub use directory::{DirEntry, Directory};
+pub use directory::{DirEntry, Directory, Gossip};
 pub use pe::{Accept, PeStats, ProcessingElement};
 pub use platform::{NodeSnapshot, Platform, PlatformStats};

@@ -11,7 +11,7 @@ use crate::config::{
     PlatformConfig, AIM_PERIOD, FEED_GAIN_MULTIPLIER, FOREIGN_CAP, FREQ_RANGE_MHZ, GOSSIP_PERIOD,
     MAX_BOUNCES, NOMINAL_MHZ, QUEUE_CAP, RECENT_DEMAND_WINDOW,
 };
-use crate::directory::{gossip_round, gossip_round_into, Directory};
+use crate::directory::{gossip_round, Directory, Gossip};
 use crate::pe::{Accept, PeStats, ProcessingElement};
 
 /// "Never" sentinel for the per-PE event table.
@@ -84,10 +84,9 @@ pub struct Platform {
     mesh: Mesh,
     pes: Vec<ProcessingElement>,
     models: Vec<Model>,
-    dirs: Vec<Directory>,
+    /// Every node's gossip directory.
+    gossip: Gossip,
     neighbours: Vec<[Option<usize>; 4]>,
-    /// Gossip staleness bound in hops, derived from the grid.
-    dir_dist_max: u8,
     cycle: Cycle,
     stats: PlatformStats,
     /// Deterministic sim-plane telemetry (cycle/scan/gossip counters);
@@ -111,13 +110,6 @@ pub struct Platform {
     /// Incrementally maintained copy of every node's advertised task —
     /// what the naive stepper recomputes per gossip round.
     locals: Vec<Option<TaskId>>,
-    /// Gossip double buffer: the next round is computed here, then
-    /// swapped with `dirs`.
-    dirs_next: Vec<Directory>,
-    /// Set once a gossip round reproduces its input exactly; the round is
-    /// then a provable fixpoint and is skipped until an advertised task
-    /// or directory changes.
-    gossip_converged: bool,
     /// `scan_buckets[now % AIM_PERIOD]` = nodes whose staggered AIM scan
     /// is due at that residue (ascending node order).
     scan_buckets: Vec<Vec<u32>>,
@@ -171,7 +163,7 @@ impl Platform {
             let mut pe = ProcessingElement::new(node, NOMINAL_MHZ, QUEUE_CAP, FOREIGN_CAP);
             if let Some(task) = mapping.task_of(idx) {
                 pe.switch_task(task, &graph, 0, false);
-                mesh.router_mut(node).settings_mut().local_task = Some(task);
+                mesh.set_local_task(node, Some(task));
             }
             pes.push(pe);
         }
@@ -211,10 +203,8 @@ impl Platform {
             mesh,
             pes,
             models,
-            dirs_next: dirs.clone(),
-            dirs,
+            gossip: Gossip::new(dirs, n_tasks, dir_dist_max),
             neighbours,
-            dir_dist_max,
             cycle: 0,
             sim: SimCounters::default(),
             cfg,
@@ -222,7 +212,6 @@ impl Platform {
             pe_next: vec![0; n],
             owed_since: vec![None; n],
             locals,
-            gossip_converged: false,
             scan_buckets,
             scan_residue_live,
             aim_writes_drained: 0,
@@ -404,16 +393,14 @@ impl Platform {
         let was_alive = self.pes[idx].is_alive();
         self.settle_busy(idx, self.cycle);
         self.pes[idx].kill();
-        let router = self.mesh.router_mut(node);
-        router.settings_mut().local_task = None;
-        router.settings_mut().port_enabled[Port::Internal.index()] = false;
-        self.dirs[idx].clear();
+        self.mesh.set_local_task(node, None);
+        self.mesh.set_port_enabled(node, Port::Internal, false);
         // Event-table upkeep: a dead PE never has events, its scan can no
         // longer decide anything, and the directories must re-converge.
+        self.gossip.clear(idx, &self.neighbours);
         self.pe_next[idx] = NEVER;
         self.owed_since[idx] = None;
         self.locals[idx] = None;
-        self.gossip_converged = false;
         if was_alive && !self.passive {
             let r = scan_residue(idx, AIM_PERIOD as u64) as usize;
             self.scan_residue_live[r] -= 1;
@@ -427,7 +414,7 @@ impl Platform {
     /// Panics if `node` is off-grid.
     pub fn kill_tile(&mut self, node: NodeId) {
         self.kill_pe(node);
-        self.mesh.router_mut(node).kill();
+        self.mesh.kill(node);
     }
 
     /// Hangs the PE (clock gated, state retained): it stops processing
@@ -562,7 +549,7 @@ impl Platform {
             if let Some(s) = self.next_scan_event() {
                 next = next.min(s);
             }
-            if !self.gossip_converged {
+            if !self.gossip.is_converged() {
                 next = next.min(next_multiple(self.cycle, GOSSIP_PERIOD as u64));
             }
             if next > self.cycle {
@@ -639,26 +626,12 @@ impl Platform {
             let idx = self.scan_buckets[r][k] as usize;
             self.scan_fast(idx, now);
         }
-        // 4. Gossip directory round, double-buffered; once a round
-        // reproduces its input it is a fixpoint and is skipped until an
-        // advertised task or directory changes.
-        if now.is_multiple_of(GOSSIP_PERIOD as u64) && !self.gossip_converged {
+        // 4. Gossip directory round over the dirty nodes only; once a
+        // round changes nothing the tables are a fixpoint and rounds are
+        // skipped until an advertised task or directory changes.
+        if now.is_multiple_of(GOSSIP_PERIOD as u64) && !self.gossip.is_converged() {
             self.sim.gossip_rounds += 1;
-            let mut next = std::mem::take(&mut self.dirs_next);
-            gossip_round_into(
-                &self.dirs,
-                &self.locals,
-                &self.neighbours,
-                self.n_tasks,
-                self.dir_dist_max,
-                &mut next,
-            );
-            if next == self.dirs {
-                self.gossip_converged = true;
-                self.dirs_next = next;
-            } else {
-                self.dirs_next = std::mem::replace(&mut self.dirs, next);
-            }
+            self.gossip.round(&self.locals, &self.neighbours);
         }
         // 5. Fabric cycle.
         self.mesh.step();
@@ -683,7 +656,7 @@ impl Platform {
         // 1. Deliveries from the fabric into the PEs.
         for idx in 0..self.pes.len() {
             let node = NodeId::new(idx as u16);
-            if self.mesh.router(node).delivered_len() == 0 {
+            if self.mesh.delivered_len(node) == 0 {
                 continue;
             }
             for pkt in self.mesh.take_delivered(node) {
@@ -713,13 +686,14 @@ impl Platform {
                 .iter()
                 .map(|pe| pe.is_alive().then(|| pe.task()).flatten())
                 .collect();
-            self.dirs = gossip_round(
-                &self.dirs,
+            let next = gossip_round(
+                self.gossip.directories(),
                 &locals,
                 &self.neighbours,
                 self.n_tasks,
-                self.dir_dist_max,
+                self.gossip.dist_max(),
             );
+            self.gossip.reset(next);
         }
         // 5. Fabric cycle, every router stepped.
         self.mesh.step_naive();
@@ -736,7 +710,7 @@ impl Platform {
             self.owed_since[idx] =
                 (pe.is_busy() && pe.is_alive() && pe.clock_enabled()).then_some(self.cycle);
         }
-        self.gossip_converged = false;
+        self.gossip.mark_all_dirty();
         self.events_stale = false;
     }
 
@@ -771,7 +745,7 @@ impl Platform {
         let node = NodeId::new(idx as u16);
         let mut dest = None;
         for _ in 0..crate::directory::SLOTS {
-            match self.dirs[idx].pick(pkt.task) {
+            match self.gossip.pick(idx, pkt.task) {
                 Some(d) if d != node => {
                     dest = Some(d);
                     break;
@@ -811,8 +785,8 @@ impl Platform {
                 // colony's success signal reaches the whole source
                 // population, not just the closest member.
                 let resolved = match pkt_kind {
-                    PacketKind::Ack => self.dirs[idx].pick(to),
-                    _ => self.dirs[idx].pick_nearest(to),
+                    PacketKind::Ack => self.gossip.pick(idx, to),
+                    _ => self.gossip.pick_nearest(idx, to),
                 };
                 match resolved {
                     Some(dest) => {
@@ -851,13 +825,16 @@ impl Platform {
 
     /// Drains remote AIM register writes that arrived through RCAP into
     /// the node's model, without disturbing the mesh's settled state when
-    /// there is nothing to drain.
+    /// there is nothing to drain. While every write that reached a router
+    /// has been drained, no router's queue is read.
     fn drain_aim_writes(&mut self, idx: usize) {
         let node = NodeId::new(idx as u16);
-        if self.mesh.router(node).aim_write_backlog() == 0 {
+        if self.mesh.aim_writes_enqueued() == self.aim_writes_drained
+            || self.mesh.aim_write_backlog(node) == 0
+        {
             return;
         }
-        while let Some((reg, value)) = self.mesh.aim_router_mut(node).pop_aim_write() {
+        while let Some((reg, value)) = self.mesh.pop_aim_write(node) {
             self.aim_writes_drained += 1;
             self.models[idx].configure(reg, value);
         }
@@ -892,7 +869,8 @@ impl Platform {
         let mut io = NodeAimIo {
             // The scan only resets monitors and reads state — it creates
             // no router work, so it must not disturb the settled proof.
-            router: self.mesh.aim_router_mut(node),
+            mesh: &mut self.mesh,
+            node,
             pe: &self.pes[idx],
             neighbours: nb,
             now,
@@ -921,7 +899,7 @@ impl Platform {
         self.pes[idx].switch_task_into(task, &self.graph, now, true, &mut evicted);
         let node = NodeId::new(idx as u16);
         // Settings-only update: no router work is created.
-        self.mesh.aim_router_mut(node).settings_mut().local_task = Some(task);
+        self.mesh.set_local_task(node, Some(task));
         for pkt in evicted.drain(..) {
             self.bounce(idx, pkt);
         }
@@ -929,16 +907,18 @@ impl Platform {
         // Event-table upkeep: the advertised task changed (gossip must
         // re-converge) and the PE may now be runnable.
         self.locals[idx] = Some(task);
-        self.gossip_converged = false;
+        self.gossip.task_changed(idx);
         self.pe_next[idx] = now;
         self.owed_since[idx] = None;
     }
 }
 
-/// Per-node AIM view, assembled fresh for each scan.
+/// Per-node AIM view, assembled fresh for each scan. Router monitors and
+/// head-of-line headers are read through the mesh, which holds them.
 #[derive(Debug)]
 struct NodeAimIo<'a> {
-    router: &'a mut Router,
+    mesh: &'a mut Mesh,
+    node: NodeId,
     pe: &'a ProcessingElement,
     neighbours: [Option<TaskId>; 4],
     now: Cycle,
@@ -963,15 +943,15 @@ impl AimIo for NodeAimIo<'_> {
     }
 
     fn read_routed(&mut self, buf: &mut [u32]) {
-        self.router.monitors_mut().take_routed_into(buf);
+        self.mesh.monitors_mut(self.node).take_routed_into(buf);
     }
 
     fn read_internal(&mut self, buf: &mut [u32]) {
-        self.router.monitors_mut().take_internal_into(buf);
+        self.mesh.monitors_mut(self.node).take_internal_into(buf);
     }
 
     fn oldest_waiting(&self) -> Option<(TaskId, Cycle)> {
-        let router_wait = self.router.oldest_waiting_app_packet(self.now);
+        let router_wait = self.mesh.oldest_waiting_app_packet(self.node, self.now);
         let foreign_wait = self.pe.oldest_foreign(self.now);
         match (router_wait, foreign_wait) {
             (Some(a), Some(b)) => Some(if a.1 >= b.1 { a } else { b }),
@@ -980,7 +960,7 @@ impl AimIo for NodeAimIo<'_> {
     }
 
     fn recent_demand(&self) -> Option<(TaskId, Cycle)> {
-        let (task, when) = self.router.monitors().recent_routed?;
+        let (task, when) = self.mesh.monitors(self.node).recent_routed?;
         let age = self.now.saturating_sub(when);
         (age <= self.recent_window).then_some((task, age))
     }

@@ -1,15 +1,17 @@
 //! Property-based robustness tests: the platform never panics and keeps
-//! its invariants under arbitrary fault/knob/retask storms, and a clone
-//! taken mid-storm evolves exactly as the original does.
+//! its invariants under arbitrary fault/knob/retask storms, a clone
+//! taken mid-storm evolves exactly as the original does, and dirty-set
+//! gossip rounds reproduce full rounds.
 
 use proptest::prelude::*;
 
-use sirtm_centurion::{Platform, PlatformConfig};
+use sirtm_centurion::directory::gossip_round;
+use sirtm_centurion::{Directory, Gossip, Platform, PlatformConfig};
 use sirtm_core::models::{FfwConfig, ModelKind, NiConfig};
-use sirtm_noc::{NodeId, Port, RcapCommand};
+use sirtm_noc::{Coord, Direction, NodeId, Port, RcapCommand};
 use sirtm_rng::Xoshiro256StarStar;
 use sirtm_taskgraph::workloads::{fork_join, ForkJoinParams};
-use sirtm_taskgraph::{GridDims, Mapping};
+use sirtm_taskgraph::{GridDims, Mapping, TaskId};
 
 #[derive(Debug, Clone)]
 enum Action {
@@ -171,5 +173,129 @@ proptest! {
         }
         p.run_ms(40.0);
         prop_assert!(p.completions_total() > frozen, "resumed grid works again");
+    }
+}
+
+/// One step of a [`GossipCase`]; node numbers wrap onto the grid.
+#[derive(Debug, Clone)]
+enum GossipOp {
+    /// A gossip cycle: a round unless the tables are converged.
+    Round,
+    /// The node advertises another task, or none.
+    Switch(u16, Option<u8>),
+    /// The node dies: its directory is cleared and it advertises nothing.
+    Kill(u16),
+}
+
+#[derive(Debug, Clone)]
+struct GossipCase {
+    width: u16,
+    height: u16,
+    n_tasks: u8,
+    dist_max: u8,
+    /// Full rounds run before the dirty-set gossip takes over.
+    warm_rounds: u8,
+    locals: Vec<Option<u8>>,
+    ops: Vec<GossipOp>,
+}
+
+fn gossip_case() -> impl Strategy<Value = GossipCase> {
+    (1u16..7, 1u16..7, 1u8..4)
+        .prop_flat_map(|(width, height, n_tasks)| {
+            let nodes = (width * height) as usize;
+            let task = proptest::option::of(0..n_tasks);
+            let op = prop_oneof![
+                6 => Just(GossipOp::Round),
+                2 => (any::<u16>(), proptest::option::of(0..n_tasks))
+                    .prop_map(|(n, t)| GossipOp::Switch(n, t)),
+                1 => any::<u16>().prop_map(GossipOp::Kill),
+            ];
+            (
+                Just(width),
+                Just(height),
+                Just(n_tasks),
+                1u8..16,
+                0u8..6,
+                proptest::collection::vec(task, nodes..=nodes),
+                proptest::collection::vec(op, 1..80),
+            )
+        })
+        .prop_map(
+            |(width, height, n_tasks, dist_max, warm_rounds, locals, ops)| GossipCase {
+                width,
+                height,
+                n_tasks,
+                dist_max,
+                warm_rounds,
+                locals,
+                ops,
+            },
+        )
+}
+
+/// The platform's neighbour table (N, E, S, W) for `dims`.
+fn grid_neighbours(dims: GridDims) -> Vec<[Option<usize>; 4]> {
+    (0..dims.len())
+        .map(|i| {
+            let (x, y) = dims.xy(i);
+            Direction::ALL.map(|d| {
+                Coord::new(x, y)
+                    .neighbour(d, dims)
+                    .map(|c| c.node(dims).index())
+            })
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Dirty-set gossip against full rounds: on random grids with random
+    /// task switches and kills, every round the dirty set computes yields
+    /// `gossip_round`'s tables, and the gossip reports convergence in the
+    /// same round a full round first reproduces its input — whenever it
+    /// skips a round, a full round would have changed nothing.
+    #[test]
+    fn dirty_gossip_rounds_match_full_rounds(case in gossip_case()) {
+        let dims = GridDims::new(case.width, case.height);
+        let neighbours = grid_neighbours(dims);
+        let nt = case.n_tasks as usize;
+        let mut locals: Vec<Option<TaskId>> =
+            case.locals.iter().map(|t| t.map(TaskId::new)).collect();
+        let mut full: Vec<Directory> = (0..dims.len()).map(|_| Directory::new(nt)).collect();
+        for _ in 0..case.warm_rounds {
+            full = gossip_round(&full, &locals, &neighbours, nt, case.dist_max);
+        }
+        let mut gossip = Gossip::new(full.clone(), nt, case.dist_max);
+        for op in &case.ops {
+            match *op {
+                GossipOp::Round => {
+                    let next = gossip_round(&full, &locals, &neighbours, nt, case.dist_max);
+                    if gossip.is_converged() {
+                        prop_assert!(next == full, "converged, but a full round changes tables");
+                        continue;
+                    }
+                    gossip.round(&locals, &neighbours);
+                    prop_assert!(gossip.directories() == next.as_slice(), "tables diverged");
+                    prop_assert_eq!(
+                        gossip.is_converged(),
+                        next == full,
+                        "convergence diverged"
+                    );
+                    full = next;
+                }
+                GossipOp::Switch(n, task) => {
+                    let n = n as usize % dims.len();
+                    locals[n] = task.map(TaskId::new);
+                    gossip.task_changed(n);
+                }
+                GossipOp::Kill(n) => {
+                    let n = n as usize % dims.len();
+                    locals[n] = None;
+                    full[n].clear();
+                    gossip.clear(n, &neighbours);
+                }
+            }
+        }
     }
 }

@@ -2,21 +2,15 @@
 
 use std::fmt;
 
-use crate::packet::{Flit, PacketId};
+use crate::packet::Flit;
 
 /// Flit slots per input buffer. The Centurion router uses wormhole
 /// switching specifically to keep these buffers small.
 pub const DEPTH: usize = 4;
 
-/// Filler for slots that hold no flit; never observable through the API.
-const VACANT: Flit = Flit::Body {
-    id: PacketId::new(0),
-    is_tail: false,
-};
-
 /// A bounded FIFO of flits, as found at each router input port: an
-/// inline ring of [`DEPTH`] slots, so a router's buffers live inside the
-/// router and pushes and pops never touch the heap.
+/// inline ring of [`DEPTH`] 4-byte flit handles, so a router's buffers
+/// live inside the router and pushes and pops never touch the heap.
 ///
 /// Equality and `Debug` see only the buffered flits, head to tail; the
 /// ring position and the contents of vacant slots are not observable.
@@ -32,7 +26,7 @@ impl FlitBuffer {
     /// Creates an empty buffer of [`DEPTH`] slots.
     pub fn new() -> Self {
         Self {
-            slots: [VACANT; DEPTH],
+            slots: [Flit::VACANT; DEPTH],
             head: 0,
             len: 0,
         }
@@ -76,8 +70,8 @@ impl FlitBuffer {
     }
 
     /// The head-of-line flit, if any.
-    pub fn head(&self) -> Option<&Flit> {
-        (!self.is_empty()).then(|| &self.slots[self.head as usize])
+    pub fn head(&self) -> Option<Flit> {
+        (!self.is_empty()).then(|| self.slots[self.head as usize])
     }
 
     /// Removes and returns the head-of-line flit.
@@ -92,8 +86,8 @@ impl FlitBuffer {
     }
 
     /// Iterates over buffered flits from head to tail.
-    pub fn iter(&self) -> impl Iterator<Item = &Flit> {
-        (0..self.len()).map(move |k| &self.slots[(self.head as usize + k) % DEPTH])
+    pub fn iter(&self) -> impl Iterator<Item = Flit> + '_ {
+        (0..self.len()).map(move |k| self.slots[(self.head as usize + k) % DEPTH])
     }
 
     /// Drops all buffered flits (used on router-dead faults).
@@ -126,13 +120,9 @@ impl fmt::Debug for FlitBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Flit, PacketId};
 
-    fn body(i: u64) -> Flit {
-        Flit::Body {
-            id: PacketId::new(i),
-            is_tail: false,
-        }
+    fn body(slot: u32) -> Flit {
+        Flit::of_packet(slot, 1, 3)
     }
 
     #[test]
@@ -141,8 +131,8 @@ mod tests {
         b.push(body(1));
         b.push(body(2));
         assert_eq!(b.len(), 2);
-        assert_eq!(b.pop().map(|f| f.packet_id()), Some(PacketId::new(1)));
-        assert_eq!(b.pop().map(|f| f.packet_id()), Some(PacketId::new(2)));
+        assert_eq!(b.pop().map(Flit::slot), Some(1));
+        assert_eq!(b.pop().map(Flit::slot), Some(2));
         assert!(b.pop().is_none());
     }
 
@@ -152,7 +142,7 @@ mod tests {
         assert_eq!(b.capacity(), DEPTH);
         assert_eq!(b.free(), DEPTH);
         assert!(!b.is_full());
-        for i in 0..DEPTH as u64 {
+        for i in 0..DEPTH as u32 {
             b.push(body(i));
         }
         assert!(b.is_full());
@@ -165,7 +155,7 @@ mod tests {
     #[should_panic(expected = "overrun")]
     fn overrun_panics() {
         let mut b = FlitBuffer::new();
-        for i in 0..=DEPTH as u64 {
+        for i in 0..=DEPTH as u32 {
             b.push(body(i));
         }
     }
@@ -174,7 +164,7 @@ mod tests {
     fn head_peeks_without_removing() {
         let mut b = FlitBuffer::new();
         b.push(body(9));
-        assert_eq!(b.head().map(|f| f.packet_id()), Some(PacketId::new(9)));
+        assert_eq!(b.head().map(Flit::slot), Some(9));
         assert_eq!(b.len(), 1);
     }
 
@@ -191,14 +181,14 @@ mod tests {
     fn equality_ignores_ring_position_and_vacant_slots() {
         let (mut a, mut b) = (FlitBuffer::new(), FlitBuffer::new());
         // `a` wraps around its ring; `b` holds the same flits from slot 0.
-        for i in 0..DEPTH as u64 {
+        for i in 0..DEPTH as u32 {
             a.push(body(100 + i));
         }
         for _ in 0..3 {
             a.pop();
         }
         a.push(body(7));
-        b.push(body(100 + DEPTH as u64 - 1));
+        b.push(body(100 + DEPTH as u32 - 1));
         b.push(body(7));
         assert_eq!(a, b);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));

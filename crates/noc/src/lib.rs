@@ -39,7 +39,7 @@ pub use buffer::FlitBuffer;
 pub use mesh::{Mesh, MeshStats};
 pub use packet::{Flit, Packet, PacketId, PacketKind, RcapCommand};
 pub use router::{
-    InPort, OutPort, Router, RouterConfig, RouterMonitors, RouterPlan, RouterSettings,
-    DEADLOCK_TIMEOUT, REDIRECT_AGE,
+    InPort, OutPort, Router, RouterConfig, RouterMonitors, RouterSettings, DEADLOCK_TIMEOUT,
+    REDIRECT_AGE,
 };
 pub use types::{Coord, Cycle, Direction, NodeId, Port};

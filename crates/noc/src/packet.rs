@@ -120,60 +120,141 @@ impl fmt::Display for Packet {
     }
 }
 
-/// One flit on a link. Wormhole switching moves packets as a head flit
-/// followed by `payload_flits` body flits; the final flit (head if the
-/// payload is empty) is flagged as the tail and releases the circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flit {
-    /// Leading flit carrying the full header.
-    Head {
-        /// The packet header.
-        pkt: Packet,
-        /// `true` when the packet is a single flit (head == tail).
-        is_tail: bool,
-    },
-    /// Payload flit.
-    Body {
-        /// Owning packet.
-        id: PacketId,
-        /// `true` for the final flit of the packet.
-        is_tail: bool,
-    },
-}
+/// One flit on a link: a 4-byte handle naming its packet's slot in the
+/// mesh's packet slab, plus head and tail bits. Wormhole switching moves
+/// a packet as a head flit followed by `payload_flits` body flits; the
+/// final flit (the head, if the payload is empty) is the tail and
+/// releases the circuit. Only the slab holds the header, so moving a
+/// flit moves four bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Flit(u32);
 
 impl Flit {
-    /// The owning packet id.
-    pub fn packet_id(&self) -> PacketId {
-        match self {
-            Flit::Head { pkt, .. } => pkt.id,
-            Flit::Body { id, .. } => *id,
-        }
+    const HEAD: u32 = 1 << 30;
+    const TAIL: u32 = 1 << 31;
+    /// The largest slot a handle can name.
+    pub const MAX_SLOT: u32 = Self::HEAD - 1;
+    /// Filler for buffer slots that hold no flit.
+    pub(crate) const VACANT: Flit = Flit(0);
+
+    /// Flit `k` of a packet of `wire` flits held in slab slot `slot`:
+    /// flit 0 is the head and flit `wire - 1` the tail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` exceeds [`Flit::MAX_SLOT`] or `k` is not below
+    /// `wire`.
+    pub fn of_packet(slot: u32, k: u32, wire: u32) -> Self {
+        assert!(
+            slot <= Self::MAX_SLOT && k < wire,
+            "flit {k} of {wire} in slot {slot}"
+        );
+        let head = if k == 0 { Self::HEAD } else { 0 };
+        let tail = if k + 1 == wire { Self::TAIL } else { 0 };
+        Self(slot | head | tail)
+    }
+
+    /// The slab slot of the owning packet.
+    pub fn slot(self) -> u32 {
+        self.0 & Self::MAX_SLOT
     }
 
     /// Whether this flit releases the wormhole circuit.
-    pub fn is_tail(&self) -> bool {
-        match self {
-            Flit::Head { is_tail, .. } | Flit::Body { is_tail, .. } => *is_tail,
-        }
+    pub fn is_tail(self) -> bool {
+        self.0 & Self::TAIL != 0
     }
 
     /// Whether this is a head flit.
-    pub fn is_head(&self) -> bool {
-        matches!(self, Flit::Head { .. })
+    pub fn is_head(self) -> bool {
+        self.0 & Self::HEAD != 0
     }
 }
 
-/// Expands a packet into its wire flits (head first).
-pub fn flits_of(pkt: Packet) -> impl Iterator<Item = Flit> {
-    let body = pkt.payload_flits;
-    std::iter::once(Flit::Head {
-        pkt,
-        is_tail: body == 0,
-    })
-    .chain((0..body).map(move |i| Flit::Body {
-        id: pkt.id,
-        is_tail: i + 1 == body,
-    }))
+impl fmt::Debug for Flit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kind = match (self.is_head(), self.is_tail()) {
+            (true, true) => "head+tail",
+            (true, false) => "head",
+            (false, true) => "tail",
+            (false, false) => "body",
+        };
+        write!(f, "Flit(s{} {kind})", self.slot())
+    }
+}
+
+/// The headers of the packets inside one mesh, by slot. A slot is taken
+/// at injection and counts the references to it: the packet's flits
+/// still queued for injection or buffered in a router, plus one while a
+/// router receives the packet at its internal port or discards it after
+/// deadlock recovery (the head flit's reference becomes that hold). The
+/// slot is freed when the count reaches zero: when the packet's last
+/// flit leaves the fabric, or when a killed router discards the last of
+/// it. A new packet takes the lowest free slot, so slot numbers depend
+/// only on which packets are live at each injection, not on the order in
+/// which a step freed the others.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct PacketSlab {
+    packets: Vec<Packet>,
+    refs: Vec<u16>,
+    /// Free slots below `packets.len()`, as a bitset (bit `s % 64` of
+    /// word `s / 64`).
+    free: Vec<u64>,
+}
+
+impl PacketSlab {
+    /// An empty slab with room for `n` packets before it reallocates.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Self {
+            packets: Vec::with_capacity(n),
+            refs: Vec::with_capacity(n),
+            free: Vec::with_capacity(n.div_ceil(64)),
+        }
+    }
+
+    /// Stores `pkt`, counting one reference per wire flit.
+    pub(crate) fn alloc(&mut self, pkt: Packet) -> u32 {
+        let refs = pkt.wire_flits() as u16;
+        match self.free.iter().position(|&w| w != 0) {
+            Some(w) => {
+                let bit = self.free[w].trailing_zeros();
+                self.free[w] &= !(1 << bit);
+                let slot = w as u32 * 64 + bit;
+                self.packets[slot as usize] = pkt;
+                self.refs[slot as usize] = refs;
+                slot
+            }
+            None => {
+                let slot = self.packets.len() as u32;
+                assert!(slot <= Flit::MAX_SLOT, "packet slab full");
+                self.packets.push(pkt);
+                self.refs.push(refs);
+                if slot.is_multiple_of(64) {
+                    self.free.push(0);
+                }
+                slot
+            }
+        }
+    }
+
+    /// The packet in `slot`.
+    pub(crate) fn get(&self, slot: u32) -> &Packet {
+        debug_assert!(self.refs[slot as usize] > 0, "read of free slot {slot}");
+        &self.packets[slot as usize]
+    }
+
+    /// Drops `n` references to `slot`, freeing it at zero.
+    pub(crate) fn release(&mut self, slot: u32, n: u16) {
+        let refs = &mut self.refs[slot as usize];
+        *refs = refs.checked_sub(n).expect("slab reference underflow");
+        if *refs == 0 {
+            self.free[slot as usize / 64] |= 1 << (slot % 64);
+        }
+    }
+
+    /// Slots holding a packet, ascending.
+    pub(crate) fn live_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.refs.len() as u32).filter(|&s| self.refs[s as usize] > 0)
+    }
 }
 
 #[cfg(test)]
@@ -207,22 +288,51 @@ mod tests {
         assert_eq!(p.age(0), 0, "clock before creation saturates to 0");
     }
 
+    fn flits_of(slot: u32, pkt: Packet) -> Vec<Flit> {
+        let wire = pkt.wire_flits();
+        (0..wire).map(|k| Flit::of_packet(slot, k, wire)).collect()
+    }
+
     #[test]
     fn flit_expansion_single_flit_packet() {
-        let flits: Vec<Flit> = flits_of(packet(0)).collect();
+        let flits = flits_of(3, packet(0));
         assert_eq!(flits.len(), 1);
         assert!(flits[0].is_head());
         assert!(flits[0].is_tail());
+        assert_eq!(format!("{:?}", flits[0]), "Flit(s3 head+tail)");
     }
 
     #[test]
     fn flit_expansion_multi_flit_packet() {
-        let flits: Vec<Flit> = flits_of(packet(3)).collect();
+        let flits = flits_of(Flit::MAX_SLOT, packet(3));
         assert_eq!(flits.len(), 4);
         assert!(flits[0].is_head() && !flits[0].is_tail());
         assert!(!flits[1].is_head() && !flits[1].is_tail());
-        assert!(flits[3].is_tail());
-        assert!(flits.iter().all(|f| f.packet_id() == PacketId::new(7)));
+        assert!(!flits[3].is_head() && flits[3].is_tail());
+        assert!(flits.iter().all(|f| f.slot() == Flit::MAX_SLOT));
+        assert_eq!(std::mem::size_of::<Flit>(), 4);
+    }
+
+    #[test]
+    fn slab_frees_a_slot_when_its_last_reference_goes() {
+        let mut slab = PacketSlab::default();
+        let a = slab.alloc(packet(2)); // three flits
+        let b = slab.alloc(packet(0));
+        let c = slab.alloc(packet(0));
+        assert_eq!((a, b, c), (0, 1, 2));
+        // The head reaches its destination and its reference becomes the
+        // receiver's hold; the body flit and then the tail arrive, and the
+        // tail gives up its own reference and the hold.
+        slab.release(a, 1);
+        assert_eq!(slab.live_slots().collect::<Vec<_>>(), [0, 1, 2]);
+        slab.release(a, 2);
+        slab.release(c, 1);
+        assert_eq!(slab.live_slots().collect::<Vec<_>>(), [1]);
+        // The lowest free slot is reused first, whatever the free order.
+        assert_eq!(slab.alloc(packet(1)), a);
+        assert_eq!(slab.get(a).payload_flits, 1);
+        assert_eq!(slab.alloc(packet(1)), c);
+        assert_eq!(slab.alloc(packet(1)), 3);
     }
 
     #[test]

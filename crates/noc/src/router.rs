@@ -12,18 +12,35 @@
 //! sensor/actuator surface the embedded intelligence uses. Routing is
 //! dimension-ordered (XY), and the deadlock-recovery and redirect
 //! timeouts are the fixed [`DEADLOCK_TIMEOUT`] and [`REDIRECT_AGE`].
+//!
+//! A [`Router`] holds only what the mesh reads or writes every cycle it
+//! steps the router: input rings of 4-byte flit handles, the occupancy
+//! mask, circuits, allocation, arbitration and blocked state, and the
+//! knobs. Packet headers live in the mesh's packet slab, and the state a
+//! router touches at most once per packet — monitors, the injection
+//! backlog, delivered packets and AIM writes — sits apart in its
+//! `RouterIo`, so the routers the mesh walks stay small and dense.
 
 use std::collections::VecDeque;
 
 use sirtm_taskgraph::TaskId;
 
 use crate::buffer::FlitBuffer;
-use crate::packet::{Flit, Packet, PacketId, PacketKind, RcapCommand};
+use crate::packet::{Flit, Packet, PacketKind, PacketSlab};
 use crate::types::{Coord, Cycle, Direction, NodeId, Port};
 
 /// Head-of-line blocking cycles after which the basic deadlock recovery
 /// drops a blocked packet.
 pub const DEADLOCK_TIMEOUT: Cycle = 200;
+
+/// Where a blocked counter stops: recovery only asks whether a head has
+/// been blocked for more than [`DEADLOCK_TIMEOUT`] cycles, so a byte
+/// holds every count it can tell apart.
+const BLOCKED_CAP: u8 = DEADLOCK_TIMEOUT as u8 + 1;
+const _: () = assert!(DEADLOCK_TIMEOUT < u8::MAX as Cycle - 1);
+
+/// Occupancy bit of the injection queue ([`InPort::Inject`]).
+const INJECT_BIT: u8 = 1 << 4;
 
 /// Minimum packet age before a router running the packet's task may
 /// absorb it (task-affine opportunistic delivery).
@@ -176,6 +193,16 @@ impl RouterMonitors {
         }
     }
 
+    /// Counts a head flit forwarded towards a link.
+    pub(crate) fn record_routed(&mut self, pkt: &Packet, now: Cycle) {
+        if let Some(c) = self.routed_per_task.get_mut(pkt.task.index()) {
+            *c += 1;
+        }
+        if pkt.kind.is_application() {
+            self.recent_routed = Some((pkt.task, now));
+        }
+    }
+
     /// Reads and clears the per-task internal-delivery counters into
     /// `buf`.
     ///
@@ -221,8 +248,8 @@ pub(crate) struct Move {
 
 /// Reusable per-router plan buffer: at most one move per output port and
 /// one consume per input port, so fixed arrays avoid per-cycle heap work.
-#[derive(Debug, Clone, Default)]
-pub struct RouterPlan {
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RouterPlan {
     moves: [Option<Move>; 6],
     n_moves: u8,
     consumes: [Option<InPort>; 5],
@@ -231,14 +258,9 @@ pub struct RouterPlan {
 
 impl RouterPlan {
     /// Resets the plan for reuse.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.n_moves = 0;
         self.n_consumes = 0;
-    }
-
-    /// Number of planned crossbar traversals.
-    pub fn move_count(&self) -> usize {
-        self.n_moves as usize
     }
 
     fn push_move(&mut self, m: Move) {
@@ -264,56 +286,96 @@ impl RouterPlan {
             .flatten()
             .copied()
     }
+}
 
-    /// Whether nothing was planned.
-    pub fn is_empty(&self) -> bool {
-        self.n_moves == 0 && self.n_consumes == 0
+/// A router's cold state, touched at most once per packet: the monitors
+/// the AIM reads, the injection queue behind its front packet (as slab
+/// slots), packets delivered to the local node and AIM register writes
+/// received through RCAP.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RouterIo {
+    pub(crate) monitors: RouterMonitors,
+    pub(crate) backlog: VecDeque<u32>,
+    pub(crate) delivered: VecDeque<Packet>,
+    pub(crate) aim_writes: VecDeque<(u8, u8)>,
+}
+
+impl RouterIo {
+    pub(crate) fn new(config: &RouterConfig) -> Self {
+        Self {
+            monitors: RouterMonitors::new(config.n_tasks),
+            // Room for a short backlog up front: one that first forms late
+            // in a run then does not allocate in the steady-state step.
+            backlog: VecDeque::with_capacity(4),
+            delivered: VecDeque::new(),
+            aim_writes: VecDeque::new(),
+        }
+    }
+
+    /// Hands a completed packet to the local node.
+    pub(crate) fn deliver(&mut self, pkt: Packet) {
+        if let Some(c) = self.monitors.internal_per_task.get_mut(pkt.task.index()) {
+            *c += 1;
+        }
+        self.delivered.push_back(pkt);
     }
 }
 
-/// The wormhole router tile.
+/// The wormhole router tile's per-cycle state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Router {
     node: NodeId,
     coord: Coord,
+    /// Width of the owning grid and `ceil(2^32 / width)`, to derive
+    /// coordinates from row-major node ids without dividing
+    /// ([`Router::xy_of`]).
+    width: u16,
+    width_recip: u64,
     settings: RouterSettings,
-    monitors: RouterMonitors,
     inputs: [FlitBuffer; 4],
-    inject_queue: VecDeque<Packet>,
-    inject_sent: u32,
+    /// Inputs holding a head-of-line flit (bit `i` for
+    /// [`InPort::ALL`]`[i]`), kept in step with every push and pop.
+    occupied: u8,
+    /// The injection queue's front packet — its slab slot, the flits
+    /// already sent and its wire length — valid while [`INJECT_BIT`] is
+    /// set in `occupied`. The packets behind it wait in the
+    /// [`RouterIo`] backlog.
+    inject_slot: u32,
+    inject_sent: u16,
+    inject_wire: u16,
     /// Per-input wormhole circuit (input → allocated output).
     circuits: [Option<OutPort>; 5],
     /// Per-output allocation (output → granted input).
     out_alloc: [Option<InPort>; 6],
     /// Round-robin arbitration pointer per output.
     rr: [u8; 6],
-    /// Head-of-line blocked cycle counts per input.
-    blocked: [Cycle; 5],
+    /// Head-of-line blocked cycle counts per input, capped at
+    /// [`BLOCKED_CAP`].
+    blocked: [u8; 5],
     /// Bitmask of inputs that moved a flit this cycle (cleared by the
     /// blocked pass).
     moved: u8,
-    /// Packet currently being discarded per input (deadlock recovery).
-    dropping: [Option<PacketId>; 5],
-    /// Packet currently being received on the internal port.
-    rx: Option<Packet>,
-    delivered: VecDeque<Packet>,
-    pending_aim_writes: VecDeque<(u8, u8)>,
-    /// Grid width, needed to derive coordinates from row-major node ids
-    /// without borrowing the mesh. Set once at mesh construction.
-    dims_width: u16,
+    /// Slot of the packet each input is discarding (deadlock recovery).
+    dropping: [Option<u32>; 5],
+    /// Slot of the packet the internal port is receiving.
+    rx: Option<u32>,
 }
 
 impl Router {
-    /// Creates a router for `node` at `coord`.
-    pub fn new(node: NodeId, coord: Coord, config: &RouterConfig) -> Self {
+    /// Creates a router for `node` at `coord` on a grid `width` columns
+    /// wide.
+    pub(crate) fn new(node: NodeId, coord: Coord, width: u16, config: &RouterConfig) -> Self {
         Self {
             node,
             coord,
+            width,
+            width_recip: (1u64 << 32).div_ceil(u64::from(width)),
             settings: RouterSettings::new(config),
-            monitors: RouterMonitors::new(config.n_tasks),
             inputs: std::array::from_fn(|_| FlitBuffer::new()),
-            inject_queue: VecDeque::new(),
+            occupied: 0,
+            inject_slot: 0,
             inject_sent: 0,
+            inject_wire: 0,
             circuits: [None; 5],
             out_alloc: [None; 6],
             rr: [0; 6],
@@ -321,9 +383,6 @@ impl Router {
             moved: 0,
             dropping: [None; 5],
             rx: None,
-            delivered: VecDeque::new(),
-            pending_aim_writes: VecDeque::new(),
-            dims_width: 1,
         }
     }
 
@@ -337,64 +396,18 @@ impl Router {
         self.coord
     }
 
-    /// Immutable view of the knobs.
+    /// Immutable view of the knobs. They change through the mesh, which
+    /// keeps its link-credit arrays in step.
     pub fn settings(&self) -> &RouterSettings {
         &self.settings
     }
 
-    /// Mutable access to the knobs (the AIM / debug interface path).
-    pub fn settings_mut(&mut self) -> &mut RouterSettings {
-        &mut self.settings
+    pub(crate) fn set_local_task(&mut self, task: Option<TaskId>) {
+        self.settings.local_task = task;
     }
 
-    /// Immutable view of the monitors.
-    pub fn monitors(&self) -> &RouterMonitors {
-        &self.monitors
-    }
-
-    /// Mutable access to the monitors (reset-on-read by the AIM).
-    pub fn monitors_mut(&mut self) -> &mut RouterMonitors {
-        &mut self.monitors
-    }
-
-    /// Queues a packet for injection through the internal port.
-    pub fn enqueue_inject(&mut self, pkt: Packet) {
-        self.inject_queue.push_back(pkt);
-    }
-
-    /// Number of packets waiting in the injection queue.
-    pub fn inject_backlog(&self) -> usize {
-        self.inject_queue.len()
-    }
-
-    /// Drains all packets delivered to the local node.
-    ///
-    /// Allocates the returned `Vec`; tests and debug tooling use this.
-    /// The simulation hot loop drains through [`Router::pop_delivered`]
-    /// instead, which performs no heap allocation.
-    pub fn take_delivered(&mut self) -> Vec<Packet> {
-        self.delivered.drain(..).collect()
-    }
-
-    /// Pops the oldest packet delivered to the local node, if any —
-    /// the allocation-free drain the platform hot loop uses.
-    pub fn pop_delivered(&mut self) -> Option<Packet> {
-        self.delivered.pop_front()
-    }
-
-    /// Peeks the delivered queue length without draining.
-    pub fn delivered_len(&self) -> usize {
-        self.delivered.len()
-    }
-
-    /// Pops the oldest AIM register write received through RCAP, if any.
-    pub fn pop_aim_write(&mut self) -> Option<(u8, u8)> {
-        self.pending_aim_writes.pop_front()
-    }
-
-    /// Number of AIM register writes waiting to be drained by a scan.
-    pub fn aim_write_backlog(&self) -> usize {
-        self.pending_aim_writes.len()
+    pub(crate) fn set_port_enabled(&mut self, port: Port, on: bool) {
+        self.settings.port_enabled[port.index()] = on;
     }
 
     /// Occupancy of the input buffer for link direction `dir`.
@@ -407,106 +420,128 @@ impl Router {
         self.inputs[dir.index()].free()
     }
 
+    /// Inputs holding a flit (bit `i` for [`InPort::ALL`]`[i]`).
+    pub(crate) fn occupied(&self) -> u8 {
+        self.occupied
+    }
+
+    /// Link inputs (bit `d` for [`Direction::index`]) that accept flits
+    /// from upstream: the tile is alive and the port enabled.
+    pub(crate) fn accepting(&self) -> u8 {
+        let mut mask = 0;
+        for d in 0..4 {
+            mask |= u8::from(self.settings.alive && self.settings.port_enabled[d]) << d;
+        }
+        mask
+    }
+
+    /// Link inputs with a free buffer slot.
+    pub(crate) fn room(&self) -> u8 {
+        let mut mask = 0;
+        for (d, b) in self.inputs.iter().enumerate() {
+            mask |= u8::from(!b.is_full()) << d;
+        }
+        mask
+    }
+
     /// The oldest *application* packet currently waiting at a head-of-line
     /// position in this router (FFW's "next packet in the routing queue").
     /// Returns its task and age.
-    pub fn oldest_waiting_app_packet(&self, now: Cycle) -> Option<(TaskId, Cycle)> {
+    pub(crate) fn oldest_waiting_app_packet(
+        &self,
+        slab: &PacketSlab,
+        now: Cycle,
+    ) -> Option<(TaskId, Cycle)> {
         let mut best: Option<(TaskId, Cycle)> = None;
-        let mut consider = |pkt: &Packet| {
+        for idx in 0..5 {
+            let Some(flit) = self.head_flit(idx).filter(|f| f.is_head()) else {
+                continue;
+            };
+            let pkt = slab.get(flit.slot());
             if pkt.kind.is_application() {
                 let age = pkt.age(now);
                 if best.is_none_or(|(_, a)| age > a) {
                     best = Some((pkt.task, age));
                 }
             }
-        };
-        for dir in Direction::ALL {
-            if let Some(Flit::Head { pkt, .. }) = self.inputs[dir.index()].head() {
-                consider(pkt);
-            }
-        }
-        if self.inject_sent == 0 {
-            if let Some(pkt) = self.inject_queue.front() {
-                consider(pkt);
-            }
         }
         best
     }
 
-    /// Applies an RCAP command to this router. AIM writes are queued for
-    /// the platform instead of being interpreted here.
-    pub fn apply_config(&mut self, cmd: RcapCommand) {
-        match cmd {
-            RcapCommand::SetPortEnabled(p, on) => self.settings.port_enabled[p.index()] = on,
-            RcapCommand::AimWrite { reg, value } => self.pending_aim_writes.push_back((reg, value)),
+    /// Whether a packet waits at the injection queue's front.
+    pub(crate) fn has_queued_inject(&self) -> bool {
+        self.occupied & INJECT_BIT != 0
+    }
+
+    /// Queues the packet in `slot` (`wire` flits long) for injection.
+    pub(crate) fn enqueue_inject(&mut self, io: &mut RouterIo, slot: u32, wire: u16) {
+        if self.occupied & INJECT_BIT == 0 {
+            self.set_inject_front(slot, wire);
+        } else {
+            io.backlog.push_back(slot);
+        }
+    }
+
+    fn set_inject_front(&mut self, slot: u32, wire: u16) {
+        self.inject_slot = slot;
+        self.inject_sent = 0;
+        self.inject_wire = wire;
+        self.occupied |= INJECT_BIT;
+    }
+
+    /// Moves the next queued packet, if any, to the injection front.
+    fn advance_inject(&mut self, io: &mut RouterIo, slab: &PacketSlab) {
+        self.occupied &= !INJECT_BIT;
+        if let Some(slot) = io.backlog.pop_front() {
+            self.set_inject_front(slot, slab.get(slot).wire_flits() as u16);
         }
     }
 
     /// Kills the tile: marks it dead, disables all ports and discards all
-    /// buffered traffic and blocked counts (router-dead fault model).
-    pub fn kill(&mut self) {
+    /// buffered and queued traffic, blocked counts and the packets it was
+    /// receiving or discarding (router-dead fault model). Every discarded
+    /// flit and hold gives up its slab reference, so a packet this router
+    /// held entirely is freed.
+    pub(crate) fn kill(&mut self, io: &mut RouterIo, slab: &mut PacketSlab) {
         self.settings.alive = false;
         self.settings.port_enabled = [false; 6];
         self.settings.local_task = None;
         for b in &mut self.inputs {
+            for flit in b.iter() {
+                slab.release(flit.slot(), 1);
+            }
             b.clear();
         }
-        self.inject_queue.clear();
-        self.inject_sent = 0;
+        if self.occupied & INJECT_BIT != 0 {
+            slab.release(self.inject_slot, self.inject_wire - self.inject_sent);
+        }
+        for slot in io.backlog.drain(..) {
+            slab.release(slot, slab.get(slot).wire_flits() as u16);
+        }
+        self.occupied = 0;
         self.circuits = [None; 5];
         self.out_alloc = [None; 6];
         self.blocked = [0; 5];
-        self.dropping = [None; 5];
-        self.rx = None;
-    }
-
-    /// Bitmask of inputs holding a head-of-line flit (bit `i` for
-    /// [`InPort::ALL`]`[i]`), read from buffer occupancy alone.
-    fn occupancy(&self) -> u8 {
-        let mut mask = u8::from(!self.inject_queue.is_empty()) << 4;
-        for (d, b) in self.inputs.iter().enumerate() {
-            mask |= u8::from(!b.is_empty()) << d;
-        }
-        mask
-    }
-
-    /// The packet id of input `idx`'s head-of-line flit, and its packet
-    /// when that flit is a head flit — what the planner needs, without
-    /// synthesising the inject queue's next flit.
-    fn head_view(&self, idx: usize) -> Option<(PacketId, Option<&Packet>)> {
-        if idx == 4 {
-            let pkt = self.inject_queue.front()?;
-            return Some((pkt.id, (self.inject_sent == 0).then_some(pkt)));
-        }
-        Some(match self.inputs[idx].head()? {
-            Flit::Head { pkt, .. } => (pkt.id, Some(pkt)),
-            Flit::Body { id, .. } => (*id, None),
-        })
-    }
-
-    /// The head-of-line flit of an input, synthesising the inject queue's
-    /// next flit on demand.
-    fn head_flit(&self, input: InPort) -> Option<Flit> {
-        match input {
-            InPort::Link(d) => self.inputs[d.index()].head().copied(),
-            InPort::Inject => {
-                let pkt = *self.inject_queue.front()?;
-                let total = pkt.wire_flits();
-                let k = self.inject_sent;
-                debug_assert!(k < total);
-                Some(if k == 0 {
-                    Flit::Head {
-                        pkt,
-                        is_tail: total == 1,
-                    }
-                } else {
-                    Flit::Body {
-                        id: pkt.id,
-                        is_tail: k + 1 == total,
-                    }
-                })
+        for slot in self.dropping.iter_mut().chain([&mut self.rx]) {
+            if let Some(slot) = slot.take() {
+                slab.release(slot, 1);
             }
         }
+    }
+
+    /// The head-of-line flit of input `idx` ([`InPort::ALL`] order),
+    /// synthesising the injection queue's next flit.
+    fn head_flit(&self, idx: usize) -> Option<Flit> {
+        if idx < 4 {
+            return self.inputs[idx].head();
+        }
+        (self.occupied & INJECT_BIT != 0).then(|| {
+            Flit::of_packet(
+                self.inject_slot,
+                self.inject_sent.into(),
+                self.inject_wire.into(),
+            )
+        })
     }
 
     /// The output a head packet requests: its local port at its
@@ -528,9 +563,9 @@ impl Router {
         }
         // Destination coordinate is derivable from the id because ids are
         // row-major; the mesh guarantees dest is on-grid.
-        let dest = pkt.dest.index();
-        let dx = (dest % self.dims_width()) as i32 - self.coord.x as i32;
-        let dy = (dest / self.dims_width()) as i32 - self.coord.y as i32;
+        let (x, y) = self.xy_of(pkt.dest);
+        let dx = i32::from(x) - i32::from(self.coord.x);
+        let dy = i32::from(y) - i32::from(self.coord.y);
         debug_assert!(dx != 0 || dy != 0, "a remote destination is off this tile");
         OutPort::Link(if dx > 0 {
             Direction::East
@@ -543,15 +578,15 @@ impl Router {
         })
     }
 
-    /// Width of the owning grid, stashed at mesh build time.
-    fn dims_width(&self) -> usize {
-        self.dims_width as usize
-    }
-
-    /// Stashes the owning grid's width (normally done by the mesh at
-    /// construction; public so a router can be benched standalone).
-    pub fn set_grid_width(&mut self, width: u16) {
-        self.dims_width = width;
+    /// The grid coordinate of `node`, by multiplying with the stored
+    /// reciprocal of the width. With `m = ceil(2^32 / w) = (2^32 + e) / w`
+    /// and `0 <= e < w`, `n * m / 2^32 = n / w + n * e / (w * 2^32)`, and
+    /// the error term stays below `1 / w` because `n * e < 2^16 * 2^16`,
+    /// so the floor is exactly `n / w` for every 16-bit `n`.
+    fn xy_of(&self, node: NodeId) -> (u16, u16) {
+        let n = u64::from(node.raw());
+        let y = ((n * self.width_recip) >> 32) as u16;
+        (node.raw() - y * self.width, y)
     }
 
     /// Whether `output` could be granted to a *new* head this cycle.
@@ -572,14 +607,15 @@ impl Router {
     /// the mesh drops routers without work from its worklist (the common
     /// case on a lightly loaded grid).
     pub fn has_work(&self) -> bool {
-        self.settings.alive && self.occupancy() != 0
+        self.settings.alive && self.occupied != 0
     }
 
-    /// Phase-1 planning: decides which flits traverse the crossbar this
-    /// cycle. Pure with respect to router state; the mesh applies the
-    /// plan in phase 2. Public so the bench harness can time the planning
-    /// phase in isolation; `credit` answers whether a link output can
-    /// accept a flit.
+    /// Planning: decides which flits traverse the crossbar this cycle.
+    /// Pure with respect to router state; the mesh then applies the plan.
+    /// `occupied` names the inputs the cycle started with (a flit that
+    /// arrived since is not planned), `slab` resolves head flits to their
+    /// headers and `credit` answers whether a link output can accept a
+    /// flit.
     ///
     /// One pass over the occupied inputs finds each free head's request:
     /// its route's output, if that output is available. Availability
@@ -590,35 +626,38 @@ impl Router {
     /// allocated output advances its circuit, a free one grants the
     /// lowest requesting input of its mask rotated by the round-robin
     /// pointer.
-    pub fn plan_into(&self, now: Cycle, credit: impl Fn(Direction) -> bool, plan: &mut RouterPlan) {
+    pub(crate) fn plan_into(
+        &self,
+        now: Cycle,
+        occupied: u8,
+        slab: &PacketSlab,
+        credit: impl Fn(Direction) -> bool,
+        plan: &mut RouterPlan,
+    ) {
         plan.clear();
-        if !self.settings.alive {
-            return;
-        }
-        let occupied = self.occupancy();
-        if occupied == 0 {
+        if !self.settings.alive || occupied == 0 {
             return;
         }
         let mut granted = 0u8;
         let mut requests = [0u8; 6];
         let mut outputs = 0u8;
         for idx in set_bits(occupied.into()) {
-            let Some((id, head)) = self.head_view(idx) else {
+            let Some(flit) = self.head_flit(idx) else {
                 continue;
             };
             if let Some(dropping) = self.dropping[idx] {
                 // Inputs discarding a recovered packet consume
                 // unconditionally and request nothing.
-                if id == dropping {
+                if flit.slot() == dropping {
                     plan.push_consume(InPort::ALL[idx]);
                     granted |= 1 << idx;
                 }
                 continue;
             }
-            let (None, Some(pkt)) = (self.circuits[idx], head) else {
+            if self.circuits[idx].is_some() || !flit.is_head() {
                 continue;
-            };
-            let o = self.route(pkt, now);
+            }
+            let o = self.route(slab.get(flit.slot()), now);
             if self.output_available(o, &credit) {
                 requests[o.index()] |= 1 << idx;
                 outputs |= 1 << o.index();
@@ -651,33 +690,43 @@ impl Router {
         }
     }
 
-    /// Removes and returns the head-of-line flit of `input`.
+    /// Removes and returns the head-of-line flit of `input`, refilling
+    /// the injection front from the backlog once its tail is sent.
     ///
     /// # Panics
     ///
     /// Panics if the input has no flit (a planning bug).
-    pub(crate) fn pop_input(&mut self, input: InPort) -> Flit {
+    pub(crate) fn pop_input(
+        &mut self,
+        input: InPort,
+        io: &mut RouterIo,
+        slab: &PacketSlab,
+    ) -> Flit {
         match input {
-            InPort::Link(d) => self.inputs[d.index()]
-                .pop()
-                .expect("planned move from empty buffer"),
+            InPort::Link(d) => self.pop_link(d.index()),
             InPort::Inject => {
                 let flit = self
-                    .head_flit(InPort::Inject)
+                    .head_flit(4)
                     .expect("planned move from empty inject queue");
                 self.inject_sent += 1;
                 if flit.is_tail() {
-                    self.inject_queue.pop_front();
-                    self.inject_sent = 0;
+                    self.advance_inject(io, slab);
                 }
                 flit
             }
         }
     }
 
-    /// Updates circuits, allocation, arbitration pointers and monitors for
-    /// a committed move.
-    pub(crate) fn commit_move(&mut self, m: Move, flit: &Flit, now: Cycle) {
+    fn pop_link(&mut self, d: usize) -> Flit {
+        let b = &mut self.inputs[d];
+        let flit = b.pop().expect("planned move from empty buffer");
+        self.occupied &= !(u8::from(b.is_empty()) << d);
+        flit
+    }
+
+    /// Updates circuits, allocation, arbitration pointers and blocked
+    /// marks for a committed move.
+    pub(crate) fn commit_move(&mut self, m: Move, flit: Flit) {
         match (flit.is_head(), flit.is_tail()) {
             (true, false) => {
                 self.circuits[m.input.index()] = Some(m.output);
@@ -691,14 +740,19 @@ impl Router {
         }
         self.rr[m.output.index()] = ((m.input.index() + 1) % 5) as u8;
         self.blocked[m.input.index()] = 0;
-        if let (Flit::Head { pkt, .. }, OutPort::Link(_)) = (flit, m.output) {
-            if let Some(c) = self.monitors.routed_per_task.get_mut(pkt.task.index()) {
-                *c += 1;
-            }
-            if pkt.kind.is_application() {
-                self.monitors.recent_routed = Some((pkt.task, now));
-            }
+        self.moved |= 1 << m.input.index();
+    }
+
+    /// Discards a flit popped from `input` while it drops a recovered
+    /// packet; the tail ends the drop and its hold on the slot.
+    pub(crate) fn commit_consume(&mut self, input: InPort, flit: Flit, slab: &mut PacketSlab) {
+        let idx = input.index();
+        slab.release(flit.slot(), 1);
+        if flit.is_tail() {
+            self.dropping[idx] = None;
+            slab.release(flit.slot(), 1);
         }
+        self.moved |= 1 << idx;
     }
 
     /// Accepts a flit arriving over a link into the input buffer facing
@@ -709,92 +763,109 @@ impl Router {
     /// Panics on buffer overrun (a flow-control bug).
     pub(crate) fn accept_link_flit(&mut self, dir: Direction, flit: Flit) {
         self.inputs[dir.index()].push(flit);
+        self.occupied |= 1 << dir.index();
+    }
+
+    /// Ages a head that just arrived in the empty input facing `dir`
+    /// after this router's blocked pass for the cycle ran (or when the
+    /// router runs none): it is blocked for its arrival cycle, as the
+    /// pass would have counted.
+    pub(crate) fn age_arrival(&mut self, dir: Direction) {
+        self.blocked[dir.index()] = 1;
     }
 
     /// Handles a flit consumed by the internal port; returns the packet
-    /// when its tail completes reassembly.
-    pub(crate) fn receive_internal(&mut self, flit: Flit) -> Option<Packet> {
-        let done = match flit {
-            Flit::Head { pkt, is_tail } => {
-                if is_tail {
-                    Some(pkt)
-                } else {
-                    self.rx = Some(pkt);
-                    None
-                }
+    /// when its tail completes reassembly. A multi-flit packet's head
+    /// hands its slab reference to `rx` until the tail arrives.
+    pub(crate) fn receive_internal(&mut self, flit: Flit, slab: &mut PacketSlab) -> Option<Packet> {
+        let slot = flit.slot();
+        match (flit.is_head(), flit.is_tail()) {
+            (true, false) => {
+                debug_assert!(self.rx.is_none(), "internal port allocated twice");
+                self.rx = Some(slot);
+                None
             }
-            Flit::Body { is_tail, .. } => {
-                if is_tail {
-                    Some(self.rx.take().expect("tail without head on internal port"))
-                } else {
-                    None
-                }
+            (true, true) => {
+                let pkt = *slab.get(slot);
+                slab.release(slot, 1);
+                Some(pkt)
             }
-        };
-        if let Some(pkt) = done {
-            if let Some(c) = self.monitors.internal_per_task.get_mut(pkt.task.index()) {
-                *c += 1;
+            (false, true) => {
+                let rx = self.rx.take().expect("tail without head on internal port");
+                debug_assert_eq!(rx, slot, "tail of another packet");
+                let pkt = *slab.get(slot);
+                slab.release(slot, 2);
+                Some(pkt)
             }
-            self.delivered.push_back(pkt);
-            return Some(pkt);
+            (false, false) => {
+                slab.release(slot, 1);
+                None
+            }
         }
-        None
     }
 
-    pub(crate) fn clear_dropping(&mut self, input: InPort) {
-        self.dropping[input.index()] = None;
-    }
-
-    /// Records that `input` moved a flit this cycle.
-    pub(crate) fn mark_moved(&mut self, input: InPort) {
-        self.moved |= 1 << input.index();
-    }
-
-    /// Phase-3 bookkeeping: advances blocked counters for stalled heads
+    /// The blocked pass: advances blocked counters for stalled heads
     /// and performs the basic deadlock recovery (drop a head that has been
     /// blocked for longer than the timeout). Returns the number of packets
-    /// dropped this cycle. Consumes the per-cycle `moved` marks.
+    /// dropped this cycle. Consumes the per-cycle `moved` marks; when
+    /// every occupied input moved it only clears the counters.
     ///
     /// As in the Centurion hardware this recovery is deliberately *not*
     /// comprehensive: a packet blocked mid-stream (circuit established) is
     /// never dropped here; it resolves only when its head finally drains
     /// downstream.
-    pub(crate) fn update_blocked_and_recover_marked(&mut self) -> u64 {
-        let moved = std::mem::take(&mut self.moved);
-        if !self.settings.alive {
+    pub(crate) fn age_blocked(&mut self, io: &mut RouterIo, slab: &mut PacketSlab) -> u64 {
+        let stalled = self.occupied & !std::mem::take(&mut self.moved);
+        if stalled == 0 || !self.settings.alive {
+            self.blocked = [0; 5];
             return 0;
         }
-        let occupied = self.occupancy();
         let mut dropped = 0u64;
-        for i in InPort::ALL {
-            let idx = i.index();
-            if (moved | !occupied) & (1 << idx) != 0 {
+        for idx in 0..5 {
+            if stalled & (1 << idx) == 0 {
                 self.blocked[idx] = 0;
                 continue;
             }
-            self.blocked[idx] += 1;
-            if self.blocked[idx] > DEADLOCK_TIMEOUT
+            self.blocked[idx] = (self.blocked[idx] + 1).min(BLOCKED_CAP);
+            if self.blocked[idx] == BLOCKED_CAP
                 && self.circuits[idx].is_none()
                 && self.dropping[idx].is_none()
             {
                 // Blocked new head: discard the packet.
-                match i {
-                    InPort::Link(_) => {
-                        let flit = self.pop_input(i);
-                        if !flit.is_tail() {
-                            self.dropping[idx] = Some(flit.packet_id());
-                        }
+                if idx < 4 {
+                    let flit = self.pop_link(idx);
+                    if flit.is_tail() {
+                        slab.release(flit.slot(), 1);
+                    } else {
+                        // The flit's reference becomes the drop's hold.
+                        self.dropping[idx] = Some(flit.slot());
                     }
-                    InPort::Inject => {
-                        debug_assert_eq!(self.inject_sent, 0);
-                        self.inject_queue.pop_front();
-                    }
+                } else {
+                    debug_assert_eq!(self.inject_sent, 0);
+                    slab.release(self.inject_slot, self.inject_wire);
+                    self.advance_inject(io, slab);
                 }
                 dropped += 1;
                 self.blocked[idx] = 0;
             }
         }
         dropped
+    }
+
+    /// Every slab slot this router references: its buffered flits, its
+    /// injection queue (front and `backlog`), `rx` and `dropping`.
+    pub(crate) fn referenced_slots<'a>(
+        &'a self,
+        backlog: &'a VecDeque<u32>,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let front = (self.occupied & INJECT_BIT != 0).then_some(self.inject_slot);
+        self.inputs
+            .iter()
+            .flat_map(|b| b.iter().map(Flit::slot))
+            .chain(front)
+            .chain(backlog.iter().copied())
+            .chain(self.rx)
+            .chain(self.dropping.iter().flatten().copied())
     }
 }
 
@@ -819,15 +890,16 @@ fn round_robin_pick(candidates: u8, start: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mesh::Mesh;
+    use crate::packet::{PacketId, RcapCommand};
+    use sirtm_taskgraph::GridDims;
 
     fn config() -> RouterConfig {
         RouterConfig::default()
     }
 
     fn router() -> Router {
-        let mut r = Router::new(NodeId::new(9), Coord::new(1, 1), &config());
-        r.set_grid_width(8);
-        r
+        Router::new(NodeId::new(9), Coord::new(1, 1), 8, &config())
     }
 
     fn packet(dest: u16, task: u8, payload: u8) -> Packet {
@@ -866,6 +938,17 @@ mod tests {
     }
 
     #[test]
+    fn reciprocal_coordinates_match_division() {
+        for width in 1..=130u16 {
+            let r = Router::new(NodeId::new(0), Coord::new(0, 0), width, &config());
+            for n in (0..8192u16).chain([u16::MAX - 1, u16::MAX]) {
+                let want = (n % width, n / width);
+                assert_eq!(r.xy_of(NodeId::new(n)), want, "node {n} on width {width}");
+            }
+        }
+    }
+
+    #[test]
     fn config_packets_route_to_rcap() {
         let r = router();
         let mut p = packet(9, 0, 0);
@@ -876,8 +959,8 @@ mod tests {
     #[test]
     fn opportunistic_absorption_requires_all_conditions() {
         let mut r = router();
-        r.settings_mut().opportunistic_delivery = true;
-        r.settings_mut().local_task = Some(TaskId::new(2));
+        r.settings.opportunistic_delivery = true;
+        r.settings.local_task = Some(TaskId::new(2));
         let p = packet(30, 2, 0); // not for us, task matches
         let east = OutPort::Link(Direction::East);
         // Too young: routed normally.
@@ -888,31 +971,46 @@ mod tests {
         let q = packet(30, 1, 0);
         assert_eq!(r.route(&q, REDIRECT_AGE), east);
         // Feature off: routed normally.
-        r.settings_mut().opportunistic_delivery = false;
+        r.settings.opportunistic_delivery = false;
         assert_eq!(r.route(&p, REDIRECT_AGE), east);
     }
 
     #[test]
     fn apply_config_updates_settings() {
-        let mut r = router();
-        r.apply_config(RcapCommand::SetPortEnabled(Port::East, false));
-        assert!(!r.settings().port_enabled[Port::East.index()]);
-        r.apply_config(RcapCommand::AimWrite { reg: 2, value: 7 });
-        r.apply_config(RcapCommand::AimWrite { reg: 3, value: 1 });
-        assert_eq!(r.aim_write_backlog(), 2);
-        assert_eq!(r.pop_aim_write(), Some((2, 7)));
-        assert_eq!(r.pop_aim_write(), Some((3, 1)));
-        assert_eq!(r.pop_aim_write(), None);
+        let mut m = Mesh::new(GridDims::new(8, 4), config());
+        let node = NodeId::new(9);
+        m.apply_config_direct(node, RcapCommand::SetPortEnabled(Port::East, false));
+        assert!(!m.router(node).settings().port_enabled[Port::East.index()]);
+        assert_eq!(m.router(node).accepting(), 0b1101, "east input closed");
+        m.apply_config_direct(node, RcapCommand::AimWrite { reg: 2, value: 7 });
+        m.apply_config_direct(node, RcapCommand::AimWrite { reg: 3, value: 1 });
+        assert_eq!(m.aim_write_backlog(node), 2);
+        assert_eq!(m.pop_aim_write(node), Some((2, 7)));
+        assert_eq!(m.pop_aim_write(node), Some((3, 1)));
+        assert_eq!(m.pop_aim_write(node), None);
     }
 
     #[test]
     fn kill_clears_everything() {
-        let mut r = router();
-        r.enqueue_inject(packet(12, 0, 2));
-        r.kill();
+        let mut m = Mesh::new(GridDims::new(8, 4), config());
+        let node = NodeId::new(9);
+        for payload in [2, 0] {
+            m.inject(
+                node,
+                NodeId::new(12),
+                TaskId::new(0),
+                PacketKind::Data,
+                payload,
+            );
+        }
+        assert_eq!(m.inject_backlog(node), 2);
+        m.kill(node);
+        let r = m.router(node);
         assert!(!r.settings().alive);
-        assert_eq!(r.inject_backlog(), 0);
+        assert!(!r.has_work());
+        assert_eq!(m.inject_backlog(node), 0);
         assert!(r.settings().port_enabled.iter().all(|&e| !e));
+        assert!(m.live_slots().is_empty(), "discarded packets are freed");
     }
 
     #[test]
@@ -931,7 +1029,7 @@ mod tests {
     }
 
     /// The hot structs' sizes on a 64-bit target, so a new field cannot
-    /// silently regrow the state the mesh phase walks every cycle.
+    /// silently regrow the state the mesh walks every cycle.
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn hot_structs_stay_small() {
@@ -941,9 +1039,9 @@ mod tests {
             "Packet is {}",
             size_of::<Packet>()
         );
-        assert!(size_of::<Flit>() <= 40, "Flit is {}", size_of::<Flit>());
+        assert!(size_of::<Flit>() <= 8, "Flit is {}", size_of::<Flit>());
         assert!(
-            size_of::<Router>() <= 1032,
+            size_of::<Router>() <= 400,
             "Router is {}",
             size_of::<Router>()
         );
@@ -955,6 +1053,7 @@ mod tests {
     fn plan_reference(
         r: &Router,
         now: Cycle,
+        slab: &PacketSlab,
         credit: &impl Fn(Direction) -> bool,
         plan: &mut RouterPlan,
     ) {
@@ -964,9 +1063,9 @@ mod tests {
         }
         let mut granted = [false; 5];
         for i in InPort::ALL {
-            if let Some(id) = r.dropping[i.index()] {
-                if let Some(f) = r.head_flit(i) {
-                    if f.packet_id() == id {
+            if let Some(slot) = r.dropping[i.index()] {
+                if let Some(f) = r.head_flit(i.index()) {
+                    if f.slot() == slot {
                         plan.push_consume(i);
                         granted[i.index()] = true;
                     }
@@ -978,7 +1077,7 @@ mod tests {
                 if granted[i.index()] {
                     continue;
                 }
-                if r.head_flit(i).is_some() && r.output_flowing(o, credit) {
+                if r.head_flit(i.index()).is_some() && r.output_flowing(o, credit) {
                     plan.push_move(Move {
                         input: i,
                         output: o,
@@ -999,10 +1098,10 @@ mod tests {
                 {
                     continue;
                 }
-                let Some(Flit::Head { pkt, .. }) = r.head_flit(i) else {
+                let Some(f) = r.head_flit(i.index()).filter(|f| f.is_head()) else {
                     continue;
                 };
-                if r.route(&pkt, now) == o {
+                if r.route(slab.get(f.slot()), now) == o {
                     candidate[i.index()] = true;
                     any = true;
                 }
@@ -1044,20 +1143,23 @@ mod tests {
         }
     }
 
-    /// A random router state: heads (or body flits) on any of the five
-    /// inputs, circuits, dropping inputs, port enables, `rr` pointers
-    /// and opportunistic delivery. Heads are biased towards a few
-    /// destinations so inputs often contend for an output.
-    fn random_router(rng: &mut Mix) -> Router {
+    /// A random router state and the slab holding its packets: heads (or
+    /// body flits) on any of the five inputs, circuits, dropping inputs,
+    /// port enables, `rr` pointers and opportunistic delivery. Heads are
+    /// biased towards a few destinations so inputs often contend for an
+    /// output. Body flits name slots 0 to 3, which may or may not be a
+    /// buffered head's.
+    fn random_router(rng: &mut Mix) -> (Router, PacketSlab) {
         let (w, h) = (2 + rng.below(6) as u16, 2 + rng.below(6) as u16);
         let (x, y) = (rng.below(w as u64) as u16, rng.below(h as u64) as u16);
         let node = y * w + x;
-        let mut r = Router::new(NodeId::new(node), Coord::new(x, y), &config());
-        r.set_grid_width(w);
+        let mut r = Router::new(NodeId::new(node), Coord::new(x, y), w, &config());
+        let mut slab = PacketSlab::default();
+        let mut io = RouterIo::new(&config());
         let n = (w * h) as u64;
         let hot = [rng.below(n) as u16, rng.below(n) as u16, node];
         let mut next_id = 0u64;
-        let mut packet = |rng: &mut Mix| {
+        let mut packet = |rng: &mut Mix, slab: &mut PacketSlab| {
             next_id += 1;
             let dest = if rng.chance(70) {
                 hot[rng.below(3) as usize]
@@ -1069,7 +1171,7 @@ mod tests {
             } else {
                 PacketKind::Data
             };
-            Packet {
+            let pkt = Packet {
                 id: PacketId::new(next_id),
                 src: NodeId::new(rng.below(n) as u16),
                 dest: NodeId::new(dest),
@@ -1078,7 +1180,8 @@ mod tests {
                 payload_flits: rng.below(4) as u8,
                 created_cycle: rng.below(200),
                 bounces: 0,
-            }
+            };
+            (slab.alloc(pkt), pkt.wire_flits())
         };
         let s = &mut r.settings;
         s.alive = rng.chance(95);
@@ -1090,26 +1193,21 @@ mod tests {
         for d in Direction::ALL {
             for _ in 0..rng.below(4) {
                 let flit = if rng.chance(60) {
-                    Flit::Head {
-                        pkt: packet(rng),
-                        is_tail: rng.chance(30),
-                    }
+                    let (slot, _) = packet(rng, &mut slab);
+                    Flit::of_packet(slot, 0, if rng.chance(30) { 1 } else { 2 })
                 } else {
-                    Flit::Body {
-                        id: PacketId::new(rng.below(4)),
-                        is_tail: rng.chance(30),
-                    }
+                    let slot = rng.below(4) as u32;
+                    Flit::of_packet(slot, 1, if rng.chance(30) { 2 } else { 3 })
                 };
-                r.inputs[d.index()].push(flit);
+                r.accept_link_flit(d, flit);
             }
         }
         for _ in 0..rng.below(3) {
-            r.inject_queue.push_back(packet(rng));
+            let (slot, wire) = packet(rng, &mut slab);
+            r.enqueue_inject(&mut io, slot, wire as u16);
         }
-        if let Some(front) = r.inject_queue.front() {
-            if rng.chance(30) {
-                r.inject_sent = rng.below(front.wire_flits() as u64) as u32;
-            }
+        if r.occupied & INJECT_BIT != 0 && rng.chance(30) {
+            r.inject_sent = rng.below(r.inject_wire.into()) as u16;
         }
         // Circuits pair inputs with distinct outputs, as commit_move does.
         for i in InPort::ALL {
@@ -1121,17 +1219,17 @@ mod tests {
                 }
             }
             if rng.chance(15) {
-                let id = match r.head_flit(i) {
-                    Some(f) if rng.chance(70) => f.packet_id(),
-                    _ => PacketId::new(rng.below(4)),
+                let slot = match r.head_flit(i.index()) {
+                    Some(f) if rng.chance(70) => f.slot(),
+                    _ => rng.below(4) as u32,
                 };
-                r.dropping[i.index()] = Some(id);
+                r.dropping[i.index()] = Some(slot);
             }
         }
         for p in &mut r.rr {
             *p = rng.below(5) as u8;
         }
-        r
+        (r, slab)
     }
 
     #[test]
@@ -1139,13 +1237,13 @@ mod tests {
         let mut rng = Mix(0x51A7_C0DE);
         let (mut contended, mut moves) = (0, 0);
         for case in 0..20_000 {
-            let r = random_router(&mut rng);
+            let (r, slab) = random_router(&mut rng);
             let credits: [bool; 4] = std::array::from_fn(|_| rng.chance(75));
             let credit = |d: Direction| credits[d.index()];
             let now = 100 + rng.below(200);
             let (mut got, mut want) = (RouterPlan::default(), RouterPlan::default());
-            r.plan_into(now, credit, &mut got);
-            plan_reference(&r, now, &credit, &mut want);
+            r.plan_into(now, r.occupied, &slab, credit, &mut got);
+            plan_reference(&r, now, &slab, &credit, &mut want);
             let view = |p: &RouterPlan| {
                 (
                     p.consumes().collect::<Vec<_>>(),
@@ -1153,10 +1251,9 @@ mod tests {
                 )
             };
             assert_eq!(view(&got), view(&want), "case {case}: {r:?}");
-            moves += got.move_count();
-            let heads = InPort::ALL
-                .iter()
-                .filter(|&&i| matches!(r.head_flit(i), Some(Flit::Head { .. })))
+            moves += got.moves().count();
+            let heads = (0..5)
+                .filter(|&i| r.head_flit(i).is_some_and(Flit::is_head))
                 .count();
             contended += usize::from(heads >= 3);
         }
@@ -1168,14 +1265,19 @@ mod tests {
     #[test]
     fn inject_head_flit_synthesis() {
         let mut r = router();
-        assert!(r.head_flit(InPort::Inject).is_none());
-        r.enqueue_inject(packet(12, 1, 1));
-        match r.head_flit(InPort::Inject) {
-            Some(Flit::Head { pkt, is_tail }) => {
-                assert_eq!(pkt.dest, NodeId::new(12));
-                assert!(!is_tail);
-            }
-            other => panic!("expected head flit, got {other:?}"),
-        }
+        let mut io = RouterIo::new(&config());
+        let mut slab = PacketSlab::default();
+        assert!(r.head_flit(4).is_none());
+        let pkt = packet(12, 1, 1);
+        let slot = slab.alloc(pkt);
+        r.enqueue_inject(&mut io, slot, pkt.wire_flits() as u16);
+        let head = r.head_flit(4).expect("queued packet");
+        assert!(head.is_head() && !head.is_tail());
+        assert_eq!(slab.get(head.slot()).dest, NodeId::new(12));
+        assert_eq!(r.pop_input(InPort::Inject, &mut io, &slab), head);
+        let tail = r.head_flit(4).expect("body flit still queued");
+        assert!(!tail.is_head() && tail.is_tail());
+        r.pop_input(InPort::Inject, &mut io, &slab);
+        assert!(r.head_flit(4).is_none() && !r.has_work());
     }
 }

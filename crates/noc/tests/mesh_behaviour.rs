@@ -7,6 +7,15 @@ fn mesh(w: u16, h: u16) -> Mesh {
     Mesh::new(GridDims::new(w, h), RouterConfig::default())
 }
 
+/// A mesh whose routers absorb aged packets of their local task.
+fn opportunistic_mesh(w: u16, h: u16) -> Mesh {
+    let config = RouterConfig {
+        opportunistic_delivery: true,
+        ..RouterConfig::default()
+    };
+    Mesh::new(GridDims::new(w, h), config)
+}
+
 fn n(i: u16) -> NodeId {
     NodeId::new(i)
 }
@@ -50,16 +59,16 @@ fn xy_route_monitors_count_on_path_routers_only() {
     // the head once for task 1; n10 delivers it.
     for on_path in [0u16, 1, 2, 6] {
         assert_eq!(
-            m.router(n(on_path)).monitors().routed_per_task(),
+            m.monitors(n(on_path)).routed_per_task(),
             &[0, 1, 0],
             "router n{on_path} should have routed the packet"
         );
     }
-    assert_eq!(m.router(n(10)).monitors().internal_per_task(), &[0, 1, 0]);
+    assert_eq!(m.monitors(n(10)).internal_per_task(), &[0, 1, 0]);
     // Every other router, including those a YX route would use, saw
     // nothing.
     for off_path in (0u16..16).filter(|i| ![0, 1, 2, 6, 10].contains(i)) {
-        let monitors = m.router(n(off_path)).monitors();
+        let monitors = m.monitors(n(off_path));
         assert_eq!(
             (monitors.routed_per_task(), monitors.internal_per_task()),
             (&[0, 0, 0][..], &[0, 0, 0][..]),
@@ -76,7 +85,7 @@ fn self_addressed_packet_delivers_locally() {
     let got = m.take_delivered(n(5));
     assert_eq!(got.len(), 1);
     assert_eq!(m.stats().delivered, 1);
-    assert_eq!(m.router(n(5)).monitors().internal_per_task()[2], 1);
+    assert_eq!(m.monitors(n(5)).internal_per_task()[2], 1);
 }
 
 #[test]
@@ -127,9 +136,8 @@ fn rcap_aim_write_is_queued_for_platform() {
     m.send_config(n(3), n(12), RcapCommand::AimWrite { reg: 9, value: 42 });
     assert!(m.quiesce(100));
     assert_eq!(m.aim_writes_enqueued(), 1);
-    let router = m.router_mut(n(12));
-    assert_eq!(router.pop_aim_write(), Some((9, 42)));
-    assert_eq!(router.pop_aim_write(), None);
+    assert_eq!(m.pop_aim_write(n(12)), Some((9, 42)));
+    assert_eq!(m.pop_aim_write(n(12)), None);
 }
 
 #[test]
@@ -143,7 +151,7 @@ fn debug_interface_configures_without_traffic() {
 #[test]
 fn packet_to_dead_router_is_dropped_by_recovery() {
     let mut m = mesh(4, 1);
-    m.router_mut(n(3)).kill();
+    m.kill(n(3));
     m.inject(n(0), n(3), t(0), PacketKind::Data, 1);
     // Give the 200-cycle deadlock timeout time to trigger.
     for _ in 0..600 {
@@ -169,14 +177,10 @@ fn disabled_port_blocks_and_recovery_cleans_up() {
 
 #[test]
 fn opportunistic_delivery_absorbs_aged_packets() {
-    let mut m = mesh(4, 1);
+    let mut m = opportunistic_mesh(4, 1);
     // n3 is dead; n2 runs the packet's task and absorbs it once aged.
-    m.router_mut(n(3)).kill();
-    {
-        let s = m.router_mut(n(2)).settings_mut();
-        s.opportunistic_delivery = true;
-        s.local_task = Some(t(1));
-    }
+    m.kill(n(3));
+    m.set_local_task(n(2), Some(t(1)));
     m.inject(n(0), n(3), t(1), PacketKind::Data, 1);
     // The packet blocks at n2 and reaches the redirect age before the
     // deadlock timeout would drop it.
@@ -197,13 +201,9 @@ fn opportunistic_delivery_absorbs_aged_packets() {
 
 #[test]
 fn opportunistic_delivery_ignores_wrong_task() {
-    let mut m = mesh(4, 1);
-    m.router_mut(n(3)).kill();
-    {
-        let s = m.router_mut(n(2)).settings_mut();
-        s.opportunistic_delivery = true;
-        s.local_task = Some(t(2)); // different task
-    }
+    let mut m = opportunistic_mesh(4, 1);
+    m.kill(n(3));
+    m.set_local_task(n(2), Some(t(2))); // different task
     m.inject(n(0), n(3), t(1), PacketKind::Data, 1);
     for _ in 0..600 {
         m.step();
@@ -228,12 +228,11 @@ fn deterministic_replay() {
         for _ in 0..500 {
             m.step();
         }
-        (m.stats(), m.routers().cloned().collect::<Vec<_>>())
+        m
     };
-    let (s1, r1) = run();
-    let (s2, r2) = run();
-    assert_eq!(s1, s2, "stats must replay identically");
-    assert!(r1 == r2, "router state must replay identically");
+    let (m1, m2) = (run(), run());
+    assert_eq!(m1.stats(), m2.stats(), "stats must replay identically");
+    assert!(m1 == m2, "fabric state must replay identically");
 }
 
 #[test]
@@ -258,7 +257,7 @@ fn oldest_waiting_app_packet_reports_head_of_line() {
         m.step();
     }
     let now = m.cycle();
-    let waiting = m.router(n(2)).oldest_waiting_app_packet(now);
+    let waiting = m.oldest_waiting_app_packet(n(2), now);
     let (task, age) = waiting.expect("head should be waiting at n2");
     assert_eq!(task, t(2));
     assert!(age > 10, "packet has been waiting, age {age}");

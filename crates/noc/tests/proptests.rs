@@ -1,7 +1,7 @@
 //! Property-based tests: flit conservation and determinism under random
 //! traffic, including random fault and configuration churn, the worklist
-//! stepper against the exhaustive one, and the inline flit ring against a
-//! `VecDeque` model.
+//! stepper against the exhaustive one, packet-slab lifetimes, and the
+//! inline flit ring against a `VecDeque` model.
 
 use std::collections::VecDeque;
 
@@ -9,8 +9,7 @@ use proptest::prelude::*;
 
 use sirtm_noc::buffer::DEPTH;
 use sirtm_noc::{
-    Flit, FlitBuffer, Mesh, NodeId, PacketId, PacketKind, Port, RcapCommand, RouterConfig,
-    DEADLOCK_TIMEOUT,
+    Flit, FlitBuffer, Mesh, NodeId, PacketKind, Port, RcapCommand, RouterConfig, DEADLOCK_TIMEOUT,
 };
 use sirtm_taskgraph::{GridDims, TaskId};
 
@@ -55,7 +54,7 @@ proptest! {
             RouterConfig::default(),
         );
         for &k in &case.kills {
-            mesh.router_mut(NodeId::new(k)).kill();
+            mesh.kill(NodeId::new(k));
         }
         let mut injected = 0u64;
         for &(src, dest, task, payload) in &case.sends {
@@ -92,7 +91,7 @@ proptest! {
                 RouterConfig::default(),
             );
             for &k in &case.kills {
-                mesh.router_mut(NodeId::new(k)).kill();
+                mesh.kill(NodeId::new(k));
             }
             for &(src, dest, task, payload) in &case.sends {
                 if mesh.router(NodeId::new(src)).settings().alive {
@@ -220,7 +219,7 @@ fn apply_event(mesh: &mut Mesh, event: &Event) {
                 payload,
             );
         }
-        Event::Kill(node) => mesh.router_mut(n(node)).kill(),
+        Event::Kill(node) => mesh.kill(n(node)),
         Event::Port {
             src,
             dest,
@@ -248,9 +247,7 @@ fn twins(case: &FabricCase) -> (Mesh, Mesh) {
     };
     let mut mesh = Mesh::new(GridDims::new(case.width, case.height), config);
     for i in 0..mesh.dims().len() {
-        mesh.router_mut(NodeId::new(i as u16))
-            .settings_mut()
-            .local_task = Some(TaskId::new((i % 3) as u8));
+        mesh.set_local_task(NodeId::new(i as u16), Some(TaskId::new((i % 3) as u8)));
     }
     (mesh.clone(), mesh)
 }
@@ -294,6 +291,10 @@ fn assert_twins_equal(fast: &Mesh, naive: &Mesh) {
             "router {i} diverged at cycle {cycle}:\n{a:?}\nvs\n{b:?}"
         );
     }
+    assert!(
+        fast == naive,
+        "monitors, queues or packet slab diverged at cycle {cycle}"
+    );
 }
 
 /// Steps a case's twins, applying each event before its cycle's step,
@@ -410,17 +411,95 @@ fn arrival_cycle_ages_a_flit_at_an_idle_router() {
     assert_eq!(dropped_at, Some(DEADLOCK_TIMEOUT));
 }
 
+/// Asserts that `mesh`'s packet slab holds exactly the packets its
+/// routers still reference.
+fn assert_slab_exact(mesh: &Mesh, when: &str) {
+    assert_eq!(
+        mesh.live_slots(),
+        mesh.referenced_slots(),
+        "live slab slots vs referenced slots {when} at cycle {}",
+        mesh.cycle()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Packet-slab lifetimes under random traffic, tile deaths, in-band
+    /// port disables and the deadlock drops they cause: after every
+    /// event and every step (the worklist stepper, mixed with the naive
+    /// one as in the twin search), the live slots are exactly the slots
+    /// a buffered flit, an injection queue, a receiving internal port or
+    /// a discarding input still references — nothing is freed while
+    /// referenced and nothing leaks through `kill`. Each case runs
+    /// `2 * DEADLOCK_TIMEOUT` cycles past its last event, long enough for
+    /// the heads that event strands to be dropped.
+    #[test]
+    fn slab_slots_live_exactly_while_referenced(case in fabric_case()) {
+        let (mut mesh, _) = twins(&case);
+        let last_event = case.events.iter().map(|&(at, _)| at).max().unwrap_or(0);
+        for cycle in 0..=last_event + 2 * DEADLOCK_TIMEOUT {
+            for (_, event) in case.events.iter().filter(|(at, _)| *at == cycle) {
+                apply_event(&mut mesh, event);
+                assert_slab_exact(&mesh, "after an event");
+            }
+            if cycle % case.mix_every == 0 {
+                mesh.step_naive();
+            } else {
+                mesh.step();
+            }
+            assert_slab_exact(&mesh, "after a step");
+            drain(&mut mesh);
+        }
+    }
+}
+
+/// The slab property's recovery paths on a fixed case. A six-flit packet
+/// is dropped at a closed port: the drop holds its slot while the body
+/// flits drain and frees it with the tail. Then a packet straddling two
+/// tiles loses its sender to a kill — its slot stays live while the
+/// receiving tile still holds its head — and is freed when that tile
+/// dies too.
+#[test]
+fn slab_releases_drops_and_kills() {
+    let mut mesh = Mesh::new(GridDims::new(4, 1), RouterConfig::default());
+    let n = NodeId::new;
+    mesh.apply_config_direct(n(2), RcapCommand::SetPortEnabled(Port::East, false));
+    mesh.inject(n(0), n(3), TaskId::new(0), PacketKind::Data, 5);
+    let mut live_at_drop = None;
+    for _ in 0..2 * DEADLOCK_TIMEOUT {
+        mesh.step();
+        assert_slab_exact(&mesh, "while dropping");
+        if mesh.stats().dropped == 1 && live_at_drop.is_none() {
+            live_at_drop = Some(mesh.live_slots());
+        }
+    }
+    assert_eq!(live_at_drop, Some(vec![0]), "the drop holds the slot");
+    assert!(mesh.live_slots().is_empty(), "the tail frees it");
+
+    mesh.inject(n(1), n(0), TaskId::new(0), PacketKind::Data, 5);
+    for _ in 0..3 {
+        mesh.step();
+    }
+    mesh.kill(n(1));
+    assert_slab_exact(&mesh, "after the sender's death");
+    assert_eq!(mesh.live_slots(), [0], "n0 is still receiving the packet");
+    mesh.kill(n(0));
+    assert_slab_exact(&mesh, "after the receiver's death");
+    assert!(mesh.live_slots().is_empty(), "no holder is left");
+}
+
 #[derive(Debug, Clone, Copy)]
 enum BufferOp {
-    /// Push a body flit with this id (skipped when the buffer is full).
-    Push(u64),
+    /// Push a body flit of this slot (skipped when the buffer is full).
+    Push(u32),
     Pop,
     Clear,
 }
 
 fn buffer_op() -> impl Strategy<Value = BufferOp> {
     prop_oneof![
-        6 => any::<u64>().prop_map(BufferOp::Push),
+        6 => (0..=Flit::MAX_SLOT).prop_map(BufferOp::Push),
         5 => Just(BufferOp::Pop),
         1 => Just(BufferOp::Clear),
     ]
@@ -442,8 +521,8 @@ proptest! {
         let mut model: VecDeque<Flit> = VecDeque::new();
         for op in ops {
             match op {
-                BufferOp::Push(id) => {
-                    let flit = Flit::Body { id: PacketId::new(id), is_tail: id % 3 == 0 };
+                BufferOp::Push(slot) => {
+                    let flit = Flit::of_packet(slot, 1 + slot % 2, 3);
                     if model.len() < DEPTH {
                         ring.push(flit);
                         model.push_back(flit);
@@ -459,8 +538,8 @@ proptest! {
             prop_assert_eq!(ring.free(), DEPTH - model.len());
             prop_assert_eq!(ring.is_empty(), model.is_empty());
             prop_assert_eq!(ring.is_full(), model.len() == DEPTH);
-            prop_assert_eq!(ring.head(), model.front());
-            prop_assert!(ring.iter().eq(model.iter()));
+            prop_assert_eq!(ring.head(), model.front().copied());
+            prop_assert!(ring.iter().eq(model.iter().copied()));
             let mut fresh = FlitBuffer::new();
             for &flit in &model {
                 fresh.push(flit);
