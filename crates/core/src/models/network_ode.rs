@@ -3,9 +3,14 @@
 //! Gordon, Goodwin & Trainor (1992) model colony-level task allocation at
 //! a higher abstraction level: continuous per-task populations driven by
 //! stimulus levels rather than individual decisions. This module provides
-//! that reference model. It is *not* embedded in nodes — it predicts the
-//! allocation the embedded models should converge to, and the experiment
-//! harness uses it as an analytic cross-check.
+//! that reference model. It is *not* embedded in nodes — its fixed point
+//! ([`OdeColony::analytic_fixed_point`]) predicts a demand-proportional
+//! allocation. The workspace test `tests/colony_core_crosscheck.rs`
+//! measures platform runs against that prediction. On the default 8x16
+//! fork-join (1:3:1, so 25.6 / 76.8 / 25.6 PEs), after 1000 ms at seeds
+//! 20000–20009, the L1 distance is 0.013 for the baseline's heuristic
+//! mapping, 0.12–0.33 for NI and 0.24–0.32 for FFW: the adaptive models
+//! do not converge to it.
 //!
 //! Dynamics (forward-Euler integrated):
 //!

@@ -128,9 +128,8 @@ pub mod generators {
 
     /// `n` distinct uniformly random nodes (the paper's random node
     /// failures). Asking for more nodes than the grid holds faults the
-    /// whole grid — the same saturating semantics as
-    /// `ColonyModel::kill_agents`, where killing more agents than are
-    /// alive kills them all.
+    /// whole grid, each node once, instead of panicking. Every
+    /// oversized kill request in a scenario saturates through this rule.
     pub fn random_nodes<R: Rng>(
         dims: GridDims,
         n: usize,
@@ -213,8 +212,9 @@ mod tests {
 
     #[test]
     fn random_nodes_saturate_at_the_grid_size() {
-        // Consistent with `ColonyModel::kill_agents`: a request larger
-        // than the population takes out everyone instead of panicking.
+        // The saturation rule every oversized kill request follows: a
+        // request larger than the grid takes out every node instead of
+        // panicking.
         let mut rng = Xoshiro256StarStar::seed_from_u64(6);
         let faults =
             generators::random_nodes(GridDims::new(4, 4), 500, FaultKind::PeDead, &mut rng);

@@ -27,7 +27,6 @@
 //! | Windowed recording | [`recorder`] |
 //! | Settling/recovery detection | [`detect`] |
 //! | Aggregation (quartiles, online) | [`stats`] |
-//! | Colony-level fault mirroring | [`colony_bridge`] |
 //!
 //! The determinism model, the spec JSON reference, the sharding
 //! protocol and the dispatch layer are documented in the docs book at
@@ -131,7 +130,6 @@
 //! ```
 
 pub mod chaos;
-pub mod colony_bridge;
 pub mod detect;
 pub mod dispatch;
 pub mod fuzz;

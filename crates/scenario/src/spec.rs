@@ -105,8 +105,8 @@ impl Default for ThermalEventSpec {
 /// All `Random*` victim sets are drawn deterministically from the run
 /// seed (`seed ^ 0x5EED_FA17`, events in listed order), shared across
 /// models for paired comparison. Counts larger than the grid saturate —
-/// the same semantics as [`sirtm_colony::ColonyModel::kill_agents`],
-/// where killing more agents than are alive kills them all.
+/// the semantics of [`sirtm_faults::generators::random_nodes`], where
+/// asking for more victims than the grid holds faults every node once.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventAction {
     /// `count` uniformly random distinct PE deaths (the paper's node

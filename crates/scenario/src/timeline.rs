@@ -310,24 +310,6 @@ impl Timeline {
         self.events.get(self.next).map(|e| e.at)
     }
 
-    /// Total PE-death faults across all events (`PeDead` and `TileDead`)
-    /// — the count a colony-level mirror of this timeline kills through
-    /// [`sirtm_colony::ColonyModel::kill_agents`].
-    pub fn pe_death_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter_map(|e| match &e.action {
-                CompiledAction::Faults(faults) => Some(
-                    faults
-                        .iter()
-                        .filter(|f| matches!(f.kind, FaultKind::PeDead | FaultKind::TileDead))
-                        .count(),
-                ),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// Applies every event whose instant is `<= platform.now()`; returns
     /// the number of events applied. Call once per window.
     pub fn poll(&mut self, platform: &mut Platform) -> usize {
@@ -530,7 +512,22 @@ mod tests {
             action: EventAction::RandomPeFaults { count: 10_000 },
         }]);
         let t = Timeline::compile(&spec, 1);
-        assert_eq!(t.pe_death_count(), 16, "the whole 4x4 grid, once");
+        let mut victims: Vec<NodeId> = t
+            .events()
+            .iter()
+            .flat_map(|e| match &e.action {
+                CompiledAction::Faults(faults) => faults.iter().map(|f| f.node).collect(),
+                _ => Vec::new(),
+            })
+            .collect();
+        let requested = victims.len();
+        victims.sort();
+        victims.dedup();
+        assert_eq!(
+            (requested, victims.len()),
+            (16, 16),
+            "the whole 4x4 grid, once"
+        );
     }
 
     #[test]

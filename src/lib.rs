@@ -18,18 +18,11 @@
 //!   sensors, stimulus–threshold DVFS governors ([`sirtm_thermal`]),
 //! * [`scenario`] — declarative scenario specs and the parallel
 //!   deterministic sweep orchestrator ([`sirtm_scenario`]),
-//! * [`experiments`] — the paper's tables and figures ([`sirtm_experiments`]),
-//!
-//! plus, beside the hardware stack:
-//!
-//! * [`colony`] — agent-based reference implementations of all six
-//!   Fig. 1 division-of-labour model classes ([`sirtm_colony`]), the
-//!   biology the embedded engines specialise.
+//! * [`experiments`] — the paper's tables and figures ([`sirtm_experiments`]).
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
 pub use sirtm_centurion as centurion;
-pub use sirtm_colony as colony;
 pub use sirtm_core as core;
 pub use sirtm_experiments as experiments;
 pub use sirtm_faults as faults;

@@ -1,86 +1,120 @@
-//! Cross-crate validation: the two independent formulations of the
-//! Fig. 1 "network task allocation" abstraction — `sirtm_core`'s ODE
-//! colony (written for the NoC task-allocation context) and
-//! `sirtm_colony`'s agent-based and mean-field colonies (written for the
-//! abstract biology) — must agree on the defining prediction of the
-//! model family: a decentralised colony allocates workers in proportion
-//! to task demand.
+//! Platform against prediction: how far the embedded models' task
+//! allocation sits from the Fig. 1 class-6 mean-field prediction.
+//!
+//! The prediction is the fixed point of [`OdeColony`] (Gordon, Goodwin &
+//! Trainor's network task allocation) driven by the workload's
+//! [`FlowAnalysis::instance_ratio`]: 1:3:1 on the Fig. 3 fork-join, so
+//! 25.6 / 76.8 / 25.6 PEs on the default 8x16 grid. The fixed point, not
+//! an integrated state: the Euler-integrated populations orbit it
+//! without settling (the source swings between about 16 and 35 PEs at
+//! `dt = 0.01`). The distance is [`allocation_error`], the L1 distance
+//! between the normalised per-task PE counts of each recorded window and
+//! the normalised prediction.
+//!
+//! Measured on the default spec (8x16 fork-join, 1000 ms, 2 ms windows),
+//! first window → last window:
+//!
+//! | model | 20000 | 20001 | 20002 |
+//! |---|---|---|---|
+//! | `none` | 0.013 → 0.013 | 0.013 → 0.013 | 0.013 → 0.013 |
+//! | `ni` | 0.497 → 0.278 | 0.606 → 0.247 | 0.622 → 0.122 |
+//! | `ffw` | 0.497 → 0.288 | 0.606 → 0.241 | 0.622 → 0.288 |
+//!
+//! Over seeds 20000–20009 the random initial mapping sits 0.40–0.68
+//! away. The last window sits 0.12–0.33 away for NI (median 0.23) and
+//! 0.24–0.32 for FFW (median 0.26); FFW staffs the source with 41–46 PEs
+//! where the prediction has 25.6. So the claim that a colony allocates
+//! workers in proportion to demand (Ramos et al., *On Self-Regulated
+//! Swarms*) does not hold for the adaptive models on this platform, and
+//! nothing here asserts it. What holds, and is asserted: the baseline's
+//! heuristic mapping (26 / 76 / 26) is the prediction up to rounding,
+//! and both adaptive models staff every task and end closer to it than
+//! the random mapping they start from.
 
-use sirtm::colony::{
-    ColonyModel, Environment, FixedThresholdColony, MeanFieldColony, MeanFieldParams,
-    ThresholdParams,
-};
 use sirtm::core::models::network_ode::OdeColony;
+use sirtm::core::models::{FfwConfig, ModelKind, NiConfig};
+use sirtm::scenario::{run_spec, ScenarioSpec};
+use sirtm::taskgraph::FlowAnalysis;
 
-/// Normalises a slice to fractions of its sum.
-fn normalised(v: &[f64]) -> Vec<f64> {
-    let total: f64 = v.iter().sum();
-    assert!(total > 0.0, "degenerate allocation");
-    v.iter().map(|x| x / total).collect()
+const SEEDS: [u64; 3] = [20000, 20001, 20002];
+
+/// L1 distance between the normalised allocation and the normalised
+/// demand vector: 0 when the workforce mirrors demand exactly, up to 2
+/// for complete mismatch.
+fn allocation_error(allocation: &[usize], demand: &[f64]) -> f64 {
+    assert_eq!(allocation.len(), demand.len(), "length mismatch");
+    let a_total: f64 = allocation.iter().map(|&a| a as f64).sum();
+    let d_total: f64 = demand.iter().sum();
+    allocation
+        .iter()
+        .zip(demand)
+        .map(|(&a, &d)| (a as f64 / a_total - d / d_total).abs())
+        .sum()
+}
+
+/// The [`OdeColony`] fixed point for `spec`'s workload and grid.
+fn prediction(spec: &ScenarioSpec) -> Vec<f64> {
+    let ratio = FlowAnalysis::analyze(&spec.graph()).instance_ratio();
+    let demand: Vec<f64> = ratio.iter().map(|&r| f64::from(r)).collect();
+    OdeColony::new(demand, vec![1.0; ratio.len()], spec.grid().len() as f64).analytic_fixed_point()
+}
+
+/// One platform run of `model` on the default spec at `seed`: the
+/// per-window distance from the prediction, and the last window's
+/// per-task PE counts.
+fn run(model: ModelKind, seed: u64) -> (Vec<f64>, Vec<usize>) {
+    let spec = ScenarioSpec::new("crosscheck", model);
+    let predicted = prediction(&spec);
+    let trace = run_spec(&spec, seed).trace;
+    let errors = trace
+        .samples
+        .iter()
+        .map(|s| allocation_error(&s.task_counts, &predicted))
+        .collect();
+    let last = trace.samples.last().expect("windows recorded");
+    (errors, last.task_counts.clone())
+}
+
+/// An adaptive model staffs every task by the last window and ends
+/// closer to the prediction than the random mapping it starts from.
+fn check_adaptive(model: ModelKind) {
+    let name = model.name();
+    for seed in SEEDS {
+        let (errors, last) = run(model.clone(), seed);
+        assert!(
+            last.iter().all(|&n| n > 0),
+            "{name} seed {seed}: a task is unstaffed at the end: {last:?}"
+        );
+        let (first, end) = (errors[0], errors[errors.len() - 1]);
+        assert!(
+            end < first,
+            "{name} seed {seed}: distance {first:.3} -> {end:.3} did not shrink"
+        );
+    }
 }
 
 #[test]
-fn three_formulations_agree_on_demand_proportions() {
-    let demand = [3.0, 1.5, 0.75];
+fn allocation_error_bounds() {
+    assert_eq!(allocation_error(&[20, 10], &[2.0, 1.0]), 0.0);
+    assert_eq!(allocation_error(&[10, 0], &[0.0, 1.0]), 2.0);
+}
 
-    // Formulation 1: sirtm-core's ODE (demand expressed as packet rates
-    // with uniform service weight).
-    let mut ode = OdeColony::new(demand.to_vec(), vec![1.0; 3], 120.0);
-    ode.run(200_000, 0.01);
-    let core_alloc = normalised(ode.populations());
-
-    // Formulation 2: sirtm-colony's mean-field of the threshold model.
-    let mut mf = MeanFieldColony::new(MeanFieldParams {
-        n_agents: 120,
-        demand: demand.to_vec(),
-        ..MeanFieldParams::default()
-    });
-    for _ in 0..20_000 {
-        mf.step();
-    }
-    let mf_alloc = normalised(
-        &mf.fractions()
-            .iter()
-            .map(|&f| f * 120.0)
-            .collect::<Vec<_>>(),
-    );
-
-    // Formulation 3: the stochastic agent-based colony, time-averaged.
-    let env = Environment::constant_demand(&demand, 0.1);
-    let mut agents = FixedThresholdColony::new(
-        240,
-        env,
-        ThresholdParams {
-            theta_jitter: 0.0,
-            ..ThresholdParams::default()
-        },
-        11,
-    );
-    for _ in 0..6000 {
-        agents.step();
-    }
-    let mut sums = vec![0.0; 3];
-    for _ in 0..1000 {
-        agents.step();
-        for (s, a) in sums.iter_mut().zip(agents.allocation()) {
-            *s += a as f64;
+#[test]
+fn baseline_mapping_is_the_prediction_in_every_window() {
+    for seed in SEEDS {
+        let (errors, _) = run(ModelKind::NoIntelligence, seed);
+        for (w, e) in errors.iter().enumerate() {
+            assert!(*e < 0.03, "seed {seed}, window {w}: distance {e:.3}");
         }
     }
-    let agent_alloc = normalised(&sums);
+}
 
-    // All three must sit near the demand proportions (4:2:1).
-    let target = normalised(&demand);
-    for (name, alloc) in [
-        ("core ODE", &core_alloc),
-        ("colony mean-field", &mf_alloc),
-        ("colony agents", &agent_alloc),
-    ] {
-        for (j, (&a, &t)) in alloc.iter().zip(&target).enumerate() {
-            assert!(
-                (a - t).abs() < 0.08,
-                "{name}, task {j}: fraction {a:.3} vs demand share {t:.3} \
-                 (full: {alloc:?})"
-            );
-        }
-    }
+#[test]
+fn ni_staffs_every_task_and_closes_on_the_prediction() {
+    check_adaptive(ModelKind::NetworkInteraction(NiConfig::default()));
+}
+
+#[test]
+fn ffw_staffs_every_task_and_closes_on_the_prediction() {
+    check_adaptive(ModelKind::ForagingForWork(FfwConfig::default()));
 }

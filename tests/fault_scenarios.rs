@@ -3,12 +3,11 @@
 //! faults and lying (hung) nodes — all recovered by the adaptive colony.
 
 use sirtm::centurion::{render, Platform, PlatformConfig};
-use sirtm::colony::{ColonyModel, Environment, FixedThresholdColony, ThresholdParams};
 use sirtm::core::models::{FfwConfig, ModelKind};
 use sirtm::faults::{generators, Fault, FaultKind};
 use sirtm::noc::{Direction, NodeId};
 use sirtm::rng::Xoshiro256StarStar;
-use sirtm::scenario::{colony_bridge, EventAction, EventSpec, ScenarioSpec, Timeline};
+use sirtm::scenario::{EventAction, EventSpec, ScenarioSpec};
 use sirtm::taskgraph::{workloads, GridDims, Mapping, TaskId};
 
 fn ffw_platform(seed: u64) -> Platform {
@@ -128,11 +127,10 @@ fn link_faults_leave_delivery_intact_via_detours() {
 
 #[test]
 fn kill_more_than_alive_is_consistent_across_every_layer() {
-    // The same oversized kill wave, expressed once as a scenario event,
-    // must behave identically at each level of the stack: the fault
-    // generator saturates at the grid size, the platform ends with zero
-    // alive PEs, and the colony mirror of the timeline ends with zero
-    // alive agents — nobody panics, everybody dies exactly once.
+    // The same oversized kill wave must behave identically at each level
+    // of the stack: the fault generator saturates at the grid size and
+    // the platform running it as a scenario event ends with zero alive
+    // PEs — nobody panics, everybody dies exactly once.
     let mut spec = ScenarioSpec::new("overkill", ModelKind::ForagingForWork(FfwConfig::default()));
     spec.platform.dims = GridDims::new(4, 4);
     spec.duration_ms = 40.0;
@@ -141,10 +139,6 @@ fn kill_more_than_alive_is_consistent_across_every_layer() {
         at_ms: 8.0,
         action: EventAction::RandomPeFaults { count: 10_000 },
     }];
-
-    // Generator level: the victim set clamps to the 16-node grid.
-    let timeline = Timeline::compile(&spec, 9);
-    assert_eq!(timeline.pe_death_count(), 16);
 
     // Platform level: the run completes and every PE is dead.
     let outcome = sirtm::scenario::run_spec(&spec, 9);
@@ -160,18 +154,7 @@ fn kill_more_than_alive_is_consistent_across_every_layer() {
     );
     assert_eq!(outcome.final_rate, 0.0, "no survivors, no throughput");
 
-    // Colony level: the mirrored wave saturates a 10-agent colony.
-    let mut colony = FixedThresholdColony::new(
-        10,
-        Environment::constant_demand(&[1.0, 1.0], 0.1),
-        ThresholdParams::default(),
-        5,
-    );
-    let requested = colony_bridge::apply_pe_deaths(&timeline, &mut colony);
-    assert_eq!(requested, 16, "the clamped platform wave is mirrored");
-    assert_eq!(colony.alive_agents(), 0, "colony saturates, no panic");
-
-    // And the direct generator call agrees with the timeline.
+    // Generator level: the victim set clamps to the 16-node grid.
     let mut rng = Xoshiro256StarStar::seed_from_u64(1);
     let faults = generators::random_nodes(GridDims::new(4, 4), 10_000, FaultKind::PeDead, &mut rng);
     assert_eq!(faults.len(), 16);

@@ -108,21 +108,6 @@ fn thermal_grid_heats_from_power() {
 }
 
 #[test]
-fn colony_fixed_threshold_settles() {
-    use sirtm::colony::{ColonyModel, Environment, FixedThresholdColony, ThresholdParams};
-    let env = Environment::constant_demand(&[2.0, 2.0], 0.1);
-    let mut colony = FixedThresholdColony::new(30, env, ThresholdParams::default(), 11);
-    for _ in 0..200 {
-        colony.step();
-    }
-    assert_eq!(colony.alive_agents(), 30);
-    assert!(
-        colony.allocation().iter().sum::<usize>() <= 30,
-        "allocation never exceeds the colony"
-    );
-}
-
-#[test]
 fn experiments_stats_reachable() {
     assert_eq!(sirtm::scenario::stats::mean(&[1.0, 2.0, 3.0]), 2.0);
 }
