@@ -280,6 +280,11 @@ impl Platform {
         &self.pes[node.index()]
     }
 
+    /// Every node's PE, in node-index order.
+    pub fn pes(&self) -> &[ProcessingElement] {
+        &self.pes
+    }
+
     /// Immutable access to a node's router.
     ///
     /// # Panics

@@ -25,6 +25,7 @@
 //! | Host-plane sweep observation (sidecar + tracing) | [`observe`] |
 //! | Named preset library | [`presets`] |
 //! | Windowed recording | [`recorder`] |
+//! | Per-PE work records, division-of-labour metrics | [`agent`], [`metrics`] |
 //! | Settling/recovery detection | [`detect`] |
 //! | Aggregation (quartiles, online) | [`stats`] |
 //!
@@ -129,11 +130,13 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+pub mod agent;
 pub mod chaos;
 pub mod detect;
 pub mod dispatch;
 pub mod fuzz;
 pub mod json;
+pub mod metrics;
 pub mod observe;
 pub mod presets;
 pub mod recorder;

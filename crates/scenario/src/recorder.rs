@@ -3,6 +3,8 @@
 use sirtm_centurion::Platform;
 use sirtm_taskgraph::TaskId;
 
+use crate::agent::Agent;
+
 /// One sampled window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowSample {
@@ -29,6 +31,9 @@ pub struct RunTrace {
     pub window_ms: f64,
     /// Samples, oldest first.
     pub samples: Vec<WindowSample>,
+    /// Each PE's work record at the last window, in node-index order:
+    /// the task it held at each window end, one step per window.
+    pub agents: Vec<Agent>,
 }
 
 impl RunTrace {
@@ -78,6 +83,7 @@ pub struct Recorder {
     last_sink_completions: u64,
     last_switches: u64,
     samples: Vec<WindowSample>,
+    agents: Vec<Agent>,
 }
 
 impl Recorder {
@@ -96,6 +102,7 @@ impl Recorder {
             last_sink_completions: 0,
             last_switches: 0,
             samples: Vec::new(),
+            agents: Vec::new(),
         }
     }
 
@@ -115,6 +122,22 @@ impl Recorder {
         });
         self.last_sink_completions = sink_now;
         self.last_switches = switches_now;
+        let pes = platform.pes();
+        if self.agents.is_empty() {
+            let n_tasks = platform.graph().len();
+            self.agents = vec![Agent::new(n_tasks); pes.len()];
+        }
+        for (agent, pe) in self.agents.iter_mut().zip(pes) {
+            if !pe.is_alive() {
+                agent.kill();
+                continue;
+            }
+            match pe.task() {
+                Some(t) => agent.engage(t.index()),
+                None => agent.quit(),
+            }
+            agent.record_step();
+        }
     }
 
     /// Runs `n` windows, sampling after each, with an optional callback
@@ -135,6 +158,7 @@ impl Recorder {
         RunTrace {
             window_ms: self.window_ms,
             samples: self.samples,
+            agents: self.agents,
         }
     }
 }
@@ -209,6 +233,7 @@ mod tests {
                     alive: 128,
                 })
                 .collect(),
+            agents: vec![],
         };
         assert_eq!(trace.mean_throughput(1, 4), 2.0);
     }
@@ -219,6 +244,7 @@ mod tests {
         let trace = RunTrace {
             window_ms: 1.0,
             samples: vec![],
+            agents: vec![],
         };
         trace.mean_throughput(0, 1);
     }
