@@ -67,13 +67,6 @@ impl PlatformConfig {
         cycles as f64 / self.cycles_per_ms as f64
     }
 
-    /// The paper's FFW timeout (20 ms) expressed in AIM scans under this
-    /// configuration.
-    pub fn ffw_timeout_scans(&self, timeout_ms: f64) -> u8 {
-        let cycles = self.ms_to_cycles(timeout_ms);
-        (cycles / AIM_PERIOD as u64).min(255) as u8
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -95,7 +88,6 @@ mod tests {
         cfg.validate();
         assert_eq!(cfg.dims.len(), 128);
         assert_eq!(cfg.ms_to_cycles(4.0), 400, "4 ms generation period");
-        assert_eq!(cfg.ffw_timeout_scans(20.0), 200, "20 ms FFW timeout");
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //! Artificial Intelligence Module. This crate assembles the SIRTM
 //! equivalents — [`sirtm_noc`] routers, [`crate::pe`] processing
 //! elements, [`sirtm_core`] intelligence models and the neighbour-gossip
-//! task [`directory`] — into a deterministic cycle-stepped [`Platform`],
-//! plus the paper's [`ExperimentController`] with its four north-edge NoC
-//! taps and out-of-band debug interface.
+//! task [`directory`] — into a deterministic cycle-stepped [`Platform`].
+//! The paper's experiment controller is the platform's own API: in-band
+//! RCAP packets ([`Platform::send_config`]) and the out-of-band debug
+//! interface ([`Platform::apply_config_direct`],
+//! [`Platform::node_snapshot`], [`Platform::kill_pe`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use sirtm_centurion::{ExperimentController, Platform, PlatformConfig};
+//! use sirtm_centurion::{Platform, PlatformConfig};
 //! use sirtm_core::models::ModelKind;
 //! use sirtm_taskgraph::{workloads, Mapping};
 //!
@@ -22,13 +24,11 @@
 //! let graph = workloads::fork_join(&workloads::ForkJoinParams::default());
 //! let mapping = Mapping::heuristic(&graph, cfg.dims);
 //! let mut platform = Platform::new(graph, &mapping, &ModelKind::NoIntelligence, cfg);
-//! let controller = ExperimentController::new(platform.config().dims);
 //! platform.run_ms(20.0);
-//! assert_eq!(controller.scan_grid(&platform).len(), 128);
+//! assert_eq!(platform.alive_count(), 128);
 //! ```
 
 pub mod config;
-pub mod controller;
 pub mod directory;
 pub mod pe;
 pub mod platform;
@@ -38,7 +38,6 @@ pub use config::{
     PlatformConfig, AIM_PERIOD, FEED_GAIN_MULTIPLIER, FOREIGN_CAP, FREQ_RANGE_MHZ, GOSSIP_PERIOD,
     MAX_BOUNCES, NOMINAL_MHZ, QUEUE_CAP, RECENT_DEMAND_WINDOW,
 };
-pub use controller::ExperimentController;
 pub use directory::{DirEntry, Directory, Gossip};
 pub use pe::{Accept, PeStats, ProcessingElement};
 pub use platform::{NodeSnapshot, Platform, PlatformStats};

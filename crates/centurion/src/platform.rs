@@ -525,11 +525,6 @@ impl Platform {
         self.run_until(target);
     }
 
-    /// Runs for `cycles` cycles through the activity-gated stepper.
-    pub fn run_cycles(&mut self, cycles: Cycle) {
-        self.run_until(self.cycle + cycles);
-    }
-
     /// Advances to `target` with the optimized stepper, fast-forwarding
     /// whole stretches in which the fabric is settled-idle, no PE has a
     /// due event, no adaptive AIM scan is due and the gossip directories

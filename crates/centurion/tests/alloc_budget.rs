@@ -63,7 +63,7 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 fn count_allocs(platform: &mut Platform, cycles: u64) -> u64 {
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    platform.run_cycles(cycles);
+    platform.run_until(platform.now() + cycles);
     ARMED.store(false, Ordering::SeqCst);
     ALLOCS.load(Ordering::SeqCst)
 }

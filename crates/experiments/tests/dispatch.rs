@@ -1,5 +1,5 @@
 //! The dispatcher against real processes: a `LocalProcess` worker
-//! killed mid-shard (SIGKILL, via the transport's chaos switch) must be
+//! killed mid-shard (SIGKILL, via a scripted `ChaosTransport` fault) must be
 //! detected, its shard reassigned, and the merged artefact must stay
 //! **byte-identical** to a single-process sweep; the `scenarios
 //! dispatch` CLI must round-trip the same guarantee; and the `Ssh`
@@ -16,8 +16,9 @@ use std::process::Command;
 use std::time::Duration;
 
 use sirtm_scenario::{
-    dispatch, presets, run_sweep, Axis, DispatchOptions, LocalProcess, PollStatus, SeedScheme,
-    ShardJob, ShardTransport, Ssh, SshHost, SweepOptions, SweepSpec,
+    dispatch, presets, run_sweep, Axis, ChaosConfig, ChaosLedger, ChaosTransport, DispatchOptions,
+    Fault, LocalProcess, PollStatus, SeedScheme, ShardJob, ShardTransport, Ssh, SshHost,
+    SweepOptions, SweepSpec,
 };
 
 fn scenarios_bin() -> PathBuf {
@@ -55,13 +56,25 @@ fn killed_local_worker_is_reassigned_and_merge_stays_byte_identical() {
         .render_pretty();
     let dir = temp_dir("kill");
     let bin = scenarios_bin();
-    // The victim SIGKILLs its own child as soon as the shard's
-    // checkpoint shows one completed run — a real process death halfway
-    // through a slice, not a simulated one. One strike retires it, so
-    // the survivor must pick the orphaned shard up and resume it from
-    // the shared checkpoint directory.
-    let mut victim = LocalProcess::new("victim", &bin, &dir, 1);
-    victim.chaos_kill_after = Some(1);
+    // The victim's first attempt SIGKILLs its child as soon as the
+    // shard's checkpoint shows one completed run — a real process death
+    // halfway through a slice, not a simulated one. The schedule is
+    // otherwise quiet, so that kill is the only fault. One strike
+    // retires the victim, so the survivor must pick the orphaned shard
+    // up and resume it from the shared checkpoint directory.
+    let ledger = ChaosLedger::new();
+    let quiet = ChaosConfig {
+        fault_pct: 0,
+        handoff_pct: 0,
+        enable_freeze: false,
+        ..ChaosConfig::new(0)
+    };
+    let victim = ChaosTransport::new(
+        LocalProcess::new("victim", &bin, &dir, 1),
+        quiet,
+        ledger.clone(),
+    )
+    .script_faults([Some(Fault::KillAfterHeartbeats(1))]);
     let mut workers: Vec<Box<dyn ShardTransport>> = vec![
         Box::new(victim),
         Box::new(LocalProcess::new("survivor", &bin, &dir, 1)),
@@ -85,9 +98,14 @@ fn killed_local_worker_is_reassigned_and_merge_stays_byte_identical() {
             .shards
             .iter()
             .flat_map(|s| &s.attempts)
-            .any(|a| a.outcome.contains("chaos-killed")),
+            .any(|a| a.outcome.contains("chaos: killed")),
         "the kill must be visible in the report: {:?}",
         outcome.report.shards
+    );
+    assert_eq!(
+        ledger.counts(),
+        vec![("kill-after-heartbeats".to_string(), 1)],
+        "exactly the scripted kill fired"
     );
     assert!(
         outcome.report.workers[0].retired,

@@ -144,15 +144,6 @@ impl Direction {
             Direction::West => 3,
         }
     }
-
-    /// Inverse of [`Direction::index`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index > 3`.
-    pub fn from_index(index: usize) -> Direction {
-        Direction::ALL[index]
-    }
 }
 
 impl fmt::Display for Direction {
@@ -293,7 +284,7 @@ mod tests {
     fn direction_opposites_and_indices() {
         for d in Direction::ALL {
             assert_eq!(d.opposite().opposite(), d);
-            assert_eq!(Direction::from_index(d.index()), d);
+            assert_eq!(Direction::ALL[d.index()], d);
         }
         assert_eq!(Direction::North.opposite(), Direction::South);
         assert_eq!(Direction::East.opposite(), Direction::West);

@@ -40,11 +40,6 @@ impl Register {
         // every register-file access in the interpreter.
         (self.0 & 0x0F) as usize
     }
-
-    /// Raw 4-bit encoding.
-    pub const fn raw(self) -> u8 {
-        self.0
-    }
 }
 
 impl fmt::Display for Register {
@@ -106,7 +101,7 @@ pub enum ShiftOp {
 }
 
 impl ShiftOp {
-    /// All shift ops, used by the encoder and property tests.
+    /// All shift ops, in declaration order; the property tests draw from it.
     pub const ALL: [ShiftOp; 10] = [
         ShiftOp::Sl0,
         ShiftOp::Sl1,
@@ -229,14 +224,6 @@ impl Instruction {
         "STORE", "FETCH", "INPUT", "OUTPUT", "JUMP", "CALL", "RETURN",
     ];
 
-    /// Returns `true` for instructions that can change control flow.
-    pub fn is_branch(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Jump(..) | Instruction::Call(..) | Instruction::Return(..)
-        )
-    }
-
     /// Dense opcode-family index in declaration order (`0..COUNT`);
     /// indexes [`Instruction::MNEMONICS`] and the VM's per-opcode
     /// profile counters.
@@ -289,13 +276,6 @@ mod tests {
     fn condition_display() {
         assert_eq!(Condition::NotCarry.to_string(), "NC");
         assert_eq!(Condition::Always.to_string(), "");
-    }
-
-    #[test]
-    fn branch_classification() {
-        assert!(Instruction::Jump(Condition::Always, 0).is_branch());
-        assert!(Instruction::Return(Condition::Zero).is_branch());
-        assert!(!Instruction::Load(Register::new(0), Operand::Imm(1)).is_branch());
     }
 
     #[test]

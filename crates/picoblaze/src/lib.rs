@@ -6,7 +6,6 @@
 //! This crate provides the equivalent substrate in software:
 //!
 //! * [`isa`] — the instruction set (a KCPSM6-flavoured subset),
-//! * [`encode`] — a stable 18-bit binary encoding,
 //! * [`vm`] — the interpreter ([`vm::Picoblaze`]), the one execution
 //!   core: one `match` over the instruction per step,
 //! * [`asm`] — a two-pass assembler for `.psm`-style sources,
@@ -15,8 +14,9 @@
 //!
 //! The core is *register-transfer compatible* with the published KCPSM6
 //! semantics for the implemented subset (flag behaviour, stack depth,
-//! scratchpad size) but uses its own instruction encoding; binary images
-//! for real PicoBlaze hardware are out of scope.
+//! scratchpad size). Programs are kept as decoded [`Instruction`]s built
+//! by the assembler: the crate defines no binary encoding, and binary
+//! images for real PicoBlaze hardware are out of scope.
 //!
 //! # Examples
 //!
@@ -39,7 +39,6 @@
 
 pub mod asm;
 pub mod disasm;
-pub mod encode;
 pub mod isa;
 pub mod vm;
 

@@ -25,11 +25,11 @@ pub trait PortIo {
 
 /// Port I/O backed by hash maps; handy for tests and firmware bring-up.
 ///
-/// Unset input ports read as `0`. All writes are recorded per port.
+/// Unset input ports read as `0`. Each output port keeps its last write.
 #[derive(Debug, Clone, Default)]
 pub struct SparseIo {
     inputs: HashMap<u8, u8>,
-    outputs: HashMap<u8, Vec<u8>>,
+    outputs: HashMap<u8, u8>,
 }
 
 impl SparseIo {
@@ -45,17 +45,7 @@ impl SparseIo {
 
     /// Most recent value written to output port `port`.
     pub fn last_output(&self, port: u8) -> Option<u8> {
-        self.outputs.get(&port).and_then(|v| v.last()).copied()
-    }
-
-    /// Full write history of output port `port` (oldest first).
-    pub fn output_history(&self, port: u8) -> &[u8] {
-        self.outputs.get(&port).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Clears recorded output history (inputs are kept).
-    pub fn clear_outputs(&mut self) {
-        self.outputs.clear();
+        self.outputs.get(&port).copied()
     }
 }
 
@@ -65,7 +55,7 @@ impl PortIo for SparseIo {
     }
 
     fn output(&mut self, port: u8, value: u8) {
-        self.outputs.entry(port).or_default().push(value);
+        self.outputs.insert(port, value);
     }
 }
 
@@ -699,7 +689,6 @@ mod tests {
         io.set_input(0x05, 99);
         cpu.step_n(3, &mut io).expect("runs");
         assert_eq!(io.last_output(0x06), Some(100));
-        assert_eq!(io.output_history(0x06), &[100]);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 
-use sirtm_picoblaze::encode::{decode, encode};
 use sirtm_picoblaze::isa::{Address, Condition, Instruction, Operand, Register, ShiftOp};
 use sirtm_picoblaze::vm::{Picoblaze, SparseIo, VmError};
 use sirtm_picoblaze::{asm, disasm};
@@ -64,14 +63,6 @@ fn any_instruction() -> impl Strategy<Value = Instruction> {
 }
 
 proptest! {
-    /// Every instruction encodes to 18 bits and decodes back to itself.
-    #[test]
-    fn encode_decode_roundtrip(instr in any_instruction()) {
-        let word = encode(instr);
-        prop_assert!(word < (1 << 18));
-        prop_assert_eq!(decode(word), Ok(instr));
-    }
-
     /// Disassembly is valid assembler input and reproduces the program.
     #[test]
     fn disasm_asm_roundtrip(prog in proptest::collection::vec(any_instruction(), 1..64)) {

@@ -193,16 +193,6 @@ impl Xoshiro256StarStar {
         Self { s }
     }
 
-    /// Creates a generator from raw state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is all zeros (the one invalid xoshiro state).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro state must be non-zero");
-        Self { s }
-    }
-
     /// Splits off an independent generator for a parallel sub-stream.
     ///
     /// Implemented as the xoshiro `jump()` applied to a clone: the parent and
@@ -416,12 +406,6 @@ mod tests {
         let p: Vec<u64> = (0..16).map(|_| parent.next_u64()).collect();
         let c: Vec<u64> = (0..16).map(|_| child.next_u64()).collect();
         assert_ne!(p, c);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_state_rejected() {
-        let _ = Xoshiro256StarStar::from_state([0; 4]);
     }
 
     #[test]

@@ -315,16 +315,6 @@ impl ChaosLedger {
             .unwrap_or_default()
     }
 
-    /// Total faults attributed to `worker`.
-    #[must_use]
-    pub fn worker_total(&self, worker: &str) -> usize {
-        self.lock()
-            .by_worker
-            .get(worker)
-            .map(|m| m.values().sum())
-            .unwrap_or(0)
-    }
-
     /// Total faults fired.
     #[must_use]
     pub fn total(&self) -> usize {
@@ -726,18 +716,6 @@ impl FaultyFs {
             .collect();
         std::fs::write(&tmp, garbage)?;
         Ok(tmp)
-    }
-
-    /// A torn write: writes only a prefix of `contents`, cut mid final
-    /// line — what a crash partway through a non-atomic write leaves.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error.
-    pub fn torn_write(&mut self, path: &Path, contents: &str) -> std::io::Result<usize> {
-        let torn = truncate_tail(contents, &mut self.rng);
-        std::fs::write(path, &torn)?;
-        Ok(contents.len() - torn.len())
     }
 }
 
@@ -1251,11 +1229,6 @@ mod tests {
 
         let tmp = a.drop_stale_tmp(&path).expect("io ok");
         assert!(tmp.ends_with("journal.ckpt.tmp") && tmp.exists());
-
-        let out = dir.join("artefact.json");
-        let lost = a.torn_write(&out, text).expect("io ok");
-        assert!(lost >= 1);
-        assert!(text.starts_with(&std::fs::read_to_string(&out).expect("reads")));
 
         // Too-short files have no interior row to corrupt.
         std::fs::write(&path, "{\"header\":1}\n1 aaaaaaaa {\"row\":1}\n").expect("writes");

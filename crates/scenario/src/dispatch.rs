@@ -190,12 +190,6 @@ pub struct LocalProcess {
     bin: PathBuf,
     dir: PathBuf,
     threads: usize,
-    /// Chaos switch for tests and drills: SIGKILL the child once its
-    /// checkpoint shows this many completed runs. Fires at most once
-    /// (the option is cleared), simulating a worker dying mid-shard;
-    /// `crates/experiments/tests/dispatch.rs` uses it to pin the
-    /// reassignment path against a real killed process.
-    pub chaos_kill_after: Option<usize>,
     child: Option<Child>,
     current: Option<ShardJob>,
 }
@@ -211,7 +205,6 @@ impl LocalProcess {
             bin: bin.to_path_buf(),
             dir: dir.to_path_buf(),
             threads,
-            chaos_kill_after: None,
             child: None,
             current: None,
         }
@@ -319,16 +312,6 @@ impl ShardTransport for LocalProcess {
     }
 
     fn poll(&mut self) -> PollStatus {
-        if let Some(after) = self.chaos_kill_after {
-            if self.child.is_some() && self.heartbeat() >= after {
-                self.chaos_kill_after = None;
-                self.kill();
-                return PollStatus::Exited {
-                    success: false,
-                    detail: format!("chaos-killed after {after} checkpointed run(s)"),
-                };
-            }
-        }
         let Some(child) = self.child.as_mut() else {
             return PollStatus::Exited {
                 success: false,

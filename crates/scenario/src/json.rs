@@ -65,14 +65,6 @@ impl Json {
         }
     }
 
-    /// The value as `bool`, if it is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Renders the value as compact JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -457,7 +449,7 @@ mod tests {
     fn object_lookup_and_accessors() {
         let v = parse("{\"k\": 7, \"b\": false}").expect("parses");
         assert_eq!(v.get("k").and_then(Json::as_num), Some(7.0));
-        assert_eq!(v.get("b").and_then(Json::as_bool), Some(false));
+        assert_eq!(v.get("b"), Some(&Json::Bool(false)));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Null.get("k"), None);
     }

@@ -32,11 +32,6 @@ impl Quartiles {
         }
     }
 
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-
     /// Multiplies all three quartiles by a scalar (unit conversion).
     pub fn scaled(&self, k: f64) -> Self {
         Self {
@@ -214,7 +209,6 @@ mod tests {
         assert_eq!(q.q1, 2.0);
         assert_eq!(q.q2, 3.0);
         assert_eq!(q.q3, 4.0);
-        assert_eq!(q.iqr(), 2.0);
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl TaskGraph {
         &self.specs[task.index()]
     }
 
-    /// Returns the spec for `task`, or `None` if the id is out of range.
-    pub fn spec_checked(&self, task: TaskId) -> Option<&TaskSpec> {
-        self.specs.get(task.index())
-    }
-
     /// Mutable access to the spec for `task` — the hook behind runtime
     /// workload-phase changes (e.g. a scenario event retuning a source's
     /// generation period mid-run). Structural properties (edges, arity

@@ -13,9 +13,7 @@ use sirtm_centurion::{Platform, FREQ_RANGE_MHZ, NOMINAL_MHZ};
 use sirtm_noc::NodeId;
 
 use crate::config::ThermalConfig;
-use crate::governor::{
-    GovernorConfig, NoGovernor, ThermalAction, ThermalGovernor, ThresholdGovernor,
-};
+use crate::governor::{GovernorConfig, ThermalAction, ThresholdGovernor};
 use crate::grid::ThermalGrid;
 use crate::power::{PowerModel, PowerModelConfig};
 use crate::sensor::{SensorBank, SensorConfig};
@@ -69,27 +67,10 @@ impl ThermalTrace {
     pub fn total_completions(&self) -> u64 {
         self.samples.iter().map(|s| s.completions).sum()
     }
-
-    /// Renders the trace as CSV
-    /// (`t_ms,max_temp_c,mean_temp_c,alive,mean_freq_mhz,completions,power_w`).
-    pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("t_ms,max_temp_c,mean_temp_c,alive,mean_freq_mhz,completions,power_w\n");
-        for s in &self.samples {
-            out.push_str(&format!(
-                "{:.3},{:.3},{:.3},{},{:.1},{},{:.4}\n",
-                s.t_ms,
-                s.max_temp_c,
-                s.mean_temp_c,
-                s.alive,
-                s.mean_freq_mhz,
-                s.completions,
-                s.power_w
-            ));
-        }
-        out
-    }
 }
+
+/// The co-simulation window, in simulated ms.
+const WINDOW_MS: f64 = 1.0;
 
 /// The assembled thermal co-simulation.
 ///
@@ -101,8 +82,8 @@ pub struct ThermalLoop {
     power: PowerModel,
     grid: ThermalGrid,
     sensors: SensorBank,
-    governors: Vec<Box<dyn ThermalGovernor>>,
-    window_ms: f64,
+    /// One governor per node, or none in an open loop.
+    governors: Vec<ThresholdGovernor>,
     prev_busy: Vec<u64>,
     prev_completions: u64,
     power_buf: Vec<f64>,
@@ -112,8 +93,9 @@ pub struct ThermalLoop {
 impl ThermalLoop {
     /// Builds the loop around `platform` with default sensors and a
     /// power model matched to the platform's nominal clock and DVFS
-    /// range. Per-node governors follow `governor_cfg`; `sensor_seed`
-    /// draws the sensors' process variation.
+    /// range. Each node gets a governor built from `governor_cfg`
+    /// unless it is disabled (open loop); `sensor_seed` draws the
+    /// sensors' process variation.
     ///
     /// # Panics
     ///
@@ -124,53 +106,34 @@ impl ThermalLoop {
         governor_cfg: GovernorConfig,
         sensor_seed: u64,
     ) -> Self {
-        let pcfg = platform.config();
-        let power = PowerModel::new(PowerModelConfig {
-            nominal_mhz: NOMINAL_MHZ,
-            freq_range_mhz: FREQ_RANGE_MHZ,
-            ..PowerModelConfig::default()
-        });
-        let sensors = SensorBank::new(SensorConfig::default(), pcfg.dims.len(), sensor_seed);
-        Self::with_parts(platform, thermal_cfg, governor_cfg, power, sensors)
-    }
-
-    /// Builds the loop from explicit parts (custom power models or
-    /// sensor configurations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if grid dimensions, sensor count and platform grid size
-    /// disagree.
-    pub fn with_parts(
-        platform: Platform,
-        thermal_cfg: ThermalConfig,
-        governor_cfg: GovernorConfig,
-        power: PowerModel,
-        sensors: SensorBank,
-    ) -> Self {
         let n = platform.config().dims.len();
         assert_eq!(
             thermal_cfg.dims,
             platform.config().dims,
             "thermal grid dimensions must match the platform"
         );
-        assert_eq!(sensors.len(), n, "one sensor per node");
+        let power = PowerModel::new(PowerModelConfig {
+            nominal_mhz: NOMINAL_MHZ,
+            freq_range_mhz: FREQ_RANGE_MHZ,
+            ..PowerModelConfig::default()
+        });
+        let sensors = SensorBank::new(SensorConfig::default(), n, sensor_seed);
         let grid = ThermalGrid::new(thermal_cfg.clone());
-        let governors: Vec<Box<dyn ThermalGovernor>> = (0..n)
-            .map(|i| {
-                let node = NodeId::new(i as u16);
-                if governor_cfg.enabled {
-                    Box::new(ThresholdGovernor::new(
+        let governors = if governor_cfg.enabled {
+            (0..n)
+                .map(|i| {
+                    let node = NodeId::new(i as u16);
+                    ThresholdGovernor::new(
                         &governor_cfg,
                         &thermal_cfg,
                         sensors.oscillator(node),
                         platform.pe(node).frequency_mhz(),
-                    )) as Box<dyn ThermalGovernor>
-                } else {
-                    Box::new(NoGovernor::new())
-                }
-            })
-            .collect();
+                    )
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         let prev_busy = (0..n)
             .map(|i| platform.busy_cycles(NodeId::new(i as u16)))
             .collect();
@@ -182,31 +145,15 @@ impl ThermalLoop {
             grid,
             sensors,
             governors,
-            window_ms: 1.0,
             prev_busy,
             power_buf: vec![0.0; n],
             trace: ThermalTrace::default(),
         }
     }
 
-    /// Overrides the co-simulation window (default 1 ms).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_ms` is not positive.
-    pub fn set_window_ms(&mut self, window_ms: f64) {
-        assert!(window_ms > 0.0, "window must be positive");
-        self.window_ms = window_ms;
-    }
-
     /// The wrapped platform.
     pub fn platform(&self) -> &Platform {
         &self.platform
-    }
-
-    /// Mutable access to the wrapped platform (fault injection, RCAP).
-    pub fn platform_mut(&mut self) -> &mut Platform {
-        &mut self.platform
     }
 
     /// The thermal network.
@@ -238,7 +185,7 @@ impl ThermalLoop {
     pub fn run_ms(&mut self, ms: f64) {
         let mut remaining = ms;
         while remaining > 1e-12 {
-            let window = remaining.min(self.window_ms);
+            let window = remaining.min(WINDOW_MS);
             self.step_window(window);
             remaining -= window;
         }
@@ -270,13 +217,13 @@ impl ThermalLoop {
         // 3. Power → heat.
         self.grid.step(window_ms / 1000.0, &self.power_buf);
         // 4. Heat → sensor counts → governor knob writes.
-        for i in 0..self.governors.len() {
+        for (i, governor) in self.governors.iter_mut().enumerate() {
             let node = NodeId::new(i as u16);
             if !self.platform.pe(node).is_alive() {
                 continue;
             }
             let count = self.sensors.read(node, self.grid.temps());
-            match self.governors[i].scan(count) {
+            match governor.scan(count) {
                 ThermalAction::None => {}
                 ThermalAction::SetFrequency(f) => self.platform.set_frequency(node, f),
                 ThermalAction::Shutdown => {
@@ -464,7 +411,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_rows() {
+    fn one_sample_per_window() {
         let mut sim = ThermalLoop::new(
             small_platform(100, NOMINAL_GEN),
             small_thermal(),
@@ -472,13 +419,7 @@ mod tests {
             1,
         );
         sim.run_ms(5.0);
-        let csv = sim.trace().to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next(),
-            Some("t_ms,max_temp_c,mean_temp_c,alive,mean_freq_mhz,completions,power_w")
-        );
-        assert_eq!(lines.count(), 5, "one row per 1 ms window");
+        assert_eq!(sim.trace().samples().len(), 5, "one sample per 1 ms window");
     }
 
     #[test]

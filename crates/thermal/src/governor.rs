@@ -12,8 +12,6 @@
 //!
 //! [`ThresholdUnit`]: sirtm_core::stimulus::ThresholdUnit
 
-use std::fmt;
-
 use sirtm_core::stimulus::ThresholdUnit;
 
 use crate::config::ThermalConfig;
@@ -28,39 +26,6 @@ pub enum ThermalAction {
     SetFrequency(u16),
     /// Thermal trip: kill the node before the silicon does it for us.
     Shutdown,
-}
-
-/// Per-node thermal controller: one scan per thermal window.
-///
-/// Implementations see only the raw sensor count — exactly what the
-/// hardware AIM would read from the fabric monitor.
-pub trait ThermalGovernor: fmt::Debug {
-    /// Short stable name used in reports ("off", "threshold", …).
-    fn name(&self) -> &'static str;
-
-    /// Consumes one sensor reading, returns the knob decision.
-    fn scan(&mut self, sensor_count: u32) -> ThermalAction;
-}
-
-/// The do-nothing governor (open loop / ablation baseline).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoGovernor;
-
-impl NoGovernor {
-    /// Creates the governor.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl ThermalGovernor for NoGovernor {
-    fn name(&self) -> &'static str {
-        "off"
-    }
-
-    fn scan(&mut self, _sensor_count: u32) -> ThermalAction {
-        ThermalAction::None
-    }
 }
 
 /// Tuning of the [`ThresholdGovernor`] and how [`ThermalLoop`] builds
@@ -126,14 +91,15 @@ impl GovernorConfig {
     }
 }
 
-/// The stimulus–threshold DVFS governor.
+/// The stimulus–threshold DVFS governor: one per node, one scan per
+/// thermal window.
 ///
 /// # Examples
 ///
 /// ```
 /// use sirtm_thermal::{
 ///     GovernorConfig, RingOscillator, SensorConfig, ThermalAction, ThermalConfig,
-///     ThermalGovernor, ThresholdGovernor,
+///     ThresholdGovernor,
 /// };
 ///
 /// let thermal = ThermalConfig::default();
@@ -222,14 +188,11 @@ impl ThresholdGovernor {
             .find(|&&f| f > self.freq_mhz && f <= self.ceiling_mhz)
             .copied()
     }
-}
 
-impl ThermalGovernor for ThresholdGovernor {
-    fn name(&self) -> &'static str {
-        "threshold"
-    }
-
-    fn scan(&mut self, sensor_count: u32) -> ThermalAction {
+    /// Consumes one raw sensor count — exactly what the hardware AIM
+    /// would read from the fabric monitor — and returns the knob
+    /// decision.
+    pub fn scan(&mut self, sensor_count: u32) -> ThermalAction {
         if self.tripped {
             return ThermalAction::None;
         }
@@ -372,15 +335,6 @@ mod tests {
         assert!(g.is_tripped());
         // A tripped governor is silent forever.
         assert_eq!(g.scan(critical), ThermalAction::None);
-    }
-
-    #[test]
-    fn no_governor_never_acts() {
-        let mut g = NoGovernor::new();
-        assert_eq!(g.name(), "off");
-        for count in [0, 1000, 5000] {
-            assert_eq!(g.scan(count), ThermalAction::None);
-        }
     }
 
     #[test]

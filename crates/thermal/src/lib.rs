@@ -71,7 +71,7 @@ pub mod sensor;
 
 pub use config::ThermalConfig;
 pub use coupling::{ThermalLoop, ThermalSample, ThermalTrace};
-pub use governor::{GovernorConfig, NoGovernor, ThermalAction, ThermalGovernor, ThresholdGovernor};
+pub use governor::{GovernorConfig, ThermalAction, ThresholdGovernor};
 pub use grid::ThermalGrid;
 pub use power::{PowerModel, PowerModelConfig};
 pub use scenario::{stress_graph, thermal_fault_scenario, ThermalScenario, ThermalScenarioReport};

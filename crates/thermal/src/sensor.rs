@@ -144,16 +144,6 @@ impl SensorBank {
         Self { oscillators }
     }
 
-    /// Number of sensors.
-    pub fn len(&self) -> usize {
-        self.oscillators.len()
-    }
-
-    /// Whether the bank is empty.
-    pub fn is_empty(&self) -> bool {
-        self.oscillators.is_empty()
-    }
-
     /// The oscillator instance at `node` (for calibrated conversions).
     ///
     /// # Panics

@@ -7,7 +7,7 @@ use sirtm_noc::NodeId;
 use sirtm_taskgraph::GridDims;
 use sirtm_thermal::{
     GovernorConfig, PowerModel, RingOscillator, SensorConfig, ThermalAction, ThermalConfig,
-    ThermalGovernor, ThermalGrid, ThresholdGovernor,
+    ThermalGrid, ThresholdGovernor,
 };
 
 fn small_cfg() -> ThermalConfig {

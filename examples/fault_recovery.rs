@@ -14,7 +14,7 @@
 //! cargo run --release --example fault_recovery
 //! ```
 
-use sirtm_centurion::{ExperimentController, Platform, PlatformConfig};
+use sirtm_centurion::{Platform, PlatformConfig};
 use sirtm_core::models::{FfwConfig, ModelKind};
 use sirtm_faults::{generators, FaultEvent, FaultKind, FaultSchedule};
 use sirtm_noc::NodeId;
@@ -28,7 +28,6 @@ fn main() {
     let mapping = Mapping::random_uniform(&graph, cfg.dims, &mut rng);
     let model = ModelKind::ForagingForWork(FfwConfig::default());
     let mut platform = Platform::new(graph, &mapping, &model, cfg.clone());
-    let controller = ExperimentController::new(cfg.dims);
 
     // A lifetime of trouble, compressed into 1.2 simulated seconds.
     let mut schedule = FaultSchedule::from_events(vec![
@@ -79,14 +78,10 @@ fn main() {
         let _ = window;
     }
 
-    // The controller's debug interface reads the survivors' state without
-    // touching the NoC.
-    let snapshots = controller.scan_grid(&platform);
-    let dead = snapshots.iter().filter(|s| !s.alive).count();
+    let alive = platform.alive_count();
     println!(
-        "\nsurvivors: {} of 128 ({} dead); the colony re-balanced itself after every event",
-        128 - dead,
-        dead
+        "\nsurvivors: {alive} of 128 ({} dead); the colony re-balanced itself after every event",
+        128 - alive
     );
     println!(
         "\nfinal task topology (A=task1, B=task2, C=task3, x=dead):\n{}",
