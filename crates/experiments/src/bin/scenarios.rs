@@ -831,12 +831,18 @@ fn dispatch_cmd(args: &Args) {
 /// [--chaos-seed S] [--chaos-rate PCT]`: the durability drill. Runs
 /// `--cycles` dispatch cycles of the same sweep under seeded fault
 /// injection (spawn refusals, mid-shard kills, frozen heartbeats,
-/// fetch errors, artefact corruption, checkpoint mutation at salvage
-/// handoff), damages a surviving checkpoint journal between cycles
+/// fetch errors, artefact corruption), damages a surviving checkpoint
+/// journal between cycles
 /// (alternating interior corruption and a torn tail, plus a stale
 /// `.tmp`), and dies on the first cycle whose merged artefact is not
 /// byte-identical to the clean single-process sweep. Injected-fault
 /// counts land in the dispatch report's `injected_faults` object.
+///
+/// No checkpoint is mutated at salvage handoff: `LocalProcess` workers
+/// share the work directory and hand over no journal
+/// (`fetch_checkpoint` returns `None`), so `handoff_pct` is never drawn
+/// against. Only the `Mock`-based unit tests in `chaos.rs` exercise
+/// handoff mutations.
 fn chaos_soak(args: &Args) {
     let sweep = resolve_sweep(args);
     if args.local == 0 {

@@ -11,7 +11,7 @@ use sirtm_scenario::ScenarioSpec;
 use sirtm_taskgraph::workloads::{fork_join, ForkJoinParams};
 use sirtm_taskgraph::Mapping;
 use sirtm_thermal::{
-    thermal_fault_scenario, GovernorConfig, ThermalConfig, ThermalLoop, ThermalScenario,
+    thermal_fault_scenario, ThermalConfig, ThermalLoop, ThermalScenario, TRIP_TEMP_C,
 };
 
 /// Everything the thermal extension measures.
@@ -62,23 +62,11 @@ pub fn run(seed: u64) -> ThermalExtResult {
     let platform_cfg = PlatformConfig::default();
     let thermal_cfg = ThermalConfig::default();
 
-    let mut open = ThermalLoop::new(
-        stress_platform(&platform_cfg),
-        thermal_cfg.clone(),
-        GovernorConfig {
-            enabled: false,
-            ..GovernorConfig::default()
-        },
-        seed,
-    );
+    let mut open = ThermalLoop::open(stress_platform(&platform_cfg), thermal_cfg.clone());
     open.run_ms(600.0);
 
-    let mut closed = ThermalLoop::new(
-        stress_platform(&platform_cfg),
-        thermal_cfg.clone(),
-        GovernorConfig::default(),
-        seed,
-    );
+    let mut closed =
+        ThermalLoop::governed(stress_platform(&platform_cfg), thermal_cfg.clone(), seed);
     closed.run_ms(600.0);
     let closed_last = closed
         .trace()
@@ -120,7 +108,7 @@ pub fn run(seed: u64) -> ThermalExtResult {
         closed_mean_freq_mhz: closed_last.mean_freq_mhz,
         closed_completions: closed.trace().total_completions(),
         closed_alive: closed.platform().alive_count(),
-        trip_c: thermal_cfg.trip_temp_c,
+        trip_c: TRIP_TEMP_C,
         scenario_victims: report.victims.len(),
         scenario_peak_c: report.peak_temp_c,
         before_rate,

@@ -1368,65 +1368,37 @@ pub fn dispatch(
     })
 }
 
-/// Emits the in-attempt `retry` instant on the worker's track.
-fn trace_retry(opts: &DispatchOptions, label: &str, op: &str, try_idx: u32) {
-    if let Some(tracer) = &opts.tracer {
-        tracer.instant(label, "retry", &[("op", op), ("try", &try_idx.to_string())]);
-    }
-}
-
-/// Calls `spawn` under the per-op retry budget of `opts.retry`, with
-/// deterministic backoff between tries. Tries beyond the first are
-/// accumulated into `retries` and traced as `retry` instants.
-fn spawn_with_retry(
+/// Calls `call` on `worker` up to `tries` times (at least once), with
+/// the deterministic backoff of `opts.retry` for `op` between tries.
+/// Tries beyond the first are accumulated into `retries` and traced as
+/// `retry` instants on the worker's track.
+fn with_retry<T>(
     worker: &mut dyn ShardTransport,
-    job: &ShardJob,
+    op: &str,
+    tries: u32,
     opts: &DispatchOptions,
     retries: &mut usize,
-) -> Result<(), String> {
-    let tries = opts.retry.spawn_tries.max(1);
+    mut call: impl FnMut(&mut dyn ShardTransport) -> Result<T, String>,
+) -> Result<T, String> {
+    let tries = tries.max(1);
     let mut last = String::new();
     for t in 0..tries {
         if t > 0 {
             *retries += 1;
-            trace_retry(opts, worker.label(), "spawn", t);
+            if let Some(tracer) = &opts.tracer {
+                tracer.instant(
+                    worker.label(),
+                    "retry",
+                    &[("op", op), ("try", &t.to_string())],
+                );
+            }
         }
-        let wait = opts.retry.delay("spawn", worker.label(), t);
+        let wait = opts.retry.delay(op, worker.label(), t);
         if !wait.is_zero() {
             std::thread::sleep(wait);
         }
-        match worker.spawn(job) {
-            Ok(()) => return Ok(()),
-            Err(e) => last = e,
-        }
-    }
-    if tries > 1 {
-        Err(format!("{last} (after {tries} tries)"))
-    } else {
-        Err(last)
-    }
-}
-
-/// Calls `fetch` under the per-op retry budget of `opts.retry`.
-fn fetch_with_retry(
-    worker: &mut dyn ShardTransport,
-    job: &ShardJob,
-    opts: &DispatchOptions,
-    retries: &mut usize,
-) -> Result<ShardResult, String> {
-    let tries = opts.retry.fetch_tries.max(1);
-    let mut last = String::new();
-    for t in 0..tries {
-        if t > 0 {
-            *retries += 1;
-            trace_retry(opts, worker.label(), "fetch", t);
-        }
-        let wait = opts.retry.delay("fetch", worker.label(), t);
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
-        match worker.fetch(job) {
-            Ok(result) => return Ok(result),
+        match call(worker) {
+            Ok(value) => return Ok(value),
             Err(e) => last = e,
         }
     }
@@ -1462,7 +1434,14 @@ fn dispatch_loop(
                 // Best-effort: a failed staging just recomputes runs.
                 let _ = worker.seed_checkpoint(job, &journal);
             }
-            match spawn_with_retry(worker.as_mut(), job, opts, &mut ledger.workers[w].retries) {
+            match with_retry(
+                worker.as_mut(),
+                "spawn",
+                opts.retry.spawn_tries,
+                opts,
+                &mut ledger.workers[w].retries,
+                |worker| worker.spawn(job),
+            ) {
                 Ok(()) => {
                     let span = opts.tracer.as_ref().map(|t| {
                         let mut span = t.span(worker.label(), "attempt");
@@ -1569,11 +1548,13 @@ fn dispatch_loop(
                     let Some(mut slot) = busy[w].take() else {
                         continue;
                     };
-                    match fetch_with_retry(
+                    match with_retry(
                         worker.as_mut(),
-                        job,
+                        "fetch",
+                        opts.retry.fetch_tries,
                         opts,
                         &mut ledger.workers[w].retries,
+                        |worker| worker.fetch(job),
                     ) {
                         Ok(result)
                             if result.fingerprint == job.fingerprint && result.plan == job.plan =>

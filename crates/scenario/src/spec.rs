@@ -384,7 +384,7 @@ impl ScenarioSpec {
             if n > max {
                 return Err(format!(
                     "model `{}` supports at most {max} tasks, but the workload has {n}",
-                    model_name(&self.model)
+                    self.model.name()
                 ));
             }
         }
@@ -471,7 +471,7 @@ impl ScenarioSpec {
                 "cycles_per_ms",
                 Json::Num(self.platform.cycles_per_ms as f64),
             ),
-            ("model", Json::Str(model_name(&self.model).to_string())),
+            ("model", Json::Str(self.model.name().to_string())),
             ("workload", workload_to_json(&self.workload)),
             ("mapping", Json::Str(mapping_name(self.mapping).to_string())),
             ("duration_ms", Json::Num(self.duration_ms)),
@@ -564,11 +564,6 @@ impl ScenarioSpec {
     pub fn from_json_text(text: &str) -> Result<Self, String> {
         Self::from_json(&crate::json::parse(text)?)
     }
-}
-
-/// The spec-level model name (the `ModelKind` report name).
-pub fn model_name(model: &ModelKind) -> &'static str {
-    model.name()
 }
 
 /// Resolves a model report name to a `ModelKind` with default tuning.

@@ -25,9 +25,7 @@ use sirtm_taskgraph::GridDims;
 
 use crate::json::Json;
 use crate::run::{run_group, RunOutcome, RunSummary};
-use crate::spec::{
-    grid_from_json, model_from_name, model_name, EventAction, EventSpec, ScenarioSpec,
-};
+use crate::spec::{grid_from_json, model_from_name, EventAction, EventSpec, ScenarioSpec};
 use crate::stats::{OnlineStats, Quartiles};
 
 /// One swept dimension. Applying a value mutates a copy of the base
@@ -85,7 +83,7 @@ impl Axis {
     /// Panics if `i` is out of range.
     pub fn value_label(&self, i: usize) -> String {
         match self {
-            Axis::Model(v) => model_name(&v[i]).to_string(),
+            Axis::Model(v) => v[i].name().to_string(),
             Axis::RandomFaults { counts, .. } => counts[i].to_string(),
             Axis::Grid(v) => format!("{}x{}", v[i].width(), v[i].height()),
             Axis::Duration(v) => format!("{}", v[i]),
@@ -326,7 +324,7 @@ fn axis_to_json(axis: &Axis) -> Json {
                 Json::Arr(
                     models
                         .iter()
-                        .map(|m| Json::Str(model_name(m).to_string()))
+                        .map(|m| Json::Str(m.name().to_string()))
                         .collect(),
                 ),
             ),

@@ -9,9 +9,10 @@
 //! list. Inserting, removing or reordering other events therefore never
 //! perturbs an event's victim set (see `docs/determinism.md` for the
 //! stream-id scheme). Thermal events run their physics pre-run during
-//! compilation — memoized process-wide, since the pre-run is a pure
-//! function of the grid, the event parameters and the instant, not of
-//! the run seed — so execution itself stays a pure fault application.
+//! compilation — memoized process-wide, since the victim set is a pure
+//! function of the grid and the event parameters, not of the run seed
+//! or the instant the event fires — so execution itself stays a pure
+//! fault application.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -53,7 +54,6 @@ struct ThermalKey {
     generation_period: u32,
     runaway_bits: u64,
     overclock_rows: Option<(u16, u16)>,
-    at: Cycle,
 }
 
 // An ordered map (detlint D1): the cache is keyed-access only today,
@@ -70,8 +70,9 @@ static THERMAL_CACHE: OnceLock<Mutex<ThermalCache>> = OnceLock::new();
 
 /// `(hits, misses)` counters of the process-wide thermal victim-set
 /// cache. The physics pre-run of a [`ThermalEventSpec`] depends only on
-/// the grid, the event parameters and the firing instant — never on the
-/// run seed — so every replicate of the same cell shares one computed
+/// the grid and the event parameters — never on the run seed or the
+/// firing instant — so every replicate of the same cell, and every
+/// event with the same physics at another instant, shares one computed
 /// victim set. `tests` use the counters to assert the cache is
 /// observationally transparent.
 pub fn thermal_cache_stats() -> (u64, u64) {
@@ -80,9 +81,9 @@ pub fn thermal_cache_stats() -> (u64, u64) {
     (c.hits, c.misses)
 }
 
-/// The memoized thermal pre-run: returns the victim set for `(dims, t,
-/// at)`, computing it at most once per process.
-fn thermal_victims(dims: GridDims, t: &ThermalEventSpec, at: Cycle) -> Vec<NodeId> {
+/// The memoized thermal pre-run: returns the victim set for `(dims, t)`,
+/// computing it at most once per process.
+fn thermal_victims(dims: GridDims, t: &ThermalEventSpec) -> Vec<NodeId> {
     let key = ThermalKey {
         width: dims.width(),
         height: dims.height(),
@@ -90,7 +91,6 @@ fn thermal_victims(dims: GridDims, t: &ThermalEventSpec, at: Cycle) -> Vec<NodeI
         generation_period: t.generation_period,
         runaway_bits: t.runaway_ms.to_bits(),
         overclock_rows: t.overclock_rows,
-        at,
     };
     let cache = THERMAL_CACHE.get_or_init(Mutex::default);
     {
@@ -112,13 +112,10 @@ fn thermal_victims(dims: GridDims, t: &ThermalEventSpec, at: Cycle) -> Vec<NodeI
         generation_period: t.generation_period,
         runaway_ms: t.runaway_ms,
         overclock_rows: t.overclock_rows,
-        ..ThermalScenario::default()
     };
-    let thermal = ThermalConfig {
-        dims,
-        ..ThermalConfig::default()
-    };
-    let (_, report) = thermal_fault_scenario(&scenario, &thermal, at);
+    let thermal = ThermalConfig { dims };
+    // The returned schedule is dropped, so its firing cycle is moot.
+    let (_, report) = thermal_fault_scenario(&scenario, &thermal, 0);
     let victims = report.victim_nodes();
     let mut c = cache.lock().expect("thermal cache poisoned");
     c.misses += 1;
@@ -246,7 +243,7 @@ impl Timeline {
                     EventAction::ThermalFaults(t) => {
                         thermal_solves += 1;
                         CompiledAction::Faults(
-                            thermal_victims(dims, t, at)
+                            thermal_victims(dims, t)
                                 .into_iter()
                                 .map(|node| Fault {
                                     node,
@@ -357,6 +354,16 @@ mod tests {
         spec.duration_ms = 100.0;
         spec.events = events;
         spec
+    }
+
+    /// Victim sets the process-wide thermal cache holds for `dims`.
+    fn cached_victim_sets(dims: GridDims) -> usize {
+        let cache = THERMAL_CACHE.get_or_init(Mutex::default);
+        let c = cache.lock().expect("thermal cache poisoned");
+        c.map
+            .keys()
+            .filter(|k| (k.width, k.height) == (dims.width(), dims.height()))
+            .count()
     }
 
     #[test]
@@ -486,12 +493,8 @@ mod tests {
             generation_period: event.generation_period,
             runaway_ms: event.runaway_ms,
             overclock_rows: event.overclock_rows,
-            ..ThermalScenario::default()
         };
-        let thermal = ThermalConfig {
-            dims: spec.grid(),
-            ..ThermalConfig::default()
-        };
+        let thermal = ThermalConfig { dims: spec.grid() };
         let (_, report) =
             thermal_fault_scenario(&scenario, &thermal, spec.platform.ms_to_cycles(10.0));
         let fresh: Vec<Fault> = report
@@ -503,6 +506,35 @@ mod tests {
             })
             .collect();
         assert_eq!(first.events()[0].action, CompiledAction::Faults(fresh));
+    }
+
+    #[test]
+    fn thermal_events_at_different_instants_share_one_pre_run() {
+        // A grid no other test uses, so its cache entries are ours.
+        let dims = GridDims::new(5, 7);
+        let event = ThermalEventSpec {
+            runaway_ms: 40.0,
+            ..ThermalEventSpec::default()
+        };
+        let mut spec = small_spec(
+            [10.0, 30.0]
+                .map(|at_ms| EventSpec {
+                    at_ms,
+                    action: EventAction::ThermalFaults(event.clone()),
+                })
+                .to_vec(),
+        );
+        spec.platform.dims = dims;
+        let (hits_before, misses_before) = thermal_cache_stats();
+        let t = Timeline::compile(&spec, 1);
+        let (hits_after, misses_after) = thermal_cache_stats();
+        assert_eq!(t.thermal_solves(), 2, "both events are counted");
+        assert_eq!(t.events()[0].action, t.events()[1].action);
+        // The process-wide counters also move with concurrent tests, so
+        // the one miss is read off this grid's cache entries.
+        assert_eq!(cached_victim_sets(dims), 1, "one miss for two instants");
+        assert!(misses_after > misses_before, "the first instant missed");
+        assert!(hits_after > hits_before, "the second instant hit");
     }
 
     #[test]

@@ -1,109 +1,80 @@
-//! Thermal-network configuration.
+//! The die's thermal constants and the one thing a run may vary: its
+//! grid.
+//!
+//! Every tile is one thermal cell with heat capacity
+//! [`CELL_CAPACITY_J_PER_K`], a lateral conductance
+//! [`LATERAL_CONDUCTANCE_W_PER_K`] to each of its four grid neighbours,
+//! and a vertical conductance [`VERTICAL_CONDUCTANCE_W_PER_K`] into an
+//! infinite heatsink at [`AMBIENT_C`]. The values are calibrated so a
+//! fully loaded tile at the 100 MHz nominal clock settles ≈ 20 K above
+//! ambient, while an unthrottled 300 MHz tile (≈ 5× the dynamic power
+//! after the voltage scaling of [`PowerModel`]) blows through
+//! [`TRIP_TEMP_C`] — the regime the paper's "thermal issue" fault
+//! scenario lives in.
+//!
+//! [`PowerModel`]: crate::power::PowerModel
 
 use sirtm_taskgraph::GridDims;
 
-/// Physical parameters of the lumped RC thermal network.
+/// Heat capacity of one tile cell, in J/K.
+pub const CELL_CAPACITY_J_PER_K: f64 = 1.5e-3;
+/// Conductance to each lateral neighbour, in W/K.
+pub const LATERAL_CONDUCTANCE_W_PER_K: f64 = 0.010;
+/// Conductance into the heatsink/ambient, in W/K.
+pub const VERTICAL_CONDUCTANCE_W_PER_K: f64 = 0.0075;
+/// Heatsink/ambient temperature, in °C.
+pub const AMBIENT_C: f64 = 45.0;
+/// Integration step of the explicit-Euler solver, in seconds. The
+/// solver sub-steps longer intervals; see [`ThermalGrid::step`].
 ///
-/// Every tile is one thermal cell with heat capacity
-/// [`cell_capacity_j_per_k`], a lateral conductance
-/// [`lateral_conductance_w_per_k`] to each of its four grid neighbours,
-/// and a vertical conductance [`vertical_conductance_w_per_k`] into an
-/// infinite heatsink at [`ambient_c`]. Defaults are calibrated so a
-/// fully loaded tile at the 100 MHz nominal clock settles ≈ 20 K above
-/// ambient, while an unthrottled 300 MHz tile (≈ 5× the dynamic power
-/// after the voltage scaling of [`PowerModelConfig`]) blows through the
-/// critical temperature — the regime the paper's "thermal issue" fault
-/// scenario lives in.
-///
-/// [`cell_capacity_j_per_k`]: ThermalConfig::cell_capacity_j_per_k
-/// [`lateral_conductance_w_per_k`]: ThermalConfig::lateral_conductance_w_per_k
-/// [`vertical_conductance_w_per_k`]: ThermalConfig::vertical_conductance_w_per_k
-/// [`ambient_c`]: ThermalConfig::ambient_c
-/// [`PowerModelConfig`]: crate::power::PowerModelConfig
+/// [`ThermalGrid::step`]: crate::grid::ThermalGrid::step
+pub const DT_S: f64 = 1.0e-3;
+/// Warning temperature (°C): governors begin throttling here.
+pub const WARN_TEMP_C: f64 = 85.0;
+/// Critical trip temperature (°C): sustained operation above this
+/// kills the node (the thermal fault model).
+pub const TRIP_TEMP_C: f64 = 110.0;
+
+/// The thermal time constant `C / g_vertical` of an isolated cell, in
+/// seconds — how fast a tile relaxes towards its own steady state.
+pub const TIME_CONSTANT_S: f64 = CELL_CAPACITY_J_PER_K / VERTICAL_CONDUCTANCE_W_PER_K;
+
+/// The largest explicit-Euler step that keeps the solver stable:
+/// `C / (g_vertical + 4·g_lateral)`.
+const STABLE_DT_S: f64 =
+    CELL_CAPACITY_J_PER_K / (VERTICAL_CONDUCTANCE_W_PER_K + 4.0 * LATERAL_CONDUCTANCE_W_PER_K);
+
+const _: () = assert!(
+    DT_S <= STABLE_DT_S,
+    "DT_S exceeds the explicit-Euler stability bound"
+);
+const _: () = assert!(
+    WARN_TEMP_C < TRIP_TEMP_C,
+    "warn temperature must be below trip temperature"
+);
+
+/// The die layout of a thermal network. Everything else about the die
+/// is a constant of this module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThermalConfig {
     /// Die layout (must match the platform grid when coupled).
     pub dims: GridDims,
-    /// Heat capacity of one tile cell, in J/K.
-    pub cell_capacity_j_per_k: f64,
-    /// Conductance to each lateral neighbour, in W/K.
-    pub lateral_conductance_w_per_k: f64,
-    /// Conductance into the heatsink/ambient, in W/K.
-    pub vertical_conductance_w_per_k: f64,
-    /// Heatsink/ambient temperature, in °C.
-    pub ambient_c: f64,
-    /// Integration step of the explicit-Euler solver, in seconds. The
-    /// solver sub-steps longer intervals; see [`ThermalGrid::step`].
-    ///
-    /// [`ThermalGrid::step`]: crate::grid::ThermalGrid::step
-    pub dt_s: f64,
-    /// Warning temperature (°C): governors begin throttling here.
-    pub warn_temp_c: f64,
-    /// Critical trip temperature (°C): sustained operation above this
-    /// kills the node (the thermal fault model).
-    pub trip_temp_c: f64,
 }
 
 impl Default for ThermalConfig {
+    /// The paper's 8×16 die.
     fn default() -> Self {
         Self {
             dims: GridDims::new(8, 16),
-            cell_capacity_j_per_k: 1.5e-3,
-            lateral_conductance_w_per_k: 0.010,
-            vertical_conductance_w_per_k: 0.0075,
-            ambient_c: 45.0,
-            dt_s: 1.0e-3,
-            warn_temp_c: 85.0,
-            trip_temp_c: 110.0,
         }
     }
 }
 
 impl ThermalConfig {
-    /// The thermal time constant `C / g_vertical` of an isolated cell, in
-    /// seconds — how fast a tile relaxes towards its own steady state.
-    pub fn time_constant_s(&self) -> f64 {
-        self.cell_capacity_j_per_k / self.vertical_conductance_w_per_k
-    }
-
     /// The largest explicit-Euler step that keeps the solver stable:
-    /// `C / (g_vertical + 4·g_lateral)`.
+    /// `C / (g_vertical + 4·g_lateral)`, in seconds.
     pub fn stable_dt_s(&self) -> f64 {
-        self.cell_capacity_j_per_k
-            / (self.vertical_conductance_w_per_k + 4.0 * self.lateral_conductance_w_per_k)
-    }
-
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive capacities/conductances, a `dt_s` that
-    /// violates the explicit-Euler stability bound, or an inverted
-    /// warn/trip ordering — all construction-time programming errors.
-    pub fn validate(&self) {
-        assert!(
-            self.cell_capacity_j_per_k > 0.0,
-            "cell capacity must be positive"
-        );
-        assert!(
-            self.lateral_conductance_w_per_k >= 0.0,
-            "lateral conductance must be non-negative"
-        );
-        assert!(
-            self.vertical_conductance_w_per_k >= 0.0,
-            "vertical conductance must be non-negative"
-        );
-        assert!(self.dt_s > 0.0, "dt must be positive");
-        assert!(
-            self.dt_s <= self.stable_dt_s(),
-            "dt {} s exceeds the explicit-Euler stability bound {} s",
-            self.dt_s,
-            self.stable_dt_s()
-        );
-        assert!(
-            self.warn_temp_c < self.trip_temp_c,
-            "warn temperature must be below trip temperature"
-        );
+        STABLE_DT_S
     }
 }
 
@@ -113,44 +84,19 @@ mod tests {
 
     #[test]
     fn default_is_valid() {
-        let cfg = ThermalConfig::default();
-        cfg.validate();
-        assert_eq!(cfg.dims.len(), 128);
+        assert_eq!(ThermalConfig::default().dims.len(), 128);
     }
 
     #[test]
     fn default_time_constant_is_hundreds_of_ms() {
-        let cfg = ThermalConfig::default();
-        let tau = cfg.time_constant_s();
         assert!(
-            (0.05..=1.0).contains(&tau),
-            "tau {tau} s should make 1000 ms experiments reach steady state"
+            (0.05..=1.0).contains(&TIME_CONSTANT_S),
+            "tau {TIME_CONSTANT_S} s should make 1000 ms experiments reach steady state"
         );
     }
 
     #[test]
     fn stable_dt_larger_than_default_dt() {
-        let cfg = ThermalConfig::default();
-        assert!(cfg.dt_s < cfg.stable_dt_s());
-    }
-
-    #[test]
-    #[should_panic(expected = "stability bound")]
-    fn unstable_dt_rejected() {
-        let cfg = ThermalConfig {
-            dt_s: 10.0,
-            ..ThermalConfig::default()
-        };
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "warn temperature")]
-    fn inverted_warn_trip_rejected() {
-        let cfg = ThermalConfig {
-            warn_temp_c: 120.0,
-            ..ThermalConfig::default()
-        };
-        cfg.validate();
+        assert!(DT_S < ThermalConfig::default().stable_dt_s());
     }
 }

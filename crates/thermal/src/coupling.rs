@@ -9,14 +9,14 @@
 //! counts, and the per-node governors turn counts back into DVFS and
 //! shutdown knob writes.
 
-use sirtm_centurion::{Platform, FREQ_RANGE_MHZ, NOMINAL_MHZ};
+use sirtm_centurion::Platform;
 use sirtm_noc::NodeId;
 
 use crate::config::ThermalConfig;
-use crate::governor::{GovernorConfig, ThermalAction, ThresholdGovernor};
+use crate::governor::{ThermalAction, ThresholdGovernor};
 use crate::grid::ThermalGrid;
-use crate::power::{PowerModel, PowerModelConfig};
-use crate::sensor::{SensorBank, SensorConfig};
+use crate::power::PowerModel;
+use crate::sensor::SensorBank;
 
 /// One recorded co-simulation window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,12 +78,10 @@ const WINDOW_MS: f64 = 1.0;
 #[derive(Debug)]
 pub struct ThermalLoop {
     platform: Platform,
-    thermal_cfg: ThermalConfig,
-    power: PowerModel,
     grid: ThermalGrid,
-    sensors: SensorBank,
-    /// One governor per node, or none in an open loop.
-    governors: Vec<ThresholdGovernor>,
+    /// The sensor bank and one governor per node, or none in an open
+    /// loop.
+    control: Option<(SensorBank, Vec<ThresholdGovernor>)>,
     prev_busy: Vec<u64>,
     prev_completions: u64,
     power_buf: Vec<f64>,
@@ -91,64 +89,55 @@ pub struct ThermalLoop {
 }
 
 impl ThermalLoop {
-    /// Builds the loop around `platform` with default sensors and a
-    /// power model matched to the platform's nominal clock and DVFS
-    /// range. Each node gets a governor built from `governor_cfg`
-    /// unless it is disabled (open loop); `sensor_seed` draws the
-    /// sensors' process variation.
+    /// Builds an open loop around `platform`: physics only, with no
+    /// sensors and no governors.
     ///
     /// # Panics
     ///
     /// Panics if the thermal grid dimensions differ from the platform's.
-    pub fn new(
-        platform: Platform,
-        thermal_cfg: ThermalConfig,
-        governor_cfg: GovernorConfig,
-        sensor_seed: u64,
-    ) -> Self {
+    pub fn open(platform: Platform, cfg: ThermalConfig) -> Self {
         let n = platform.config().dims.len();
         assert_eq!(
-            thermal_cfg.dims,
+            cfg.dims,
             platform.config().dims,
             "thermal grid dimensions must match the platform"
         );
-        let power = PowerModel::new(PowerModelConfig {
-            nominal_mhz: NOMINAL_MHZ,
-            freq_range_mhz: FREQ_RANGE_MHZ,
-            ..PowerModelConfig::default()
-        });
-        let sensors = SensorBank::new(SensorConfig::default(), n, sensor_seed);
-        let grid = ThermalGrid::new(thermal_cfg.clone());
-        let governors = if governor_cfg.enabled {
-            (0..n)
-                .map(|i| {
-                    let node = NodeId::new(i as u16);
-                    ThresholdGovernor::new(
-                        &governor_cfg,
-                        &thermal_cfg,
-                        sensors.oscillator(node),
-                        platform.pe(node).frequency_mhz(),
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let prev_busy = (0..n)
             .map(|i| platform.busy_cycles(NodeId::new(i as u16)))
             .collect();
         Self {
             prev_completions: platform.completions_total(),
             platform,
-            thermal_cfg,
-            power,
-            grid,
-            sensors,
-            governors,
+            grid: ThermalGrid::new(cfg),
+            control: None,
             prev_busy,
             power_buf: vec![0.0; n],
             trace: ThermalTrace::default(),
         }
+    }
+
+    /// Builds a closed loop around `platform`: every node gets a ring
+    /// oscillator, whose process variation `sensor_seed` draws, and a
+    /// [`ThresholdGovernor`] capped at the node's current clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the thermal grid dimensions differ from the platform's.
+    pub fn governed(platform: Platform, cfg: ThermalConfig, sensor_seed: u64) -> Self {
+        let mut sim = Self::open(platform, cfg);
+        let n = sim.grid.len();
+        let sensors = SensorBank::new(n, sensor_seed);
+        let governors = (0..n)
+            .map(|i| {
+                let node = NodeId::new(i as u16);
+                ThresholdGovernor::new(
+                    sensors.oscillator(node),
+                    sim.platform.pe(node).frequency_mhz(),
+                )
+            })
+            .collect();
+        sim.control = Some((sensors, governors));
+        sim
     }
 
     /// The wrapped platform.
@@ -161,24 +150,14 @@ impl ThermalLoop {
         &self.grid
     }
 
-    /// The sensor bank.
-    pub fn sensors(&self) -> &SensorBank {
-        &self.sensors
-    }
-
-    /// The thermal configuration.
-    pub fn thermal_config(&self) -> &ThermalConfig {
-        &self.thermal_cfg
+    /// The sensor bank of a governed loop; `None` in an open loop.
+    pub fn sensors(&self) -> Option<&SensorBank> {
+        self.control.as_ref().map(|(sensors, _)| sensors)
     }
 
     /// The recorded trace.
     pub fn trace(&self) -> &ThermalTrace {
         &self.trace
-    }
-
-    /// Nodes shut down by their governor so far, oldest first.
-    pub fn tripped_nodes(&self) -> Vec<NodeId> {
-        self.trace.trips.iter().map(|&(_, n)| n).collect()
     }
 
     /// Runs the co-simulation for `ms` simulated milliseconds.
@@ -206,10 +185,10 @@ impl ThermalLoop {
                 let duty =
                     ((busy - self.prev_busy[i]) as f64 / window_cycles as f64).clamp(0.0, 1.0);
                 self.prev_busy[i] = busy;
-                self.power.power_w(pe.frequency_mhz(), duty, temp)
+                PowerModel.power_w(pe.frequency_mhz(), duty, temp)
             } else {
                 self.prev_busy[i] = self.platform.busy_cycles(node);
-                self.power.dead_power_w(temp)
+                PowerModel.dead_power_w(temp)
             };
             self.power_buf[i] = p;
             total_power += p;
@@ -217,18 +196,20 @@ impl ThermalLoop {
         // 3. Power → heat.
         self.grid.step(window_ms / 1000.0, &self.power_buf);
         // 4. Heat → sensor counts → governor knob writes.
-        for (i, governor) in self.governors.iter_mut().enumerate() {
-            let node = NodeId::new(i as u16);
-            if !self.platform.pe(node).is_alive() {
-                continue;
-            }
-            let count = self.sensors.read(node, self.grid.temps());
-            match governor.scan(count) {
-                ThermalAction::None => {}
-                ThermalAction::SetFrequency(f) => self.platform.set_frequency(node, f),
-                ThermalAction::Shutdown => {
-                    self.platform.kill_pe(node);
-                    self.trace.trips.push((self.platform.now_ms(), node));
+        if let Some((sensors, governors)) = &mut self.control {
+            for (i, governor) in governors.iter_mut().enumerate() {
+                let node = NodeId::new(i as u16);
+                if !self.platform.pe(node).is_alive() {
+                    continue;
+                }
+                let count = sensors.read(node, self.grid.temps());
+                match governor.scan(count) {
+                    ThermalAction::None => {}
+                    ThermalAction::SetFrequency(f) => self.platform.set_frequency(node, f),
+                    ThermalAction::Shutdown => {
+                        self.platform.kill_pe(node);
+                        self.trace.trips.push((self.platform.now_ms(), node));
+                    }
                 }
             }
         }
@@ -263,6 +244,7 @@ impl ThermalLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{AMBIENT_C, TRIP_TEMP_C};
     use sirtm_centurion::PlatformConfig;
     use sirtm_core::models::ModelKind;
     use sirtm_taskgraph::workloads::{fork_join, ForkJoinParams};
@@ -293,24 +275,15 @@ mod tests {
     fn small_thermal() -> ThermalConfig {
         ThermalConfig {
             dims: GridDims::new(4, 4),
-            ..ThermalConfig::default()
         }
     }
 
     #[test]
     fn platform_work_heats_the_die() {
-        let mut sim = ThermalLoop::new(
-            small_platform(100, NOMINAL_GEN),
-            small_thermal(),
-            GovernorConfig {
-                enabled: false,
-                ..GovernorConfig::default()
-            },
-            1,
-        );
+        let mut sim = ThermalLoop::open(small_platform(100, NOMINAL_GEN), small_thermal());
         sim.run_ms(300.0);
         assert!(
-            sim.grid().mean_temp() > sim.thermal_config().ambient_c + 1.0,
+            sim.grid().mean_temp() > AMBIENT_C + 1.0,
             "mean {} vs ambient",
             sim.grid().mean_temp()
         );
@@ -319,36 +292,23 @@ mod tests {
 
     #[test]
     fn open_loop_overclock_exceeds_trip_temperature() {
-        let mut sim = ThermalLoop::new(
-            small_platform(300, STRESS_GEN),
-            small_thermal(),
-            GovernorConfig {
-                enabled: false,
-                ..GovernorConfig::default()
-            },
-            1,
-        );
+        let mut sim = ThermalLoop::open(small_platform(300, STRESS_GEN), small_thermal());
         sim.run_ms(800.0);
         assert!(
-            sim.trace().peak_temp_c() > sim.thermal_config().trip_temp_c,
+            sim.trace().peak_temp_c() > TRIP_TEMP_C,
             "peak {} should blow through trip — that is the scenario the \
              paper's thermal fault case models",
             sim.trace().peak_temp_c()
         );
-        assert!(sim.tripped_nodes().is_empty(), "nobody there to trip");
+        assert!(sim.trace().trips().is_empty(), "nobody there to trip");
     }
 
     #[test]
     fn closed_loop_keeps_the_die_below_trip() {
-        let mut sim = ThermalLoop::new(
-            small_platform(300, STRESS_GEN),
-            small_thermal(),
-            GovernorConfig::default(),
-            1,
-        );
+        let mut sim = ThermalLoop::governed(small_platform(300, STRESS_GEN), small_thermal(), 1);
         sim.run_ms(800.0);
         assert!(
-            sim.trace().peak_temp_c() < sim.thermal_config().trip_temp_c,
+            sim.trace().peak_temp_c() < TRIP_TEMP_C,
             "peak {} must stay below trip under governance",
             sim.trace().peak_temp_c()
         );
@@ -364,21 +324,9 @@ mod tests {
 
     #[test]
     fn governed_run_keeps_computing() {
-        let mut open = ThermalLoop::new(
-            small_platform(100, NOMINAL_GEN),
-            small_thermal(),
-            GovernorConfig {
-                enabled: false,
-                ..GovernorConfig::default()
-            },
-            1,
-        );
-        let mut closed = ThermalLoop::new(
-            small_platform(100, NOMINAL_GEN),
-            small_thermal(),
-            GovernorConfig::default(),
-            1,
-        );
+        let mut open = ThermalLoop::open(small_platform(100, NOMINAL_GEN), small_thermal());
+        let mut closed =
+            ThermalLoop::governed(small_platform(100, NOMINAL_GEN), small_thermal(), 1);
         open.run_ms(400.0);
         closed.run_ms(400.0);
         // At nominal clock the die never reaches warn, so the governor
@@ -393,18 +341,14 @@ mod tests {
     #[test]
     fn deterministic_replay() {
         let run = || {
-            let mut sim = ThermalLoop::new(
-                small_platform(300, STRESS_GEN),
-                small_thermal(),
-                GovernorConfig::default(),
-                9,
-            );
+            let mut sim =
+                ThermalLoop::governed(small_platform(300, STRESS_GEN), small_thermal(), 9);
             sim.run_ms(400.0);
             (
                 sim.trace().samples().len(),
                 sim.trace().peak_temp_c().to_bits(),
                 sim.trace().total_completions(),
-                sim.tripped_nodes(),
+                sim.trace().trips().to_vec(),
             )
         };
         assert_eq!(run(), run());
@@ -412,12 +356,7 @@ mod tests {
 
     #[test]
     fn one_sample_per_window() {
-        let mut sim = ThermalLoop::new(
-            small_platform(100, NOMINAL_GEN),
-            small_thermal(),
-            GovernorConfig::default(),
-            1,
-        );
+        let mut sim = ThermalLoop::governed(small_platform(100, NOMINAL_GEN), small_thermal(), 1);
         sim.run_ms(5.0);
         assert_eq!(sim.trace().samples().len(), 5, "one sample per 1 ms window");
     }
@@ -425,11 +364,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "match the platform")]
     fn mismatched_grid_rejected() {
-        let _ = ThermalLoop::new(
-            small_platform(100, NOMINAL_GEN),
-            ThermalConfig::default(), // 8x16 vs the platform's 4x4
-            GovernorConfig::default(),
-            1,
-        );
+        // 8x16 vs the platform's 4x4.
+        let _ = ThermalLoop::open(small_platform(100, NOMINAL_GEN), ThermalConfig::default());
     }
 }

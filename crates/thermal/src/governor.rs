@@ -14,7 +14,9 @@
 
 use sirtm_core::stimulus::ThresholdUnit;
 
-use crate::config::ThermalConfig;
+use sirtm_centurion::FREQ_RANGE_MHZ;
+
+use crate::config::{TRIP_TEMP_C, WARN_TEMP_C};
 use crate::sensor::RingOscillator;
 
 /// A governor's decision for one node after one sensor scan.
@@ -28,68 +30,35 @@ pub enum ThermalAction {
     Shutdown,
 }
 
-/// Tuning of the [`ThresholdGovernor`] and how [`ThermalLoop`] builds
-/// governors.
-///
-/// [`ThermalLoop`]: crate::coupling::ThermalLoop
-#[derive(Debug, Clone, PartialEq)]
-pub struct GovernorConfig {
-    /// Whether the loop runs governors at all (`false` = open loop).
-    pub enabled: bool,
-    /// Ascending DVFS ladder the governor steps along, in MHz.
-    pub freq_ladder: Vec<u16>,
-    /// Hot scans (sensor at/above warn) needed to fire a down-step.
-    pub hot_fire: u32,
-    /// Cool scans (sensor below recover point) needed to fire an up-step.
-    /// Much larger than [`hot_fire`]: throttling must react fast,
-    /// recovery may be lazy.
-    ///
-    /// [`hot_fire`]: GovernorConfig::hot_fire
-    pub cool_fire: u32,
-    /// Recovery margin below the warn temperature, in K (hysteresis band).
-    pub recover_margin_k: f64,
-    /// Consecutive scans at/above trip temperature before shutdown.
-    pub trip_persistence: u32,
-}
+/// Ascending DVFS ladder the governor steps along, in MHz. Its ends
+/// are the platform's DVFS range.
+pub const FREQ_LADDER_MHZ: [u16; 9] = [10, 25, 50, 75, 100, 150, 200, 250, 300];
+/// Hot scans (sensor at/above warn) needed to fire a down-step.
+pub const HOT_FIRE: u32 = 3;
+/// Cool scans (sensor below recover point) needed to fire an up-step.
+/// Much larger than [`HOT_FIRE`]: throttling must react fast, recovery
+/// may be lazy.
+pub const COOL_FIRE: u32 = 25;
+/// Recovery margin below [`WARN_TEMP_C`], in K (hysteresis band).
+pub const RECOVER_MARGIN_K: f64 = 10.0;
+/// Consecutive scans at/above [`TRIP_TEMP_C`] before shutdown.
+pub const TRIP_PERSISTENCE: u32 = 3;
 
-impl Default for GovernorConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            freq_ladder: vec![10, 25, 50, 75, 100, 150, 200, 250, 300],
-            hot_fire: 3,
-            cool_fire: 25,
-            recover_margin_k: 10.0,
-            trip_persistence: 3,
-        }
+const _: () = {
+    assert!(
+        FREQ_LADDER_MHZ[0] == FREQ_RANGE_MHZ.0
+            && FREQ_LADDER_MHZ[FREQ_LADDER_MHZ.len() - 1] == FREQ_RANGE_MHZ.1,
+        "the DVFS ladder must span the platform's DVFS range"
+    );
+    let mut i = 1;
+    while i < FREQ_LADDER_MHZ.len() {
+        assert!(
+            FREQ_LADDER_MHZ[i - 1] < FREQ_LADDER_MHZ[i],
+            "the DVFS ladder must be strictly ascending"
+        );
+        i += 1;
     }
-}
-
-impl GovernorConfig {
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty or non-ascending ladder, zero firing counts or
-    /// a non-positive margin — construction-time programming errors.
-    pub fn validate(&self) {
-        assert!(!self.freq_ladder.is_empty(), "frequency ladder is empty");
-        assert!(
-            self.freq_ladder.windows(2).all(|w| w[0] < w[1]),
-            "frequency ladder must be strictly ascending"
-        );
-        assert!(self.hot_fire > 0, "hot_fire must be non-zero");
-        assert!(self.cool_fire > 0, "cool_fire must be non-zero");
-        assert!(
-            self.recover_margin_k > 0.0,
-            "recover margin must be positive"
-        );
-        assert!(
-            self.trip_persistence > 0,
-            "trip persistence must be non-zero"
-        );
-    }
-}
+};
 
 /// The stimulus–threshold DVFS governor: one per node, one scan per
 /// thermal window.
@@ -97,24 +66,19 @@ impl GovernorConfig {
 /// # Examples
 ///
 /// ```
-/// use sirtm_thermal::{
-///     GovernorConfig, RingOscillator, SensorConfig, ThermalAction, ThermalConfig,
-///     ThresholdGovernor,
-/// };
+/// use sirtm_thermal::{RingOscillator, ThermalAction, ThresholdGovernor, WARN_TEMP_C};
 ///
-/// let thermal = ThermalConfig::default();
-/// let ro = RingOscillator::new(SensorConfig::default(), 1.0);
-/// let mut gov = ThresholdGovernor::new(&GovernorConfig::default(), &thermal, &ro, 300);
+/// let ro = RingOscillator::new(1.0);
+/// let mut gov = ThresholdGovernor::new(&ro, 300);
 ///
 /// // Three consecutive scans above the warn temperature fire a down-step.
-/// let hot = ro.count(thermal.warn_temp_c + 5.0);
+/// let hot = ro.count(WARN_TEMP_C + 5.0);
 /// assert_eq!(gov.scan(hot), ThermalAction::None);
 /// assert_eq!(gov.scan(hot), ThermalAction::None);
 /// assert_eq!(gov.scan(hot), ThermalAction::SetFrequency(250));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ThresholdGovernor {
-    ladder: Vec<u16>,
     /// Highest frequency this governor will ever request (the node's
     /// frequency when the governor attached).
     ceiling_mhz: u16,
@@ -127,7 +91,6 @@ pub struct ThresholdGovernor {
     hot: ThresholdUnit,
     cool: ThresholdUnit,
     trip_run: u32,
-    trip_persistence: u32,
     tripped: bool,
 }
 
@@ -138,28 +101,16 @@ impl ThresholdGovernor {
     ///
     /// `ceiling_mhz` caps up-steps — the governor throttles and recovers
     /// but never overclocks past the node's configured frequency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid (see [`GovernorConfig::validate`]).
-    pub fn new(
-        cfg: &GovernorConfig,
-        thermal: &ThermalConfig,
-        oscillator: &RingOscillator,
-        ceiling_mhz: u16,
-    ) -> Self {
-        cfg.validate();
+    pub fn new(oscillator: &RingOscillator, ceiling_mhz: u16) -> Self {
         Self {
-            ladder: cfg.freq_ladder.clone(),
             ceiling_mhz,
             freq_mhz: ceiling_mhz,
-            warn_count: oscillator.count(thermal.warn_temp_c),
-            recover_count: oscillator.count(thermal.warn_temp_c - cfg.recover_margin_k),
-            trip_count: oscillator.count(thermal.trip_temp_c),
-            hot: ThresholdUnit::new(cfg.hot_fire),
-            cool: ThresholdUnit::new(cfg.cool_fire),
+            warn_count: oscillator.count(WARN_TEMP_C),
+            recover_count: oscillator.count(WARN_TEMP_C - RECOVER_MARGIN_K),
+            trip_count: oscillator.count(TRIP_TEMP_C),
+            hot: ThresholdUnit::new(HOT_FIRE),
+            cool: ThresholdUnit::new(COOL_FIRE),
             trip_run: 0,
-            trip_persistence: cfg.trip_persistence,
             tripped: false,
         }
     }
@@ -169,13 +120,8 @@ impl ThresholdGovernor {
         self.freq_mhz
     }
 
-    /// Whether this governor has shut its node down.
-    pub fn is_tripped(&self) -> bool {
-        self.tripped
-    }
-
     fn step_down(&self) -> Option<u16> {
-        self.ladder
+        FREQ_LADDER_MHZ
             .iter()
             .rev()
             .find(|&&f| f < self.freq_mhz)
@@ -183,7 +129,7 @@ impl ThresholdGovernor {
     }
 
     fn step_up(&self) -> Option<u16> {
-        self.ladder
+        FREQ_LADDER_MHZ
             .iter()
             .find(|&&f| f > self.freq_mhz && f <= self.ceiling_mhz)
             .copied()
@@ -200,7 +146,7 @@ impl ThresholdGovernor {
         // the node (controlled shutdown beats silicon failure).
         if sensor_count <= self.trip_count {
             self.trip_run += 1;
-            if self.trip_run >= self.trip_persistence {
+            if self.trip_run >= TRIP_PERSISTENCE {
                 self.tripped = true;
                 return ThermalAction::Shutdown;
             }
@@ -243,25 +189,16 @@ impl ThresholdGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sensor::SensorConfig;
 
-    fn setup() -> (ThermalConfig, RingOscillator) {
-        (
-            ThermalConfig::default(),
-            RingOscillator::new(SensorConfig::default(), 1.0),
-        )
-    }
-
-    fn gov(ceiling: u16) -> (ThresholdGovernor, ThermalConfig, RingOscillator) {
-        let (thermal, ro) = setup();
-        let g = ThresholdGovernor::new(&GovernorConfig::default(), &thermal, &ro, ceiling);
-        (g, thermal, ro)
+    fn gov(ceiling: u16) -> (ThresholdGovernor, RingOscillator) {
+        let ro = RingOscillator::new(1.0);
+        (ThresholdGovernor::new(&ro, ceiling), ro)
     }
 
     #[test]
     fn sustained_heat_walks_down_the_ladder() {
-        let (mut g, thermal, ro) = gov(300);
-        let hot = ro.count(thermal.warn_temp_c + 3.0);
+        let (mut g, ro) = gov(300);
+        let hot = ro.count(WARN_TEMP_C + 3.0);
         let mut freqs = Vec::new();
         for _ in 0..30 {
             if let ThermalAction::SetFrequency(f) = g.scan(hot) {
@@ -275,8 +212,8 @@ mod tests {
 
     #[test]
     fn ladder_floor_is_never_left() {
-        let (mut g, thermal, ro) = gov(300);
-        let hot = ro.count(thermal.warn_temp_c + 5.0);
+        let (mut g, ro) = gov(300);
+        let hot = ro.count(WARN_TEMP_C + 5.0);
         for _ in 0..200 {
             g.scan(hot);
         }
@@ -285,16 +222,16 @@ mod tests {
 
     #[test]
     fn recovery_steps_up_but_respects_ceiling() {
-        let (mut g, thermal, ro) = gov(100);
+        let (mut g, ro) = gov(100);
         // Force it down two rungs first.
-        let hot = ro.count(thermal.warn_temp_c + 3.0);
+        let hot = ro.count(WARN_TEMP_C + 3.0);
         for _ in 0..8 {
             g.scan(hot);
         }
         let throttled = g.frequency_mhz();
         assert!(throttled < 100);
         // Long cool phase: recovers, but never past the 100 MHz ceiling.
-        let cold = ro.count(thermal.warn_temp_c - 30.0);
+        let cold = ro.count(WARN_TEMP_C - 30.0);
         for _ in 0..500 {
             g.scan(cold);
         }
@@ -303,15 +240,15 @@ mod tests {
 
     #[test]
     fn hysteresis_band_blocks_up_steps() {
-        let (mut g, thermal, ro) = gov(300);
-        let hot = ro.count(thermal.warn_temp_c + 3.0);
+        let (mut g, ro) = gov(300);
+        let hot = ro.count(WARN_TEMP_C + 3.0);
         for _ in 0..4 {
             g.scan(hot);
         }
         let throttled = g.frequency_mhz();
         assert!(throttled < 300);
         // Inside the recovery band (warn - margin < T < warn): no change.
-        let lukewarm = ro.count(thermal.warn_temp_c - 5.0);
+        let lukewarm = ro.count(WARN_TEMP_C - 5.0);
         for _ in 0..500 {
             assert_eq!(g.scan(lukewarm), ThermalAction::None);
         }
@@ -320,19 +257,17 @@ mod tests {
 
     #[test]
     fn trip_requires_persistence() {
-        let (mut g, thermal, ro) = gov(300);
-        let critical = ro.count(thermal.trip_temp_c + 1.0);
-        let mild = ro.count(thermal.warn_temp_c - 20.0);
+        let (mut g, ro) = gov(300);
+        let critical = ro.count(TRIP_TEMP_C + 1.0);
+        let mild = ro.count(WARN_TEMP_C - 20.0);
         // Two critical scans, then a cool one: the run resets.
         assert_ne!(g.scan(critical), ThermalAction::Shutdown);
         assert_ne!(g.scan(critical), ThermalAction::Shutdown);
         assert_ne!(g.scan(mild), ThermalAction::Shutdown);
-        assert!(!g.is_tripped());
         // Three consecutive critical scans trip.
-        g.scan(critical);
-        g.scan(critical);
+        assert_ne!(g.scan(critical), ThermalAction::Shutdown);
+        assert_ne!(g.scan(critical), ThermalAction::Shutdown);
         assert_eq!(g.scan(critical), ThermalAction::Shutdown);
-        assert!(g.is_tripped());
         // A tripped governor is silent forever.
         assert_eq!(g.scan(critical), ThermalAction::None);
     }
@@ -341,27 +276,14 @@ mod tests {
     fn process_variation_cancelled_by_per_instance_setpoints() {
         // A slow-corner and a fast-corner oscillator at the same die
         // temperature must produce the same governor behaviour.
-        let thermal = ThermalConfig::default();
-        let slow = RingOscillator::new(SensorConfig::default(), 0.99);
-        let fast = RingOscillator::new(SensorConfig::default(), 1.01);
-        let cfg = GovernorConfig::default();
-        let mut g_slow = ThresholdGovernor::new(&cfg, &thermal, &slow, 300);
-        let mut g_fast = ThresholdGovernor::new(&cfg, &thermal, &fast, 300);
-        let t = thermal.warn_temp_c + 4.0;
+        let slow = RingOscillator::new(0.99);
+        let fast = RingOscillator::new(1.01);
+        let mut g_slow = ThresholdGovernor::new(&slow, 300);
+        let mut g_fast = ThresholdGovernor::new(&fast, 300);
+        let t = WARN_TEMP_C + 4.0;
         for _ in 0..10 {
             assert_eq!(g_slow.scan(slow.count(t)), g_fast.scan(fast.count(t)));
         }
         assert_eq!(g_slow.frequency_mhz(), g_fast.frequency_mhz());
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn unsorted_ladder_rejected() {
-        let (thermal, ro) = setup();
-        let cfg = GovernorConfig {
-            freq_ladder: vec![100, 50],
-            ..GovernorConfig::default()
-        };
-        ThresholdGovernor::new(&cfg, &thermal, &ro, 300);
     }
 }

@@ -11,6 +11,10 @@
 //! * [`ThermalGrid`] — a lumped RC thermal network over the 8×16 die:
 //!   every tile has a heat capacity, conducts laterally to its four
 //!   neighbours and vertically into the heatsink/ambient.
+//!   [`ThermalConfig`] carries the die layout; every physical value is a
+//!   constant of [`config`] (`CELL_CAPACITY_J_PER_K`, `AMBIENT_C`,
+//!   `WARN_TEMP_C`, `TRIP_TEMP_C`, …), as is every parameter of the
+//!   power, sensor and governor models in their own modules.
 //! * [`PowerModel`] — per-node power from DVFS state and measured
 //!   activity: dynamic power `∝ f·V(f)²·duty` plus
 //!   temperature-dependent leakage (the classic positive feedback that
@@ -26,8 +30,10 @@
 //!   persistence counter trips a node that sits above the critical
 //!   temperature.
 //! * [`ThermalLoop`] — the co-simulation harness: platform slices and
-//!   thermal steps interleave; sensor readings drive the governor, whose
-//!   knob writes (DVFS, shutdown) feed straight back into the platform.
+//!   thermal steps interleave. [`ThermalLoop::open`] runs the physics
+//!   alone; in [`ThermalLoop::governed`] sensor readings drive the
+//!   governors, whose knob writes (DVFS, shutdown) feed straight back
+//!   into the platform.
 //! * [`scenario`] — physics-driven fault generation: running a colony
 //!   hot with no governor produces the spatially correlated dead set the
 //!   paper attributes to "a thermal issue", packaged as a
@@ -42,7 +48,7 @@
 //! use sirtm_core::models::{FfwConfig, ModelKind};
 //! use sirtm_rng::Xoshiro256StarStar;
 //! use sirtm_taskgraph::{workloads, Mapping};
-//! use sirtm_thermal::{GovernorConfig, ThermalConfig, ThermalLoop};
+//! use sirtm_thermal::{ThermalConfig, ThermalLoop, TRIP_TEMP_C};
 //!
 //! let cfg = PlatformConfig::default();
 //! let graph = workloads::fork_join(&workloads::ForkJoinParams::default());
@@ -51,14 +57,13 @@
 //! let model = ModelKind::ForagingForWork(FfwConfig::default());
 //! let platform = Platform::new(graph, &mapping, &model, cfg);
 //!
-//! let mut sim = ThermalLoop::new(
+//! let mut sim = ThermalLoop::governed(
 //!     platform,
 //!     ThermalConfig::default(),
-//!     GovernorConfig::default(),
 //!     42, // sensor process-variation seed
 //! );
 //! sim.run_ms(100.0);
-//! assert!(sim.grid().max_temp() < sim.thermal_config().trip_temp_c);
+//! assert!(sim.grid().max_temp() < TRIP_TEMP_C);
 //! ```
 
 pub mod config;
@@ -69,10 +74,21 @@ pub mod power;
 pub mod scenario;
 pub mod sensor;
 
-pub use config::ThermalConfig;
+pub use config::{
+    ThermalConfig, AMBIENT_C, CELL_CAPACITY_J_PER_K, DT_S, LATERAL_CONDUCTANCE_W_PER_K,
+    TIME_CONSTANT_S, TRIP_TEMP_C, VERTICAL_CONDUCTANCE_W_PER_K, WARN_TEMP_C,
+};
 pub use coupling::{ThermalLoop, ThermalSample, ThermalTrace};
-pub use governor::{GovernorConfig, ThermalAction, ThresholdGovernor};
+pub use governor::{
+    ThermalAction, ThresholdGovernor, COOL_FIRE, FREQ_LADDER_MHZ, HOT_FIRE, RECOVER_MARGIN_K,
+    TRIP_PERSISTENCE,
+};
 pub use grid::ThermalGrid;
-pub use power::{PowerModel, PowerModelConfig};
+pub use power::{
+    PowerModel, LEAK_DOUBLING_K, LEAK_REF_C, P_DYN_NOMINAL_W, P_LEAK_REF_W, P_UNCORE_W,
+    VOLT_RANGE_V,
+};
 pub use scenario::{stress_graph, thermal_fault_scenario, ThermalScenario, ThermalScenarioReport};
-pub use sensor::{RingOscillator, SensorBank, SensorConfig};
+pub use sensor::{
+    RingOscillator, SensorBank, CALIBRATION_C, NOMINAL_COUNT, PROCESS_VARIATION, TEMP_COEFF_PER_K,
+};

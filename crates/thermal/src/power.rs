@@ -1,47 +1,27 @@
 //! Per-node power from DVFS state and measured activity.
+//!
+//! Dynamic power follows the classic CMOS scaling
+//! `P_dyn = P_DYN_NOMINAL_W · (f/f_nom) · (V(f)/V_nom)² · duty` with a
+//! linear voltage/frequency curve over the platform's DVFS range
+//! ([`FREQ_RANGE_MHZ`], the paper's 10–300 MHz; `f_nom` is
+//! [`NOMINAL_MHZ`]), and leakage grows exponentially with temperature
+//! (`P_leak = P_LEAK_REF_W · 2^((T − LEAK_REF_C)/LEAK_DOUBLING_K)`) — the
+//! positive feedback loop that makes unmanaged silicon run away.
 
-/// Parameters of the node power model.
-///
-/// Dynamic power follows the classic CMOS scaling
-/// `P_dyn = p_dyn_nominal · (f/f_nom) · (V(f)/V_nom)² · duty` with a
-/// linear voltage/frequency curve over the paper's 10–300 MHz DVFS
-/// range, and leakage grows exponentially with temperature
-/// (`P_leak = p_leak_ref · exp((T − T_ref)/leak_doubling·ln2)`) — the
-/// positive feedback loop that makes unmanaged silicon run away.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerModelConfig {
-    /// Dynamic power of a fully busy node at the nominal clock, in W.
-    pub p_dyn_nominal_w: f64,
-    /// Nominal clock, in MHz (task service times are specified here).
-    pub nominal_mhz: u16,
-    /// DVFS range endpoints, in MHz.
-    pub freq_range_mhz: (u16, u16),
-    /// Supply voltage at the bottom and top of the DVFS range, in volts.
-    pub volt_range_v: (f64, f64),
-    /// Leakage power at the reference temperature, in W.
-    pub p_leak_ref_w: f64,
-    /// Reference temperature for leakage, in °C.
-    pub leak_ref_c: f64,
-    /// Temperature increase that doubles leakage, in K.
-    pub leak_doubling_k: f64,
-    /// Router + fabric baseline power per tile (independent of DVFS), W.
-    pub p_uncore_w: f64,
-}
+use sirtm_centurion::{FREQ_RANGE_MHZ, NOMINAL_MHZ};
 
-impl Default for PowerModelConfig {
-    fn default() -> Self {
-        Self {
-            p_dyn_nominal_w: 0.15,
-            nominal_mhz: 100,
-            freq_range_mhz: (10, 300),
-            volt_range_v: (0.9, 1.4),
-            p_leak_ref_w: 0.015,
-            leak_ref_c: 25.0,
-            leak_doubling_k: 30.0,
-            p_uncore_w: 0.01,
-        }
-    }
-}
+/// Dynamic power of a fully busy node at the nominal clock, in W.
+pub const P_DYN_NOMINAL_W: f64 = 0.15;
+/// Supply voltage at the bottom and top of the DVFS range, in volts.
+pub const VOLT_RANGE_V: (f64, f64) = (0.9, 1.4);
+/// Leakage power at [`LEAK_REF_C`], in W.
+pub const P_LEAK_REF_W: f64 = 0.015;
+/// Reference temperature for leakage, in °C.
+pub const LEAK_REF_C: f64 = 25.0;
+/// Temperature increase that doubles leakage, in K.
+pub const LEAK_DOUBLING_K: f64 = 30.0;
+/// Router + fabric baseline power per tile (independent of DVFS), W.
+pub const P_UNCORE_W: f64 = 0.01;
 
 /// Evaluates node power for the thermal network.
 ///
@@ -50,54 +30,20 @@ impl Default for PowerModelConfig {
 /// ```
 /// use sirtm_thermal::PowerModel;
 ///
-/// let model = PowerModel::default();
-/// let idle = model.power_w(100, 0.0, 50.0);
-/// let busy = model.power_w(100, 1.0, 50.0);
-/// let fast = model.power_w(300, 1.0, 50.0);
+/// let idle = PowerModel.power_w(100, 0.0, 50.0);
+/// let busy = PowerModel.power_w(100, 1.0, 50.0);
+/// let fast = PowerModel.power_w(300, 1.0, 50.0);
 /// assert!(idle < busy && busy < fast);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PowerModel {
-    cfg: PowerModelConfig,
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PowerModel;
 
 impl PowerModel {
-    /// Creates a model from explicit parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent (non-positive powers,
-    /// inverted ranges, nominal clock outside the DVFS range).
-    pub fn new(cfg: PowerModelConfig) -> Self {
-        assert!(cfg.p_dyn_nominal_w > 0.0, "dynamic power must be positive");
-        assert!(cfg.p_leak_ref_w >= 0.0, "leakage must be non-negative");
-        assert!(cfg.p_uncore_w >= 0.0, "uncore power must be non-negative");
-        assert!(cfg.leak_doubling_k > 0.0, "leak doubling must be positive");
-        assert!(
-            cfg.freq_range_mhz.0 < cfg.freq_range_mhz.1,
-            "frequency range inverted"
-        );
-        assert!(
-            cfg.volt_range_v.0 <= cfg.volt_range_v.1,
-            "voltage range inverted"
-        );
-        assert!(
-            (cfg.freq_range_mhz.0..=cfg.freq_range_mhz.1).contains(&cfg.nominal_mhz),
-            "nominal clock outside DVFS range"
-        );
-        Self { cfg }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PowerModelConfig {
-        &self.cfg
-    }
-
     /// Supply voltage at `freq_mhz`, linearly interpolated over the DVFS
     /// range (clamped outside it).
     pub fn voltage_v(&self, freq_mhz: u16) -> f64 {
-        let (f_lo, f_hi) = self.cfg.freq_range_mhz;
-        let (v_lo, v_hi) = self.cfg.volt_range_v;
+        let (f_lo, f_hi) = FREQ_RANGE_MHZ;
+        let (v_lo, v_hi) = VOLT_RANGE_V;
         let f = freq_mhz.clamp(f_lo, f_hi) as f64;
         let frac = (f - f_lo as f64) / (f_hi - f_lo) as f64;
         v_lo + frac * (v_hi - v_lo)
@@ -111,15 +57,15 @@ impl PowerModel {
     /// busy-cycles over window-cycles, which cannot exceed 1).
     pub fn dynamic_w(&self, freq_mhz: u16, duty: f64) -> f64 {
         assert!((0.0..=1.0).contains(&duty), "duty {duty} outside [0, 1]");
-        let f_scale = freq_mhz as f64 / self.cfg.nominal_mhz as f64;
-        let v_scale = self.voltage_v(freq_mhz) / self.voltage_v(self.cfg.nominal_mhz);
-        self.cfg.p_dyn_nominal_w * f_scale * v_scale * v_scale * duty
+        let f_scale = freq_mhz as f64 / NOMINAL_MHZ as f64;
+        let v_scale = self.voltage_v(freq_mhz) / self.voltage_v(NOMINAL_MHZ);
+        P_DYN_NOMINAL_W * f_scale * v_scale * v_scale * duty
     }
 
     /// Leakage power at die temperature `temp_c`, in W.
     pub fn leakage_w(&self, temp_c: f64) -> f64 {
-        let exponent = (temp_c - self.cfg.leak_ref_c) / self.cfg.leak_doubling_k;
-        self.cfg.p_leak_ref_w * exponent.exp2()
+        let exponent = (temp_c - LEAK_REF_C) / LEAK_DOUBLING_K;
+        P_LEAK_REF_W * exponent.exp2()
     }
 
     /// Total tile power: dynamic + leakage + uncore, in W.
@@ -128,7 +74,7 @@ impl PowerModel {
     ///
     /// Panics if `duty` is outside `[0, 1]`.
     pub fn power_w(&self, freq_mhz: u16, duty: f64, temp_c: f64) -> f64 {
-        self.dynamic_w(freq_mhz, duty) + self.leakage_w(temp_c) + self.cfg.p_uncore_w
+        self.dynamic_w(freq_mhz, duty) + self.leakage_w(temp_c) + P_UNCORE_W
     }
 
     /// Power of a dead tile: leakage only (the clock tree is gated, the
@@ -144,7 +90,7 @@ mod tests {
 
     #[test]
     fn voltage_interpolates_endpoints() {
-        let m = PowerModel::default();
+        let m = PowerModel;
         assert!((m.voltage_v(10) - 0.9).abs() < 1e-12);
         assert!((m.voltage_v(300) - 1.4).abs() < 1e-12);
         let mid = m.voltage_v(155);
@@ -153,14 +99,14 @@ mod tests {
 
     #[test]
     fn voltage_clamps_outside_range() {
-        let m = PowerModel::default();
+        let m = PowerModel;
         assert_eq!(m.voltage_v(1), m.voltage_v(10));
         assert_eq!(m.voltage_v(500), m.voltage_v(300));
     }
 
     #[test]
     fn dynamic_power_monotone_in_frequency_and_duty() {
-        let m = PowerModel::default();
+        let m = PowerModel;
         assert!(m.dynamic_w(300, 1.0) > m.dynamic_w(100, 1.0));
         assert!(m.dynamic_w(100, 1.0) > m.dynamic_w(100, 0.3));
         assert_eq!(m.dynamic_w(100, 0.0), 0.0);
@@ -170,14 +116,14 @@ mod tests {
     fn overclocking_superlinear_via_voltage() {
         // P(300)/P(100) must exceed the pure 3x frequency ratio because
         // voltage rises with frequency.
-        let m = PowerModel::default();
+        let m = PowerModel;
         let ratio = m.dynamic_w(300, 1.0) / m.dynamic_w(100, 1.0);
         assert!(ratio > 3.5, "got ratio {ratio}");
     }
 
     #[test]
     fn leakage_doubles_per_configured_interval() {
-        let m = PowerModel::default();
+        let m = PowerModel;
         let base = m.leakage_w(25.0);
         let doubled = m.leakage_w(55.0);
         assert!((doubled / base - 2.0).abs() < 1e-12);
@@ -185,14 +131,14 @@ mod tests {
 
     #[test]
     fn total_power_includes_all_terms() {
-        let m = PowerModel::default();
+        let m = PowerModel;
         let p = m.power_w(100, 0.5, 45.0);
         assert!((p - (m.dynamic_w(100, 0.5) + m.leakage_w(45.0) + 0.01)).abs() < 1e-15);
     }
 
     #[test]
     fn dead_tile_leaks_only() {
-        let m = PowerModel::default();
+        let m = PowerModel;
         assert_eq!(m.dead_power_w(60.0), m.leakage_w(60.0));
         assert!(m.dead_power_w(60.0) < m.power_w(10, 0.0, 60.0));
     }
@@ -200,15 +146,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn duty_out_of_range_panics() {
-        PowerModel::default().dynamic_w(100, 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "nominal clock")]
-    fn nominal_outside_range_rejected() {
-        PowerModel::new(PowerModelConfig {
-            nominal_mhz: 5,
-            ..PowerModelConfig::default()
-        });
+        PowerModel.dynamic_w(100, 1.5);
     }
 }

@@ -18,9 +18,8 @@ use sirtm_noc::{Cycle, NodeId};
 use sirtm_taskgraph::workloads::{fork_join, ForkJoinParams};
 use sirtm_taskgraph::{Mapping, TaskGraph};
 
-use crate::config::ThermalConfig;
+use crate::config::{ThermalConfig, TRIP_TEMP_C};
 use crate::coupling::ThermalLoop;
-use crate::governor::GovernorConfig;
 
 /// Parameters of the runaway pre-run that discovers the victim set.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,10 +43,6 @@ pub struct ThermalScenario {
     /// the paper pairs with its thermal case — here the two are the same
     /// physical event.
     pub overclock_rows: Option<(u16, u16)>,
-    /// Seed of the sensors' process variation (irrelevant to victim
-    /// discovery, which reads true temperatures, but kept for
-    /// reproducibility of the embedded pre-run).
-    pub sensor_seed: u64,
 }
 
 impl Default for ThermalScenario {
@@ -58,7 +53,6 @@ impl Default for ThermalScenario {
             generation_period: 40,
             runaway_ms: 600.0,
             overclock_rows: None,
-            sensor_seed: 0xC0FFEE,
         }
     }
 }
@@ -133,15 +127,7 @@ pub fn thermal_fault_scenario(
             platform.set_frequency(NodeId::new(i as u16), scenario.overclock_mhz);
         }
     }
-    let mut sim = ThermalLoop::new(
-        platform,
-        thermal.clone(),
-        GovernorConfig {
-            enabled: false,
-            ..GovernorConfig::default()
-        },
-        scenario.sensor_seed,
-    );
+    let mut sim = ThermalLoop::open(platform, thermal.clone());
     // Advance window by window, recording first trip-crossings per node.
     let n = thermal.dims.len();
     let mut crossed = vec![false; n];
@@ -151,7 +137,7 @@ pub fn thermal_fault_scenario(
         sim.run_ms(1.0);
         elapsed += 1.0;
         for (i, &t) in sim.grid().temps().iter().enumerate() {
-            if !crossed[i] && t >= thermal.trip_temp_c {
+            if !crossed[i] && t >= TRIP_TEMP_C {
                 crossed[i] = true;
                 victims.push((elapsed, NodeId::new(i as u16)));
             }
@@ -195,10 +181,7 @@ mod tests {
                 overclock_mhz: 300,
                 ..ThermalScenario::default()
             },
-            ThermalConfig {
-                dims,
-                ..ThermalConfig::default()
-            },
+            ThermalConfig { dims },
         )
     }
 
@@ -208,7 +191,7 @@ mod tests {
         let (schedule, report) = thermal_fault_scenario(&scenario, &thermal, 1000);
         assert!(!report.victims.is_empty(), "someone must burn");
         assert_eq!(schedule.fault_count(), report.victims.len());
-        assert!(report.peak_temp_c > thermal.trip_temp_c);
+        assert!(report.peak_temp_c > TRIP_TEMP_C);
     }
 
     #[test]
@@ -269,10 +252,7 @@ mod tests {
             runaway_ms: 600.0,
             ..ThermalScenario::default()
         };
-        let thermal = ThermalConfig {
-            dims,
-            ..ThermalConfig::default()
-        };
+        let thermal = ThermalConfig { dims };
         let (_, report) = thermal_fault_scenario(&scenario, &thermal, 1000);
         assert!(!report.victims.is_empty(), "the hot band must burn");
         // Lateral diffusion may drag an adjacent row over the edge, but

@@ -13,36 +13,17 @@
 use sirtm_noc::NodeId;
 use sirtm_rng::{Rng, SplitMix64};
 
-/// Ring-oscillator sensor parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SensorConfig {
-    /// Nominal edge count over one measurement window at
-    /// [`calibration_c`], before process variation.
-    ///
-    /// [`calibration_c`]: SensorConfig::calibration_c
-    pub nominal_count: u32,
-    /// Fractional frequency loss per kelvin (FPGA ROs: ≈ 0.1–0.3 %/K).
-    pub temp_coeff_per_k: f64,
-    /// Temperature at which an ideal oscillator hits
-    /// [`nominal_count`], in °C.
-    ///
-    /// [`nominal_count`]: SensorConfig::nominal_count
-    pub calibration_c: f64,
-    /// Peak-to-peak process variation of the per-instance nominal count,
-    /// as a fraction (0.02 = ±1 %).
-    pub process_variation: f64,
-}
-
-impl Default for SensorConfig {
-    fn default() -> Self {
-        Self {
-            nominal_count: 4096,
-            temp_coeff_per_k: 0.002,
-            calibration_c: 25.0,
-            process_variation: 0.02,
-        }
-    }
-}
+/// Nominal edge count over one measurement window at
+/// [`CALIBRATION_C`], before process variation.
+pub const NOMINAL_COUNT: u32 = 4096;
+/// Fractional frequency loss per kelvin (FPGA ROs: ≈ 0.1–0.3 %/K).
+pub const TEMP_COEFF_PER_K: f64 = 0.002;
+/// Temperature at which an ideal oscillator hits [`NOMINAL_COUNT`],
+/// in °C.
+pub const CALIBRATION_C: f64 = 25.0;
+/// Peak-to-peak process variation of the per-instance nominal count,
+/// as a fraction (0.02 = ±1 %).
+pub const PROCESS_VARIATION: f64 = 0.02;
 
 /// One ring-oscillator instance with its process-variation factor baked
 /// in at construction.
@@ -50,9 +31,9 @@ impl Default for SensorConfig {
 /// # Examples
 ///
 /// ```
-/// use sirtm_thermal::{RingOscillator, SensorConfig};
+/// use sirtm_thermal::RingOscillator;
 ///
-/// let ro = RingOscillator::new(SensorConfig::default(), 1.0);
+/// let ro = RingOscillator::new(1.0);
 /// let cool = ro.count(40.0);
 /// let hot = ro.count(100.0);
 /// assert!(hot < cool, "oscillators slow down when hot");
@@ -61,7 +42,6 @@ impl Default for SensorConfig {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RingOscillator {
-    cfg: SensorConfig,
     /// This instance's actual zero-temperature-offset count (nominal ×
     /// process factor), known post-calibration.
     instance_count: f64,
@@ -73,24 +53,17 @@ impl RingOscillator {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration or factor is degenerate (zero counts,
-    /// non-positive factor, coefficient outside `(0, 0.01]`).
-    pub fn new(cfg: SensorConfig, process_factor: f64) -> Self {
-        assert!(cfg.nominal_count > 0, "nominal count must be non-zero");
-        assert!(
-            cfg.temp_coeff_per_k > 0.0 && cfg.temp_coeff_per_k <= 0.01,
-            "temperature coefficient out of the physical range"
-        );
+    /// Panics if `process_factor` is not positive.
+    pub fn new(process_factor: f64) -> Self {
         assert!(process_factor > 0.0, "process factor must be positive");
         Self {
-            instance_count: cfg.nominal_count as f64 * process_factor,
-            cfg,
+            instance_count: NOMINAL_COUNT as f64 * process_factor,
         }
     }
 
     /// The measured edge count at die temperature `temp_c` (quantised).
     pub fn count(&self, temp_c: f64) -> u32 {
-        let scale = 1.0 - self.cfg.temp_coeff_per_k * (temp_c - self.cfg.calibration_c);
+        let scale = 1.0 - TEMP_COEFF_PER_K * (temp_c - CALIBRATION_C);
         (self.instance_count * scale.max(0.0)).round() as u32
     }
 
@@ -99,13 +72,13 @@ impl RingOscillator {
     /// quantisation error.
     pub fn temp_from_count(&self, count: u32) -> f64 {
         let scale = count as f64 / self.instance_count;
-        self.cfg.calibration_c + (1.0 - scale) / self.cfg.temp_coeff_per_k
+        CALIBRATION_C + (1.0 - scale) / TEMP_COEFF_PER_K
     }
 
     /// Worst-case quantisation error of [`RingOscillator::temp_from_count`]
     /// in kelvin (half a count step).
     pub fn quantisation_error_k(&self) -> f64 {
-        0.5 / (self.instance_count * self.cfg.temp_coeff_per_k)
+        0.5 / (self.instance_count * TEMP_COEFF_PER_K)
     }
 }
 
@@ -116,9 +89,9 @@ impl RingOscillator {
 ///
 /// ```
 /// use sirtm_noc::NodeId;
-/// use sirtm_thermal::{SensorBank, SensorConfig};
+/// use sirtm_thermal::SensorBank;
 ///
-/// let bank = SensorBank::new(SensorConfig::default(), 16, 7);
+/// let bank = SensorBank::new(16, 7);
 /// let temps = vec![60.0; 16];
 /// let reading = bank.read(NodeId::new(3), &temps);
 /// let est = bank.oscillator(NodeId::new(3)).temp_from_count(reading);
@@ -131,14 +104,14 @@ pub struct SensorBank {
 
 impl SensorBank {
     /// Creates `n` oscillators whose process factors are drawn uniformly
-    /// from `1 ± process_variation/2` using `seed` (bit-reproducible).
-    pub fn new(cfg: SensorConfig, n: usize, seed: u64) -> Self {
+    /// from `1 ± PROCESS_VARIATION/2` using `seed` (bit-reproducible).
+    pub fn new(n: usize, seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed);
-        let half = cfg.process_variation / 2.0;
+        let half = PROCESS_VARIATION / 2.0;
         let oscillators = (0..n)
             .map(|_| {
                 let factor = 1.0 + (rng.unit_f64() * 2.0 - 1.0) * half;
-                RingOscillator::new(cfg.clone(), factor)
+                RingOscillator::new(factor)
             })
             .collect();
         Self { oscillators }
@@ -180,7 +153,7 @@ mod tests {
 
     #[test]
     fn count_decreases_with_temperature() {
-        let ro = RingOscillator::new(SensorConfig::default(), 1.0);
+        let ro = RingOscillator::new(1.0);
         let mut last = u32::MAX;
         for t in [0.0, 25.0, 45.0, 85.0, 110.0, 150.0] {
             let c = ro.count(t);
@@ -191,7 +164,7 @@ mod tests {
 
     #[test]
     fn calibration_inverts_within_quantisation() {
-        let ro = RingOscillator::new(SensorConfig::default(), 1.03);
+        let ro = RingOscillator::new(1.03);
         for t in [30.0, 55.5, 84.9, 109.6] {
             let est = ro.temp_from_count(ro.count(t));
             assert!(
@@ -203,7 +176,7 @@ mod tests {
 
     #[test]
     fn quantisation_error_sub_kelvin_at_default() {
-        let ro = RingOscillator::new(SensorConfig::default(), 1.0);
+        let ro = RingOscillator::new(1.0);
         assert!(
             ro.quantisation_error_k() < 0.1,
             "default RO resolves <0.1 K"
@@ -214,8 +187,8 @@ mod tests {
     fn uncalibrated_variation_misleads_raw_counts() {
         // Two instances at the same temperature disagree by more than the
         // count step — the reason calibration exists.
-        let a = RingOscillator::new(SensorConfig::default(), 0.99);
-        let b = RingOscillator::new(SensorConfig::default(), 1.01);
+        let a = RingOscillator::new(0.99);
+        let b = RingOscillator::new(1.01);
         let (ca, cb) = (a.count(60.0), b.count(60.0));
         assert!(cb.abs_diff(ca) > 10, "variation visible: {ca} vs {cb}");
         // But each instance's own calibration still recovers 60 °C.
@@ -225,9 +198,9 @@ mod tests {
 
     #[test]
     fn bank_is_deterministic_per_seed() {
-        let a = SensorBank::new(SensorConfig::default(), 32, 9);
-        let b = SensorBank::new(SensorConfig::default(), 32, 9);
-        let c = SensorBank::new(SensorConfig::default(), 32, 10);
+        let a = SensorBank::new(32, 9);
+        let b = SensorBank::new(32, 9);
+        let c = SensorBank::new(32, 10);
         let temps = vec![72.0; 32];
         let read = |bank: &SensorBank| -> Vec<u32> {
             (0..32).map(|i| bank.read(NodeId::new(i), &temps)).collect()
@@ -238,7 +211,7 @@ mod tests {
 
     #[test]
     fn bank_estimates_all_nodes() {
-        let bank = SensorBank::new(SensorConfig::default(), 8, 3);
+        let bank = SensorBank::new(8, 3);
         let temps: Vec<f64> = (0..8).map(|i| 40.0 + i as f64 * 7.0).collect();
         for i in 0..8 {
             let est = bank.estimate_c(NodeId::new(i as u16), &temps);
@@ -253,12 +226,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "process factor")]
     fn non_positive_factor_rejected() {
-        RingOscillator::new(SensorConfig::default(), 0.0);
+        RingOscillator::new(0.0);
     }
 
     #[test]
     fn extreme_heat_floors_at_zero_count() {
-        let ro = RingOscillator::new(SensorConfig::default(), 1.0);
+        let ro = RingOscillator::new(1.0);
         assert_eq!(ro.count(1e6), 0, "scale clamps instead of going negative");
     }
 }

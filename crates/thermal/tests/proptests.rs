@@ -6,14 +6,14 @@ use proptest::prelude::*;
 use sirtm_noc::NodeId;
 use sirtm_taskgraph::GridDims;
 use sirtm_thermal::{
-    GovernorConfig, PowerModel, RingOscillator, SensorConfig, ThermalAction, ThermalConfig,
-    ThermalGrid, ThresholdGovernor,
+    PowerModel, RingOscillator, SensorBank, ThermalAction, ThermalConfig, ThermalGrid,
+    ThresholdGovernor, AMBIENT_C, CELL_CAPACITY_J_PER_K, DT_S, FREQ_LADDER_MHZ,
+    LATERAL_CONDUCTANCE_W_PER_K, VERTICAL_CONDUCTANCE_W_PER_K,
 };
 
 fn small_cfg() -> ThermalConfig {
     ThermalConfig {
         dims: GridDims::new(4, 4),
-        ..ThermalConfig::default()
     }
 }
 
@@ -26,14 +26,13 @@ proptest! {
         powers in proptest::collection::vec(0.0f64..1.0, 16),
         seconds in 0.01f64..3.0,
     ) {
-        let cfg = small_cfg();
-        let mut grid = ThermalGrid::new(cfg.clone());
+        let mut grid = ThermalGrid::new(small_cfg());
         grid.step(seconds, &powers);
         let p_max = powers.iter().copied().fold(0.0, f64::max);
-        let ceiling = cfg.ambient_c + p_max / cfg.vertical_conductance_w_per_k + 1e-6;
+        let ceiling = AMBIENT_C + p_max / VERTICAL_CONDUCTANCE_W_PER_K + 1e-6;
         for &t in grid.temps() {
             prop_assert!(t.is_finite());
-            prop_assert!(t >= cfg.ambient_c - 1e-9, "cannot cool below ambient");
+            prop_assert!(t >= AMBIENT_C - 1e-9, "cannot cool below ambient");
             prop_assert!(t <= ceiling, "cell at {t} exceeds envelope {ceiling}");
         }
     }
@@ -45,9 +44,8 @@ proptest! {
         powers in proptest::collection::vec(0.0f64..0.5, 16),
         split_ms in 1u32..100,
     ) {
-        let cfg = small_cfg();
-        let mut whole = ThermalGrid::new(cfg.clone());
-        let mut split = ThermalGrid::new(cfg);
+        let mut whole = ThermalGrid::new(small_cfg());
+        let mut split = ThermalGrid::new(small_cfg());
         let total_s = 0.2;
         whole.step(total_s, &powers);
         let first = split_ms as f64 * 1e-3;
@@ -70,12 +68,12 @@ proptest! {
         let cfg = small_cfg();
         let grid = ThermalGrid::new(cfg.clone());
         let field = grid.steady_state(&powers);
-        let g_v = cfg.vertical_conductance_w_per_k;
-        let g_l = cfg.lateral_conductance_w_per_k;
+        let g_v = VERTICAL_CONDUCTANCE_W_PER_K;
+        let g_l = LATERAL_CONDUCTANCE_W_PER_K;
         let dims = cfg.dims;
         for i in 0..field.len() {
             let (x, y) = dims.xy(i);
-            let mut flux = powers[i] - g_v * (field[i] - cfg.ambient_c);
+            let mut flux = powers[i] - g_v * (field[i] - AMBIENT_C);
             let mut neighbour = |xx: i32, yy: i32| {
                 if xx >= 0 && yy >= 0 && (xx as u16) < dims.width() && (yy as u16) < dims.height() {
                     flux += g_l * (field[dims.index(xx as u16, yy as u16)] - field[i]);
@@ -85,7 +83,7 @@ proptest! {
             neighbour(x as i32 + 1, y as i32);
             neighbour(x as i32, y as i32 - 1);
             neighbour(x as i32, y as i32 + 1);
-            let drift = cfg.dt_s * flux / cfg.cell_capacity_j_per_k;
+            let drift = DT_S * flux / CELL_CAPACITY_J_PER_K;
             prop_assert!(drift.abs() < 1e-6, "cell {i} drifts by {drift}");
         }
     }
@@ -98,7 +96,7 @@ proptest! {
         duty_b in 0.0f64..=1.0,
         temp in -20.0f64..150.0,
     ) {
-        let m = PowerModel::default();
+        let m = PowerModel;
         let (lo, hi) = if duty_a <= duty_b { (duty_a, duty_b) } else { (duty_b, duty_a) };
         let p_lo = m.power_w(freq, lo, temp);
         let p_hi = m.power_w(freq, hi, temp);
@@ -113,7 +111,7 @@ proptest! {
         temp in 0.0f64..150.0,
         factor in 0.95f64..1.05,
     ) {
-        let ro = RingOscillator::new(SensorConfig::default(), factor);
+        let ro = RingOscillator::new(factor);
         let est = ro.temp_from_count(ro.count(temp));
         prop_assert!(
             (est - temp).abs() <= ro.quantisation_error_k() + 1e-9,
@@ -128,19 +126,16 @@ proptest! {
         counts in proptest::collection::vec(0u32..6000, 1..300),
         ceiling_idx in 0usize..9,
     ) {
-        let cfg = GovernorConfig::default();
-        let ladder = cfg.freq_ladder.clone();
-        let ceiling = ladder[ceiling_idx];
-        let thermal = ThermalConfig::default();
-        let ro = RingOscillator::new(SensorConfig::default(), 1.0);
-        let mut g = ThresholdGovernor::new(&cfg, &thermal, &ro, ceiling);
+        let ceiling = FREQ_LADDER_MHZ[ceiling_idx];
+        let ro = RingOscillator::new(1.0);
+        let mut g = ThresholdGovernor::new(&ro, ceiling);
         let mut shutdown_seen = false;
         for c in counts {
             let action = g.scan(c);
             match action {
                 ThermalAction::SetFrequency(f) => {
                     prop_assert!(!shutdown_seen, "no actions after shutdown");
-                    prop_assert!(ladder.contains(&f), "{f} not on the ladder");
+                    prop_assert!(FREQ_LADDER_MHZ.contains(&f), "{f} not on the ladder");
                     prop_assert!(f <= ceiling, "{f} exceeds ceiling {ceiling}");
                 }
                 ThermalAction::Shutdown => {
@@ -160,7 +155,7 @@ proptest! {
         temps in proptest::collection::vec(20.0f64..130.0, 16),
         seed in 0u64..1000,
     ) {
-        let bank = sirtm_thermal::SensorBank::new(SensorConfig::default(), 16, seed);
+        let bank = SensorBank::new(16, seed);
         for (i, &t) in temps.iter().enumerate() {
             let est = bank.estimate_c(NodeId::new(i as u16), &temps);
             prop_assert!((est - t).abs() < 0.5, "node {i}: {est} vs {t}");

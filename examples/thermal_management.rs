@@ -23,7 +23,7 @@ use sirtm_noc::NodeId;
 use sirtm_rng::Xoshiro256StarStar;
 use sirtm_taskgraph::{workloads, Mapping, TaskId};
 use sirtm_thermal::{
-    thermal_fault_scenario, GovernorConfig, ThermalConfig, ThermalLoop, ThermalScenario,
+    thermal_fault_scenario, ThermalConfig, ThermalLoop, ThermalScenario, TRIP_TEMP_C,
 };
 
 /// Builds the overclocked stress platform (saturating workload).
@@ -45,29 +45,17 @@ fn main() {
     let thermal_cfg = ThermalConfig::default();
 
     // ---- 1. Open loop: unmanaged silicon runs away. ----
-    let mut open = ThermalLoop::new(
-        stress_platform(&platform_cfg),
-        thermal_cfg.clone(),
-        GovernorConfig {
-            enabled: false,
-            ..GovernorConfig::default()
-        },
-        2020,
-    );
+    let mut open = ThermalLoop::open(stress_platform(&platform_cfg), thermal_cfg.clone());
     open.run_ms(600.0);
     println!(
         "open loop   : peak {:6.1} C (trip {:.0} C) — unmanaged overclock cooks the die",
         open.trace().peak_temp_c(),
-        thermal_cfg.trip_temp_c,
+        TRIP_TEMP_C,
     );
 
     // ---- 2. Closed loop: threshold governors hold the line. ----
-    let mut closed = ThermalLoop::new(
-        stress_platform(&platform_cfg),
-        thermal_cfg.clone(),
-        GovernorConfig::default(),
-        2020,
-    );
+    let mut closed =
+        ThermalLoop::governed(stress_platform(&platform_cfg), thermal_cfg.clone(), 2020);
     closed.run_ms(600.0);
     let last = closed.trace().samples().last().expect("recorded samples");
     println!(

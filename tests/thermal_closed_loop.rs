@@ -8,7 +8,7 @@ use sirtm::noc::NodeId;
 use sirtm::rng::Xoshiro256StarStar;
 use sirtm::taskgraph::{workloads, GridDims, Mapping, TaskId};
 use sirtm::thermal::{
-    thermal_fault_scenario, GovernorConfig, ThermalConfig, ThermalLoop, ThermalScenario,
+    thermal_fault_scenario, ThermalConfig, ThermalLoop, ThermalScenario, TRIP_TEMP_C,
 };
 
 /// A saturated, overclocked platform (the thermal stress case).
@@ -32,30 +32,14 @@ fn stress_platform(dims: GridDims, mhz: u16) -> Platform {
 #[test]
 fn governor_trades_throughput_for_survival() {
     let dims = GridDims::new(4, 4);
-    let thermal = ThermalConfig {
-        dims,
-        ..ThermalConfig::default()
-    };
-    let mut open = ThermalLoop::new(
-        stress_platform(dims, 300),
-        thermal.clone(),
-        GovernorConfig {
-            enabled: false,
-            ..GovernorConfig::default()
-        },
-        1,
-    );
-    let mut closed = ThermalLoop::new(
-        stress_platform(dims, 300),
-        thermal.clone(),
-        GovernorConfig::default(),
-        1,
-    );
+    let thermal = ThermalConfig { dims };
+    let mut open = ThermalLoop::open(stress_platform(dims, 300), thermal.clone());
+    let mut closed = ThermalLoop::governed(stress_platform(dims, 300), thermal, 1);
     open.run_ms(700.0);
     closed.run_ms(700.0);
     // Open loop cooks the die; closed loop keeps it legal and alive.
-    assert!(open.trace().peak_temp_c() > thermal.trip_temp_c);
-    assert!(closed.trace().peak_temp_c() < thermal.trip_temp_c);
+    assert!(open.trace().peak_temp_c() > TRIP_TEMP_C);
+    assert!(closed.trace().peak_temp_c() < TRIP_TEMP_C);
     assert_eq!(closed.platform().alive_count(), dims.len());
     // The price of survival is throughput — but not all of it.
     let open_done = open.trace().total_completions();
@@ -124,24 +108,14 @@ fn sensor_chain_reports_what_the_grid_knows() {
     // End-to-end monitor fidelity: after a hot run, per-node calibrated
     // sensor estimates must track the true field within half a kelvin.
     let dims = GridDims::new(4, 4);
-    let thermal = ThermalConfig {
-        dims,
-        ..ThermalConfig::default()
-    };
-    let mut sim = ThermalLoop::new(
-        stress_platform(dims, 200),
-        thermal,
-        GovernorConfig {
-            enabled: false,
-            ..GovernorConfig::default()
-        },
-        77,
-    );
+    let thermal = ThermalConfig { dims };
+    let mut sim = ThermalLoop::governed(stress_platform(dims, 200), thermal, 77);
     sim.run_ms(300.0);
+    let sensors = sim.sensors().expect("a governed loop has sensors");
     for i in 0..dims.len() {
         let node = NodeId::new(i as u16);
         let truth = sim.grid().temp_c(node);
-        let est = sim.sensors().estimate_c(node, sim.grid().temps());
+        let est = sensors.estimate_c(node, sim.grid().temps());
         assert!(
             (est - truth).abs() < 0.5,
             "node {i}: sensor {est:.2} vs truth {truth:.2}"

@@ -95,16 +95,18 @@ fn faults_schedule_holds_events() {
 
 #[test]
 fn thermal_grid_heats_from_power() {
-    use sirtm::thermal::{ThermalConfig, ThermalGrid};
+    use sirtm::thermal::{ThermalConfig, ThermalGrid, AMBIENT_C};
     let cfg = ThermalConfig::default();
     let n = cfg.dims.len();
-    let ambient = cfg.ambient_c;
     let mut grid = ThermalGrid::new(cfg);
     let power = vec![0.5; n];
     for _ in 0..100 {
         grid.step(0.001, &power);
     }
-    assert!(grid.mean_temp() > ambient, "dissipated power warms the die");
+    assert!(
+        grid.mean_temp() > AMBIENT_C,
+        "dissipated power warms the die"
+    );
 }
 
 #[test]
