@@ -114,9 +114,21 @@ pub struct Platform {
     /// is due at that residue (ascending node order).
     scan_buckets: Vec<Vec<u32>>,
     /// Per-residue count of alive nodes whose scans can decide (none on a
-    /// passive platform) — the scan events the fast-forward must stop
-    /// for.
+    /// passive platform): a jump over a cycle of a live residue counts
+    /// it as stepped, as the eager stepper, which stopped there, did.
     scan_residue_live: Vec<u32>,
+    /// Per node, the cycle of its next AIM scan that can change a
+    /// decision: the first scan past the model's decision horizon, or the
+    /// first after a feed ([`NEVER`] for a dead node and on a passive
+    /// platform). Scans before it only count down and are skipped.
+    scan_due: Vec<Cycle>,
+    /// Per node, the cycle before which every AIM scan has been run or
+    /// folded into its model; the skipped scans since are folded in
+    /// before the next one runs.
+    scanned_to: Vec<Cycle>,
+    /// Cycles run through [`Platform::step`] or [`Platform::step_naive`]
+    /// (host plane; see [`Platform::cycles_executed`]).
+    cycles_executed: u64,
     /// AIM register writes this platform has drained from routers;
     /// compared against the mesh's arrival counter to detect outstanding
     /// writes.
@@ -186,11 +198,13 @@ impl Platform {
         let period = AIM_PERIOD as usize;
         let mut scan_buckets = vec![Vec::new(); period];
         let mut scan_residue_live = vec![0u32; period];
-        for idx in 0..n {
-            let r = scan_residue(idx, period as u64) as usize;
-            scan_buckets[r].push(idx as u32);
+        let mut scan_due = vec![NEVER; n];
+        for (idx, due) in scan_due.iter_mut().enumerate() {
+            let r = next_scan_slot(idx, 0);
+            scan_buckets[r as usize].push(idx as u32);
             if !passive {
-                scan_residue_live[r] += 1;
+                scan_residue_live[r as usize] += 1;
+                *due = r;
             }
         }
         Self {
@@ -214,6 +228,9 @@ impl Platform {
             locals,
             scan_buckets,
             scan_residue_live,
+            scan_due,
+            scanned_to: vec![0; n],
+            cycles_executed: 0,
             aim_writes_drained: 0,
             events_stale: false,
             delivery_scratch: Vec::with_capacity(n),
@@ -264,6 +281,16 @@ impl Platform {
             flit_hops: m.flit_hops,
             ..self.sim
         }
+    }
+
+    /// Cycles this platform ran through [`Platform::step`] or
+    /// [`Platform::step_naive`]: the host's stepping work. Unlike
+    /// [`SimCounters::cycles_stepped`], it leaves out cycles a
+    /// fast-forward crossed while only countdown scans fell due, so it
+    /// depends on how the platform was driven and belongs to no artefact
+    /// or sidecar.
+    pub fn cycles_executed(&self) -> u64 {
+        self.cycles_executed
     }
 
     /// Immutable access to the fabric (for advanced inspection).
@@ -406,8 +433,9 @@ impl Platform {
         self.pe_next[idx] = NEVER;
         self.owed_since[idx] = None;
         self.locals[idx] = None;
+        self.scan_due[idx] = NEVER;
         if was_alive && !self.passive {
-            let r = scan_residue(idx, AIM_PERIOD as u64) as usize;
+            let r = next_scan_slot(idx, 0) as usize;
             self.scan_residue_live[r] -= 1;
         }
     }
@@ -527,9 +555,11 @@ impl Platform {
 
     /// Advances to `target` with the optimized stepper, fast-forwarding
     /// whole stretches in which the fabric is settled-idle, no PE has a
-    /// due event, no adaptive AIM scan is due and the gossip directories
-    /// are at a proven fixpoint. Never advances past `target`, so
-    /// windowed observers sample the same instants as a per-cycle loop.
+    /// due event, no AIM scan can change a decision (scans inside a
+    /// model's decision horizon are folded in later) and the gossip
+    /// directories are at a proven fixpoint. Never advances past
+    /// `target`, so windowed observers sample the same instants as a
+    /// per-cycle loop.
     pub fn run_until(&mut self, target: Cycle) {
         while self.cycle < target {
             self.step();
@@ -541,13 +571,8 @@ impl Platform {
                 continue;
             }
             let mut next = target;
-            for &e in &self.pe_next {
-                if e < next {
-                    next = e;
-                }
-            }
-            if let Some(s) = self.next_scan_event() {
-                next = next.min(s);
+            for (&pe, &scan) in self.pe_next.iter().zip(&self.scan_due) {
+                next = next.min(pe).min(scan);
             }
             if !self.gossip.is_converged() {
                 next = next.min(next_multiple(self.cycle, GOSSIP_PERIOD as u64));
@@ -558,26 +583,40 @@ impl Platform {
                 // its lazy credit already counts.
                 let dt = next - self.cycle;
                 self.mesh.skip_idle_cycles(dt);
-                self.sim.cycles_fast_forwarded += dt;
+                self.credit_jump(dt);
                 self.cycle = next;
             }
         }
     }
 
-    /// The next cycle (at or after the current one) at which any alive
-    /// node's staggered AIM scan is due on an adaptive platform; `None`
-    /// when no such node remains and scans cannot change a decision.
-    fn next_scan_event(&self) -> Option<Cycle> {
+    /// Counts a jump of `dt` cycles from the current one as the eager
+    /// stepper, which stopped on every scan of a live adaptive node,
+    /// counted it: a cycle of a live residue as stepped, with a scan for
+    /// each node of its bucket (dead ones included), and every other
+    /// cycle as fast-forwarded.
+    fn credit_jump(&mut self, dt: u64) {
         let period = AIM_PERIOD as u64;
-        (self.cycle..self.cycle + period)
-            .find(|t| self.scan_residue_live[(t % period) as usize] > 0)
+        let (laps, rest) = (dt / period, dt % period);
+        let mut stepped = 0;
+        for r in 0..period {
+            if self.scan_residue_live[r as usize] > 0 {
+                // Cycles of residue `r` in [cycle, cycle + dt).
+                let hits = laps + u64::from((r + period - self.cycle % period) % period < rest);
+                stepped += hits;
+                self.sim.aim_scans += hits * self.scan_buckets[r as usize].len() as u64;
+            }
+        }
+        self.sim.cycles_stepped += stepped;
+        self.sim.cycles_fast_forwarded += dt - stepped;
     }
 
     /// Advances the platform by one cycle with the activity-gated hot
     /// loop: fabric-reported deliveries → due PEs (skipped PEs provably
-    /// change nothing) → bucketed AIM scans → gossip (elided at fixpoint)
-    /// → NoC. Decision-for-decision identical to
-    /// [`Platform::step_naive`], which `tests/differential.rs` enforces.
+    /// change nothing) → bucketed AIM scans that can decide (countdown
+    /// scans are skipped and folded in before the node's next one) →
+    /// gossip (elided at fixpoint) → NoC. Decision-for-decision identical
+    /// to [`Platform::step_naive`], which `tests/differential.rs` and
+    /// `tests/proptests.rs` enforce.
     pub fn step(&mut self) {
         if self.events_stale {
             self.rebuild_event_state();
@@ -619,12 +658,21 @@ impl Platform {
         }
         // 3. Phase-staggered AIM scans (unsynchronised hardware AIMs),
         // via the precomputed residue buckets instead of 128 modulo
-        // tests.
+        // tests. Only due scans run; the countdown scans skipped before
+        // them are folded in first. An outstanding RCAP write is drained
+        // by the scan, so until it is, every scan runs.
         let r = (now % AIM_PERIOD as u64) as usize;
         self.sim.aim_scans += self.scan_buckets[r].len() as u64;
+        let eager = self.mesh.aim_writes_enqueued() > self.aim_writes_drained;
         for k in 0..self.scan_buckets[r].len() {
             let idx = self.scan_buckets[r][k] as usize;
-            self.scan_fast(idx, now);
+            if self.passive {
+                self.scan_passive(idx);
+            } else if eager || self.scan_due[idx] <= now {
+                self.fold_skipped_scans(idx, now);
+                self.scan(idx, now);
+                self.scanned_to[idx] = now + 1;
+            }
         }
         // 4. Gossip directory round over the dirty nodes only; once a
         // round changes nothing the tables are a fixpoint and rounds are
@@ -636,6 +684,7 @@ impl Platform {
         // 5. Fabric cycle.
         self.mesh.step();
         self.sim.cycles_stepped += 1;
+        self.cycles_executed += 1;
         self.cycle += 1;
     }
 
@@ -645,13 +694,17 @@ impl Platform {
     /// recomputed from scratch. Retained as the differential oracle for
     /// [`Platform::step`]; it makes no use of the activity-gating state.
     pub fn step_naive(&mut self) {
-        // The naive PE pass credits busy time itself, every cycle: settle
-        // what the optimized stepper still owes and stop the lazy credit.
-        for idx in 0..self.pes.len() {
-            self.settle_busy(idx, self.cycle);
-            self.owed_since[idx] = None;
+        if !self.events_stale {
+            // The naive loop credits busy time and runs every scan
+            // itself: settle what the optimized stepper still owes, stop
+            // the lazy credit and fold in the scans it skipped.
+            for idx in 0..self.pes.len() {
+                self.settle_busy(idx, self.cycle);
+                self.owed_since[idx] = None;
+                self.fold_skipped_scans(idx, self.cycle);
+            }
+            self.events_stale = true;
         }
-        self.events_stale = true;
         let now = self.cycle;
         // 1. Deliveries from the fabric into the PEs.
         for idx in 0..self.pes.len() {
@@ -698,17 +751,25 @@ impl Platform {
         // 5. Fabric cycle, every router stepped.
         self.mesh.step_naive();
         self.sim.cycles_stepped += 1;
+        self.cycles_executed += 1;
         self.cycle += 1;
     }
 
     /// Rebuilds the activity-gating tables after naive stepping (which
-    /// bypasses their upkeep): every PE is marked due so its state
-    /// re-derives itself, and gossip convergence is re-proven.
+    /// bypasses their upkeep): every PE and every live adaptive node's
+    /// next scan is marked due so its state re-derives itself, and gossip
+    /// convergence is re-proven.
     fn rebuild_event_state(&mut self) {
         for (idx, pe) in self.pes.iter().enumerate() {
             self.pe_next[idx] = self.cycle;
             self.owed_since[idx] =
                 (pe.is_busy() && pe.is_alive() && pe.clock_enabled()).then_some(self.cycle);
+            self.scan_due[idx] = if self.passive || !pe.is_alive() {
+                NEVER
+            } else {
+                next_scan_slot(idx, self.cycle)
+            };
+            self.scanned_to[idx] = self.cycle;
         }
         self.gossip.mark_all_dirty();
         self.events_stale = false;
@@ -730,7 +791,10 @@ impl Platform {
                 // In-flight delivery raced a kill; the packet is lost, as
                 // it would be in hardware.
             }
-            Accept::Queued | Accept::Consumed | Accept::Foreign => {}
+            // Accepted work feeds the AIM: this cycle's scan slot, or the
+            // node's next, must see it.
+            Accept::Queued | Accept::Consumed => self.wake_scan(idx, self.cycle),
+            Accept::Foreign => {}
         }
     }
 
@@ -806,16 +870,12 @@ impl Platform {
         self.edge_scratch = edges;
     }
 
-    /// One AIM scan of node `idx`, eliding the sense/decide assembly on a
-    /// passive platform: a baseline scan reads nothing and decides nothing,
-    /// so the only platform state the full path would touch is the
-    /// reset-on-read feed counters (and any pending register writes) —
-    /// which this shortcut touches identically.
-    fn scan_fast(&mut self, idx: usize, now: Cycle) {
-        if !self.passive {
-            self.scan(idx, now);
-            return;
-        }
+    /// One AIM scan of node `idx` on a passive platform, eliding the
+    /// sense/decide assembly: a baseline scan reads nothing and decides
+    /// nothing, so the only platform state the full path would touch is
+    /// the reset-on-read feed counters (and any pending register writes)
+    /// — which this shortcut touches identically.
+    fn scan_passive(&mut self, idx: usize) {
         self.drain_aim_writes(idx);
         if !self.pes[idx].is_alive() {
             return;
@@ -882,8 +942,32 @@ impl Platform {
         };
         self.models[idx].scan(&mut io);
         let request = io.switch_to;
+        let horizon = u64::from(self.models[idx].decision_horizon());
+        self.scan_due[idx] = now + AIM_PERIOD as u64 * (horizon + 1);
         if let Some(task) = request {
             self.apply_switch(idx, task, now);
+        }
+    }
+
+    /// Folds node `idx`'s AIM scans before `upto` that the optimized
+    /// stepper skipped into its model. Each fell inside the model's
+    /// decision horizon with no feed (a feed wakes the node), so it only
+    /// counted down. A dead node's model scans no more, and a passive
+    /// one decides nothing.
+    fn fold_skipped_scans(&mut self, idx: usize, upto: Cycle) {
+        let from = std::mem::replace(&mut self.scanned_to[idx], upto);
+        if self.pes[idx].is_alive() && !self.passive {
+            let skipped = (next_scan_slot(idx, upto) - from) / AIM_PERIOD as u64;
+            let skipped = u32::try_from(skipped).expect("a decision horizon fits in u32");
+            self.models[idx].fold_unfed(skipped);
+        }
+    }
+
+    /// Makes node `idx`'s first AIM scan at or after `at` due: new input
+    /// reached the node, so that scan may decide.
+    fn wake_scan(&mut self, idx: usize, at: Cycle) {
+        if !self.passive {
+            self.scan_due[idx] = self.scan_due[idx].min(next_scan_slot(idx, at));
         }
     }
 
@@ -897,6 +981,8 @@ impl Platform {
         let mut evicted = std::mem::take(&mut self.evict_scratch);
         evicted.clear();
         self.pes[idx].switch_task_into(task, &self.graph, now, true, &mut evicted);
+        // Adopted foreign packets feed the node's next scan.
+        self.wake_scan(idx, now + 1);
         let node = NodeId::new(idx as u16);
         // Settings-only update: no router work is created.
         self.mesh.set_local_task(node, Some(task));
@@ -986,11 +1072,12 @@ impl AimIo for NodeAimIo<'_> {
     }
 }
 
-/// Residue class (mod `period`) at which node `idx`'s phase-staggered AIM
-/// scan fires: `(now + idx·7) ≡ 0 (mod period)` ⟺ `now ≡ this (mod
-/// period)`.
-fn scan_residue(idx: usize, period: u64) -> u64 {
-    (period - (idx as u64 * 7) % period) % period
+/// First cycle at or after `at` on which node `idx`'s phase-staggered AIM
+/// scan fires: `(now + idx·7) ≡ 0 (mod AIM_PERIOD)`. At `at = 0` this is
+/// the node's residue class.
+fn next_scan_slot(idx: usize, at: Cycle) -> Cycle {
+    let period = AIM_PERIOD as u64;
+    at + (period - (at + idx as u64 * 7) % period) % period
 }
 
 /// Smallest multiple of `step` at or after `at`.

@@ -1,13 +1,14 @@
 //! Property-based robustness tests: the platform never panics and keeps
 //! its invariants under arbitrary fault/knob/retask storms, a clone
-//! taken mid-storm evolves exactly as the original does, and dirty-set
-//! gossip rounds reproduce full rounds.
+//! taken mid-storm evolves exactly as the original does, the optimized
+//! stepper's lazy FFW scans decide exactly as per-cycle naive stepping
+//! does, and dirty-set gossip rounds reproduce full rounds.
 
 use proptest::prelude::*;
 
 use sirtm_centurion::directory::gossip_round;
 use sirtm_centurion::{Directory, Gossip, Platform, PlatformConfig};
-use sirtm_core::models::{FfwConfig, ModelKind, NiConfig};
+use sirtm_core::models::{regs, FfwConfig, ModelKind, NiConfig};
 use sirtm_noc::{Coord, Direction, NodeId, Port, RcapCommand};
 use sirtm_rng::Xoshiro256StarStar;
 use sirtm_taskgraph::workloads::{fork_join, ForkJoinParams};
@@ -173,6 +174,146 @@ proptest! {
         }
         p.run_ms(40.0);
         prop_assert!(p.completions_total() > frozen, "resumed grid works again");
+    }
+}
+
+/// One step of a [`lazy_scans_match_naive_stepping`] storm, applied to
+/// both twins.
+#[derive(Debug, Clone)]
+enum Storm {
+    /// Advance this many cycles: `run_until` on the optimized twin.
+    Run(u16),
+    /// One optimized `step`.
+    Step,
+    /// Naive steps on both twins: the optimized one must fold its
+    /// skipped scans before them and rebuild its event tables after.
+    Naive(u8),
+    KillPe(u16),
+    KillTile(u16),
+    Hang(u16),
+    Resume(u16),
+    /// Retune the source task's generation period.
+    Period(u32),
+    /// An RCAP `AimWrite` of `(register, value)` queued at a router.
+    Write(u16, u8, u8),
+}
+
+fn storm(nodes: u16) -> impl Strategy<Value = Storm> {
+    prop_oneof![
+        6 => (1u16..1500).prop_map(Storm::Run),
+        2 => Just(Storm::Step),
+        1 => (1u8..40).prop_map(Storm::Naive),
+        1 => (0..nodes).prop_map(Storm::KillPe),
+        1 => (0..nodes).prop_map(Storm::KillTile),
+        1 => (0..nodes).prop_map(Storm::Hang),
+        1 => (0..nodes).prop_map(Storm::Resume),
+        1 => (100u32..4000).prop_map(Storm::Period),
+        2 => (
+            (0..nodes),
+            proptest::sample::select(vec![regs::FFW_TIMEOUT, regs::FFW_REINFORCEMENT]),
+            0u8..40,
+        )
+            .prop_map(|(n, reg, value)| Storm::Write(n, reg, value)),
+    ]
+}
+
+/// Asserts what a run observes is identical on both twins: counters,
+/// mesh statistics, task counts and every node snapshot. Sim counters
+/// are left out: the naive stepper counts every cycle as stepped.
+fn assert_decisions_match(lazy: &Platform, naive: &Platform) {
+    assert_eq!(lazy.now(), naive.now());
+    assert_eq!(lazy.stats(), naive.stats());
+    assert_eq!(lazy.mesh_stats(), naive.mesh_stats());
+    assert_eq!(lazy.task_counts(), naive.task_counts());
+    for i in 0..lazy.config().dims.len() {
+        let node = NodeId::new(i as u16);
+        assert_eq!(
+            lazy.node_snapshot(node),
+            naive.node_snapshot(node),
+            "{node:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Lazy FFW scans against the naive oracle: one twin runs on
+    /// `run_until` and `step`, which skip scans inside a node's decision
+    /// horizon and fold them in later (with naive stretches mixed in);
+    /// the other steps every cycle with `step_naive`, which runs every
+    /// scan. Short timeouts and mostly nonzero reinforcement gains make
+    /// expiries and the fed-scan bonus common; storms of faults, hangs,
+    /// period retunes and FFW register writes move every input a
+    /// skipped scan could have missed.
+    #[test]
+    fn lazy_scans_match_naive_stepping(
+        storms in proptest::collection::vec(storm(16), 1..30),
+        timeout_scans in 0u8..40,
+        reinforcement_gain in 0u8..8,
+        reinforcement_cap in 0u8..80,
+        generation_period in 400u32..3200,
+        seed in any::<u64>(),
+    ) {
+        let cfg = PlatformConfig {
+            dims: GridDims::new(4, 4),
+            ..PlatformConfig::default()
+        };
+        let graph = fork_join(&ForkJoinParams {
+            generation_period,
+            ..ForkJoinParams::default()
+        });
+        let model = ModelKind::ForagingForWork(FfwConfig {
+            timeout_scans,
+            reinforcement_gain,
+            reinforcement_cap,
+        });
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        let mapping = Mapping::random_uniform(&graph, cfg.dims, &mut rng);
+        let mut lazy = Platform::new(graph, &mapping, &model, cfg);
+        lazy.randomize_phases(&mut rng);
+        let mut naive = lazy.clone();
+        for s in &storms {
+            match *s {
+                Storm::Run(cycles) => {
+                    lazy.run_until(lazy.now() + u64::from(cycles));
+                    for _ in 0..cycles {
+                        naive.step_naive();
+                    }
+                }
+                Storm::Step => {
+                    lazy.step();
+                    naive.step_naive();
+                }
+                Storm::Naive(cycles) => {
+                    for _ in 0..cycles {
+                        lazy.step_naive();
+                        naive.step_naive();
+                    }
+                }
+                Storm::Period(period) => {
+                    for p in [&mut lazy, &mut naive] {
+                        p.set_generation_period(TaskId::new(0), period);
+                    }
+                }
+                _ => {
+                    for p in [&mut lazy, &mut naive] {
+                        match *s {
+                            Storm::KillPe(n) => p.kill_pe(NodeId::new(n)),
+                            Storm::KillTile(n) => p.kill_tile(NodeId::new(n)),
+                            Storm::Hang(n) => p.hang_pe(NodeId::new(n)),
+                            Storm::Resume(n) => p.resume_pe(NodeId::new(n)),
+                            Storm::Write(n, reg, value) => p.apply_config_direct(
+                                NodeId::new(n),
+                                RcapCommand::AimWrite { reg, value },
+                            ),
+                            _ => unreachable!("handled above"),
+                        }
+                    }
+                }
+            }
+            assert_decisions_match(&lazy, &naive);
+        }
     }
 }
 

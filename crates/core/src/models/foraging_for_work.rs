@@ -83,9 +83,20 @@ impl ForagingForWork {
         }
     }
 
-    /// Scans remaining before the watchdog expires.
-    pub fn remaining(&self) -> u32 {
+    /// Scans remaining before the watchdog expires: the upcoming scans
+    /// that, absent a feed, only count it down. The scan after them is
+    /// the expiry that forages. Configuration writes leave it unchanged
+    /// (they apply from the next rearm).
+    pub fn decision_horizon(&self) -> u32 {
         self.timer.remaining()
+    }
+
+    /// Applies `scans` unfed scans within the [decision
+    /// horizon](ForagingForWork::decision_horizon) at once. An unfed
+    /// countdown scan touches neither the reinforcement bonus nor the
+    /// node, so this equals running them one by one.
+    pub fn fold_unfed(&mut self, scans: u32) {
+        self.timer.run_down(scans);
     }
 
     fn rearm_value(&self) -> u32 {
@@ -264,7 +275,7 @@ mod tests {
         io.tick();
         io.feed = 1;
         m.scan(&mut io); // trickle top-up back to the cap
-        assert_eq!(m.remaining(), 3);
+        assert_eq!(m.decision_horizon(), 3);
     }
 
     #[test]
@@ -285,7 +296,11 @@ mod tests {
             m.scan(&mut io);
             io.tick();
         }
-        assert_eq!(m.remaining(), 2 + 6, "rearm includes the capped bonus");
+        assert_eq!(
+            m.decision_horizon(),
+            2 + 6,
+            "rearm includes the capped bonus"
+        );
         io.oldest = Some((TaskId::new(1), 10));
         // 8 unfed scans run down 2+6; the 9th forages and clears the bonus.
         for _ in 0..8 {
@@ -295,7 +310,49 @@ mod tests {
         assert!(io.switches.is_empty());
         m.scan(&mut io);
         assert_eq!(io.switches, vec![TaskId::new(1)]);
-        assert_eq!(m.remaining(), 2, "bonus forfeited after barren stretch");
+        assert_eq!(
+            m.decision_horizon(),
+            2,
+            "bonus forfeited after barren stretch"
+        );
+    }
+
+    #[test]
+    fn folding_unfed_scans_equals_running_them() {
+        // With reinforcement on, fed scans build a bonus; a fold of the
+        // whole horizon must leave the bonus, the expiry scan and the
+        // rearm after it exactly as scanning would.
+        let cfg = FfwConfig {
+            timeout_scans: 5,
+            reinforcement_gain: 2,
+            reinforcement_cap: 7,
+        };
+        let mut scanned = ForagingForWork::new(2, cfg.clone());
+        let mut io = MockAimIo::new(2);
+        io.local = Some(TaskId::new(0));
+        for _ in 0..3 {
+            io.feed = 255;
+            scanned.scan(&mut io);
+            io.tick();
+        }
+        let mut folded = scanned.clone();
+        let horizon = folded.decision_horizon();
+        assert_eq!(horizon, 5 + 6);
+        for _ in 0..horizon {
+            scanned.scan(&mut io);
+            io.tick();
+        }
+        folded.fold_unfed(horizon);
+        assert_eq!(folded.decision_horizon(), 0);
+        assert_eq!(scanned.decision_horizon(), 0);
+        io.oldest = Some((TaskId::new(1), 10));
+        let mut io_folded = io.clone();
+        scanned.scan(&mut io);
+        folded.scan(&mut io_folded);
+        assert_eq!(io.switches, vec![TaskId::new(1)]);
+        assert_eq!(io_folded.switches, io.switches);
+        assert_eq!(folded.decision_horizon(), scanned.decision_horizon());
+        assert_eq!(folded.bonus, scanned.bonus);
     }
 
     #[test]
@@ -306,6 +363,6 @@ mod tests {
         io.local = Some(TaskId::new(0));
         io.feed = 255;
         m.scan(&mut io);
-        assert_eq!(m.remaining(), 5);
+        assert_eq!(m.decision_horizon(), 5);
     }
 }

@@ -93,6 +93,30 @@ impl Model {
         }
     }
 
+    /// Upcoming scans that, absent new input, only count down and so
+    /// change no decision. Only FFW has one (its watchdog between
+    /// feeds); NI excites its thresholders from routed traffic on every
+    /// scan, firmware runs its program on every scan, and a passive scan
+    /// has nothing to decide.
+    pub fn decision_horizon(&self) -> u32 {
+        match self {
+            Model::Ffw(m) => m.decision_horizon(),
+            Model::Passive | Model::Ni(_) | Model::Firmware(_) => 0,
+        }
+    }
+
+    /// Applies `scans` unfed scans that the [decision
+    /// horizon](Model::decision_horizon) covers, as if each had run with
+    /// no new input. A no-op on a passive model, whose scan changes
+    /// nothing however many are folded.
+    pub fn fold_unfed(&mut self, scans: u32) {
+        match self {
+            Model::Ffw(m) => m.fold_unfed(scans),
+            Model::Passive => {}
+            Model::Ni(_) | Model::Firmware(_) => debug_assert_eq!(scans, 0),
+        }
+    }
+
     /// Writes an AIM configuration register (RCAP `AimWrite` lands here).
     /// Registers the model does not read are ignored.
     pub fn configure(&mut self, reg: u8, value: u8) {

@@ -138,6 +138,13 @@ impl TimeoutTimer {
         self.remaining = self.remaining.saturating_add(scans).min(self.timeout_scans);
     }
 
+    /// Advances `scans` unfed scans that all fall before expiry — the same
+    /// as that many [`TimeoutTimer::step_unfed`] calls returning `false`.
+    pub fn run_down(&mut self, scans: u32) {
+        debug_assert!(scans <= self.remaining, "a run-down may not reach expiry");
+        self.remaining -= scans;
+    }
+
     /// Advances one unfed scan; returns `true` if the timer was already
     /// expired (the FFW "task switch" trigger), in which case it rearms.
     pub fn step_unfed(&mut self) -> bool {

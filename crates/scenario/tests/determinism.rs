@@ -131,3 +131,81 @@ fn adaptive_models_are_equally_deterministic() {
     let b = run_sweep(&sweep, SweepOptions { threads: 6 });
     assert_eq!(all_bits(&a), all_bits(&b));
 }
+
+#[test]
+fn sim_counters_are_pinned() {
+    // All eight sim-plane counters of a few runs, as the per-cycle
+    // stepper counted them: the lazy AIM scan path credits the cycles
+    // and scans it skips, so a change to that credit shows here. The
+    // runs cover a PE-fault wave (light-4x4 at 20000-20003), every
+    // behavioural kind, firmware FFW and PE hangs on the 8x16 grid.
+    use sirtm_core::models::NiConfig;
+    use sirtm_scenario::{EventAction, EventSpec, ScenarioSpec};
+    let light = presets::preset("light-4x4").expect("known preset");
+    let with_model = |model: ModelKind| ScenarioSpec {
+        model,
+        ..light.clone()
+    };
+    let mut hangs = ScenarioSpec::new(
+        "hangs-8x16",
+        ModelKind::ForagingForWork(FfwConfig::default()),
+    );
+    hangs.duration_ms = 40.0;
+    hangs.window_ms = 4.0;
+    hangs.settle_region_ms = Some(20.0);
+    hangs.events = vec![EventSpec {
+        at_ms: 20.0,
+        action: EventAction::RandomHangs { count: 6 },
+    }];
+    // cycles_stepped, cycles_fast_forwarded, messages_injected,
+    // messages_delivered, flit_hops, gossip_rounds, aim_scans,
+    // thermal_solves.
+    let pins = [
+        (
+            light.clone(),
+            20_000,
+            [12000, 0, 112, 111, 1218, 82, 19200, 0],
+        ),
+        (
+            light.clone(),
+            20_001,
+            [11424, 576, 103, 103, 1035, 76, 18624, 0],
+        ),
+        (
+            light.clone(),
+            20_002,
+            [10887, 1113, 171, 171, 1830, 101, 18087, 0],
+        ),
+        (
+            light.clone(),
+            20_003,
+            [10882, 1118, 105, 105, 1110, 107, 18082, 0],
+        ),
+        (
+            with_model(ModelKind::NetworkInteraction(NiConfig::default())),
+            20_000,
+            [12000, 0, 45, 45, 552, 11, 19200, 0],
+        ),
+        (
+            with_model(ModelKind::NoIntelligence),
+            20_000,
+            [6548, 5452, 194, 181, 2171, 9, 10489, 0],
+        ),
+        (
+            with_model(ModelKind::ForagingForWorkFirmware(FfwConfig::default())),
+            20_000,
+            [12000, 0, 112, 111, 1218, 82, 19200, 0],
+        ),
+        (hangs, 7, [4000, 0, 2242, 2236, 24072, 49, 51200, 0]),
+    ];
+    for (spec, seed, want) in &pins {
+        let got = run_spec(spec, *seed).sim.fields().map(|(_, v)| v);
+        assert_eq!(
+            &got,
+            want,
+            "{} {} at seed {seed}",
+            spec.name,
+            spec.model.name()
+        );
+    }
+}

@@ -22,9 +22,15 @@ use crate::escape_json;
 /// documented in `docs/observability.md`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct SimCounters {
-    /// Cycles advanced through the full per-cycle pipeline.
+    /// Cycles with a due event: every cycle a stepper ran, plus every
+    /// cycle a fast-forward crossed on which some live adaptive node's
+    /// AIM scan fell. The host skips such a cycle when each of its scans
+    /// lies inside its model's decision horizon, but counts it here as
+    /// the per-cycle stepper, which ran it, did.
     pub cycles_stepped: u64,
-    /// Cycles skipped by the settled-state fast-forward path.
+    /// Cycles a fast-forward crossed on which no live adaptive node's
+    /// AIM scan fell. Not the share of cycles the host skipped, which
+    /// also includes the skipped scan cycles counted as stepped.
     pub cycles_fast_forwarded: u64,
     /// Messages injected into the NoC mesh.
     pub messages_injected: u64,
@@ -35,8 +41,10 @@ pub struct SimCounters {
     /// Directory gossip rounds computed. Rounds the optimized stepper
     /// skips at a proven fixpoint are not counted.
     pub gossip_rounds: u64,
-    /// Staggered AIM (Artificial Intelligence Module) scans executed,
-    /// one per node whose scan falls due, passive models included.
+    /// Staggered AIM (Artificial Intelligence Module) scans falling due:
+    /// one per node, dead or alive, on each cycle counted as stepped,
+    /// passive models included. It counts the countdown scans the host
+    /// skipped and later folded into their model as if they had run.
     pub aim_scans: u64,
     /// Thermal victim-set resolutions requested by timeline compilation.
     pub thermal_solves: u64,
