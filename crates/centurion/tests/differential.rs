@@ -10,6 +10,8 @@
 //! distribution and every node's debug snapshot (including the busy-cycle
 //! integrals the thermal models difference).
 
+use proptest::prelude::*;
+
 use sirtm_centurion::{Platform, PlatformConfig};
 use sirtm_core::models::{FfwConfig, ModelKind, NiConfig};
 use sirtm_noc::NodeId;
@@ -146,56 +148,24 @@ fn assert_twins_agree(model: ModelKind, seed: u64, dims: GridDims) {
     }
 }
 
-#[test]
-fn ffw_twins_agree_across_seeds() {
-    for seed in [1, 2, 3] {
-        assert_twins_agree(
-            ModelKind::ForagingForWork(FfwConfig::default()),
-            seed,
-            GridDims::new(4, 4),
-        );
-    }
-}
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
-#[test]
-fn ni_twins_agree_across_seeds() {
-    for seed in [1, 2, 3] {
-        assert_twins_agree(
+    /// Every model kind's twins agree at a drawn seed. The seed picks the
+    /// mapping, the phases, the kill victims and the hung node; the
+    /// passive baseline is where the optimized stepper jumps whole
+    /// quiescent stretches, and the fault scenario forces re-settling.
+    #[test]
+    fn twins_agree_for_every_model_kind_at_drawn_seeds(seed in any::<u64>()) {
+        for model in [
+            ModelKind::NoIntelligence,
             ModelKind::NetworkInteraction(NiConfig::default()),
-            seed,
-            GridDims::new(4, 4),
-        );
-    }
-}
-
-#[test]
-fn ni_firmware_twins_agree_across_seeds() {
-    for seed in [1, 2, 3] {
-        assert_twins_agree(
+            ModelKind::ForagingForWork(FfwConfig::default()),
             ModelKind::NetworkInteractionFirmware(NiConfig::default()),
-            seed,
-            GridDims::new(4, 4),
-        );
-    }
-}
-
-#[test]
-fn ffw_firmware_twins_agree_across_seeds() {
-    for seed in [1, 2, 3] {
-        assert_twins_agree(
             ModelKind::ForagingForWorkFirmware(FfwConfig::default()),
-            seed,
-            GridDims::new(4, 4),
-        );
-    }
-}
-
-#[test]
-fn baseline_twins_agree_with_fast_forward() {
-    // The passive baseline is where the optimized stepper jumps whole
-    // quiescent stretches; the fault scenario forces re-settling.
-    for seed in [1, 2, 3] {
-        assert_twins_agree(ModelKind::NoIntelligence, seed, GridDims::new(4, 4));
+        ] {
+            assert_twins_agree(model, seed, GridDims::new(4, 4));
+        }
     }
 }
 

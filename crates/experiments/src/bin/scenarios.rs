@@ -12,7 +12,7 @@
 //!                                             run one shard of the sweep
 //! scenarios shard-plan NAME --shards N        print the deterministic partition
 //! scenarios merge SHARD.json... [--out PATH]  recombine shard artefacts
-//! scenarios dispatch NAME (--local N --checkpoint DIR | --hosts FILE)
+//! scenarios dispatch NAME --local N --checkpoint DIR
 //!                                             fan shards out across workers
 //! scenarios chaos-soak NAME --local N --checkpoint DIR
 //!               [--cycles C] [--chaos-seed S] [--chaos-rate PCT]
@@ -42,8 +42,8 @@
 //!
 //! `dispatch` runs the whole protocol at once: it partitions the sweep
 //! into `--shards M` shards (default: one per worker) and fans them out
-//! across `--local N` subprocess workers or the `--hosts FILE` ssh
-//! manifest, work-stealing style, with checkpoint-heartbeat stall
+//! across `--local N` subprocess workers sharing the `--checkpoint DIR`
+//! work directory, work-stealing style, with checkpoint-heartbeat stall
 //! detection (`--stall-polls`), automatic reassignment of dead workers'
 //! shards, a per-worker timing/retry report (`--report PATH`) and a
 //! final fingerprint-verified merge — the merged artefact is
@@ -54,10 +54,9 @@
 //!
 //! `chaos-soak` runs `--cycles` dispatch cycles of the same sweep under
 //! seeded fault injection (spawn refusals, mid-shard kills, frozen
-//! heartbeats, fetch errors, artefact corruption, checkpoint
-//! truncation/duplication), damaging a surviving checkpoint journal
-//! between cycles, and asserts every cycle's merged artefact is
-//! byte-identical to the clean single-process sweep. The fault mix is
+//! heartbeats, fetch errors, artefact corruption), damaging a surviving
+//! checkpoint journal between cycles, and asserts every cycle's merged
+//! artefact is byte-identical to the clean single-process sweep. The fault mix is
 //! reproducible from `--chaos-seed`; injected-fault counts land in the
 //! dispatch report. See `docs/chaos.md`.
 //!
@@ -91,12 +90,11 @@ use sirtm_scenario::json::{parse, Json};
 use sirtm_scenario::shard::{atomic_write, checkpoint_file, fingerprint};
 use sirtm_scenario::telemetry::Tracer;
 use sirtm_scenario::{
-    check_artifact, dispatch, journal_progress, merge_named_shards, parse_corpus,
-    parse_host_manifest, presets, replay_entry, run_campaign, run_shard_observed, run_sweep,
-    run_sweep_observed, ChaosConfig, ChaosLedger, ChaosTransport, DispatchOptions, FaultyFs,
-    FuzzConfig, FuzzTelemetry, LocalProcess, OnlineStats, RetryPolicy, ScenarioSpec, SeedScheme,
-    ShardPlan, ShardResult, ShardTransport, Ssh, SweepOptions, SweepResult, SweepSpec,
-    SweepTelemetry,
+    check_artifact, dispatch, journal_progress, merge_named_shards, parse_corpus, presets,
+    replay_entry, run_campaign, run_shard_observed, run_sweep, run_sweep_observed, ChaosConfig,
+    ChaosLedger, ChaosTransport, DispatchOptions, FaultyFs, FuzzConfig, FuzzTelemetry,
+    LocalProcess, OnlineStats, RetryPolicy, ScenarioSpec, SeedScheme, ShardPlan, ShardResult,
+    ShardTransport, SweepOptions, SweepResult, SweepSpec, SweepTelemetry,
 };
 
 fn die(msg: &str) -> ! {
@@ -106,7 +104,7 @@ fn die(msg: &str) -> ! {
          chaos-soak NAME|fuzz [NAME]|fuzz replay PATH|check PATH|status|trace check PATH] \
          [--spec FILE] \
          [--sweep FILE] [--runs N] [--threads T] [--seed S] [--out PATH] [--csv PATH] \
-         [--shards N] [--shard K/N] [--checkpoint DIR] [--limit M] [--local N] [--hosts FILE] \
+         [--shards N] [--shard K/N] [--checkpoint DIR] [--limit M] [--local N] \
          [--report PATH] [--poll-ms MS] [--stall-polls K] [--max-attempts A] [--cycles C] \
          [--chaos-seed S] [--chaos-rate PCT] [--budget N] [--fuzz-seed S] [--threshold X] \
          [--corpus PATH] [--log PATH] [--sidecar PATH] [--trace PATH] \
@@ -130,7 +128,6 @@ struct Args {
     checkpoint: Option<PathBuf>,
     limit: Option<usize>,
     local: usize,
-    hosts: Option<PathBuf>,
     report: Option<PathBuf>,
     poll_ms: u64,
     stall_polls: usize,
@@ -194,7 +191,6 @@ fn parse_args() -> Args {
         checkpoint: None,
         limit: None,
         local: 0,
-        hosts: None,
         report: None,
         poll_ms: 25,
         stall_polls: 0,
@@ -260,7 +256,6 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| die("--local needs a worker count"));
             }
-            "--hosts" => args.hosts = Some(PathBuf::from(next_val("--hosts"))),
             "--report" => args.report = Some(PathBuf::from(next_val("--report"))),
             "--poll-ms" => {
                 args.poll_ms = next_val("--poll-ms")
@@ -701,30 +696,11 @@ fn merge(args: &Args) {
     }
 }
 
-/// Builds the dispatch worker pool from `--local N` (which needs the
-/// `--checkpoint` work directory) or `--hosts FILE` (whose work
-/// directories come from the manifest).
+/// Builds the dispatch worker pool: `--local N` subprocess workers
+/// sharing the `--checkpoint` work directory.
 fn build_workers(args: &Args) -> Vec<Box<dyn ShardTransport>> {
-    if let Some(manifest) = &args.hosts {
-        if args.local > 0 {
-            die("--local and --hosts are mutually exclusive");
-        }
-        if args.checkpoint.is_some() {
-            eprintln!(
-                "note: --checkpoint is unused with --hosts; remote work \
-                 directories come from the manifest's `dir` fields"
-            );
-        }
-        let text = std::fs::read_to_string(manifest)
-            .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", manifest.display())));
-        return parse_host_manifest(&text)
-            .unwrap_or_else(|e| die(&format!("{}: {e}", manifest.display())))
-            .into_iter()
-            .map(|host| Box::new(Ssh::new(host)) as Box<dyn ShardTransport>)
-            .collect();
-    }
     if args.local == 0 {
-        die("dispatch needs --local N or --hosts FILE");
+        die("dispatch needs --local N");
     }
     let work_dir = args.checkpoint.clone().unwrap_or_else(|| {
         die("dispatch --local needs --checkpoint DIR (the shared work directory)")
@@ -743,10 +719,10 @@ fn build_workers(args: &Args) -> Vec<Box<dyn ShardTransport>> {
         .collect()
 }
 
-/// `dispatch NAME (--local N --checkpoint DIR | --hosts FILE)`: fan the
-/// sweep's shards out across a worker pool, reassigning dead or stalled
-/// workers' shards, then merge — byte-identical to a single-process
-/// `run` — and write the per-worker timing/retry report.
+/// `dispatch NAME --local N --checkpoint DIR`: fan the sweep's shards
+/// out across a worker pool, reassigning dead or stalled workers'
+/// shards, then merge — byte-identical to a single-process `run` — and
+/// write the per-worker timing/retry report.
 fn dispatch_cmd(args: &Args) {
     let sweep = resolve_sweep(args);
     let mut workers = build_workers(args);
@@ -786,7 +762,6 @@ fn dispatch_cmd(args: &Args) {
                 w.completed.to_string(),
                 w.failed.to_string(),
                 w.retries.to_string(),
-                w.salvaged.to_string(),
                 format!("{:.0}", w.busy.as_secs_f64() * 1e3),
                 if w.retired { "yes" } else { "" }.to_string(),
             ]
@@ -800,7 +775,6 @@ fn dispatch_cmd(args: &Args) {
                 "completed",
                 "failed",
                 "retries",
-                "salvaged",
                 "busy (ms)",
                 "retired"
             ],
@@ -837,12 +811,6 @@ fn dispatch_cmd(args: &Args) {
 /// `.tmp`), and dies on the first cycle whose merged artefact is not
 /// byte-identical to the clean single-process sweep. Injected-fault
 /// counts land in the dispatch report's `injected_faults` object.
-///
-/// No checkpoint is mutated at salvage handoff: `LocalProcess` workers
-/// share the work directory and hand over no journal
-/// (`fetch_checkpoint` returns `None`), so `handoff_pct` is never drawn
-/// against. Only the `Mock`-based unit tests in `chaos.rs` exercise
-/// handoff mutations.
 fn chaos_soak(args: &Args) {
     let sweep = resolve_sweep(args);
     if args.local == 0 {
@@ -903,7 +871,6 @@ fn chaos_soak(args: &Args) {
         let cfg = ChaosConfig {
             seed: cycle_seed,
             fault_pct: args.chaos_rate,
-            handoff_pct: 50,
             enable_freeze: true,
         };
         let mut workers: Vec<Box<dyn ShardTransport>> = (0..args.local)

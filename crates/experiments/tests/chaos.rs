@@ -1,8 +1,7 @@
 //! The chaos harness against real processes: a seeded fault storm over
 //! `ChaosTransport<LocalProcess>` workers — spawn refusals, mid-shard
-//! kills, fetch errors, artefact corruption, checkpoint mangling at
-//! handoff — must still converge to an artefact **byte-identical** to a
-//! clean single-process sweep; and the `scenarios chaos-soak` CLI must
+//! kills, fetch errors, artefact corruption — must still converge to an
+//! artefact **byte-identical** to a clean single-process sweep; and the `scenarios chaos-soak` CLI must
 //! uphold the same invariant across damage/restart cycles.
 
 use std::path::PathBuf;
@@ -53,7 +52,6 @@ fn seeded_storm_over_local_processes_converges_byte_identical() {
     let cfg = ChaosConfig {
         seed: 0x57_0811,
         fault_pct: 40,
-        handoff_pct: 50,
         enable_freeze: true,
     };
     let mut workers: Vec<Box<dyn ShardTransport>> = (0..2)

@@ -1,10 +1,9 @@
 //! The dispatcher against real processes: a `LocalProcess` worker
 //! killed mid-shard (SIGKILL, via a scripted `ChaosTransport` fault) must be
 //! detected, its shard reassigned, and the merged artefact must stay
-//! **byte-identical** to a single-process sweep; the `scenarios
-//! dispatch` CLI must round-trip the same guarantee; and the `Ssh`
-//! transport must speak the whole protocol over a loopback ssh shim —
-//! no network, no daemon, just the real command/stdin/stdout plumbing.
+//! **byte-identical** to a single-process sweep, also when the pool and
+//! its work directory are reused for a second sweep; and the `scenarios
+//! dispatch` CLI must round-trip the same guarantee.
 //!
 //! These tests drive the actual `scenarios` binary via
 //! `CARGO_BIN_EXE_scenarios`, so they cover the `run --sweep … --shard
@@ -17,8 +16,7 @@ use std::time::Duration;
 
 use sirtm_scenario::{
     dispatch, presets, run_sweep, Axis, ChaosConfig, ChaosLedger, ChaosTransport, DispatchOptions,
-    Fault, LocalProcess, PollStatus, SeedScheme, ShardJob, ShardTransport, Ssh, SshHost,
-    SweepOptions, SweepSpec,
+    Fault, LocalProcess, SeedScheme, ShardTransport, SweepOptions, SweepSpec,
 };
 
 fn scenarios_bin() -> PathBuf {
@@ -65,7 +63,6 @@ fn killed_local_worker_is_reassigned_and_merge_stays_byte_identical() {
     let ledger = ChaosLedger::new();
     let quiet = ChaosConfig {
         fault_pct: 0,
-        handoff_pct: 0,
         enable_freeze: false,
         ..ChaosConfig::new(0)
     };
@@ -116,6 +113,23 @@ fn killed_local_worker_is_reassigned_and_merge_stays_byte_identical() {
         reference,
         "reassignment must not perturb a single byte of the artefact"
     );
+    // The same pool and work directory take a second sweep: its
+    // descriptor and checkpoints are namespaced by its own fingerprint,
+    // so the first sweep's journals neither collide with nor leak into
+    // it.
+    let mut sweep2 = sweep_24();
+    sweep2.seeds = SeedScheme::Derived { root: 0xD16 };
+    let reference2 = run_sweep(&sweep2, SweepOptions { threads: 2 })
+        .to_json()
+        .render_pretty();
+    let outcome2 = dispatch(&sweep2, 4, &mut workers, &opts).expect("reused pool dispatches");
+    assert_eq!(outcome2.result.to_json().render_pretty(), reference2);
+    let staged = std::fs::read_dir(&dir)
+        .expect("work dir")
+        .filter_map(Result::ok)
+        .filter(|e| e.file_name().to_string_lossy().starts_with("sweep-"))
+        .count();
+    assert_eq!(staged, 2, "each sweep stages its own descriptor");
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -323,218 +337,5 @@ fn merge_cli_names_the_offending_file_on_fingerprint_mismatch() {
         stderr.contains("tampered-b.json"),
         "error must name the offending file: {stderr}"
     );
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-/// The `Ssh` transport end to end, against a loopback shim that runs
-/// the "remote" command in a local shell: staging over stdin, the
-/// remote `run --sweep … --shard …` invocation, `wc`-based heartbeats
-/// and `cat`-based artefact fetch all exercise the exact strings a real
-/// ssh client would carry.
-#[cfg(unix)]
-#[test]
-fn ssh_transport_over_a_loopback_shim_merges_byte_identical() {
-    use std::os::unix::fs::PermissionsExt;
-
-    let sweep = sweep_24();
-    let reference = run_sweep(&sweep, SweepOptions { threads: 2 })
-        .to_json()
-        .render_pretty();
-    let dir = temp_dir("ssh");
-    let shim = dir.join("fake-ssh");
-    std::fs::write(
-        &shim,
-        "#!/bin/sh\n# fake-ssh [-o OPT]... HOST COMMAND: drop the options and HOST,\n# run COMMAND locally.\nwhile [ \"$1\" = \"-o\" ]; do shift 2; done\nshift\nexec /bin/sh -c \"$1\"\n",
-    )
-    .expect("shim writes");
-    std::fs::set_permissions(&shim, std::fs::Permissions::from_mode(0o755)).expect("chmod");
-    let remote_dir = dir.join("remote");
-    let host = SshHost {
-        host: "loopback".to_string(),
-        bin: scenarios_bin().to_str().expect("utf8 path").to_string(),
-        dir: remote_dir.to_str().expect("utf8 path").to_string(),
-        threads: 1,
-    };
-    let mut workers: Vec<Box<dyn ShardTransport>> = vec![Box::new(Ssh::with_program(
-        host,
-        shim.to_str().expect("utf8 path"),
-    ))];
-    let opts = DispatchOptions {
-        poll_interval: Duration::from_millis(1),
-        ..DispatchOptions::default()
-    };
-    let outcome = dispatch(&sweep, 2, &mut workers, &opts).expect("ssh dispatch completes");
-    assert_eq!(outcome.result.to_json().render_pretty(), reference);
-    assert_eq!(outcome.report.reassignments(), 0);
-    // The "remote" side really staged the protocol files.
-    assert!(remote_dir.join("ckpt").is_dir(), "checkpoint dir staged");
-    let staged_descriptors = || {
-        std::fs::read_dir(&remote_dir)
-            .expect("remote dir")
-            .filter_map(Result::ok)
-            .filter(|e| e.file_name().to_string_lossy().starts_with("sweep-"))
-            .count()
-    };
-    assert_eq!(staged_descriptors(), 1, "descriptor staged over stdin");
-    // Reusing the same worker pool for a *different* sweep must
-    // restage its descriptor (staging is keyed on the fingerprint, not
-    // on the worker's lifetime).
-    let mut sweep2 = sweep_24();
-    sweep2.seeds = SeedScheme::Derived { root: 0xD16 };
-    let reference2 = run_sweep(&sweep2, SweepOptions { threads: 2 })
-        .to_json()
-        .render_pretty();
-    let outcome2 = dispatch(&sweep2, 2, &mut workers, &opts).expect("reused pool dispatches");
-    assert_eq!(outcome2.result.to_json().render_pretty(), reference2);
-    assert_eq!(
-        staged_descriptors(),
-        2,
-        "second sweep staged its own descriptor"
-    );
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[cfg(unix)]
-fn write_shim(path: &Path, body: &str) {
-    use std::os::unix::fs::PermissionsExt;
-    std::fs::write(path, body).expect("shim writes");
-    std::fs::set_permissions(path, std::fs::Permissions::from_mode(0o755)).expect("chmod");
-}
-
-/// Degraded Ssh heartbeats: when the heartbeat round trip itself fails
-/// (control connection blip), `heartbeat()` must return the **last
-/// observed** value — a transient ssh error reads as "no new progress",
-/// not as a sudden regression to zero that would look like a restarted
-/// shard. The shim drops `wc`-based heartbeat commands on the floor
-/// while a marker file exists, leaving every other protocol command
-/// intact.
-#[cfg(unix)]
-#[test]
-fn ssh_heartbeat_outage_returns_the_last_observed_value() {
-    let sweep = sweep_24();
-    let dir = temp_dir("ssh_hb_outage");
-    let marker = dir.join("link-down");
-    let shim = dir.join("flaky-ssh");
-    write_shim(
-        &shim,
-        &format!(
-            "#!/bin/sh\n\
-             # fake-ssh whose heartbeat round trips fail while the\n\
-             # marker file exists; everything else runs locally.\n\
-             while [ \"$1\" = \"-o\" ]; do shift 2; done\n\
-             shift\n\
-             case \"$1\" in\n\
-             \"wc -l\"*) [ -e '{}' ] && exit 255 ;;\n\
-             esac\n\
-             exec /bin/sh -c \"$1\"\n",
-            marker.display()
-        ),
-    );
-    let host = SshHost {
-        host: "loopback".to_string(),
-        bin: scenarios_bin().to_str().expect("utf8 path").to_string(),
-        dir: dir.join("remote").to_str().expect("utf8 path").to_string(),
-        threads: 1,
-    };
-    let mut worker = Ssh::with_program(host, shim.to_str().expect("utf8 path"));
-    // Drive the transport directly: run one 6-run shard to completion,
-    // so the remote checkpoint holds a known number of rows.
-    let job = ShardJob::plan_sweep(&sweep, 4).remove(0);
-    worker.spawn(&job).expect("spawn over shim");
-    let deadline = std::time::Instant::now() + Duration::from_secs(120);
-    while worker.poll() == PollStatus::Running {
-        assert!(std::time::Instant::now() < deadline, "remote run timed out");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let healthy = worker.heartbeat();
-    assert_eq!(
-        healthy,
-        job.plan.len(),
-        "a finished shard's checkpoint carries one row per run"
-    );
-    // Sever the heartbeat path: the observed value must hold steady.
-    std::fs::write(&marker, "down").expect("marker writes");
-    assert_eq!(
-        worker.heartbeat(),
-        healthy,
-        "a failed round trip must return the last observed heartbeat"
-    );
-    assert_eq!(worker.heartbeat(), healthy, "and keep returning it");
-    // The outage only degraded observation — fetch still works once the
-    // link is back.
-    std::fs::remove_file(&marker).expect("marker clears");
-    assert_eq!(worker.heartbeat(), healthy);
-    worker.fetch(&job).expect("artefact fetch after outage");
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-/// A dead host in the pool: every ssh invocation to it fails (exit 255,
-/// like a real unreachable host), so its spawns strike out and the
-/// dispatcher retires it while the healthy loopback worker finishes the
-/// sweep byte-identically. A pool of *only* dead hosts must fail the
-/// dispatch with an error that says so.
-#[cfg(unix)]
-#[test]
-fn dead_ssh_host_is_retired_and_the_survivor_completes() {
-    let sweep = sweep_24();
-    let reference = run_sweep(&sweep, SweepOptions { threads: 2 })
-        .to_json()
-        .render_pretty();
-    let dir = temp_dir("ssh_dead_host");
-    let good_shim = dir.join("fake-ssh");
-    write_shim(
-        &good_shim,
-        "#!/bin/sh\nwhile [ \"$1\" = \"-o\" ]; do shift 2; done\nshift\nexec /bin/sh -c \"$1\"\n",
-    );
-    let dead_shim = dir.join("dead-ssh");
-    write_shim(
-        &dead_shim,
-        "#!/bin/sh\n# Unreachable host: every connection attempt fails.\nexit 255\n",
-    );
-    let host = |name: &str| SshHost {
-        host: name.to_string(),
-        bin: scenarios_bin().to_str().expect("utf8 path").to_string(),
-        dir: dir.join(name).to_str().expect("utf8 path").to_string(),
-        threads: 1,
-    };
-    let mut workers: Vec<Box<dyn ShardTransport>> = vec![
-        Box::new(Ssh::with_program(
-            host("dead"),
-            dead_shim.to_str().expect("utf8 path"),
-        )),
-        Box::new(Ssh::with_program(
-            host("alive"),
-            good_shim.to_str().expect("utf8 path"),
-        )),
-    ];
-    let opts = DispatchOptions {
-        poll_interval: Duration::from_millis(1),
-        max_attempts: 8,
-        worker_strikes: 2,
-        ..DispatchOptions::default()
-    };
-    let outcome = dispatch(&sweep, 2, &mut workers, &opts).expect("survivor completes");
-    assert!(
-        outcome.report.workers[0].retired,
-        "the dead host must be struck out: {:?}",
-        outcome.report.workers
-    );
-    assert!(
-        !outcome.report.workers[1].retired,
-        "the healthy worker stays in the pool"
-    );
-    assert_eq!(
-        outcome.result.to_json().render_pretty(),
-        reference,
-        "a dead host must not perturb the artefact"
-    );
-    // A pool with no healthy worker cannot limp through: the dispatch
-    // fails and the error names the retirements.
-    let mut only_dead: Vec<Box<dyn ShardTransport>> = vec![Box::new(Ssh::with_program(
-        host("dead2"),
-        dead_shim.to_str().expect("utf8 path"),
-    ))];
-    let err = dispatch(&sweep, 2, &mut only_dead, &opts).expect_err("all-dead pool fails");
-    assert!(err.contains("retired"), "unexpected error: {err}");
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -88,8 +88,8 @@ fn dispatched_merge_is_byte_identical_with_tracer_on_and_off() {
     let run = |tracer: Option<Tracer>, dir: &str| {
         let dir = temp_dir(dir);
         let mut workers: Vec<Box<dyn ShardTransport>> = vec![
-            Box::new(Mock::new("w0", &dir.join("w0"))),
-            Box::new(Mock::new("w1", &dir.join("w1"))),
+            Box::new(Mock::new("w0", &dir)),
+            Box::new(Mock::new("w1", &dir)),
         ];
         let opts = DispatchOptions {
             poll_interval: Duration::ZERO,
@@ -127,7 +127,6 @@ fn chaos_dispatch_artefact_ignores_tracer_and_counts_match_trace() {
     let cfg = ChaosConfig {
         seed: 7,
         fault_pct: 80,
-        handoff_pct: 50,
         enable_freeze: false,
     };
     let run = |tracer: Option<Tracer>, dir: &str| {
@@ -135,11 +134,8 @@ fn chaos_dispatch_artefact_ignores_tracer_and_counts_match_trace() {
         let ledger = ChaosLedger::new();
         let mut workers: Vec<Box<dyn ShardTransport>> = (0..2)
             .map(|i| {
-                let mut t = ChaosTransport::new(
-                    Mock::new(&format!("w{i}"), &dir.join(format!("w{i}"))),
-                    cfg,
-                    ledger.clone(),
-                );
+                let mut t =
+                    ChaosTransport::new(Mock::new(&format!("w{i}"), &dir), cfg, ledger.clone());
                 if let Some(tracer) = &tracer {
                     t = t.with_tracer(tracer.clone());
                 }

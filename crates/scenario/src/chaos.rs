@@ -4,13 +4,12 @@
 //! taxonomy and the seed scheme):
 //!
 //! * [`ChaosTransport`] — a decorator implementing
-//!   [`ShardTransport`] around any real backend
-//!   ([`crate::dispatch::LocalProcess`], [`crate::dispatch::Ssh`],
-//!   [`crate::dispatch::Mock`]), injecting faults from a
-//!   [`SplitMix64`]-derived schedule keyed by `(chaos seed, worker
-//!   label, attempt)`: spawn refusals, kill-after-N-heartbeats, frozen
-//!   heartbeats, fetch errors, artefact corruption, and checkpoint
-//!   truncation/duplication at salvage handoff.
+//!   [`ShardTransport`] around either backend
+//!   ([`crate::dispatch::LocalProcess`], [`crate::dispatch::Mock`]),
+//!   injecting faults from a [`SplitMix64`]-derived schedule keyed by
+//!   `(chaos seed, worker label, attempt)`: spawn refusals,
+//!   kill-after-N-heartbeats, frozen heartbeats, fetch errors and
+//!   artefact corruption.
 //! * [`FaultyFs`] — seeded file-level fault operations for the
 //!   checkpoint/artefact path: tear a file mid-line, corrupt an
 //!   interior journal line, leave stale `.tmp` files behind.
@@ -64,7 +63,6 @@ fn chaos_stream(seed: u64, label: &str, attempt: u64, salt: u64) -> SplitMix64 {
 
 /// Stream salts, one per decision point.
 const SALT_FAULT: u64 = 1;
-const SALT_HANDOFF: u64 = 2;
 const SALT_RETRY: u64 = 3;
 
 // ---------------------------------------------------------------------------
@@ -77,10 +75,9 @@ const SALT_RETRY: u64 = 3;
 /// between tries. Backoff is exponential with deterministic jitter —
 /// the jitter is drawn from a [`SplitMix64`] keyed by `(jitter_seed,
 /// op, worker label, try)`, so two runs with the same seed back off
-/// identically. Heartbeats carry no retry budget: they are advisory,
-/// degrade inside the transport (the Ssh transport returns the last
-/// observed value on a failed round trip), and are absorbed by the
-/// dispatcher's stall window.
+/// identically. Heartbeats carry no retry budget: they are advisory
+/// (an unreadable journal reads as no progress), and the dispatcher's
+/// stall window absorbs a quiet stretch.
 ///
 /// The default policy is a single try with zero delay — exactly the
 /// pre-policy dispatcher behaviour, so scripted transport tests keep
@@ -197,28 +194,6 @@ impl Fault {
     }
 }
 
-/// A checkpoint mutation at salvage handoff (`fetch_checkpoint`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HandoffFault {
-    /// The salvaged journal is cut mid final line — a torn tail the
-    /// loader must treat as benign.
-    TruncateTail,
-    /// The salvaged journal's last row is appended twice — an exact
-    /// duplicate the loader must collapse.
-    DuplicateLastRow,
-}
-
-impl HandoffFault {
-    /// The ledger key for this fault class.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            HandoffFault::TruncateTail => "checkpoint-truncation",
-            HandoffFault::DuplicateLastRow => "checkpoint-duplication",
-        }
-    }
-}
-
 /// Chaos schedule parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
@@ -226,8 +201,6 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Percent chance (0–100) that any one spawn attempt draws a fault.
     pub fault_pct: u64,
-    /// Percent chance (0–100) that any one salvage handoff is mutated.
-    pub handoff_pct: u64,
     /// Include [`Fault::FreezeHeartbeat`] in the draw. Leave off when
     /// the dispatch runs without stall detection, or frozen workers
     /// hang the dispatch forever.
@@ -235,14 +208,13 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// The default storm: a quarter of attempts fault, half of
-    /// handoffs are mutated, freezes included.
+    /// The default storm: a quarter of attempts fault, freezes
+    /// included.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
             fault_pct: 25,
-            handoff_pct: 50,
             enable_freeze: true,
         }
     }
@@ -262,7 +234,7 @@ struct LedgerInner {
 /// [`ChaosTransport`] of a pool; read the totals after the dispatch
 /// for the report artefact, and the per-worker slices for
 /// [`crate::dispatch::WorkerReport`] fault columns — one vocabulary
-/// (the [`Fault`]/[`HandoffFault`] names) shared by report and trace.
+/// (the [`Fault`] names) shared by report and trace.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosLedger(Arc<Mutex<LedgerInner>>);
 
@@ -275,11 +247,6 @@ impl ChaosLedger {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, LedgerInner> {
         self.0.lock().expect("chaos ledger poisoned")
-    }
-
-    /// Counts one firing of `kind` without worker attribution.
-    pub fn record(&self, kind: &str) {
-        *self.lock().totals.entry(kind.to_string()).or_insert(0) += 1;
     }
 
     /// Counts one firing of `kind`, attributed to `worker`.
@@ -320,26 +287,6 @@ impl ChaosLedger {
     pub fn total(&self) -> usize {
         self.lock().totals.values().sum()
     }
-
-    /// Folds another ledger's counts (totals and per-worker) into this
-    /// one.
-    pub fn absorb(&self, other: &ChaosLedger) {
-        // Snapshot first: `other` may share this ledger's mutex.
-        let (totals, by_worker) = {
-            let theirs = other.lock();
-            (theirs.totals.clone(), theirs.by_worker.clone())
-        };
-        let mut inner = self.lock();
-        for (k, v) in totals {
-            *inner.totals.entry(k).or_insert(0) += v;
-        }
-        for (worker, counts) in by_worker {
-            let slot = inner.by_worker.entry(worker).or_default();
-            for (k, v) in counts {
-                *slot.entry(k).or_insert(0) += v;
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -348,11 +295,10 @@ impl ChaosLedger {
 
 /// A fault-injecting decorator around any [`ShardTransport`]. Each
 /// spawn is one *attempt*; the attempt draws at most one [`Fault`]
-/// from the seeded schedule (or from an explicit script), and each
-/// salvage handoff independently draws at most one [`HandoffFault`].
-/// Everything else delegates to the inner transport, so the dispatcher
-/// exercises its real recovery machinery — kills, salvage, reseeding,
-/// retries — against real worker behaviour.
+/// from the seeded schedule (or from an explicit script). Everything
+/// else delegates to the inner transport, so the dispatcher exercises
+/// its real recovery machinery — kills, resumes, retries — against
+/// real worker behaviour.
 ///
 /// The schedule is a pure function of `(seed, label, attempt)`: with a
 /// synchronous inner transport ([`crate::dispatch::Mock`]) an entire
@@ -368,7 +314,6 @@ pub struct ChaosTransport<T> {
     active: Option<Fault>,
     freeze_recorded: bool,
     script: VecDeque<Option<Fault>>,
-    script_handoff: VecDeque<Option<HandoffFault>>,
     tracer: Option<Tracer>,
 }
 
@@ -384,7 +329,6 @@ impl<T: ShardTransport> ChaosTransport<T> {
             active: None,
             freeze_recorded: false,
             script: VecDeque::new(),
-            script_handoff: VecDeque::new(),
             tracer: None,
         }
     }
@@ -419,22 +363,6 @@ impl<T: ShardTransport> ChaosTransport<T> {
         self
     }
 
-    /// Scripts the next salvage handoffs' mutations explicitly.
-    #[must_use]
-    pub fn script_handoffs(
-        mut self,
-        faults: impl IntoIterator<Item = Option<HandoffFault>>,
-    ) -> Self {
-        self.script_handoff.extend(faults);
-        self
-    }
-
-    /// A reference to the wrapped transport (tests inspect mock event
-    /// logs through this).
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
     fn draw_fault(&mut self) -> Option<Fault> {
         if let Some(scripted) = self.script.pop_front() {
             return scripted;
@@ -452,65 +380,6 @@ impl<T: ShardTransport> ChaosTransport<T> {
             _ => Fault::FreezeHeartbeat,
         })
     }
-
-    fn draw_handoff(&mut self) -> Option<HandoffFault> {
-        if let Some(scripted) = self.script_handoff.pop_front() {
-            return scripted;
-        }
-        let mut sm = chaos_stream(
-            self.cfg.seed,
-            self.inner.label(),
-            self.attempt,
-            SALT_HANDOFF,
-        );
-        if sm.below_u64(100) >= self.cfg.handoff_pct.min(100) {
-            return None;
-        }
-        Some(if sm.below_u64(2) == 0 {
-            HandoffFault::TruncateTail
-        } else {
-            HandoffFault::DuplicateLastRow
-        })
-    }
-}
-
-/// Cuts `journal` mid final line (at least the trailing newline goes),
-/// leaving a torn tail. Journals too short to tear pass through.
-fn truncate_tail(journal: &str, sm: &mut SplitMix64) -> String {
-    let Some(last_nl) = journal.rfind('\n') else {
-        return journal.to_string();
-    };
-    // Tear into the final complete line: keep its start, lose 1..=len
-    // bytes off the end (losing exactly 1 byte drops just the newline).
-    let line_start = journal[..last_nl].rfind('\n').map_or(0, |p| p + 1);
-    if line_start == 0 {
-        // Only the header: tearing it would just heal to empty; fine.
-        return journal.to_string();
-    }
-    let line_len = journal.len() - line_start;
-    let cut = if line_len <= 1 {
-        1
-    } else {
-        1 + sm.below_u64(line_len as u64 - 1) as usize
-    };
-    journal[..journal.len() - cut].to_string()
-}
-
-/// Appends an exact copy of the last complete row line — the
-/// duplicated-append signature the loader must collapse. Journals with
-/// no complete row line pass through.
-fn duplicate_last_row(journal: &str) -> String {
-    if !journal.ends_with('\n') {
-        // A torn tail: appending would glue onto the fragment and turn
-        // a benign tear into interior garbage — not this fault's job.
-        return journal.to_string();
-    }
-    let body = &journal[..journal.len() - 1];
-    let Some(last_nl) = body.rfind('\n') else {
-        // Header only — nothing to duplicate.
-        return journal.to_string();
-    };
-    format!("{journal}{}\n", &body[last_nl + 1..])
 }
 
 impl<T: ShardTransport> ShardTransport for ChaosTransport<T> {
@@ -592,37 +461,6 @@ impl<T: ShardTransport> ShardTransport for ChaosTransport<T> {
         }
     }
 
-    fn fetch_checkpoint(&mut self, job: &ShardJob) -> Option<String> {
-        let journal = self.inner.fetch_checkpoint(job)?;
-        match self.draw_handoff() {
-            Some(HandoffFault::TruncateTail) => {
-                let mut sm = chaos_stream(
-                    self.cfg.seed,
-                    self.inner.label(),
-                    self.attempt,
-                    SALT_HANDOFF,
-                );
-                let torn = truncate_tail(&journal, &mut sm);
-                if torn != journal {
-                    self.fire(HandoffFault::TruncateTail.name());
-                }
-                Some(torn)
-            }
-            Some(HandoffFault::DuplicateLastRow) => {
-                let doubled = duplicate_last_row(&journal);
-                if doubled != journal {
-                    self.fire(HandoffFault::DuplicateLastRow.name());
-                }
-                Some(doubled)
-            }
-            None => Some(journal),
-        }
-    }
-
-    fn seed_checkpoint(&mut self, job: &ShardJob, journal: &str) -> Result<(), String> {
-        self.inner.seed_checkpoint(job, journal)
-    }
-
     fn kill(&mut self) {
         self.active = None;
         self.inner.kill();
@@ -660,11 +498,23 @@ impl FaultyFs {
     /// Returns any I/O error.
     pub fn tear_tail(&mut self, path: &Path) -> std::io::Result<usize> {
         let text = std::fs::read_to_string(path)?;
-        let torn = truncate_tail(&text, &mut self.rng);
-        let removed = text.len() - torn.len();
-        if removed > 0 {
-            std::fs::write(path, torn)?;
+        let Some(last_nl) = text.rfind('\n') else {
+            return Ok(0);
+        };
+        // Tear into the final complete line: keep its start, lose 1..=len
+        // bytes off the end (losing exactly 1 byte drops just the newline).
+        let line_start = text[..last_nl].rfind('\n').map_or(0, |p| p + 1);
+        if line_start == 0 {
+            // Only the header: tearing it would just heal to empty.
+            return Ok(0);
         }
+        let line_len = text.len() - line_start;
+        let removed = if line_len <= 1 {
+            1
+        } else {
+            1 + self.rng.below_u64(line_len as u64 - 1) as usize
+        };
+        std::fs::write(path, &text[..text.len() - removed])?;
         Ok(removed)
     }
 
@@ -724,6 +574,7 @@ mod tests {
     use super::*;
     use crate::dispatch::{dispatch, DispatchOptions, Mock, MockBehaviour};
     use crate::presets;
+    use crate::shard::{checkpoint_file, run_shard};
     use crate::sweep::{run_sweep, Axis, SeedScheme, SweepOptions, SweepSpec};
 
     /// A 2-cell × 2-replicate sweep (4 runs), one faulted cell so the
@@ -759,7 +610,6 @@ mod tests {
         ChaosConfig {
             seed: 0,
             fault_pct: 0,
-            handoff_pct: 0,
             enable_freeze: false,
         }
     }
@@ -787,6 +637,53 @@ mod tests {
             "recovery must reproduce the clean artefact byte-for-byte"
         );
         outcome
+    }
+
+    /// A victim `Mock` in `dir` crashes after journalling `runs` runs of
+    /// `job`; returns the journal it leaves behind.
+    fn crash_after(dir: &Path, job: &ShardJob, runs: usize) -> PathBuf {
+        let mut victim = Mock::new("victim", dir).script([MockBehaviour::DieAfter(runs)]);
+        victim.spawn(job).expect("spawn works");
+        assert!(matches!(
+            victim.poll(),
+            PollStatus::Exited { success: false, .. }
+        ));
+        checkpoint_file(&dir.join("ckpt").join(&job.fingerprint), job.plan)
+    }
+
+    /// Appends an exact copy of the journal's last row: the signature of
+    /// a duplicated append.
+    fn double_last_row(path: &Path) {
+        let text = std::fs::read_to_string(path).expect("reads");
+        let last = text.lines().last().expect("has a row");
+        std::fs::write(path, format!("{text}{last}\n")).expect("writes");
+    }
+
+    /// The next `Mock` in `dir` takes `job` over. Asserts it logs
+    /// `resumed`/`executed` and that its shard equals a clean,
+    /// uncheckpointed run of the slice.
+    fn assert_next_worker_resumes(dir: &Path, job: &ShardJob, resumed: usize) {
+        let mut next = Mock::new("next", dir);
+        next.spawn(job).expect("spawn works");
+        let executed = job.plan.len() - resumed;
+        assert_eq!(
+            next.events,
+            vec![format!(
+                "ran shard {}: resumed {resumed}, executed {executed}",
+                job.coords()
+            )]
+        );
+        let clean = run_shard(
+            &small_sweep(),
+            job.plan,
+            None,
+            SweepOptions { threads: 1 },
+            None,
+        )
+        .expect("clean run")
+        .result
+        .expect("completes");
+        assert_eq!(next.fetch(job).expect("shard completes"), clean);
     }
 
     #[test]
@@ -820,50 +717,12 @@ mod tests {
     }
 
     #[test]
-    fn journal_mutators_respect_the_journal_shape() {
-        let mut sm = SplitMix64::new(5);
-        let journal = "{\"header\":1}\n1 aaaaaaaa {\"row\":1}\n2 bbbbbbbb {\"row\":2}\n";
-        let torn = truncate_tail(journal, &mut sm);
-        assert!(torn.len() < journal.len(), "tearing removes bytes");
-        assert!(
-            journal.starts_with(&torn),
-            "tearing only cuts the tail, never rewrites"
-        );
-        assert!(
-            torn.len() >= journal.len() - "2 bbbbbbbb {\"row\":2}\n".len(),
-            "only the final line is torn into"
-        );
-        let header_only = "{\"header\":1}\n";
-        assert_eq!(
-            truncate_tail(header_only, &mut sm),
-            header_only,
-            "a bare header passes through"
-        );
-        let doubled = duplicate_last_row(journal);
-        assert_eq!(
-            doubled,
-            format!("{journal}2 bbbbbbbb {{\"row\":2}}\n"),
-            "duplication appends an exact copy of the last row"
-        );
-        assert_eq!(
-            duplicate_last_row(&torn),
-            torn,
-            "a torn journal is not duplicated (that would glue the tear)"
-        );
-        assert_eq!(duplicate_last_row(header_only), header_only);
-    }
-
-    #[test]
     fn spawn_refusal_is_requeued_and_recovered() {
         let dir = temp_dir("refuse");
         let ledger = ChaosLedger::new();
         let mut workers: Vec<Box<dyn ShardTransport>> = vec![Box::new(
-            ChaosTransport::new(
-                Mock::new("w0", &dir.join("w0")),
-                quiet_cfg(),
-                ledger.clone(),
-            )
-            .script_faults([Some(Fault::RefuseSpawn)]),
+            ChaosTransport::new(Mock::new("w0", &dir), quiet_cfg(), ledger.clone())
+                .script_faults([Some(Fault::RefuseSpawn)]),
         )];
         let outcome = dispatch_survives(&mut workers, &fast());
         assert_eq!(ledger.counts(), vec![("spawn-refusal".to_string(), 1)]);
@@ -876,12 +735,8 @@ mod tests {
         let dir = temp_dir("refuse_retry");
         let ledger = ChaosLedger::new();
         let mut workers: Vec<Box<dyn ShardTransport>> = vec![Box::new(
-            ChaosTransport::new(
-                Mock::new("w0", &dir.join("w0")),
-                quiet_cfg(),
-                ledger.clone(),
-            )
-            .script_faults([Some(Fault::RefuseSpawn)]),
+            ChaosTransport::new(Mock::new("w0", &dir), quiet_cfg(), ledger.clone())
+                .script_faults([Some(Fault::RefuseSpawn)]),
         )];
         let opts = DispatchOptions {
             retry: RetryPolicy {
@@ -904,12 +759,8 @@ mod tests {
         let dir = temp_dir("kill");
         let ledger = ChaosLedger::new();
         let mut workers: Vec<Box<dyn ShardTransport>> = vec![Box::new(
-            ChaosTransport::new(
-                Mock::new("w0", &dir.join("w0")),
-                quiet_cfg(),
-                ledger.clone(),
-            )
-            .script_faults([Some(Fault::KillAfterHeartbeats(1))]),
+            ChaosTransport::new(Mock::new("w0", &dir), quiet_cfg(), ledger.clone())
+                .script_faults([Some(Fault::KillAfterHeartbeats(1))]),
         )];
         let outcome = dispatch_survives(&mut workers, &fast());
         assert_eq!(
@@ -923,19 +774,15 @@ mod tests {
     #[test]
     fn kill_leaves_a_warm_checkpoint_a_seeded_worker_resumes_from() {
         // The kill fault driven against concrete handles, so the Mock
-        // event log is inspectable: the killed worker's journal
-        // survives, and a fresh worker seeded with it resumes every
+        // event log is inspectable: the killed worker's journal survives
+        // in the shared directory, and the next worker resumes every
         // journalled run instead of recomputing.
         let sweep = small_sweep();
         let dir = temp_dir("kill_direct");
-        let job = &crate::dispatch::ShardJob::plan_sweep(&sweep, 2)[0];
+        let job = &ShardJob::plan_sweep(&sweep, 2)[0];
         let ledger = ChaosLedger::new();
-        let mut chaos = ChaosTransport::new(
-            Mock::new("victim", &dir.join("victim")),
-            quiet_cfg(),
-            ledger.clone(),
-        )
-        .script_faults([Some(Fault::KillAfterHeartbeats(1))]);
+        let mut chaos = ChaosTransport::new(Mock::new("victim", &dir), quiet_cfg(), ledger.clone())
+            .script_faults([Some(Fault::KillAfterHeartbeats(1))]);
         chaos.spawn(job).expect("spawn survives");
         match chaos.poll() {
             PollStatus::Exited {
@@ -947,20 +794,7 @@ mod tests {
             other => panic!("the kill must report a crash, got {other:?}"),
         }
         assert_eq!(ledger.total(), 1);
-        let salvaged = chaos
-            .fetch_checkpoint(job)
-            .expect("the journal outlives the worker");
-        let mut fresh = Mock::new("fresh", &dir.join("fresh"));
-        fresh.seed_checkpoint(job, &salvaged).expect("seeds");
-        fresh.spawn(job).expect("spawns");
-        assert!(
-            fresh
-                .events
-                .iter()
-                .any(|e| e.contains(&format!("resumed {}, executed 0", job.plan.len()))),
-            "every journalled run must resume, none recompute: {:?}",
-            fresh.events
-        );
+        assert_next_worker_resumes(&dir, job, job.plan.len());
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -969,12 +803,8 @@ mod tests {
         let dir = temp_dir("freeze");
         let ledger = ChaosLedger::new();
         let mut workers: Vec<Box<dyn ShardTransport>> = vec![Box::new(
-            ChaosTransport::new(
-                Mock::new("w0", &dir.join("w0")),
-                quiet_cfg(),
-                ledger.clone(),
-            )
-            .script_faults([Some(Fault::FreezeHeartbeat)]),
+            ChaosTransport::new(Mock::new("w0", &dir), quiet_cfg(), ledger.clone())
+                .script_faults([Some(Fault::FreezeHeartbeat)]),
         )];
         let opts = DispatchOptions {
             stall_polls: 3,
@@ -991,12 +821,8 @@ mod tests {
         let dir = temp_dir("fetch_err");
         let ledger = ChaosLedger::new();
         let mut workers: Vec<Box<dyn ShardTransport>> = vec![Box::new(
-            ChaosTransport::new(
-                Mock::new("w0", &dir.join("w0")),
-                quiet_cfg(),
-                ledger.clone(),
-            )
-            .script_faults([Some(Fault::FetchError)]),
+            ChaosTransport::new(Mock::new("w0", &dir), quiet_cfg(), ledger.clone())
+                .script_faults([Some(Fault::FetchError)]),
         )];
         let outcome = dispatch_survives(&mut workers, &fast());
         assert_eq!(ledger.counts(), vec![("fetch-error".to_string(), 1)]);
@@ -1009,12 +835,8 @@ mod tests {
         let dir = temp_dir("fetch_retry");
         let ledger = ChaosLedger::new();
         let mut workers: Vec<Box<dyn ShardTransport>> = vec![Box::new(
-            ChaosTransport::new(
-                Mock::new("w0", &dir.join("w0")),
-                quiet_cfg(),
-                ledger.clone(),
-            )
-            .script_faults([Some(Fault::FetchError)]),
+            ChaosTransport::new(Mock::new("w0", &dir), quiet_cfg(), ledger.clone())
+                .script_faults([Some(Fault::FetchError)]),
         )];
         let opts = DispatchOptions {
             retry: RetryPolicy {
@@ -1037,12 +859,8 @@ mod tests {
         let dir = temp_dir("corrupt");
         let ledger = ChaosLedger::new();
         let mut workers: Vec<Box<dyn ShardTransport>> = vec![Box::new(
-            ChaosTransport::new(
-                Mock::new("w0", &dir.join("w0")),
-                quiet_cfg(),
-                ledger.clone(),
-            )
-            .script_faults([Some(Fault::CorruptArtifact)]),
+            ChaosTransport::new(Mock::new("w0", &dir), quiet_cfg(), ledger.clone())
+                .script_faults([Some(Fault::CorruptArtifact)]),
         )];
         let outcome = dispatch_survives(&mut workers, &fast());
         assert_eq!(
@@ -1058,85 +876,47 @@ mod tests {
 
     #[test]
     fn truncated_handoff_checkpoint_resumes_what_survives() {
-        let dir = temp_dir("handoff_trunc");
-        let ledger = ChaosLedger::new();
-        // The worker dies after 2 journalled runs; the salvage handoff
-        // tears the journal's final line. The torn tail is benign: the
-        // reassignment resumes the surviving row(s) and recomputes the
-        // rest.
-        let mut workers: Vec<Box<dyn ShardTransport>> = vec![Box::new(
-            ChaosTransport::new(
-                Mock::new("w0", &dir.join("w0")).script([MockBehaviour::DieAfter(2)]),
-                quiet_cfg(),
-                ledger.clone(),
-            )
-            .script_handoffs([Some(HandoffFault::TruncateTail)]),
-        )];
-        let outcome = dispatch_survives(&mut workers, &fast());
-        assert_eq!(
-            ledger.counts(),
-            vec![("checkpoint-truncation".to_string(), 1)]
-        );
-        assert_eq!(outcome.report.reassignments(), 1);
+        // The worker dies after 2 journalled runs and its journal's final
+        // line is torn. The torn tail is benign: the next worker resumes
+        // the surviving row and recomputes the rest.
+        let sweep = small_sweep();
+        let dir = temp_dir("torn");
+        let job = &ShardJob::plan_sweep(&sweep, 1)[0];
+        let path = crash_after(&dir, job, 2);
+        FaultyFs::new(3).tear_tail(&path).expect("tears");
+        assert_next_worker_resumes(&dir, job, 1);
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn duplicated_handoff_checkpoint_is_collapsed_on_resume() {
-        let dir = temp_dir("handoff_dup");
-        let ledger = ChaosLedger::new();
-        let mut workers: Vec<Box<dyn ShardTransport>> = vec![Box::new(
-            ChaosTransport::new(
-                Mock::new("w0", &dir.join("w0")).script([MockBehaviour::DieAfter(1)]),
-                quiet_cfg(),
-                ledger.clone(),
-            )
-            .script_handoffs([Some(HandoffFault::DuplicateLastRow)]),
-        )];
+        // A journal whose last row was appended twice sits in the shared
+        // directory when a pool dispatches the sweep: the duplicate
+        // collapses on resume and the merge stays byte-identical.
+        let sweep = small_sweep();
+        let dir = temp_dir("dup_dispatch");
+        let job = &ShardJob::plan_sweep(&sweep, 2)[0];
+        double_last_row(&crash_after(&dir, job, 1));
+        let mut workers: Vec<Box<dyn ShardTransport>> = vec![Box::new(Mock::new("w0", &dir))];
         let outcome = dispatch_survives(&mut workers, &fast());
-        assert_eq!(
-            ledger.counts(),
-            vec![("checkpoint-duplication".to_string(), 1)]
-        );
-        assert_eq!(outcome.report.reassignments(), 1);
+        assert_eq!(outcome.report.reassignments(), 0);
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn duplicated_handoff_rows_collapse_to_one_resumed_run() {
-        // The duplication fault driven against concrete handles: the
-        // mangled handoff journal really does carry the row twice, and
-        // a worker seeded with it resumes exactly one run.
+        // The journal really does carry the row twice, and the next
+        // worker resumes exactly one run.
         let sweep = small_sweep();
         let dir = temp_dir("dup_direct");
-        let job = &crate::dispatch::ShardJob::plan_sweep(&sweep, 2)[0];
-        let ledger = ChaosLedger::new();
-        let mut chaos = ChaosTransport::new(
-            Mock::new("victim", &dir.join("victim")).script([MockBehaviour::DieAfter(1)]),
-            quiet_cfg(),
-            ledger.clone(),
-        )
-        .script_handoffs([Some(HandoffFault::DuplicateLastRow)]);
-        chaos.spawn(job).expect("spawn survives");
-        assert!(matches!(
-            chaos.poll(),
-            PollStatus::Exited { success: false, .. }
-        ));
-        let salvaged = chaos.fetch_checkpoint(job).expect("journal salvages");
-        let lines: Vec<&str> = salvaged.lines().collect();
+        let job = &ShardJob::plan_sweep(&sweep, 1)[0];
+        let path = crash_after(&dir, job, 1);
+        double_last_row(&path);
+        let doubled = std::fs::read_to_string(&path).expect("reads");
+        let lines: Vec<&str> = doubled.lines().collect();
         assert_eq!(lines.len(), 3, "header + the row twice");
         assert_eq!(lines[1], lines[2], "an exact duplicate, not a rewrite");
-        let mut fresh = Mock::new("fresh", &dir.join("fresh"));
-        fresh.seed_checkpoint(job, &salvaged).expect("seeds");
-        fresh.spawn(job).expect("spawns");
-        assert!(
-            fresh
-                .events
-                .iter()
-                .any(|e| e.contains("resumed 1, executed 1")),
-            "the duplicated row must collapse to one resumed run: {:?}",
-            fresh.events
-        );
+        assert_next_worker_resumes(&dir, job, 1);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1149,14 +929,13 @@ mod tests {
             let cfg = ChaosConfig {
                 seed: 0xDECAF,
                 fault_pct: 60,
-                handoff_pct: 60,
                 enable_freeze: true,
             };
             let ledger = ChaosLedger::new();
             let mut workers: Vec<Box<dyn ShardTransport>> = (0..2)
                 .map(|i| {
                     Box::new(ChaosTransport::new(
-                        Mock::new(&format!("w{i}"), &dir.join(format!("w{i}"))),
+                        Mock::new(&format!("w{i}"), &dir),
                         cfg,
                         ledger.clone(),
                     )) as Box<dyn ShardTransport>
@@ -1224,8 +1003,20 @@ mod tests {
         std::fs::write(&path, text).expect("writes");
         let removed = a.tear_tail(&path).expect("io ok");
         assert!(removed >= 1, "tearing always removes at least the newline");
+        assert!(
+            removed <= "3 cccccccc {\"row\":3}\n".len(),
+            "only the final line is torn into"
+        );
         let torn = std::fs::read_to_string(&path).expect("reads");
-        assert!(text.starts_with(&torn));
+        assert!(text.starts_with(&torn), "tearing only cuts the tail");
+        let header_only = "{\"header\":1}\n";
+        std::fs::write(&path, header_only).expect("writes");
+        assert_eq!(a.tear_tail(&path).expect("io ok"), 0);
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("reads"),
+            header_only,
+            "a bare header passes through"
+        );
 
         let tmp = a.drop_stale_tmp(&path).expect("io ok");
         assert!(tmp.ends_with("journal.ckpt.tmp") && tmp.exists());

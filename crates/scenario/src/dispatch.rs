@@ -6,35 +6,30 @@
 //! emitted as a fingerprinted, bit-exact artefact. This module adds the
 //! layer that *ships* those shards somewhere and gets the artefacts
 //! back: a [`ShardTransport`] trait (spawn a shard, poll its status,
-//! read its checkpoint heartbeat, fetch its artefact or checkpoint) and
-//! a [`dispatch`] loop that hands shards to a pool of workers
+//! read its checkpoint heartbeat, fetch its artefact) and a
+//! [`dispatch`] loop that hands shards to a pool of workers
 //! work-stealing style, watches their checkpoints for progress, kills
 //! and reassigns dead or stalled workers, and finishes with a
 //! fingerprint-verified [`merge_shards`] — so the merged artefact is
 //! **byte-identical** to a single-process [`crate::sweep::run_sweep`],
 //! reassignments and all.
 //!
-//! Three transports ship with the engine:
+//! The workers of one pool share a work directory, and a reassigned
+//! shard resumes from the checkpoint journal the dead worker left there.
+//! Two transports ship with the engine:
 //!
 //! - [`LocalProcess`] — the reference implementation: each worker is a
 //!   subprocess of the `scenarios` binary (`run --sweep … --shard K/N
-//!   --checkpoint …`) sharing a local work directory, so a reassigned
-//!   shard resumes from the checkpoint the dead worker left behind.
-//! - [`Ssh`] — the same protocol over `ssh HOST 'command'` against a
-//!   host manifest ([`parse_host_manifest`]): the descriptor is staged
-//!   over stdin, heartbeats read the remote checkpoint's line count,
-//!   and artefacts/checkpoints travel back over stdout. No scp, no
-//!   shared filesystem, no daemon — just a login shell and the binary.
+//!   --checkpoint …`).
 //! - [`Mock`] — an in-process transport with scripted behaviours
 //!   (complete, crash after *n* runs, hang, refuse to spawn) that
 //!   executes shards through the real [`run_shard`] checkpoint path;
 //!   the deterministic backend the dispatcher tests drive.
 //!
-//! Failure semantics, the host-manifest format and the exactly-once
-//! argument are documented in `docs/dispatch.md`.
+//! Failure semantics and the exactly-once argument are documented in
+//! `docs/dispatch.md`.
 
 use std::collections::VecDeque;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -42,16 +37,14 @@ use std::time::{Duration, Instant};
 use sirtm_telemetry::{SpanGuard, Tracer};
 
 use crate::chaos::{ChaosLedger, RetryPolicy};
-use crate::json::{parse, Json};
-use crate::shard::{
-    checkpoint_file, fingerprint, merge_shards, run_shard, sanitize_journal, ShardPlan, ShardResult,
-};
+use crate::json::Json;
+use crate::shard::{checkpoint_file, fingerprint, merge_shards, run_shard, ShardPlan, ShardResult};
 use crate::sweep::{SweepOptions, SweepResult, SweepSpec};
 
 /// One unit of dispatchable work: everything a worker needs to execute
 /// a shard, with no side-channel. The descriptor travels as text so a
-/// remote host can rebuild the `SweepSpec` (and re-derive its slice and
-/// seeds) from the wire format alone.
+/// worker process can rebuild the `SweepSpec` (and re-derive its slice
+/// and seeds) from the wire format alone.
 #[derive(Debug, Clone)]
 pub struct ShardJob {
     /// Sweep name (artefact file naming).
@@ -112,11 +105,9 @@ pub enum PollStatus {
 /// drives it through `spawn → poll/heartbeat → fetch` (or `kill`).
 ///
 /// Implementations must be *restartable*: after an exit (clean or not)
-/// or a `kill`, a new `spawn` starts the next job. Checkpoint handoff
-/// ([`ShardTransport::fetch_checkpoint`] /
-/// [`ShardTransport::seed_checkpoint`]) is optional — transports whose
-/// workers share a checkpoint directory (like [`LocalProcess`]) resume
-/// through the filesystem and keep the no-op defaults.
+/// or a `kill`, a new `spawn` starts the next job. The workers of one
+/// pool journal into one shared checkpoint directory, so a reassigned
+/// shard resumes from whatever its earlier attempts journalled.
 pub trait ShardTransport {
     /// Stable worker label for reports and logs.
     fn label(&self) -> &str;
@@ -147,27 +138,6 @@ pub trait ShardTransport {
     /// unparsable; the dispatcher counts the attempt as failed.
     fn fetch(&mut self, job: &ShardJob) -> Result<ShardResult, String>;
 
-    /// Best-effort: the raw checkpoint journal the worker holds for
-    /// `job`, so progress survives the worker's death. `None` when the
-    /// transport has no checkpoint to offer (or shares it on disk).
-    fn fetch_checkpoint(&mut self, job: &ShardJob) -> Option<String> {
-        let _ = job;
-        None
-    }
-
-    /// Best-effort: stages a salvaged checkpoint journal on the
-    /// worker's side before a reassigned spawn, so the resumed shard
-    /// skips the runs a dead worker already completed.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when staging fails; the dispatcher then
-    /// lets the shard recompute from scratch (correct, just slower).
-    fn seed_checkpoint(&mut self, job: &ShardJob, journal: &str) -> Result<(), String> {
-        let _ = (job, journal);
-        Ok(())
-    }
-
     /// Kills whatever is running. Idempotent; called before every
     /// reassignment so two workers never append to one checkpoint at
     /// the same time through this dispatcher.
@@ -182,8 +152,7 @@ pub trait ShardTransport {
 /// `scenarios` binary running `run --sweep FILE --shard K/N
 /// --checkpoint DIR/ckpt --out …` inside a **shared** local work
 /// directory. Because the checkpoint directory is shared, a reassigned
-/// shard resumes from the dead worker's journal with no handoff; the
-/// trait's checkpoint methods keep their no-op defaults.
+/// shard resumes from the dead worker's journal.
 #[derive(Debug)]
 pub struct LocalProcess {
     label: String,
@@ -250,21 +219,13 @@ fn namespaced_ckpt_dir(work_dir: &Path, job: &ShardJob) -> PathBuf {
     work_dir.join("ckpt").join(&job.fingerprint)
 }
 
-/// Filesystem heartbeat shared by the transports whose checkpoints are
-/// local files: completed-run count of the job's journal.
+/// The heartbeat both transports read: completed-run count of the job's
+/// journal in the shared work directory.
 fn fs_heartbeat(work_dir: &Path, job: &ShardJob) -> usize {
     let path = checkpoint_file(&namespaced_ckpt_dir(work_dir, job), job.plan);
     std::fs::read_to_string(path)
         .map(|t| journal_rows(&t))
         .unwrap_or(0)
-}
-
-/// Kills and reaps a transport's child process, if any. Idempotent.
-fn kill_child(child: &mut Option<Child>) {
-    if let Some(mut c) = child.take() {
-        let _ = c.kill();
-        let _ = c.wait();
-    }
 }
 
 impl ShardTransport for LocalProcess {
@@ -361,322 +322,10 @@ impl ShardTransport for LocalProcess {
     }
 
     fn kill(&mut self) {
-        kill_child(&mut self.child);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Ssh: the same protocol against a remote login shell.
-// ---------------------------------------------------------------------------
-
-/// One worker slot in a host manifest (see [`parse_host_manifest`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SshHost {
-    /// The ssh destination (`host`, `user@host`, or an alias from
-    /// `~/.ssh/config` — authentication and ports are ssh's business,
-    /// not the dispatcher's).
-    pub host: String,
-    /// Remote path of the `scenarios` binary.
-    pub bin: String,
-    /// Remote working directory (created on first use). Must be a
-    /// shell-safe path: it travels inside single quotes.
-    pub dir: String,
-    /// `--threads` for the remote shard run (0 = all remote cores).
-    pub threads: usize,
-}
-
-/// Parses a host manifest: `{"hosts": [{"host": "user@h1", "bin":
-/// "…/scenarios", "dir": "/tmp/sirtm", "threads": 0}, …]}`. `bin`
-/// defaults to `scenarios` (resolved by the remote login shell), `dir`
-/// to `/tmp/sirtm-dispatch`, `threads` to 0. A host listed twice is two
-/// worker slots on that machine.
-///
-/// # Errors
-///
-/// Returns JSON syntax errors, a missing/empty `hosts` array, and
-/// entries without a `host` field.
-pub fn parse_host_manifest(text: &str) -> Result<Vec<SshHost>, String> {
-    let v = parse(text)?;
-    let hosts = v
-        .get("hosts")
-        .and_then(Json::as_arr)
-        .ok_or("host manifest missing `hosts` array")?;
-    if hosts.is_empty() {
-        return Err("host manifest has zero hosts".to_string());
-    }
-    hosts
-        .iter()
-        .enumerate()
-        .map(|(i, h)| {
-            let field = |key: &str| h.get(key).and_then(Json::as_str).map(str::to_string);
-            Ok(SshHost {
-                host: field("host").ok_or(format!("host entry {i} missing `host`"))?,
-                bin: field("bin").unwrap_or_else(|| "scenarios".to_string()),
-                dir: field("dir").unwrap_or_else(|| "/tmp/sirtm-dispatch".to_string()),
-                threads: h.get("threads").and_then(Json::as_num).unwrap_or(0.0) as usize,
-            })
-        })
-        .collect()
-}
-
-/// A worker on a remote host, driven entirely over `ssh HOST 'command'`
-/// with file content piped through stdin/stdout — no scp, no shared
-/// filesystem, no remote daemon. The remote host needs a login shell,
-/// `mkdir`/`cat`/`wc`, and the `scenarios` binary; everything else is
-/// the same shard protocol [`LocalProcess`] speaks.
-///
-/// Caveat (documented in `docs/dispatch.md`): killing this worker kills
-/// the local ssh client; the remote process usually dies with the
-/// connection, but an orphan that lingers only appends duplicate rows
-/// to its own remote checkpoint — harmless, because checkpoint rows are
-/// keyed by run index and run results are deterministic.
-#[derive(Debug)]
-pub struct Ssh {
-    host: SshHost,
-    ssh_program: String,
-    /// Fingerprint of the sweep whose descriptor is staged on the host
-    /// — re-staged whenever a job for a different sweep arrives, so a
-    /// worker pool reused across dispatches keeps working.
-    staged: Option<String>,
-    child: Option<Child>,
-    current: Option<ShardJob>,
-    /// Last successfully observed heartbeat of the current attempt,
-    /// returned when the heartbeat round trip itself fails — a
-    /// transient ssh error then reads as "no new progress", not as a
-    /// sudden regression to zero. An *extended* control-connection
-    /// outage still (correctly) trips stall detection: a worker that
-    /// cannot be observed cannot be distinguished from a dead one.
-    last_hb: usize,
-}
-
-/// Options passed to every ssh invocation: never prompt (a password
-/// prompt would hang the dispatcher's poll loop forever), bound the
-/// connect time to an unreachable host, and let a dead connection kill
-/// the long-running remote session instead of lingering. The loopback
-/// test shim skips `-o`-pairs, so these are exercised too.
-const SSH_OPTIONS: [&str; 8] = [
-    "-o",
-    "BatchMode=yes",
-    "-o",
-    "ConnectTimeout=10",
-    "-o",
-    "ServerAliveInterval=15",
-    "-o",
-    "ServerAliveCountMax=4",
-];
-
-impl Ssh {
-    /// A worker on `host`, using the `ssh` on `$PATH`.
-    pub fn new(host: SshHost) -> Self {
-        Self::with_program(host, "ssh")
-    }
-
-    /// Same, with an explicit ssh client program — the loopback tests
-    /// substitute a local shim so the full transport runs without a
-    /// network.
-    pub fn with_program(host: SshHost, ssh_program: &str) -> Self {
-        Self {
-            host,
-            ssh_program: ssh_program.to_string(),
-            staged: None,
-            child: None,
-            current: None,
-            last_hb: 0,
+        if let Some(mut child) = self.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
         }
-    }
-
-    fn remote_sweep(&self, job: &ShardJob) -> String {
-        format!("{}/sweep-{}.json", self.host.dir, job.fingerprint)
-    }
-
-    fn remote_artifact(&self, job: &ShardJob) -> String {
-        format!(
-            "{}/{}",
-            self.host.dir,
-            ShardResult::artifact_name(&job.sweep_name, job.plan)
-        )
-    }
-
-    /// Like [`LocalProcess`], checkpoints are namespaced by sweep
-    /// fingerprint so the remote work directory is reusable across
-    /// sweeps.
-    fn remote_ckpt_dir(&self, job: &ShardJob) -> String {
-        format!("{}/ckpt/{}", self.host.dir, job.fingerprint)
-    }
-
-    fn remote_checkpoint(&self, job: &ShardJob) -> String {
-        format!(
-            "{}/shard-{}-of-{}.ckpt",
-            self.remote_ckpt_dir(job),
-            job.plan.shard + 1,
-            job.plan.shards
-        )
-    }
-
-    /// The remote command line of a shard run.
-    fn run_command(&self, job: &ShardJob) -> String {
-        format!(
-            "'{}' run --sweep '{}' --shard {} --checkpoint '{}' --threads {} --out '{}'",
-            self.host.bin,
-            self.remote_sweep(job),
-            job.coords(),
-            self.remote_ckpt_dir(job),
-            self.host.threads,
-            self.remote_artifact(job)
-        )
-    }
-
-    /// Runs `command` on the host synchronously, optionally feeding
-    /// `stdin_data`, and returns its stdout.
-    fn ssh_output(&self, command: &str, stdin_data: Option<&str>) -> Result<String, String> {
-        let mut child = Command::new(&self.ssh_program)
-            .args(SSH_OPTIONS)
-            .arg(&self.host.host)
-            .arg(command)
-            .stdin(if stdin_data.is_some() {
-                Stdio::piped()
-            } else {
-                Stdio::null()
-            })
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .map_err(|e| format!("cannot spawn {}: {e}", self.ssh_program))?;
-        if let Some(data) = stdin_data {
-            child
-                .stdin
-                .take()
-                .expect("stdin was piped")
-                .write_all(data.as_bytes())
-                .map_err(|e| format!("{}: stdin write failed: {e}", self.host.host))?;
-        }
-        let out = child
-            .wait_with_output()
-            .map_err(|e| format!("{}: wait failed: {e}", self.host.host))?;
-        if out.status.success() {
-            String::from_utf8(out.stdout)
-                .map_err(|e| format!("{}: non-UTF8 output: {e}", self.host.host))
-        } else {
-            Err(format!(
-                "{}: `{}` failed with {}: {}",
-                self.host.host,
-                command.chars().take(60).collect::<String>(),
-                out.status,
-                String::from_utf8_lossy(&out.stderr).trim()
-            ))
-        }
-    }
-}
-
-impl ShardTransport for Ssh {
-    fn label(&self) -> &str {
-        &self.host.host
-    }
-
-    fn spawn(&mut self, job: &ShardJob) -> Result<(), String> {
-        if self.staged.as_deref() != Some(&job.fingerprint) {
-            // One round trip stages everything a shard run needs: the
-            // work tree and the descriptor, piped over stdin.
-            self.ssh_output(
-                &format!(
-                    "mkdir -p '{}' && cat > '{}'",
-                    self.remote_ckpt_dir(job),
-                    self.remote_sweep(job)
-                ),
-                Some(&job.sweep_text),
-            )?;
-            self.staged = Some(job.fingerprint.clone());
-        }
-        let child = Command::new(&self.ssh_program)
-            .args(SSH_OPTIONS)
-            .arg(&self.host.host)
-            .arg(self.run_command(job))
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| format!("cannot spawn {}: {e}", self.ssh_program))?;
-        self.child = Some(child);
-        self.current = Some(job.clone());
-        self.last_hb = 0;
-        Ok(())
-    }
-
-    fn poll(&mut self) -> PollStatus {
-        let Some(child) = self.child.as_mut() else {
-            return PollStatus::Exited {
-                success: false,
-                detail: "no ssh session".to_string(),
-            };
-        };
-        match child.try_wait() {
-            Ok(None) => PollStatus::Running,
-            Ok(Some(status)) => {
-                self.child = None;
-                PollStatus::Exited {
-                    success: status.success(),
-                    detail: if status.success() {
-                        String::new()
-                    } else {
-                        format!("remote run exited with {status}")
-                    },
-                }
-            }
-            Err(e) => {
-                self.child = None;
-                PollStatus::Exited {
-                    success: false,
-                    detail: format!("wait failed: {e}"),
-                }
-            }
-        }
-    }
-
-    fn heartbeat(&mut self) -> usize {
-        let Some(job) = self.current.clone() else {
-            return 0;
-        };
-        if let Some(rows) = self
-            .ssh_output(
-                &format!(
-                    "wc -l < '{}' 2>/dev/null || echo 0",
-                    self.remote_checkpoint(&job)
-                ),
-                None,
-            )
-            .ok()
-            .and_then(|out| out.trim().parse::<usize>().ok())
-            .map(|lines| lines.saturating_sub(1))
-        {
-            self.last_hb = rows;
-        }
-        self.last_hb
-    }
-
-    fn fetch(&mut self, job: &ShardJob) -> Result<ShardResult, String> {
-        let text = self.ssh_output(&format!("cat '{}'", self.remote_artifact(job)), None)?;
-        ShardResult::from_json_text(&text).map_err(|e| format!("{}: {e}", self.host.host))
-    }
-
-    fn fetch_checkpoint(&mut self, job: &ShardJob) -> Option<String> {
-        self.ssh_output(&format!("cat '{}'", self.remote_checkpoint(job)), None)
-            .ok()
-    }
-
-    fn seed_checkpoint(&mut self, job: &ShardJob, journal: &str) -> Result<(), String> {
-        self.ssh_output(
-            &format!(
-                "mkdir -p '{}' && cat > '{}'",
-                self.remote_ckpt_dir(job),
-                self.remote_checkpoint(job)
-            ),
-            Some(journal),
-        )
-        .map(drop)
-    }
-
-    fn kill(&mut self) {
-        kill_child(&mut self.child);
     }
 }
 
@@ -707,12 +356,12 @@ enum MockOutcome {
     Hung,
 }
 
-/// An in-process transport with a scripted failure model. Each worker
-/// keeps a **private** checkpoint directory, so shard progress crosses
-/// workers only through the dispatcher's `fetch_checkpoint` /
-/// `seed_checkpoint` handoff — the path the [`Ssh`] transport relies on
-/// — while shard execution itself goes through the real [`run_shard`]
-/// journal code. Exhausted scripts default to [`MockBehaviour::Complete`].
+/// An in-process transport with a scripted failure model. Like
+/// [`LocalProcess`] workers, the `Mock`s of one pool share a work
+/// directory, and shard execution goes through the real [`run_shard`]
+/// journal code, so a reassigned shard resumes from the journal a dead
+/// worker left there. Exhausted scripts default to
+/// [`MockBehaviour::Complete`].
 #[derive(Debug)]
 pub struct Mock {
     label: String,
@@ -721,12 +370,13 @@ pub struct Mock {
     outcome: Option<MockOutcome>,
     current: Option<ShardJob>,
     /// Event log (shared with the test that scripted this worker):
-    /// one line per spawn/seed/kill, including resume counts.
+    /// one line per spawn/kill, including resume counts.
     pub events: Vec<String>,
 }
 
 impl Mock {
-    /// A well-behaved worker with a private checkpoint directory.
+    /// A well-behaved worker journalling into the work directory `dir`,
+    /// shared with the other workers of its pool.
     pub fn new(label: &str, dir: &Path) -> Self {
         Self {
             label: label.to_string(),
@@ -826,29 +476,6 @@ impl ShardTransport for Mock {
         }
     }
 
-    fn fetch_checkpoint(&mut self, job: &ShardJob) -> Option<String> {
-        std::fs::read_to_string(checkpoint_file(
-            &namespaced_ckpt_dir(&self.dir, job),
-            job.plan,
-        ))
-        .ok()
-    }
-
-    fn seed_checkpoint(&mut self, job: &ShardJob, journal: &str) -> Result<(), String> {
-        let dir = namespaced_ckpt_dir(&self.dir, job);
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        let path = checkpoint_file(&dir, job.plan);
-        std::fs::write(&path, journal)
-            .map_err(|e| format!("cannot seed {}: {e}", path.display()))?;
-        self.events.push(format!(
-            "seeded shard {} with {} checkpointed run(s)",
-            job.coords(),
-            journal_rows(journal)
-        ));
-        Ok(())
-    }
-
     fn kill(&mut self) {
         self.events.push("killed".to_string());
         self.outcome = None;
@@ -887,7 +514,7 @@ pub struct DispatchOptions {
     /// Host-plane tracer. When set, the dispatcher emits one `attempt`
     /// span per assignment on the worker's track plus instant events
     /// for spawn failures, in-attempt retries, heartbeat progress,
-    /// stall kills and checkpoint salvages. Purely observational: the
+    /// stall kills and requeues. Purely observational: the
     /// merged artefact is byte-identical with or without it.
     pub tracer: Option<Tracer>,
 }
@@ -940,9 +567,6 @@ pub struct WorkerReport {
     /// In-attempt transport retries: spawn/fetch tries beyond each
     /// op's first, as executed under [`RetryPolicy`].
     pub retries: usize,
-    /// Checkpoint journals salvaged off this worker after failed
-    /// attempts (counted only when the salvage advanced the cache).
-    pub salvaged: usize,
     /// Injected-fault counts attributed to this worker (fault class →
     /// firings), filled from [`ChaosLedger::worker_counts`] by
     /// [`DispatchReport::attribute_faults`] when a chaos harness drove
@@ -1015,7 +639,6 @@ impl DispatchReport {
                                 ("completed", Json::Num(w.completed as f64)),
                                 ("failed", Json::Num(w.failed as f64)),
                                 ("retries", Json::Num(w.retries as f64)),
-                                ("salvaged", Json::Num(w.salvaged as f64)),
                                 ("busy_ms", ms(w.busy)),
                                 ("retired", Json::Bool(w.retired)),
                             ];
@@ -1112,13 +735,10 @@ pub struct DispatchOutcome {
     pub report: DispatchReport,
 }
 
-/// Dispatch bookkeeping: the work queue, salvage cache and report
-/// under construction, separated out so the poll loop stays readable.
+/// Dispatch bookkeeping: the work queue and the report under
+/// construction, separated out so the poll loop stays readable.
 struct Ledger {
     pending: VecDeque<usize>,
-    /// Best checkpoint journal salvaged per shard, staged onto the next
-    /// worker so a reassigned shard resumes instead of recomputing.
-    salvaged: Vec<Option<String>>,
     workers: Vec<WorkerReport>,
     strikes: Vec<usize>,
     shards: Vec<ShardAttempts>,
@@ -1127,8 +747,7 @@ struct Ledger {
 }
 
 impl Ledger {
-    /// Records a failed attempt: salvages the worker's checkpoint if it
-    /// is ahead of the cache, logs the attempt, strikes the worker, and
+    /// Records a failed attempt: logs it, strikes the worker, and
     /// requeues the shard at the *front* (its checkpoint is warm).
     ///
     /// # Errors
@@ -1137,40 +756,15 @@ impl Ledger {
     fn fail(
         &mut self,
         worker_idx: usize,
-        worker: &mut dyn ShardTransport,
+        label: &str,
         job: &ShardJob,
         outcome: String,
         elapsed: Duration,
         opts: &DispatchOptions,
     ) -> Result<(), String> {
         let shard = job.plan.shard;
-        if let Some(journal) = worker.fetch_checkpoint(job) {
-            // Never cache bytes we can't verify: trim the salvage to
-            // its trusted prefix (header + CRC/sequence-verified rows)
-            // so a journal corrupted in flight can't poison every
-            // later attempt with the same quarantine-and-fail.
-            if let Some(journal) = sanitize_journal(&journal, &job.fingerprint, job.plan) {
-                let ahead = self.salvaged[shard]
-                    .as_ref()
-                    .is_none_or(|old| journal_rows(&journal) > journal_rows(old));
-                if ahead {
-                    if let Some(tracer) = &opts.tracer {
-                        tracer.instant(
-                            worker.label(),
-                            "salvage",
-                            &[
-                                ("shard", &shard.to_string()),
-                                ("rows", &journal_rows(&journal).to_string()),
-                            ],
-                        );
-                    }
-                    self.workers[worker_idx].salvaged += 1;
-                    self.salvaged[shard] = Some(journal);
-                }
-            }
-        }
         self.shards[shard].attempts.push(AttemptReport {
-            worker: worker.label().to_string(),
+            worker: label.to_string(),
             outcome: outcome.clone(),
             elapsed,
         });
@@ -1190,7 +784,7 @@ impl Ledger {
         }
         if let Some(tracer) = &opts.tracer {
             tracer.instant(
-                worker.label(),
+                label,
                 "requeue",
                 &[
                     ("shard", &shard.to_string()),
@@ -1248,12 +842,12 @@ impl Busy {
 /// `workers`, work-stealing style: every idle worker takes the next
 /// pending shard; a worker that exits dirty, loses its artefact, or
 /// stalls (checkpoint heartbeat frozen for
-/// [`DispatchOptions::stall_polls`] polls) is killed, its checkpoint is
-/// salvaged, and the shard is requeued for the next idle worker — which
-/// resumes from the checkpoint instead of recomputing. Ends with a
-/// fingerprint-verified [`merge_shards`], so the returned result is
-/// byte-identical to a single-process [`crate::sweep::run_sweep`] of
-/// the same sweep.
+/// [`DispatchOptions::stall_polls`] polls) is killed and the shard is
+/// requeued for the next idle worker — which resumes from the
+/// checkpoint in the shared work directory instead of recomputing.
+/// Ends with a fingerprint-verified [`merge_shards`], so the returned
+/// result is byte-identical to a single-process
+/// [`crate::sweep::run_sweep`] of the same sweep.
 ///
 /// The dispatch is *exactly-once at the run level*: a run may execute
 /// more than once across attempts, but every run index lands in the
@@ -1278,10 +872,8 @@ pub fn dispatch(
     if shard_count == 0 {
         return Err("dispatch needs at least one shard".to_string());
     }
-    // The sweep name becomes artefact file names and travels inside
-    // single-quoted remote shell strings; restrict it before either
-    // can go wrong (a quote would break — or worse, escape — the
-    // remote quoting, a `/` would escape the work directory).
+    // The sweep name becomes artefact file names; restrict it before
+    // that can go wrong (a `/` would escape the work directory).
     let name_ok = !sweep.name.is_empty()
         && sweep
             .name
@@ -1290,7 +882,7 @@ pub fn dispatch(
     if !name_ok {
         return Err(format!(
             "sweep name `{}` is not dispatch-safe: use only ASCII letters, digits, \
-             `.`, `_` and `-` (the name becomes file names and remote shell strings)",
+             `.`, `_` and `-` (the name becomes file names)",
             sweep.name
         ));
     }
@@ -1298,7 +890,6 @@ pub fn dispatch(
     let jobs = ShardJob::plan_sweep(sweep, shard_count);
     let mut ledger = Ledger {
         pending: (0..shard_count).collect(),
-        salvaged: vec![None; shard_count],
         workers: workers
             .iter()
             .map(|w| WorkerReport {
@@ -1306,7 +897,6 @@ pub fn dispatch(
                 completed: 0,
                 failed: 0,
                 retries: 0,
-                salvaged: 0,
                 faults: Vec::new(),
                 busy: Duration::ZERO,
                 retired: false,
@@ -1336,8 +926,7 @@ pub fn dispatch(
         if let Some(mut span) = dispatch_span {
             span.arg("outcome", "failed");
         }
-        // Don't leak running workers (subprocesses, ssh sessions) past
-        // a failed dispatch.
+        // Don't leak running worker subprocesses past a failed dispatch.
         for worker in workers.iter_mut() {
             worker.kill();
         }
@@ -1430,10 +1019,6 @@ fn dispatch_loop(
                 break;
             };
             let job = &jobs[shard];
-            if let Some(journal) = ledger.salvaged[shard].clone() {
-                // Best-effort: a failed staging just recomputes runs.
-                let _ = worker.seed_checkpoint(job, &journal);
-            }
             match with_retry(
                 worker.as_mut(),
                 "spawn",
@@ -1466,7 +1051,7 @@ fn dispatch_loop(
                     }
                     ledger.fail(
                         w,
-                        worker.as_mut(),
+                        worker.label(),
                         job,
                         format!("spawn failed: {e}"),
                         Duration::ZERO,
@@ -1499,8 +1084,8 @@ fn dispatch_loop(
             match worker.poll() {
                 PollStatus::Running => {
                     // Heartbeats exist only to feed stall detection, and
-                    // they can be expensive (a blocking ssh round trip
-                    // per poll) — skip them entirely when it's disabled.
+                    // each one reads the whole journal file — skip them
+                    // entirely when it's disabled.
                     if opts.stall_polls == 0 {
                         continue;
                     }
@@ -1532,7 +1117,7 @@ fn dispatch_loop(
                         busy[w] = None;
                         ledger.fail(
                             w,
-                            worker.as_mut(),
+                            worker.label(),
                             job,
                             format!(
                                 "stalled: no checkpoint progress in {} poll(s)",
@@ -1567,7 +1152,7 @@ fn dispatch_loop(
                             slot.close_span("artefact-mismatch");
                             ledger.fail(
                                 w,
-                                worker.as_mut(),
+                                worker.label(),
                                 job,
                                 format!(
                                     "fetched artefact is for shard {}/{} of sweep {}, \
@@ -1586,7 +1171,7 @@ fn dispatch_loop(
                             slot.close_span("fetch-failed");
                             ledger.fail(
                                 w,
-                                worker.as_mut(),
+                                worker.label(),
                                 job,
                                 format!("exited cleanly but artefact fetch failed: {e}"),
                                 elapsed,
@@ -1604,7 +1189,7 @@ fn dispatch_loop(
                         continue;
                     };
                     slot.close_span("crashed");
-                    ledger.fail(w, worker.as_mut(), job, detail, elapsed, opts)?;
+                    ledger.fail(w, worker.label(), job, detail, elapsed, opts)?;
                 }
             }
         }
@@ -1618,6 +1203,7 @@ fn dispatch_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse;
     use crate::presets;
     use crate::sweep::{run_sweep, Axis, SeedScheme};
 
@@ -1658,8 +1244,8 @@ mod tests {
             .render_pretty();
         let dir = temp_dir("clean");
         let mut workers: Vec<Box<dyn ShardTransport>> = vec![
-            Box::new(Mock::new("w0", &dir.join("w0"))),
-            Box::new(Mock::new("w1", &dir.join("w1"))),
+            Box::new(Mock::new("w0", &dir)),
+            Box::new(Mock::new("w1", &dir)),
         ];
         let outcome = dispatch(&sweep, 4, &mut workers, &fast()).expect("dispatch completes");
         assert_eq!(outcome.result.to_json().render_pretty(), reference);
@@ -1684,8 +1270,7 @@ mod tests {
             .to_json()
             .render_pretty();
         let dir = temp_dir("empty_shards");
-        let mut workers: Vec<Box<dyn ShardTransport>> =
-            vec![Box::new(Mock::new("w0", &dir.join("w0")))];
+        let mut workers: Vec<Box<dyn ShardTransport>> = vec![Box::new(Mock::new("w0", &dir))];
         let outcome = dispatch(&sweep, 6, &mut workers, &fast()).expect("dispatch completes");
         assert_eq!(outcome.result.to_json().render_pretty(), reference);
         let _ = std::fs::remove_dir_all(dir);
@@ -1700,11 +1285,11 @@ mod tests {
         let dir = temp_dir("crash");
         // Worker 0 crashes after one checkpointed run of its first
         // shard and is retired on the spot (one strike); worker 1 picks
-        // everything up, resuming the crashed shard from the salvaged
-        // checkpoint the dispatcher hands over.
+        // everything up, resuming the crashed shard from the checkpoint
+        // the victim left in the shared work directory.
         let mut workers: Vec<Box<dyn ShardTransport>> = vec![
-            Box::new(Mock::new("victim", &dir.join("victim")).script([MockBehaviour::DieAfter(1)])),
-            Box::new(Mock::new("survivor", &dir.join("survivor"))),
+            Box::new(Mock::new("victim", &dir).script([MockBehaviour::DieAfter(1)])),
+            Box::new(Mock::new("survivor", &dir)),
         ];
         let opts = DispatchOptions {
             worker_strikes: 1,
@@ -1716,20 +1301,15 @@ mod tests {
         let victim = &outcome.report.workers[0];
         assert!(victim.retired, "one strike retires the victim");
         assert_eq!(victim.failed, 1);
-        // The checkpoint-handoff path itself, replayed with concrete
-        // handles: the victim's journal survives its crash, and a
-        // worker seeded with it resumes instead of recomputing.
-        let mut survivor = Mock::new("survivor2", &dir.join("survivor2"));
+        // The resume itself, replayed with concrete handles in a fresh
+        // shared directory: the victim's journal survives its crash, and
+        // the next worker resumes from it instead of recomputing.
+        let replay = dir.join("replay");
         let job = &ShardJob::plan_sweep(&sweep, 2)[0];
-        let salvaged = std::fs::read_to_string(checkpoint_file(
-            &dir.join("victim").join("ckpt").join(&job.fingerprint),
-            job.plan,
-        ))
-        .expect("victim checkpoint survives the crash");
-        assert_eq!(journal_rows(&salvaged), 1);
-        survivor
-            .seed_checkpoint(job, &salvaged)
-            .expect("seeding works");
+        let mut victim = Mock::new("victim", &replay).script([MockBehaviour::DieAfter(1)]);
+        victim.spawn(job).expect("spawn works");
+        assert_eq!(victim.heartbeat(), 1, "the crash leaves one journalled run");
+        let mut survivor = Mock::new("survivor", &replay);
         survivor.spawn(job).expect("spawn works");
         assert!(
             survivor
@@ -1750,8 +1330,8 @@ mod tests {
             .render_pretty();
         let dir = temp_dir("hang");
         let mut workers: Vec<Box<dyn ShardTransport>> = vec![
-            Box::new(Mock::new("hanger", &dir.join("hanger")).script([MockBehaviour::Hang])),
-            Box::new(Mock::new("worker", &dir.join("worker"))),
+            Box::new(Mock::new("hanger", &dir).script([MockBehaviour::Hang])),
+            Box::new(Mock::new("worker", &dir)),
         ];
         let opts = DispatchOptions {
             stall_polls: 3,
@@ -1779,7 +1359,7 @@ mod tests {
         let sweep = small_sweep();
         let dir = temp_dir("retired");
         let mut workers: Vec<Box<dyn ShardTransport>> =
-            vec![Box::new(Mock::new("dud", &dir.join("dud")).script([
+            vec![Box::new(Mock::new("dud", &dir).script([
                 MockBehaviour::RefuseSpawn,
                 MockBehaviour::RefuseSpawn,
             ]))];
@@ -1798,7 +1378,7 @@ mod tests {
         let sweep = small_sweep();
         let dir = temp_dir("attempts");
         let mut workers: Vec<Box<dyn ShardTransport>> =
-            vec![Box::new(Mock::new("crashy", &dir.join("crashy")).script([
+            vec![Box::new(Mock::new("crashy", &dir).script([
                 MockBehaviour::DieAfter(0),
                 MockBehaviour::DieAfter(0),
                 MockBehaviour::DieAfter(0),
@@ -1817,8 +1397,7 @@ mod tests {
     fn dispatch_report_renders_and_counts() {
         let sweep = small_sweep();
         let dir = temp_dir("report");
-        let mut workers: Vec<Box<dyn ShardTransport>> =
-            vec![Box::new(Mock::new("solo", &dir.join("solo")))];
+        let mut workers: Vec<Box<dyn ShardTransport>> = vec![Box::new(Mock::new("solo", &dir))];
         let outcome = dispatch(&sweep, 2, &mut workers, &fast()).expect("dispatch completes");
         let text = outcome.report.to_json().render_pretty();
         let v = parse(&text).expect("report parses");
@@ -1854,53 +1433,5 @@ mod tests {
         .expect_err("must fail");
         assert!(err.contains("dispatch-safe"), "unexpected error: {err}");
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn host_manifests_parse_with_defaults_and_reject_garbage() {
-        let hosts = parse_host_manifest(
-            r#"{"hosts": [
-                {"host": "alice@m1", "bin": "/opt/sirtm/scenarios", "dir": "/scratch/sirtm", "threads": 8},
-                {"host": "m2"}
-            ]}"#,
-        )
-        .expect("manifest parses");
-        assert_eq!(hosts.len(), 2);
-        assert_eq!(hosts[0].host, "alice@m1");
-        assert_eq!(hosts[0].threads, 8);
-        assert_eq!(hosts[1].bin, "scenarios");
-        assert_eq!(hosts[1].dir, "/tmp/sirtm-dispatch");
-        assert_eq!(hosts[1].threads, 0);
-        assert!(parse_host_manifest("{}").unwrap_err().contains("hosts"));
-        assert!(parse_host_manifest(r#"{"hosts": []}"#)
-            .unwrap_err()
-            .contains("zero hosts"));
-        assert!(parse_host_manifest(r#"{"hosts": [{"bin": "x"}]}"#)
-            .unwrap_err()
-            .contains("missing `host`"));
-    }
-
-    #[test]
-    fn ssh_remote_command_lines_are_well_formed() {
-        let ssh = Ssh::new(SshHost {
-            host: "alice@m1".to_string(),
-            bin: "/opt/sirtm/scenarios".to_string(),
-            dir: "/scratch/sirtm".to_string(),
-            threads: 4,
-        });
-        let sweep = small_sweep();
-        let job = &ShardJob::plan_sweep(&sweep, 2)[1];
-        let cmd = ssh.run_command(job);
-        assert!(cmd.starts_with("'/opt/sirtm/scenarios' run --sweep "));
-        assert!(cmd.contains("--shard 2/2"));
-        assert!(cmd.contains(&format!(
-            "--checkpoint '/scratch/sirtm/ckpt/{}'",
-            job.fingerprint
-        )));
-        assert!(cmd.contains("--threads 4"));
-        assert!(cmd.contains(&format!("sweep-{}.json", job.fingerprint)));
-        assert!(ssh
-            .remote_checkpoint(job)
-            .ends_with(&format!("/ckpt/{}/shard-2-of-2.ckpt", job.fingerprint)));
     }
 }

@@ -19,7 +19,7 @@
 //! | One run: build → run → measure | [`run`] |
 //! | Matrix expansion & orchestration | [`sweep`] |
 //! | Sharding, checkpoint/resume, merge | [`shard`] |
-//! | Multi-host shard dispatch (transports, work stealing) | [`mod@dispatch`] |
+//! | Shard dispatch over a worker pool (transports, work stealing) | [`mod@dispatch`] |
 //! | Chaos harness (fault injection, retry policy) | [`chaos`] |
 //! | Adversarial search (mutate, evaluate, shrink, pin) | [`fuzz`] |
 //! | Host-plane sweep observation (sidecar + tracing) | [`observe`] |
@@ -92,10 +92,10 @@
 //! ```
 //!
 //! And the same walk with the shards *dispatched* — spec → sweep →
-//! dispatch across two local workers → merge. The [`dispatch::Mock`]
-//! transport runs shards in-process through the real checkpoint
-//! journal; swap in [`dispatch::LocalProcess`] workers (or [`dispatch::Ssh`]
-//! against a host manifest) and nothing else changes:
+//! dispatch across two workers sharing one work directory → merge. The
+//! [`dispatch::Mock`] transport runs shards in-process through the real
+//! checkpoint journal; swap in [`dispatch::LocalProcess`] workers and
+//! nothing else changes:
 //!
 //! ```
 //! use std::time::Duration;
@@ -111,8 +111,8 @@
 //! };
 //! let dir = std::env::temp_dir().join(format!("sirtm_doctest_dispatch_{}", std::process::id()));
 //! let mut workers: Vec<Box<dyn ShardTransport>> = vec![
-//!     Box::new(Mock::new("w0", &dir.join("w0"))),
-//!     Box::new(Mock::new("w1", &dir.join("w1"))),
+//!     Box::new(Mock::new("w0", &dir)),
+//!     Box::new(Mock::new("w1", &dir)),
 //! ];
 //! let opts = DispatchOptions {
 //!     poll_interval: Duration::ZERO,
@@ -147,12 +147,10 @@ pub mod stats;
 pub mod sweep;
 pub mod timeline;
 
-pub use chaos::{
-    ChaosConfig, ChaosLedger, ChaosTransport, Fault, FaultyFs, HandoffFault, RetryPolicy,
-};
+pub use chaos::{ChaosConfig, ChaosLedger, ChaosTransport, Fault, FaultyFs, RetryPolicy};
 pub use dispatch::{
-    dispatch, parse_host_manifest, DispatchOptions, DispatchOutcome, DispatchReport, LocalProcess,
-    Mock, MockBehaviour, PollStatus, ShardJob, ShardTransport, Ssh, SshHost,
+    dispatch, DispatchOptions, DispatchOutcome, DispatchReport, LocalProcess, Mock, MockBehaviour,
+    PollStatus, ShardJob, ShardTransport,
 };
 pub use fuzz::{
     clamp_spec, evaluate_spec, parse_corpus, render_corpus, replay_entry, run_campaign,

@@ -439,19 +439,17 @@ struct BadLine {
 }
 
 /// One verified pass over a checkpoint journal's text: the walk
-/// [`load_checkpoint`], [`journal_progress`] and [`sanitize_journal`]
-/// share, so they agree on which rows a journal holds. Each caller
-/// applies its own policy to [`JournalWalk::bad`].
-struct JournalWalk<'a> {
+/// [`load_checkpoint`] and [`journal_progress`] share, so they agree on
+/// which rows a journal holds. Each caller applies its own policy to
+/// [`JournalWalk::bad`].
+struct JournalWalk {
     /// The header's sweep fingerprint.
     fingerprint: String,
     /// The header's shard coordinates; rows must index into its range.
     plan: ShardPlan,
-    /// The header line, trailing newline included.
-    header: &'a str,
     /// Trusted rows in journal order: consecutive sequence numbers from
-    /// 1, distinct run indices. Each carries its line (newline included).
-    rows: Vec<(usize, RunSummary, &'a str)>,
+    /// 1, distinct run indices.
+    rows: Vec<(usize, RunSummary)>,
     /// Byte length of the trusted prefix: the header plus every trusted
     /// line, benign exact-duplicate rows included.
     trusted_len: usize,
@@ -464,9 +462,9 @@ struct JournalWalk<'a> {
 /// walk stops at the first row that is torn, fails its CRC, breaks the
 /// sequence, indexes outside the header's shard or repeats a run index
 /// with a distinct row. An exact byte-for-byte repeat of the
-/// immediately preceding row (a duplicated append at handoff) stays in
-/// the trusted prefix but counts once.
-fn walk_journal(text: &str) -> Result<JournalWalk<'_>, HeaderFault> {
+/// immediately preceding row (a duplicated append) stays in the trusted
+/// prefix but counts once.
+fn walk_journal(text: &str) -> Result<JournalWalk, HeaderFault> {
     let mut segments = text.split_inclusive('\n');
     let header = segments
         .next()
@@ -496,7 +494,6 @@ fn walk_journal(text: &str) -> Result<JournalWalk<'_>, HeaderFault> {
     let mut walk = JournalWalk {
         fingerprint,
         plan: ShardPlan::new(shard, shards, run_count),
-        header,
         rows: Vec::new(),
         trusted_len: header.len(),
         bad: None,
@@ -536,7 +533,7 @@ fn walk_journal(text: &str) -> Result<JournalWalk<'_>, HeaderFault> {
         } else if !seen.insert(index) {
             format!("run {index} journalled twice with distinct rows")
         } else {
-            walk.rows.push((index, summary, seg));
+            walk.rows.push((index, summary));
             walk.trusted_len += seg.len();
             prev = Some(seg);
             continue;
@@ -605,7 +602,7 @@ fn quarantine(path: &Path, file_line: usize, reason: &str) -> String {
 /// [`quarantine_path`] and an error names the offending line, because
 /// resuming from it could silently drop completed work. An exact
 /// byte-for-byte repeat of the immediately preceding row is tolerated
-/// (the harmless signature of a duplicated append at handoff).
+/// (the harmless signature of a duplicated append).
 ///
 /// # Errors
 ///
@@ -653,7 +650,7 @@ pub fn load_checkpoint(
         Some(bad) if !bad.torn_tail => Err(quarantine(path, bad.line, &bad.reason)),
         _ => Ok(LoadedCheckpoint {
             next_seq: walk.rows.len() as u64 + 1,
-            completed: walk.rows.into_iter().map(|(i, s, _)| (i, s)).collect(),
+            completed: walk.rows.into_iter().collect(),
             valid_len: walk.trusted_len as u64,
         }),
     }
@@ -706,30 +703,6 @@ pub fn journal_progress(path: &Path) -> Result<JournalProgress, String> {
         fingerprint: walk.fingerprint,
         completed: walk.rows.len(),
     })
-}
-
-/// The trusted prefix of a checkpoint journal *text*: the header plus
-/// every CRC- and sequence-verified row, stopping at the first line
-/// that fails verification. `None` when even the header is
-/// untrustworthy or names a different sweep/shard. The dispatcher runs
-/// every salvaged journal through this before caching or staging it,
-/// so a journal corrupted in flight (or truncated/duplicated at
-/// handoff) can never poison later attempts — the worker-side
-/// quarantine in [`load_checkpoint`] stays the last line of defence
-/// for corruption at rest.
-#[must_use]
-pub fn sanitize_journal(text: &str, fingerprint: &str, plan: ShardPlan) -> Option<String> {
-    let walk = walk_journal(text).ok()?;
-    if walk.fingerprint != fingerprint || walk.plan != plan {
-        return None;
-    }
-    // Benign exact duplicates are dropped from the sanitized copy
-    // rather than forwarded.
-    let mut out = String::from(walk.header);
-    for (_, _, line) in &walk.rows {
-        out.push_str(line);
-    }
-    Some(out)
 }
 
 fn checkpoint_header(fingerprint: &str, plan: ShardPlan) -> Json {
@@ -1363,7 +1336,7 @@ mod tests {
         let last = text.lines().last().expect("has rows");
         std::fs::write(&path, format!("{text}{last}\n")).expect("writes");
         let loaded = load_checkpoint(&path, &fingerprint(&sweep), plan)
-            .expect("an exact duplicate is a handoff artefact, not corruption");
+            .expect("an exact duplicate is a repeated append, not corruption");
         assert_eq!(loaded.completed.len(), 2, "the duplicate collapses");
         let resumed = run_shard(&sweep, plan, Some(&dir), opts, None).expect("resumes");
         assert_eq!((resumed.resumed, resumed.executed), (2, plan.len() - 2));
@@ -1396,58 +1369,9 @@ mod tests {
             1,
             "status counts distinct verified runs"
         );
-        assert_eq!(
-            sanitize_journal(&text, &fp, plan),
-            Some(format!("{header}{first}"))
-        );
         let err = load_checkpoint(&path, &fp, plan).expect_err("must not resume");
         assert!(err.contains("line 3") && err.contains("twice"), "{err}");
         assert!(quarantine_path(&path).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sanitize_journal_trims_to_the_trusted_prefix() {
-        let sweep = small_sweep();
-        let dir = temp_dir("sanitize");
-        let plan = ShardPlan::all(1, sweep.run_count())[0];
-        run_shard(
-            &sweep,
-            plan,
-            Some(&dir),
-            SweepOptions { threads: 1 },
-            Some(3),
-        )
-        .expect("partial runs");
-        let path = checkpoint_file(&dir, plan);
-        let text = std::fs::read_to_string(&path).expect("reads");
-        let fp = fingerprint(&sweep);
-        let header = text.split_inclusive('\n').next().expect("has a header");
-        assert_eq!(
-            sanitize_journal(&text, &fp, plan).as_deref(),
-            Some(text.as_str()),
-            "a clean journal passes through untouched"
-        );
-        // A torn tail trims to the complete rows.
-        let sane = sanitize_journal(&text[..text.len() - 7], &fp, plan).expect("salvages");
-        assert!(sane.ends_with('\n') && text.starts_with(&sane) && sane.len() < text.len());
-        // A duplicated last row collapses.
-        let last = text.lines().last().expect("has rows");
-        assert_eq!(
-            sanitize_journal(&format!("{text}{last}\n"), &fp, plan).as_deref(),
-            Some(text.as_str())
-        );
-        // Interior corruption: nothing after the damage is trusted.
-        let mut bytes = text.clone().into_bytes();
-        bytes[header.len()] = b'#';
-        let corrupt = String::from_utf8(bytes).expect("still utf8");
-        assert_eq!(
-            sanitize_journal(&corrupt, &fp, plan).as_deref(),
-            Some(header),
-            "damage in the first row leaves only the header"
-        );
-        // A journal for a different sweep salvages nothing.
-        assert_eq!(sanitize_journal(&text, "0000000000000000", plan), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
