@@ -148,24 +148,52 @@ fn assert_twins_agree(model: ModelKind, seed: u64, dims: GridDims) {
     }
 }
 
+// Each model kind's twins agree at drawn seeds. The seed picks the
+// mapping, the phases, the kill victims and the hung node.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every model kind's twins agree at a drawn seed. The seed picks the
-    /// mapping, the phases, the kill victims and the hung node; the
-    /// passive baseline is where the optimized stepper jumps whole
-    /// quiescent stretches, and the fault scenario forces re-settling.
     #[test]
-    fn twins_agree_for_every_model_kind_at_drawn_seeds(seed in any::<u64>()) {
-        for model in [
-            ModelKind::NoIntelligence,
-            ModelKind::NetworkInteraction(NiConfig::default()),
+    fn ffw_twins_agree_across_seeds(seed in any::<u64>()) {
+        assert_twins_agree(
             ModelKind::ForagingForWork(FfwConfig::default()),
+            seed,
+            GridDims::new(4, 4),
+        );
+    }
+
+    #[test]
+    fn ni_twins_agree_across_seeds(seed in any::<u64>()) {
+        assert_twins_agree(
+            ModelKind::NetworkInteraction(NiConfig::default()),
+            seed,
+            GridDims::new(4, 4),
+        );
+    }
+
+    #[test]
+    fn ni_firmware_twins_agree_across_seeds(seed in any::<u64>()) {
+        assert_twins_agree(
             ModelKind::NetworkInteractionFirmware(NiConfig::default()),
+            seed,
+            GridDims::new(4, 4),
+        );
+    }
+
+    #[test]
+    fn ffw_firmware_twins_agree_across_seeds(seed in any::<u64>()) {
+        assert_twins_agree(
             ModelKind::ForagingForWorkFirmware(FfwConfig::default()),
-        ] {
-            assert_twins_agree(model, seed, GridDims::new(4, 4));
-        }
+            seed,
+            GridDims::new(4, 4),
+        );
+    }
+
+    /// The passive baseline is where the optimized stepper jumps whole
+    /// quiescent stretches; the fault scenario forces re-settling.
+    #[test]
+    fn baseline_twins_agree_with_fast_forward(seed in any::<u64>()) {
+        assert_twins_agree(ModelKind::NoIntelligence, seed, GridDims::new(4, 4));
     }
 }
 
