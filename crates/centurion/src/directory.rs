@@ -263,19 +263,12 @@ impl Gossip {
         self.reset_derived();
     }
 
-    /// Marks every node dirty, so the next round checks every table.
-    pub fn mark_all_dirty(&mut self) {
-        for node in 0..self.dirs.len() {
-            self.mark(node);
-        }
-    }
-
     /// Recomputes the cached bests and marks every node dirty.
     fn reset_derived(&mut self) {
         for node in 0..self.dirs.len() {
             self.publish_bests(node);
+            self.mark(node);
         }
-        self.mark_all_dirty();
     }
 
     fn mark(&mut self, node: usize) {

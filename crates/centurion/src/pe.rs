@@ -56,13 +56,18 @@ pub struct ProcessingElement {
     foreign_cap: usize,
     working: bool,
     busy_until: Cycle,
-    busy_cycles: u64,
+    /// Busy cycles of every closed busy interval.
+    busy_closed: u64,
+    /// Start of the open busy interval: set while the PE works, alive
+    /// with its clock on.
+    busy_since: Option<Cycle>,
     gen_next: Option<Cycle>,
     last_completion: Option<Cycle>,
     stats: PeStats,
-    /// Data packets accepted for processing since the last AIM scan.
+    /// Data packets accepted for processing since the last AIM scan
+    /// (saturating: a baseline node scans only to drain an RCAP write).
     feed_data: u32,
-    /// Acks consumed since the last AIM scan.
+    /// Acks consumed since the last AIM scan (saturating, likewise).
     feed_acks: u32,
 }
 
@@ -86,7 +91,8 @@ impl ProcessingElement {
             foreign_cap,
             working: false,
             busy_until: 0,
-            busy_cycles: 0,
+            busy_closed: 0,
+            busy_since: None,
             gen_next: None,
             last_completion: None,
             stats: PeStats::default(),
@@ -115,9 +121,11 @@ impl ProcessingElement {
         self.working
     }
 
-    /// Clock gating knob.
-    pub fn set_clock_enabled(&mut self, enabled: bool) {
-        self.clock_enabled = enabled;
+    /// Gates the clock at cycle `now`, before that cycle's step: the PE
+    /// holds its state and work but steps no more.
+    pub(crate) fn gate_clock(&mut self, now: Cycle) {
+        self.close_busy(now);
+        self.clock_enabled = false;
     }
 
     /// Whether the clock is currently enabled.
@@ -140,15 +148,20 @@ impl ProcessingElement {
         self.last_completion
     }
 
-    /// Cumulative cycles this PE spent executing work items, as credited
-    /// so far. Inside a [`Platform`](crate::Platform) this excludes the
-    /// platform's pending credit: a mid-work PE the activity-gated
-    /// stepper skips is credited only when next stepped, killed, hung or
-    /// switched. Read [`Platform::busy_cycles`](crate::Platform::busy_cycles)
-    /// for the exact activity integral the thermal power model converts
-    /// into dynamic power (duty cycle = Δ`busy_cycles` / window).
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
+    /// Cumulative cycles this PE spent executing work items before cycle
+    /// `now` — the activity integral the thermal power model converts
+    /// into dynamic power (duty cycle = Δ`busy_cycles` / window). A
+    /// mid-work PE counts every cycle since its item started whether or
+    /// not it was stepped, so the activity-gated stepper can skip it.
+    pub fn busy_cycles(&self, now: Cycle) -> u64 {
+        self.busy_closed + self.busy_since.map_or(0, |since| now - since)
+    }
+
+    /// Closes the open busy interval, if any, at `end` (exclusive).
+    fn close_busy(&mut self, end: Cycle) {
+        if let Some(since) = self.busy_since.take() {
+            self.busy_closed += end - since;
+        }
     }
 
     /// Counters.
@@ -182,7 +195,7 @@ impl ProcessingElement {
 
     /// The next cycle at which stepping this PE could change state, or
     /// `None` when every step is a provable no-op until an external event
-    /// (a delivery, task switch, clock un-gating or revival) re-arms it.
+    /// (a delivery or a task switch) re-arms it.
     /// The platform's activity-gated stepper skips a PE whose next event
     /// lies in the future; anything that might change the answer must
     /// re-arm the PE in the platform's event table.
@@ -203,15 +216,6 @@ impl ProcessingElement {
         self.gen_next
     }
 
-    /// Credits `cycles` of busy time without stepping — the platform's
-    /// lazy credit applies the exact increments the per-cycle stepper
-    /// would have made for a PE that stayed mid-work over cycles it was
-    /// not stepped.
-    pub(crate) fn credit_busy(&mut self, cycles: u64) {
-        debug_assert!(self.working && self.alive && self.clock_enabled);
-        self.busy_cycles += cycles;
-    }
-
     /// Reads and clears the feed counters: `(data packets accepted, acks
     /// consumed)` since the last read. The platform converts these into
     /// the AIM's work-proportional feed amount.
@@ -222,9 +226,11 @@ impl ProcessingElement {
         )
     }
 
-    /// Kills the PE: it stops processing, drops queued work and never
-    /// recovers (the paper's node-fault model).
-    pub fn kill(&mut self) {
+    /// Kills the PE at cycle `now`, before that cycle's step: it stops
+    /// processing, drops queued work and never recovers (the paper's
+    /// node-fault model).
+    pub fn kill(&mut self, now: Cycle) {
+        self.close_busy(now);
         self.alive = false;
         self.task = None;
         self.queue.clear();
@@ -236,7 +242,9 @@ impl ProcessingElement {
     /// Assigns `task`, returning every queued packet that no longer
     /// belongs here (the platform bounces them). Foreign packets matching
     /// the new task become work; for source tasks the generation timer is
-    /// restarted with a node-specific phase.
+    /// restarted with a node-specific phase. The switch lands after the
+    /// step of cycle `now`, so a work item in progress is abandoned at the
+    /// end of that cycle.
     ///
     /// Convenience wrapper over [`ProcessingElement::switch_task_into`]
     /// that allocates the eviction list (tests and construction paths).
@@ -272,6 +280,7 @@ impl ProcessingElement {
         evicted.extend(self.queue.drain(..));
         self.task = Some(task);
         self.working = false;
+        self.close_busy(now + 1);
         // Adopt matching foreign packets — FFW's "sink and process it
         // locally" — by rotating the deque once in place: each packet is
         // popped, then either consumed, queued, evicted or pushed back,
@@ -281,10 +290,10 @@ impl ProcessingElement {
             if pkt.task == task {
                 if pkt.kind == sirtm_noc::PacketKind::Ack {
                     self.stats.acks_consumed += 1;
-                    self.feed_acks += 1;
+                    self.feed_acks = self.feed_acks.saturating_add(1);
                 } else if self.queue.len() < self.queue_cap {
                     self.queue.push_back(pkt);
-                    self.feed_data += 1;
+                    self.feed_data = self.feed_data.saturating_add(1);
                 } else {
                     evicted.push(pkt);
                 }
@@ -309,12 +318,12 @@ impl ProcessingElement {
                 // Feedback signals are consumed instantly: they feed the
                 // FFW watchdog but need no processing time.
                 self.stats.acks_consumed += 1;
-                self.feed_acks += 1;
+                self.feed_acks = self.feed_acks.saturating_add(1);
                 return (Accept::Consumed, None);
             }
             if self.queue.len() < self.queue_cap {
                 self.queue.push_back(pkt);
-                self.feed_data += 1;
+                self.feed_data = self.feed_data.saturating_add(1);
                 return (Accept::Queued, None);
             }
             // Queue overflow: this instance is saturated; hand the packet
@@ -345,15 +354,14 @@ impl ProcessingElement {
         let task = self.task?;
         let mut completed = None;
         if self.working {
-            if now >= self.busy_until {
-                self.working = false;
-                self.stats.completions += 1;
-                self.last_completion = Some(now);
-                completed = Some(task);
-            } else {
-                self.busy_cycles += 1;
+            if now < self.busy_until {
                 return None;
             }
+            self.working = false;
+            self.close_busy(now);
+            self.stats.completions += 1;
+            self.last_completion = Some(now);
+            completed = Some(task);
         }
         // Acquire the next work item.
         let spec = graph.spec(task);
@@ -372,7 +380,7 @@ impl ProcessingElement {
             self.busy_until = now + self.scaled_service(spec.service_cycles);
         }
         if self.working {
-            self.busy_cycles += 1;
+            self.busy_since = Some(now);
         }
         completed
     }
@@ -493,7 +501,7 @@ mod tests {
             p.step(now, &g);
         }
         // One t2 item: 300 service cycles at nominal frequency, then idle.
-        let busy = p.busy_cycles();
+        let busy = p.busy_cycles(1000);
         assert!(
             (300..=302).contains(&busy),
             "busy cycles {busy} for one 300-cycle item"
@@ -510,7 +518,7 @@ mod tests {
         for now in 0..1000 {
             p.step(now, &g);
         }
-        let busy = p.busy_cycles();
+        let busy = p.busy_cycles(1000);
         assert!(
             (150..=152).contains(&busy),
             "busy cycles {busy} at double clock"
@@ -598,7 +606,7 @@ mod tests {
         let g = graph();
         let mut p = pe();
         p.switch_task(TaskId::new(1), &g, 0, false);
-        p.kill();
+        p.kill(0);
         assert_eq!(p.deliver(packet(1, PacketKind::Data, 1)).0, Accept::Dead);
         assert!(p.step(10, &g).is_none());
         assert!(p.task().is_none());
@@ -611,18 +619,42 @@ mod tests {
         let mut p = pe();
         p.switch_task(TaskId::new(1), &g, 0, false);
         p.deliver(packet(1, PacketKind::Data, 1));
-        p.set_clock_enabled(false);
-        for now in 0..500 {
+        p.deliver(packet(1, PacketKind::Data, 2));
+        for now in 0..100 {
             assert!(p.step(now, &g).is_none());
         }
-        p.set_clock_enabled(true);
-        let mut completed = false;
-        for now in 500..900 {
-            if p.step(now, &g).is_some() {
-                completed = true;
-                break;
-            }
+        assert_eq!(p.busy_cycles(100), 100);
+        p.gate_clock(100);
+        for now in 100..1000 {
+            assert!(p.step(now, &g).is_none(), "a gated PE completes nothing");
         }
-        assert!(completed, "work resumes after un-gating");
+        // Task, queue and the item in progress are held; the busy
+        // integral stopped at the gate.
+        assert_eq!(p.task(), Some(TaskId::new(1)));
+        assert_eq!(p.queue_len(), 1);
+        assert!(p.is_busy() && !p.clock_enabled());
+        assert_eq!(p.next_event(), None);
+        assert_eq!(p.busy_cycles(1000), 100);
+    }
+
+    #[test]
+    fn busy_intervals_close_on_kill_and_switch() {
+        let g = graph();
+        // Working from cycle 10; a kill lands before the step of cycle
+        // 40, a switch after it.
+        for (switch, busy) in [(false, 30), (true, 31)] {
+            let mut p = pe();
+            p.switch_task(TaskId::new(1), &g, 0, false);
+            p.deliver(packet(1, PacketKind::Data, 1));
+            for now in 10..40 + u64::from(switch) {
+                p.step(now, &g);
+            }
+            if switch {
+                p.switch_task(TaskId::new(2), &g, 40, true);
+            } else {
+                p.kill(40);
+            }
+            assert_eq!(p.busy_cycles(500), busy, "switch {switch}");
+        }
     }
 }

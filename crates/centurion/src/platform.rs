@@ -93,49 +93,29 @@ pub struct Platform {
     /// NoC message counters are merged in from the mesh on snapshot.
     sim: SimCounters,
 
-    // ---- activity-gating state (see README: "Performance architecture")
-    /// `!model.is_adaptive()`: the baseline's scan reads nothing and
-    /// decides nothing, so the hot loop elides its assembly.
+    // ---- activity-gating state (see README: "Performance architecture").
+    // `pe_next` and `scan_due` are the only per-node timing tables; both
+    // steppers keep them current through the same per-node bodies.
+    /// `!model.is_adaptive()`: the baseline's scans decide nothing, so
+    /// none is ever due; one runs only to drain an RCAP write.
     passive: bool,
     /// Next cycle at which stepping PE `idx` could change state
     /// ([`NEVER`] = quiescent until an external event re-arms it).
     pe_next: Vec<Cycle>,
-    /// For a PE that is mid-work, alive and un-gated, the first cycle
-    /// whose busy time the stepper has not yet added to its integral.
-    /// The owed cycles are credited lazily, when the PE is next stepped,
-    /// killed, hung or switched ([`Platform::busy_cycles`] adds them on
-    /// read), so neither the per-cycle PE pass nor a fast-forward touches
-    /// PEs that are not due.
-    owed_since: Vec<Option<Cycle>>,
     /// Incrementally maintained copy of every node's advertised task —
     /// what the naive stepper recomputes per gossip round.
     locals: Vec<Option<TaskId>>,
-    /// `scan_buckets[now % AIM_PERIOD]` = nodes whose staggered AIM scan
-    /// is due at that residue (ascending node order).
-    scan_buckets: Vec<Vec<u32>>,
-    /// Per-residue count of alive nodes whose scans can decide (none on a
-    /// passive platform): a jump over a cycle of a live residue counts
-    /// it as stepped, as the eager stepper, which stopped there, did.
-    scan_residue_live: Vec<u32>,
     /// Per node, the cycle of its next AIM scan that can change a
     /// decision: the first scan past the model's decision horizon, or the
     /// first after a feed ([`NEVER`] for a dead node and on a passive
     /// platform). Scans before it only count down and are skipped.
     scan_due: Vec<Cycle>,
-    /// Per node, the cycle before which every AIM scan has been run or
-    /// folded into its model; the skipped scans since are folded in
-    /// before the next one runs.
+    /// Per node, the cycle after its last AIM scan; the countdown scans
+    /// skipped since are folded into its model before the next one runs.
     scanned_to: Vec<Cycle>,
     /// Cycles run through [`Platform::step`] or [`Platform::step_naive`]
     /// (host plane; see [`Platform::cycles_executed`]).
     cycles_executed: u64,
-    /// AIM register writes this platform has drained from routers;
-    /// compared against the mesh's arrival counter to detect outstanding
-    /// writes.
-    aim_writes_drained: u64,
-    /// Set by the naive stepper: the event tables above may be stale and
-    /// are rebuilt before the next optimized step.
-    events_stale: bool,
     // Reused per-step scratch (hoisted so steady-state stepping never
     // touches the heap).
     delivery_scratch: Vec<u16>,
@@ -195,18 +175,15 @@ impl Platform {
             dirs = gossip_round(&dirs, &locals, &neighbours, n_tasks, dir_dist_max);
         }
         let n = cfg.dims.len();
-        let period = AIM_PERIOD as usize;
-        let mut scan_buckets = vec![Vec::new(); period];
-        let mut scan_residue_live = vec![0u32; period];
-        let mut scan_due = vec![NEVER; n];
-        for (idx, due) in scan_due.iter_mut().enumerate() {
-            let r = next_scan_slot(idx, 0);
-            scan_buckets[r as usize].push(idx as u32);
-            if !passive {
-                scan_residue_live[r as usize] += 1;
-                *due = r;
-            }
-        }
+        let scan_due = (0..n)
+            .map(|idx| {
+                if passive {
+                    NEVER
+                } else {
+                    next_scan_slot(idx, 0)
+                }
+            })
+            .collect();
         Self {
             stats: PlatformStats {
                 completions_per_task: vec![0; n_tasks],
@@ -224,15 +201,10 @@ impl Platform {
             cfg,
             passive,
             pe_next: vec![0; n],
-            owed_since: vec![None; n],
             locals,
-            scan_buckets,
-            scan_residue_live,
             scan_due,
             scanned_to: vec![0; n],
             cycles_executed: 0,
-            aim_writes_drained: 0,
-            events_stale: false,
             delivery_scratch: Vec::with_capacity(n),
             edge_scratch: Vec::new(),
             evict_scratch: Vec::new(),
@@ -390,27 +362,15 @@ impl Platform {
         }
     }
 
-    /// Cumulative cycles `node`'s PE spent executing work — the activity
-    /// integral thermal models difference across windows. Unlike
-    /// [`ProcessingElement::busy_cycles`] this includes the busy time the
-    /// activity-gated stepper has not yet credited to a mid-work PE.
+    /// Cumulative cycles `node`'s PE spent executing work before the
+    /// current cycle — the activity integral thermal models difference
+    /// across windows ([`ProcessingElement::busy_cycles`] read now).
     ///
     /// # Panics
     ///
     /// Panics if `node` is off-grid.
     pub fn busy_cycles(&self, node: NodeId) -> u64 {
-        let idx = node.index();
-        let owed = self.owed_since[idx].map_or(0, |since| self.cycle - since);
-        self.pes[idx].busy_cycles() + owed
-    }
-
-    /// Credits PE `idx` the busy time it owes for the cycles before
-    /// `upto`.
-    fn settle_busy(&mut self, idx: usize, upto: Cycle) {
-        if let Some(since) = self.owed_since[idx] {
-            self.pes[idx].credit_busy(upto - since);
-            self.owed_since[idx] = Some(upto);
-        }
+        self.pes[node.index()].busy_cycles(self.cycle)
     }
 
     /// Kills a node's processing element (the paper's node-fault model):
@@ -422,22 +382,15 @@ impl Platform {
     /// Panics if `node` is off-grid.
     pub fn kill_pe(&mut self, node: NodeId) {
         let idx = node.index();
-        let was_alive = self.pes[idx].is_alive();
-        self.settle_busy(idx, self.cycle);
-        self.pes[idx].kill();
+        self.pes[idx].kill(self.cycle);
         self.mesh.set_local_task(node, None);
         self.mesh.set_port_enabled(node, Port::Internal, false);
         // Event-table upkeep: a dead PE never has events, its scan can no
         // longer decide anything, and the directories must re-converge.
         self.gossip.clear(idx, &self.neighbours);
         self.pe_next[idx] = NEVER;
-        self.owed_since[idx] = None;
         self.locals[idx] = None;
         self.scan_due[idx] = NEVER;
-        if was_alive && !self.passive {
-            let r = next_scan_slot(idx, 0) as usize;
-            self.scan_residue_live[r] -= 1;
-        }
     }
 
     /// Kills the whole tile: PE and router (global-circuitry faults).
@@ -457,22 +410,9 @@ impl Platform {
     ///
     /// Panics if `node` is off-grid.
     pub fn hang_pe(&mut self, node: NodeId) {
-        self.settle_busy(node.index(), self.cycle);
-        self.pes[node.index()].set_clock_enabled(false);
+        self.pes[node.index()].gate_clock(self.cycle);
         // A gated PE's steps are no-ops (and it accrues no busy time).
         self.pe_next[node.index()] = NEVER;
-        self.owed_since[node.index()] = None;
-    }
-
-    /// Resumes a hung PE.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is off-grid.
-    pub fn resume_pe(&mut self, node: NodeId) {
-        self.pes[node.index()].set_clock_enabled(true);
-        // Due immediately: the next step re-derives the real event.
-        self.pe_next[node.index()] = self.cycle;
     }
 
     /// DVFS knob: sets a node's clock, clamped to the platform range.
@@ -566,7 +506,7 @@ impl Platform {
             if self.cycle >= target || !self.mesh.is_settled_idle() {
                 continue;
             }
-            if self.mesh.aim_writes_enqueued() > self.aim_writes_drained {
+            if self.mesh.aim_writes_pending() > 0 {
                 // Undrained remote register writes pin the scan schedule.
                 continue;
             }
@@ -579,8 +519,7 @@ impl Platform {
             }
             if next > self.cycle {
                 // A PE that stays mid-work over the jump (its completion
-                // bounds it) owes the whole stretch as busy time, which
-                // its lazy credit already counts.
+                // bounds it) keeps its busy interval open across it.
                 let dt = next - self.cycle;
                 self.mesh.skip_idle_cycles(dt);
                 self.credit_jump(dt);
@@ -591,87 +530,76 @@ impl Platform {
 
     /// Counts a jump of `dt` cycles from the current one as the eager
     /// stepper, which stopped on every scan of a live adaptive node,
-    /// counted it: a cycle of a live residue as stepped, with a scan for
-    /// each node of its bucket (dead ones included), and every other
-    /// cycle as fast-forwarded.
+    /// counted it: a cycle of a live residue (one holding a node whose
+    /// scan can still fall due) as stepped, with a scan for each node of
+    /// the residue (dead ones included), and every other cycle as
+    /// fast-forwarded.
     fn credit_jump(&mut self, dt: u64) {
-        let period = AIM_PERIOD as u64;
-        let (laps, rest) = (dt / period, dt % period);
-        let mut stepped = 0;
-        for r in 0..period {
-            if self.scan_residue_live[r as usize] > 0 {
-                // Cycles of residue `r` in [cycle, cycle + dt).
-                let hits = laps + u64::from((r + period - self.cycle % period) % period < rest);
+        let period = AIM_PERIOD as usize;
+        let (laps, rest) = (dt / period as u64, dt % period as u64);
+        let n = self.pes.len();
+        let (full, partial) = (n / period, n % period);
+        let (mut stepped, mut scans) = (0, 0);
+        // Nodes `0..period` are the first nodes of distinct residues; the
+        // others of each follow every `period` indices. (A `step_by`
+        // iterator here cost a jump about twice what this loop does.)
+        for first in 0..period.min(n) {
+            let mut idx = first;
+            while idx < n && self.scan_due[idx] == NEVER {
+                idx += period;
+            }
+            if idx < n {
+                // The residue's cycles in [cycle, cycle + dt).
+                let ahead = next_scan_slot(first, self.cycle) - self.cycle;
+                let hits = laps + u64::from(ahead < rest);
                 stepped += hits;
-                self.sim.aim_scans += hits * self.scan_buckets[r as usize].len() as u64;
+                scans += hits * (full + usize::from(first < partial)) as u64;
             }
         }
+        self.sim.aim_scans += scans;
         self.sim.cycles_stepped += stepped;
         self.sim.cycles_fast_forwarded += dt - stepped;
     }
 
     /// Advances the platform by one cycle with the activity-gated hot
     /// loop: fabric-reported deliveries → due PEs (skipped PEs provably
-    /// change nothing) → bucketed AIM scans that can decide (countdown
-    /// scans are skipped and folded in before the node's next one) →
-    /// gossip (elided at fixpoint) → NoC. Decision-for-decision identical
-    /// to [`Platform::step_naive`], which `tests/differential.rs` and
-    /// `tests/proptests.rs` enforce.
+    /// change nothing) → the AIM scans of this cycle's residue that can
+    /// decide (countdown scans are skipped and folded in before the
+    /// node's next one) → gossip (elided at fixpoint) → NoC. It runs the
+    /// same per-node bodies as [`Platform::step_naive`] on the nodes that
+    /// are due, and is decision-for-decision identical to it, which
+    /// `tests/differential.rs` and `tests/proptests.rs` enforce.
     pub fn step(&mut self) {
-        if self.events_stale {
-            self.rebuild_event_state();
-        }
         let now = self.cycle;
         // 1. Deliveries from the fabric into the PEs. Only nodes the
         // fabric delivered to during the last cycle can hold packets, and
         // the mesh hands us exactly that set (ascending, like the naive
-        // full scan).
+        // full pass).
         if !self.mesh.fresh_delivered().is_empty() {
             let mut list = std::mem::take(&mut self.delivery_scratch);
             list.clear();
             list.extend_from_slice(self.mesh.fresh_delivered());
             for &raw in &list {
-                let idx = raw as usize;
-                let node = NodeId::new(raw);
-                while let Some(pkt) = self.mesh.pop_delivered(node) {
-                    self.deliver(idx, pkt);
-                }
+                self.deliver_node(raw as usize);
             }
             self.delivery_scratch = list;
         }
-        // 2. PE work; completions emit packets along the task graph. A PE
-        // whose next event lies ahead is either inert or mid-work, and is
-        // skipped outright: a mid-work PE's busy cycles accrue as lazy
-        // credit, settled here once it is due again.
+        // 2. PE work. A PE whose next event lies ahead is either inert or
+        // mid-work (its busy interval stays open), and is skipped.
         for idx in 0..self.pes.len() {
             if self.pe_next[idx] <= now {
-                self.settle_busy(idx, now);
-                if let Some(task) = self.pes[idx].step(now, &self.graph) {
-                    self.stats.completions_per_task[task.index()] += 1;
-                    self.emit_outputs(idx, task);
-                }
-                let pe = &self.pes[idx];
-                self.pe_next[idx] = pe.next_event().unwrap_or(NEVER);
-                self.owed_since[idx] =
-                    (pe.is_busy() && pe.is_alive() && pe.clock_enabled()).then_some(now + 1);
+                self.step_pe(idx, now);
             }
         }
-        // 3. Phase-staggered AIM scans (unsynchronised hardware AIMs),
-        // via the precomputed residue buckets instead of 128 modulo
-        // tests. Only due scans run; the countdown scans skipped before
-        // them are folded in first. An outstanding RCAP write is drained
-        // by the scan, so until it is, every scan runs.
-        let r = (now % AIM_PERIOD as u64) as usize;
-        self.sim.aim_scans += self.scan_buckets[r].len() as u64;
-        let eager = self.mesh.aim_writes_enqueued() > self.aim_writes_drained;
-        for k in 0..self.scan_buckets[r].len() {
-            let idx = self.scan_buckets[r][k] as usize;
-            if self.passive {
-                self.scan_passive(idx);
-            } else if eager || self.scan_due[idx] <= now {
-                self.fold_skipped_scans(idx, now);
+        // 3. Phase-staggered AIM scans (unsynchronised hardware AIMs) of
+        // this cycle's residue. Only due scans run; an outstanding RCAP
+        // write is drained by the scan, so until it is, every scan runs.
+        let nodes = scanners(now, self.pes.len());
+        self.sim.aim_scans += nodes.len() as u64;
+        let eager = self.mesh.aim_writes_pending() > 0;
+        for idx in nodes {
+            if eager || self.scan_due[idx] <= now {
                 self.scan(idx, now);
-                self.scanned_to[idx] = now + 1;
             }
         }
         // 4. Gossip directory round over the dirty nodes only; once a
@@ -688,45 +616,27 @@ impl Platform {
         self.cycle += 1;
     }
 
-    /// Advances the platform by one cycle with the original exhaustive
-    /// loop: every router drained and stepped ([`Mesh::step_naive`]),
-    /// every PE stepped, every scan condition tested, every gossip round
-    /// recomputed from scratch. Retained as the differential oracle for
-    /// [`Platform::step`]; it makes no use of the activity-gating state.
+    /// Advances the platform by one cycle with the exhaustive loop: every
+    /// node's deliveries drained, every PE stepped, every node's scan
+    /// slot tested and every scan on it run in full, every gossip round
+    /// recomputed from scratch and every router stepped
+    /// ([`Mesh::step_naive`]). The differential oracle for
+    /// [`Platform::step`]: it runs the same per-node bodies, which keep
+    /// the activity-gating state current, so the two steppers can be
+    /// mixed on one platform.
     pub fn step_naive(&mut self) {
-        if !self.events_stale {
-            // The naive loop credits busy time and runs every scan
-            // itself: settle what the optimized stepper still owes, stop
-            // the lazy credit and fold in the scans it skipped.
-            for idx in 0..self.pes.len() {
-                self.settle_busy(idx, self.cycle);
-                self.owed_since[idx] = None;
-                self.fold_skipped_scans(idx, self.cycle);
-            }
-            self.events_stale = true;
-        }
         let now = self.cycle;
         // 1. Deliveries from the fabric into the PEs.
         for idx in 0..self.pes.len() {
-            let node = NodeId::new(idx as u16);
-            if self.mesh.delivered_len(node) == 0 {
-                continue;
-            }
-            for pkt in self.mesh.take_delivered(node) {
-                self.deliver(idx, pkt);
-            }
+            self.deliver_node(idx);
         }
         // 2. PE work; completions emit packets along the task graph.
         for idx in 0..self.pes.len() {
-            if let Some(task) = self.pes[idx].step(now, &self.graph) {
-                self.stats.completions_per_task[task.index()] += 1;
-                self.emit_outputs(idx, task);
-            }
+            self.step_pe(idx, now);
         }
         // 3. Phase-staggered AIM scans (unsynchronised hardware AIMs).
-        let period = AIM_PERIOD as u64;
         for idx in 0..self.pes.len() {
-            if (now + idx as u64 * 7).is_multiple_of(period) {
+            if (now + idx as u64 * SCAN_STAGGER).is_multiple_of(AIM_PERIOD as u64) {
                 self.sim.aim_scans += 1;
                 self.scan(idx, now);
             }
@@ -755,24 +665,22 @@ impl Platform {
         self.cycle += 1;
     }
 
-    /// Rebuilds the activity-gating tables after naive stepping (which
-    /// bypasses their upkeep): every PE and every live adaptive node's
-    /// next scan is marked due so its state re-derives itself, and gossip
-    /// convergence is re-proven.
-    fn rebuild_event_state(&mut self) {
-        for (idx, pe) in self.pes.iter().enumerate() {
-            self.pe_next[idx] = self.cycle;
-            self.owed_since[idx] =
-                (pe.is_busy() && pe.is_alive() && pe.clock_enabled()).then_some(self.cycle);
-            self.scan_due[idx] = if self.passive || !pe.is_alive() {
-                NEVER
-            } else {
-                next_scan_slot(idx, self.cycle)
-            };
-            self.scanned_to[idx] = self.cycle;
+    /// Hands every packet the fabric delivered to node `idx` to its PE.
+    fn deliver_node(&mut self, idx: usize) {
+        let node = NodeId::new(idx as u16);
+        while let Some(pkt) = self.mesh.pop_delivered(node) {
+            self.deliver(idx, pkt);
         }
-        self.gossip.mark_all_dirty();
-        self.events_stale = false;
+    }
+
+    /// Steps PE `idx` through cycle `now` and records its next event;
+    /// completions emit packets along the task graph.
+    fn step_pe(&mut self, idx: usize, now: Cycle) {
+        if let Some(task) = self.pes[idx].step(now, &self.graph) {
+            self.stats.completions_per_task[task.index()] += 1;
+            self.emit_outputs(idx, task);
+        }
+        self.pe_next[idx] = self.pes[idx].next_event().unwrap_or(NEVER);
     }
 
     fn deliver(&mut self, idx: usize, pkt: Packet) {
@@ -870,39 +778,31 @@ impl Platform {
         self.edge_scratch = edges;
     }
 
-    /// One AIM scan of node `idx` on a passive platform, eliding the
-    /// sense/decide assembly: a baseline scan reads nothing and decides
-    /// nothing, so the only platform state the full path would touch is
-    /// the reset-on-read feed counters (and any pending register writes)
-    /// — which this shortcut touches identically.
-    fn scan_passive(&mut self, idx: usize) {
-        self.drain_aim_writes(idx);
-        if !self.pes[idx].is_alive() {
-            return;
-        }
-        let _ = self.pes[idx].take_feed_counts();
-    }
-
     /// Drains remote AIM register writes that arrived through RCAP into
-    /// the node's model, without disturbing the mesh's settled state when
-    /// there is nothing to drain. While every write that reached a router
-    /// has been drained, no router's queue is read.
+    /// the node's model, without disturbing the mesh's settled state.
+    /// While no write is pending anywhere, no router's queue is read.
     fn drain_aim_writes(&mut self, idx: usize) {
-        let node = NodeId::new(idx as u16);
-        if self.mesh.aim_writes_enqueued() == self.aim_writes_drained
-            || self.mesh.aim_write_backlog(node) == 0
-        {
+        if self.mesh.aim_writes_pending() == 0 {
             return;
         }
-        while let Some((reg, value)) = self.mesh.pop_aim_write(node) {
-            self.aim_writes_drained += 1;
+        while let Some((reg, value)) = self.mesh.pop_aim_write(NodeId::new(idx as u16)) {
             self.models[idx].configure(reg, value);
         }
     }
 
-    /// One AIM scan of node `idx`.
+    /// Node `idx`'s AIM scan of cycle `now`, one of its scan slots. The
+    /// countdown scans skipped since its last one are folded into its
+    /// model first: each fell inside the model's decision horizon with no
+    /// feed (a feed wakes the node), so it only counted down. A dead
+    /// node's model scans no more, and a passive one decides nothing.
     fn scan(&mut self, idx: usize, now: Cycle) {
         let node = NodeId::new(idx as u16);
+        let from = std::mem::replace(&mut self.scanned_to[idx], now + 1);
+        if self.pes[idx].is_alive() && !self.passive {
+            let skipped = (now - from) / AIM_PERIOD as u64;
+            let skipped = u32::try_from(skipped).expect("a decision horizon fits in u32");
+            self.models[idx].fold_unfed(skipped);
+        }
         self.drain_aim_writes(idx);
         if !self.pes[idx].is_alive() {
             return;
@@ -942,24 +842,12 @@ impl Platform {
         };
         self.models[idx].scan(&mut io);
         let request = io.switch_to;
-        let horizon = u64::from(self.models[idx].decision_horizon());
-        self.scan_due[idx] = now + AIM_PERIOD as u64 * (horizon + 1);
+        if !self.passive {
+            let horizon = u64::from(self.models[idx].decision_horizon());
+            self.scan_due[idx] = now + AIM_PERIOD as u64 * (horizon + 1);
+        }
         if let Some(task) = request {
             self.apply_switch(idx, task, now);
-        }
-    }
-
-    /// Folds node `idx`'s AIM scans before `upto` that the optimized
-    /// stepper skipped into its model. Each fell inside the model's
-    /// decision horizon with no feed (a feed wakes the node), so it only
-    /// counted down. A dead node's model scans no more, and a passive
-    /// one decides nothing.
-    fn fold_skipped_scans(&mut self, idx: usize, upto: Cycle) {
-        let from = std::mem::replace(&mut self.scanned_to[idx], upto);
-        if self.pes[idx].is_alive() && !self.passive {
-            let skipped = (next_scan_slot(idx, upto) - from) / AIM_PERIOD as u64;
-            let skipped = u32::try_from(skipped).expect("a decision horizon fits in u32");
-            self.models[idx].fold_unfed(skipped);
         }
     }
 
@@ -976,10 +864,10 @@ impl Platform {
             return;
         }
         self.stats.task_switches += 1;
-        // Switching abandons a work item; the PE pass of `now` has run.
-        self.settle_busy(idx, now + 1);
         let mut evicted = std::mem::take(&mut self.evict_scratch);
         evicted.clear();
+        // Switching abandons a work item; the PE pass of `now` has run,
+        // so its busy interval closes at `now + 1`.
         self.pes[idx].switch_task_into(task, &self.graph, now, true, &mut evicted);
         // Adopted foreign packets feed the node's next scan.
         self.wake_scan(idx, now + 1);
@@ -995,7 +883,6 @@ impl Platform {
         self.locals[idx] = Some(task);
         self.gossip.task_changed(idx);
         self.pe_next[idx] = now;
-        self.owed_since[idx] = None;
     }
 }
 
@@ -1072,12 +959,45 @@ impl AimIo for NodeAimIo<'_> {
     }
 }
 
+/// Phase step between the AIM scans of consecutive nodes: node `idx`
+/// scans on the cycles `now` with `(now + idx·SCAN_STAGGER) ≡ 0 (mod
+/// AIM_PERIOD)`.
+const SCAN_STAGGER: u64 = 7;
+
+/// `SCAN_STAGGER⁻¹ (mod AIM_PERIOD)`. It exists because the two are
+/// coprime, which also puts the nodes of one residue exactly
+/// `AIM_PERIOD` indices apart, the first of each among nodes
+/// `0..AIM_PERIOD`.
+const SCAN_STAGGER_INVERSE: u64 = {
+    let period = AIM_PERIOD as u64;
+    let mut inverse = 0;
+    while inverse < period && SCAN_STAGGER * inverse % period != 1 % period {
+        inverse += 1;
+    }
+    assert!(
+        inverse < period,
+        "SCAN_STAGGER must be coprime to AIM_PERIOD"
+    );
+    inverse
+};
+
+/// The first of the nodes whose AIM scans fall on cycle `now`:
+/// `-now · SCAN_STAGGER⁻¹ (mod AIM_PERIOD)`.
+const fn first_scanner(now: Cycle) -> usize {
+    let period = AIM_PERIOD as u64;
+    ((period - now % period) * SCAN_STAGGER_INVERSE % period) as usize
+}
+
+/// The nodes among `n` whose AIM scans fall on cycle `now`, ascending.
+fn scanners(now: Cycle, n: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
+    (first_scanner(now)..n).step_by(AIM_PERIOD as usize)
+}
+
 /// First cycle at or after `at` on which node `idx`'s phase-staggered AIM
-/// scan fires: `(now + idx·7) ≡ 0 (mod AIM_PERIOD)`. At `at = 0` this is
-/// the node's residue class.
+/// scan fires. At `at = 0` this is the node's residue class.
 fn next_scan_slot(idx: usize, at: Cycle) -> Cycle {
     let period = AIM_PERIOD as u64;
-    at + (period - (at + idx as u64 * 7) % period) % period
+    at + (period - (at + idx as u64 * SCAN_STAGGER) % period) % period
 }
 
 /// Smallest multiple of `step` at or after `at`.
@@ -1279,6 +1199,42 @@ mod tests {
         for i in 0..16 {
             assert_eq!(p.pe(NodeId::new(i)).frequency_mhz(), 300);
         }
+    }
+
+    #[test]
+    fn passive_scans_drain_rcap_writes_and_fast_forward_resumes() {
+        let mut p = heuristic_platform(ModelKind::NoIntelligence);
+        p.run_ms(10.0);
+        for value in [3, 5] {
+            p.send_config(
+                NodeId::new(0),
+                NodeId::new(9),
+                sirtm_noc::RcapCommand::AimWrite { reg: 2, value },
+            );
+        }
+        // The writes cross the fabric; node 9's next scans drain them.
+        let mut arrived = 0;
+        while p.mesh_stats().config_consumed < 2 || p.mesh().aim_writes_pending() > 0 {
+            arrived = arrived.max(p.mesh().aim_writes_pending());
+            assert!(p.now_ms() < 20.0, "writes never drained");
+            p.step();
+        }
+        assert!(arrived > 0, "no write was ever pending");
+        assert_eq!(p.mesh().aim_writes_pending(), 0);
+        assert!(
+            p.scan_due.iter().all(|&due| due == NEVER),
+            "a baseline scan fell due"
+        );
+        // Nothing pins the schedule any more: the baseline jumps again,
+        // and no scan of node 9 falls due that would count a jumped
+        // cycle as stepped.
+        let (start, executed) = (p.now(), p.cycles_executed());
+        let forwarded = p.sim_counters().cycles_fast_forwarded;
+        p.run_ms(20.0);
+        let crossed = p.now() - start;
+        let jumped = crossed - (p.cycles_executed() - executed);
+        assert!(jumped > 0, "executed every one of {crossed} cycles");
+        assert_eq!(p.sim_counters().cycles_fast_forwarded - forwarded, jumped);
     }
 
     #[test]

@@ -20,7 +20,6 @@ enum Action {
     KillPe(u16),
     KillTile(u16),
     Hang(u16),
-    Resume(u16),
     SetFreq(u16, u16),
     Config(u16, u8),
 }
@@ -31,7 +30,6 @@ fn action(nodes: u16) -> impl Strategy<Value = Action> {
         1 => (0..nodes).prop_map(Action::KillPe),
         1 => (0..nodes).prop_map(Action::KillTile),
         1 => (0..nodes).prop_map(Action::Hang),
-        1 => (0..nodes).prop_map(Action::Resume),
         1 => ((0..nodes), (1u16..400)).prop_map(|(n, f)| Action::SetFreq(n, f)),
         1 => ((0..nodes), (0u8..4)).prop_map(|(n, c)| Action::Config(n, c)),
     ]
@@ -43,10 +41,6 @@ fn apply(platform: &mut Platform, a: &Action) {
         Action::KillPe(n) => platform.kill_pe(NodeId::new(n)),
         Action::KillTile(n) => platform.kill_tile(NodeId::new(n)),
         Action::Hang(n) => platform.hang_pe(NodeId::new(n)),
-        Action::Resume(n) => {
-            // Resuming a dead PE must be harmless; only hung ones revive.
-            platform.resume_pe(NodeId::new(n))
-        }
         Action::SetFreq(n, f) => platform.set_frequency(NodeId::new(n), f),
         Action::Config(n, c) => {
             let cmd = match c {
@@ -92,7 +86,7 @@ proptest! {
     /// panic, and basic invariants hold throughout. At a drawn action the
     /// platform is cloned; both copies then take the remaining actions
     /// and must stay identical, so a clone carries every piece of state
-    /// the run depends on (models, event tables, lazy credit, scratch).
+    /// the run depends on (models, event tables, busy intervals, scratch).
     #[test]
     fn platform_survives_chaos(
         case in proptest::collection::vec(action(25), 1..25)
@@ -156,24 +150,22 @@ proptest! {
         prop_assert!(p.pe(NodeId::new(victim)).task().is_none());
     }
 
-    /// Hang vs resume is lossless for liveness: a hung-then-resumed PE
-    /// processes work again.
+    /// A hung grid does no work: completions and every busy integral
+    /// freeze at the hang, on whichever cycle it lands mid-service.
     #[test]
-    fn hang_resume_recovers(seed in any::<u64>()) {
+    fn hung_grid_does_no_work(seed in any::<u64>(), run_ms in 1u8..60) {
         let mut p = build(ModelKind::NoIntelligence, seed);
-        p.run_ms(40.0);
-        // Hang every node briefly: total throughput freezes.
+        p.run_ms(f64::from(run_ms));
         for i in 0..25u16 {
             p.hang_pe(NodeId::new(i));
         }
         let frozen = p.completions_total();
+        let busy: Vec<u64> = (0..25u16).map(|i| p.busy_cycles(NodeId::new(i))).collect();
         p.run_ms(20.0);
         prop_assert_eq!(p.completions_total(), frozen, "hung grid does no work");
         for i in 0..25u16 {
-            p.resume_pe(NodeId::new(i));
+            prop_assert_eq!(p.busy_cycles(NodeId::new(i)), busy[i as usize]);
         }
-        p.run_ms(40.0);
-        prop_assert!(p.completions_total() > frozen, "resumed grid works again");
     }
 }
 
@@ -185,13 +177,12 @@ enum Storm {
     Run(u16),
     /// One optimized `step`.
     Step,
-    /// Naive steps on both twins: the optimized one must fold its
-    /// skipped scans before them and rebuild its event tables after.
+    /// Naive steps on both twins: on the optimized one they fold its
+    /// skipped scans and keep its event tables current.
     Naive(u8),
     KillPe(u16),
     KillTile(u16),
     Hang(u16),
-    Resume(u16),
     /// Retune the source task's generation period.
     Period(u32),
     /// An RCAP `AimWrite` of `(register, value)` queued at a router.
@@ -206,7 +197,6 @@ fn storm(nodes: u16) -> impl Strategy<Value = Storm> {
         1 => (0..nodes).prop_map(Storm::KillPe),
         1 => (0..nodes).prop_map(Storm::KillTile),
         1 => (0..nodes).prop_map(Storm::Hang),
-        1 => (0..nodes).prop_map(Storm::Resume),
         1 => (100u32..4000).prop_map(Storm::Period),
         2 => (
             (0..nodes),
@@ -302,7 +292,6 @@ proptest! {
                             Storm::KillPe(n) => p.kill_pe(NodeId::new(n)),
                             Storm::KillTile(n) => p.kill_tile(NodeId::new(n)),
                             Storm::Hang(n) => p.hang_pe(NodeId::new(n)),
-                            Storm::Resume(n) => p.resume_pe(NodeId::new(n)),
                             Storm::Write(n, reg, value) => p.apply_config_direct(
                                 NodeId::new(n),
                                 RcapCommand::AimWrite { reg, value },

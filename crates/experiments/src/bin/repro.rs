@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 
 use sirtm_core::models::ModelKind;
-use sirtm_experiments::{fig4, table1, table2, thermal_ext};
+use sirtm_experiments::{fig4, outln, table1, table2, thermal_ext};
 use sirtm_scenario::ScenarioSpec;
 use sirtm_taskgraph::{workloads, FlowAnalysis};
 
@@ -73,11 +73,11 @@ fn print_graph() {
     let params = workloads::ForkJoinParams::default();
     let graph = workloads::fork_join(&params);
     let flow = FlowAnalysis::analyze(&graph);
-    println!("Fig 3 — fork-join task graph (ratio 1:3:1)");
+    outln!("Fig 3 — fork-join task graph (ratio 1:3:1)");
     for t in graph.task_ids() {
         let spec = graph.spec(t);
         let d = flow.demand(t);
-        println!(
+        outln!(
             "  {t} `{}`: service {} cycles, join arity {}, {} — \
              completion rate {:.4}/cycle, demand {:.2} nodes",
             spec.name,
@@ -92,11 +92,15 @@ fn print_graph() {
             d.demand_nodes,
         );
     }
-    println!("  instance ratio: {:?}", flow.instance_ratio());
+    outln!("  instance ratio: {:?}", flow.instance_ratio());
     for e in graph.edges() {
-        println!(
+        outln!(
             "  edge {} -> {} x{} ({:?}, {} payload flits)",
-            e.from, e.to, e.count, e.kind, e.payload_flits
+            e.from,
+            e.to,
+            e.count,
+            e.kind,
+            e.payload_flits
         );
     }
 }
@@ -117,26 +121,26 @@ fn main() {
         "graph" => print_graph(),
         "table1" => {
             let t = table1::run(&base, args.runs);
-            println!("{}", table1::render(&t));
+            outln!("{}", table1::render(&t));
             if let Err(e) = table1::write_csv(&t, &args.out.join("table1.csv")) {
                 eprintln!("repro: CSV write failed: {e}");
             }
         }
         "table2" => {
             let t = table2::run(&base, args.runs);
-            println!("{}", table2::render(&t));
+            outln!("{}", table2::render(&t));
             if let Err(e) = table2::write_csv(&t, &args.out.join("table2.csv")) {
                 eprintln!("repro: CSV write failed: {e}");
             }
         }
         "fig4" => {
             let f = fig4::run(&fig4_base, args.seed);
-            println!("{}", fig4::render(&f, 80));
+            outln!("{}", fig4::render(&f, 80));
             match fig4::write_csvs(&f, &args.out) {
                 Ok(files) => {
-                    println!("\nCSV series written:");
+                    outln!("\nCSV series written:");
                     for f in files {
-                        println!("  {}", f.display());
+                        outln!("  {}", f.display());
                     }
                 }
                 Err(e) => eprintln!("repro: CSV write failed: {e}"),
@@ -144,20 +148,20 @@ fn main() {
         }
         "thermal" => {
             let r = thermal_ext::run(args.seed);
-            println!("{}", thermal_ext::render(&r));
+            outln!("{}", thermal_ext::render(&r));
         }
         "all" => {
             print_graph();
             let t1 = table1::run(&base, args.runs);
-            println!("\n{}", table1::render(&t1));
+            outln!("\n{}", table1::render(&t1));
             let _ = table1::write_csv(&t1, &args.out.join("table1.csv"));
             let t2 = table2::run(&base, args.runs);
-            println!("\n{}", table2::render(&t2));
+            outln!("\n{}", table2::render(&t2));
             let _ = table2::write_csv(&t2, &args.out.join("table2.csv"));
             let f = fig4::run(&fig4_base, args.seed);
-            println!("{}", fig4::render(&f, 80));
+            outln!("{}", fig4::render(&f, 80));
             if let Ok(files) = fig4::write_csvs(&f, &args.out) {
-                println!("\nCSV series written under {}", args.out.display());
+                outln!("\nCSV series written under {}", args.out.display());
                 let _ = files;
             }
         }

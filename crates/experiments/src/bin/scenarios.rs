@@ -85,7 +85,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use sirtm_experiments::render;
+use sirtm_experiments::{out, outln, render};
 use sirtm_scenario::json::{parse, Json};
 use sirtm_scenario::shard::{atomic_write, checkpoint_file, fingerprint};
 use sirtm_scenario::telemetry::Tracer;
@@ -344,9 +344,9 @@ fn parse_args() -> Args {
 }
 
 fn list() {
-    println!("Preset scenarios:");
+    outln!("Preset scenarios:");
     for name in presets::PRESET_NAMES {
-        println!("  {name:<18} {}", presets::describe(name));
+        outln!("  {name:<18} {}", presets::describe(name));
     }
 }
 
@@ -428,13 +428,13 @@ fn finish_trace(args: &Args, tracer: Option<&Tracer>) {
         }
         std::fs::write(path, tracer.chrome_json())
             .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
-        println!("trace   : {} ({} event(s))", path.display(), tracer.len());
+        outln!("trace   : {} ({} event(s))", path.display(), tracer.len());
     }
     if let Some(path) = &args.trace_jsonl {
-        println!("trace jsonl: {}", path.display());
+        outln!("trace jsonl: {}", path.display());
     }
     if tracer.dropped() > 0 {
-        println!(
+        outln!(
             "note: ring buffer evicted {} event(s); the --trace-jsonl stream (if any) kept them",
             tracer.dropped()
         );
@@ -454,7 +454,7 @@ fn write_sidecar(args: &Args, telemetry: &SweepTelemetry) {
     }
     std::fs::write(path, telemetry.render_sidecar())
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
-    println!(
+    outln!(
         "sidecar : {} ({} run(s), {})",
         path.display(),
         telemetry.sidecar().len(),
@@ -526,13 +526,13 @@ fn run(args: &Args) {
     );
     drop(sweep_span);
     let elapsed = started.elapsed();
-    println!(
+    outln!(
         "sweep `{name}`: {} runs on {} threads in {elapsed:.1?} ({:.1} runs/sec)",
         sweep.run_count(),
         result.threads_used,
         sweep.run_count() as f64 / elapsed.as_secs_f64()
     );
-    println!("{}", summary_table(&result));
+    outln!("{}", summary_table(&result));
     let out = args
         .out
         .clone()
@@ -540,12 +540,12 @@ fn run(args: &Args) {
     result
         .write_json(&out)
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
-    println!("artefact: {}", out.display());
+    outln!("artefact: {}", out.display());
     if let Some(csv) = &args.csv {
         result
             .write_csv(csv)
             .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", csv.display())));
-        println!("csv     : {}", csv.display());
+        outln!("csv     : {}", csv.display());
     }
     write_sidecar(args, &telemetry);
     finish_trace(args, tracer.as_ref());
@@ -583,7 +583,7 @@ fn run_one_shard(args: &Args) {
     )
     .unwrap_or_else(|e| die(&e));
     let elapsed = started.elapsed();
-    println!(
+    outln!(
         "shard {k}/{n} of `{}`: runs {:?} — {} from checkpoint, {} executed in {elapsed:.1?}",
         sweep.name,
         plan.range(),
@@ -591,7 +591,7 @@ fn run_one_shard(args: &Args) {
         report.executed,
     );
     match report.result {
-        None => println!(
+        None => outln!(
             "interrupted by --limit before completion; rerun the same command \
              (without --limit) to resume from the checkpoint"
         ),
@@ -602,7 +602,7 @@ fn run_one_shard(args: &Args) {
             result
                 .write_json(&out)
                 .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
-            println!("shard artefact: {}", out.display());
+            outln!("shard artefact: {}", out.display());
         }
     }
     // The sidecar covers only runs this invocation executed — runs
@@ -642,7 +642,7 @@ fn shard_plan(args: &Args) {
         ("runs", Json::Num(sweep.run_count() as f64)),
         ("shards", Json::Arr(shards)),
     ]);
-    print!("{}", doc.render_pretty());
+    out!("{}", doc.render_pretty());
 }
 
 /// `merge SHARD.json...`: recombine a complete shard set into the full
@@ -671,7 +671,7 @@ fn merge(args: &Args) {
         })
         .fold(OnlineStats::new(), |acc, s| acc.merge(&s));
     let merged = merge_named_shards(&shards).unwrap_or_else(|e| die(&e));
-    println!(
+    outln!(
         "merged {} shard(s), {} runs (rate mean {:.3}, min {:.3}, max {:.3})",
         shards.len(),
         overview.count,
@@ -679,7 +679,7 @@ fn merge(args: &Args) {
         overview.min,
         overview.max
     );
-    println!("{}", summary_table(&merged));
+    outln!("{}", summary_table(&merged));
     let out = args
         .out
         .clone()
@@ -687,12 +687,12 @@ fn merge(args: &Args) {
     merged
         .write_json(&out)
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
-    println!("artefact: {}", out.display());
+    outln!("artefact: {}", out.display());
     if let Some(csv) = &args.csv {
         merged
             .write_csv(csv)
             .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", csv.display())));
-        println!("csv     : {}", csv.display());
+        outln!("csv     : {}", csv.display());
     }
 }
 
@@ -743,7 +743,7 @@ fn dispatch_cmd(args: &Args) {
     let outcome = dispatch(&sweep, shards, &mut workers, &opts)
         .unwrap_or_else(|e| die(&format!("dispatch of `{}` failed: {e}", sweep.name)));
     let report = &outcome.report;
-    println!(
+    outln!(
         "dispatched `{}`: {} runs as {} shard(s) over {} worker(s) in {:.1?} \
          ({} reassignment(s))",
         sweep.name,
@@ -767,7 +767,7 @@ fn dispatch_cmd(args: &Args) {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render::ascii_table(
             &[
@@ -781,7 +781,7 @@ fn dispatch_cmd(args: &Args) {
             &rows
         )
     );
-    println!("{}", summary_table(&outcome.result));
+    outln!("{}", summary_table(&outcome.result));
     let out = args
         .out
         .clone()
@@ -790,14 +790,14 @@ fn dispatch_cmd(args: &Args) {
         .result
         .write_json(&out)
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
-    println!("artefact: {}", out.display());
+    outln!("artefact: {}", out.display());
     let report_path = args.report.clone().unwrap_or_else(|| {
         PathBuf::from(format!("target/sirtm/{}.dispatch-report.json", sweep.name))
     });
     report
         .write_json(&report_path)
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", report_path.display())));
-    println!("report  : {}", report_path.display());
+    outln!("report  : {}", report_path.display());
     finish_trace(args, tracer.as_ref());
 }
 
@@ -861,7 +861,7 @@ fn chaos_soak(args: &Args) {
                     }
                 };
                 let _ = faulty.drop_stale_tmp(&target);
-                println!(
+                outln!(
                     "cycle {cycle}: {} — {damage}",
                     target.file_name().unwrap_or_default().to_string_lossy()
                 );
@@ -912,7 +912,7 @@ fn chaos_soak(args: &Args) {
                  single-process sweep"
             ));
         }
-        println!(
+        outln!(
             "cycle {cycle}: byte-identical ({} reassignment(s), {} injected fault(s) so far)",
             outcome.report.reassignments(),
             ledger.total(),
@@ -921,7 +921,7 @@ fn chaos_soak(args: &Args) {
     }
     let mut outcome = last.expect("at least one cycle ran");
     outcome.report.attribute_faults(&ledger);
-    println!(
+    outln!(
         "chaos-soak `{}`: {cycles} cycle(s), {} injected fault(s), every merge byte-identical \
          in {:.1?}",
         sweep.name,
@@ -929,7 +929,7 @@ fn chaos_soak(args: &Args) {
         started.elapsed(),
     );
     for (kind, count) in ledger.counts() {
-        println!("  {kind:<24} {count}");
+        outln!("  {kind:<24} {count}");
     }
     let out = args
         .out
@@ -939,7 +939,7 @@ fn chaos_soak(args: &Args) {
         .result
         .write_json(&out)
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
-    println!("artefact: {}", out.display());
+    outln!("artefact: {}", out.display());
     let report_path = args
         .report
         .clone()
@@ -948,13 +948,13 @@ fn chaos_soak(args: &Args) {
         .report
         .write_json(&report_path)
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", report_path.display())));
-    println!("report  : {}", report_path.display());
+    outln!("report  : {}", report_path.display());
     finish_trace(args, tracer.as_ref());
 }
 
 fn show(args: &Args) {
     let spec = resolve_spec(args);
-    print!("{}", spec.to_json_pretty());
+    out!("{}", spec.to_json_pretty());
 }
 
 fn check(args: &Args) {
@@ -964,7 +964,7 @@ fn check(args: &Args) {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
     match check_artifact(&text) {
-        Ok(runs) => println!("{path}: OK ({runs} runs)"),
+        Ok(runs) => outln!("{path}: OK ({runs} runs)"),
         Err(e) => die(&format!("{path}: INVALID: {e}")),
     }
 }
@@ -1011,7 +1011,7 @@ fn status_cmd(args: &Args) {
     journals.sort();
     journals.dedup();
     if journals.is_empty() {
-        println!(
+        outln!(
             "no checkpoint journals under {} (yet) — nothing has completed a run",
             work_dir.display()
         );
@@ -1045,7 +1045,7 @@ fn status_cmd(args: &Args) {
                 ])
             })
             .collect();
-        println!(
+        outln!(
             "{}",
             render::ascii_table(&["shard", "fingerprint", "runs", "%", "state"], &rows)
         );
@@ -1056,7 +1056,7 @@ fn status_cmd(args: &Args) {
     let text = match std::fs::read_to_string(stream) {
         Ok(text) => text,
         Err(e) => {
-            println!("trace stream {}: not readable ({e})", stream.display());
+            outln!("trace stream {}: not readable ({e})", stream.display());
             return;
         }
     };
@@ -1080,7 +1080,7 @@ fn status_cmd(args: &Args) {
         }
     }
     if latest.is_empty() {
-        println!("trace stream {}: no events yet", stream.display());
+        outln!("trace stream {}: no events yet", stream.display());
         return;
     }
     latest.sort();
@@ -1094,7 +1094,7 @@ fn status_cmd(args: &Args) {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render::ascii_table(&["track", "last event", "at"], &rows)
     );
@@ -1122,7 +1122,7 @@ fn trace_cmd(args: &Args) {
         Ok(doc) if doc.get("traceEvents").is_some() => ("chrome", check_chrome_trace(path, &doc)),
         _ => ("jsonl", check_jsonl_trace(path, &text)),
     };
-    println!("{path}: OK ({format}, {events} event(s))");
+    outln!("{path}: OK ({format}, {events} event(s))");
 }
 
 /// Validates a Chrome trace-event document; returns the event count.
@@ -1227,7 +1227,7 @@ fn fuzz(args: &Args) {
     let started = Instant::now();
     let result = run_campaign(&cfg, &telemetry);
     let elapsed = started.elapsed();
-    println!(
+    outln!(
         "campaign `{campaign}`: {} evaluation(s), {} frontier find(s) in {elapsed:.1?}",
         result.evaluations,
         result.entries.len()
@@ -1238,14 +1238,14 @@ fn fuzz(args: &Args) {
         .unwrap_or_else(|| PathBuf::from(format!("target/sirtm/{campaign}.log")));
     atomic_write(&log_path, &result.log)
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", log_path.display())));
-    println!("log     : {}", log_path.display());
+    outln!("log     : {}", log_path.display());
     let corpus_path = args
         .corpus
         .clone()
         .unwrap_or_else(|| PathBuf::from(format!("target/sirtm/{campaign}-corpus.jsonl")));
     atomic_write(&corpus_path, &result.corpus)
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", corpus_path.display())));
-    println!(
+    outln!(
         "corpus  : {} ({} entr{})",
         corpus_path.display(),
         result.entries.len(),
@@ -1258,7 +1258,7 @@ fn fuzz(args: &Args) {
     if let Some(path) = &args.sidecar {
         atomic_write(path, &telemetry.render_sidecar())
             .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
-        println!(
+        outln!(
             "sidecar : {} ({} candidate(s))",
             path.display(),
             telemetry.sidecar().len()
@@ -1287,7 +1287,7 @@ fn fuzz_replay(args: &Args) {
     for entry in &entries {
         let report = replay_entry(entry, args.threads);
         if report.matches(entry) {
-            println!(
+            outln!(
                 "replay {:04} OK fingerprint={} fitness={:.4}",
                 entry.id,
                 entry.fingerprint,
@@ -1308,7 +1308,7 @@ fn fuzz_replay(args: &Args) {
             if entries.len() == 1 { "y" } else { "ies" }
         ));
     }
-    println!(
+    outln!(
         "{}: {} entr{} replayed bit-exactly",
         path.display(),
         entries.len(),

@@ -69,6 +69,7 @@
 
 use sirtm_scenario::ScenarioSpec;
 
+pub mod cli;
 pub mod fig4;
 pub mod render;
 pub mod table1;

@@ -126,11 +126,10 @@ pub struct Mesh {
     /// and the fabric is provably inert, which is what licenses the
     /// platform's fast-forward jumps.
     settled: bool,
-    /// Cumulative `AimWrite` commands that reached any router (via RCAP
-    /// consumption or the direct debug path). The platform differences
-    /// this against its own drain count to know whether register writes
-    /// are still outstanding anywhere.
-    aim_writes_enqueued: u64,
+    /// `AimWrite` commands that reached a router (via RCAP consumption
+    /// or the direct debug path) and have not been popped yet, over all
+    /// routers: the platform's scans drain them while any is pending.
+    aim_writes_pending: u64,
 }
 
 /// What [`Mesh::step`]'s walk has done to one router in the step taken
@@ -165,7 +164,7 @@ impl PartialEq for Mesh {
             && self.stats == other.stats
             && self.fresh_delivered == other.fresh_delivered
             && self.settled == other.settled
-            && self.aim_writes_enqueued == other.aim_writes_enqueued
+            && self.aim_writes_pending == other.aim_writes_pending
     }
 }
 
@@ -210,7 +209,7 @@ impl Mesh {
             arrivals: vec![0; dims.len().div_ceil(64)],
             fresh_delivered: Vec::with_capacity(dims.len()),
             settled: false,
-            aim_writes_enqueued: 0,
+            aim_writes_pending: 0,
             dims,
             routers,
             cycle: 0,
@@ -276,16 +275,6 @@ impl Mesh {
     /// Panics if `node` is off-grid.
     pub fn oldest_waiting_app_packet(&self, node: NodeId, now: Cycle) -> Option<(TaskId, Cycle)> {
         self.routers[node.index()].oldest_waiting_app_packet(&self.slab, now)
-    }
-
-    /// Number of packets waiting in `node`'s injection queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is off-grid.
-    pub fn inject_backlog(&self, node: NodeId) -> usize {
-        let front = self.routers[node.index()].has_queued_inject();
-        usize::from(front) + self.io[node.index()].backlog.len()
     }
 
     /// Injects a packet at `src` bound for `dest`, returning its id.
@@ -370,7 +359,7 @@ impl Mesh {
                 self.set_port_enabled(NodeId::new(idx as u16), port, on)
             }
             RcapCommand::AimWrite { reg, value } => {
-                self.aim_writes_enqueued += 1;
+                self.aim_writes_pending += 1;
                 self.io[idx].aim_writes.push_back((reg, value));
             }
         }
@@ -429,15 +418,6 @@ impl Mesh {
         self.io[node.index()].delivered.pop_front()
     }
 
-    /// Number of delivered packets `node` has not drained yet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is off-grid.
-    pub fn delivered_len(&self, node: NodeId) -> usize {
-        self.io[node.index()].delivered.len()
-    }
-
     /// Pops the oldest AIM register write `node` received through RCAP.
     /// Creates no router work, so an idle fabric stays settled.
     ///
@@ -445,17 +425,9 @@ impl Mesh {
     ///
     /// Panics if `node` is off-grid.
     pub fn pop_aim_write(&mut self, node: NodeId) -> Option<(u8, u8)> {
-        self.io[node.index()].aim_writes.pop_front()
-    }
-
-    /// Number of AIM register writes waiting at `node` to be drained by
-    /// a scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is off-grid.
-    pub fn aim_write_backlog(&self, node: NodeId) -> usize {
-        self.io[node.index()].aim_writes.len()
+        let write = self.io[node.index()].aim_writes.pop_front();
+        self.aim_writes_pending -= u64::from(write.is_some());
+        write
     }
 
     /// Nodes that received a completed packet delivery during the most
@@ -466,9 +438,10 @@ impl Mesh {
         &self.fresh_delivered
     }
 
-    /// Cumulative `AimWrite` commands that have reached any router.
-    pub fn aim_writes_enqueued(&self) -> u64 {
-        self.aim_writes_enqueued
+    /// `AimWrite` commands that have reached a router and not yet been
+    /// popped, over all routers.
+    pub fn aim_writes_pending(&self) -> u64 {
+        self.aim_writes_pending
     }
 
     /// Packet-slab slots currently holding a packet, ascending.

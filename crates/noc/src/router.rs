@@ -468,11 +468,6 @@ impl Router {
         best
     }
 
-    /// Whether a packet waits at the injection queue's front.
-    pub(crate) fn has_queued_inject(&self) -> bool {
-        self.occupied & INJECT_BIT != 0
-    }
-
     /// Queues the packet in `slot` (`wire` flits long) for injection.
     pub(crate) fn enqueue_inject(&mut self, io: &mut RouterIo, slot: u32, wire: u16) {
         if self.occupied & INJECT_BIT == 0 {
@@ -984,10 +979,11 @@ mod tests {
         assert_eq!(m.router(node).accepting(), 0b1101, "east input closed");
         m.apply_config_direct(node, RcapCommand::AimWrite { reg: 2, value: 7 });
         m.apply_config_direct(node, RcapCommand::AimWrite { reg: 3, value: 1 });
-        assert_eq!(m.aim_write_backlog(node), 2);
+        assert_eq!(m.aim_writes_pending(), 2);
         assert_eq!(m.pop_aim_write(node), Some((2, 7)));
         assert_eq!(m.pop_aim_write(node), Some((3, 1)));
         assert_eq!(m.pop_aim_write(node), None);
+        assert_eq!(m.aim_writes_pending(), 0);
     }
 
     #[test]
@@ -1003,12 +999,12 @@ mod tests {
                 payload,
             );
         }
-        assert_eq!(m.inject_backlog(node), 2);
+        assert!(m.router(node).has_work());
+        assert_eq!(m.live_slots().len(), 2, "both packets queued");
         m.kill(node);
         let r = m.router(node);
         assert!(!r.settings().alive);
         assert!(!r.has_work());
-        assert_eq!(m.inject_backlog(node), 0);
         assert!(r.settings().port_enabled.iter().all(|&e| !e));
         assert!(m.live_slots().is_empty(), "discarded packets are freed");
     }

@@ -135,9 +135,10 @@ fn rcap_aim_write_is_queued_for_platform() {
     let mut m = mesh(4, 4);
     m.send_config(n(3), n(12), RcapCommand::AimWrite { reg: 9, value: 42 });
     assert!(m.quiesce(100));
-    assert_eq!(m.aim_writes_enqueued(), 1);
+    assert_eq!(m.aim_writes_pending(), 1);
     assert_eq!(m.pop_aim_write(n(12)), Some((9, 42)));
     assert_eq!(m.pop_aim_write(n(12)), None);
+    assert_eq!(m.aim_writes_pending(), 0);
 }
 
 #[test]
